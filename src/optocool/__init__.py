@@ -49,7 +49,6 @@ from .errors import (
     QuadratureFailure,
     SingularResponse,
     SolverFailure,
-    StepSizeUnderflow,
     Unstable,
     ValidationError,
     WindowTooShort,

@@ -19,8 +19,13 @@ the spectral route, plus vacuum input noise on the field. The coupling
 g is *derived* from Delta_nl = G^2 |a_ss|^2 / Omega_m, not hard-coded, and
 is pinned by the cross-method test against the spectrum integrals.
 
-Exposed timestamps are in units of 1/Gamma; internal integration time
-is in units of 1/Omega_m (tau = t * Q).
+The drift is constant, so the transient is propagated exactly rather
+than integrated: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, with
+V_ss the Lyapunov steady state and e^{A tau} taken from one
+eigendecomposition of A (``expm`` when its eigenvectors are ill
+conditioned); see C. F. Van Loan, IEEE TAC 23(3), 1978. Exposed
+timestamps are in units of 1/Gamma; the propagator's argument is in
+units of 1/Omega_m (tau = t * Q).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/tracer.py wraps it
 from scipy.linalg import expm
 
 from .errors import (
@@ -38,7 +43,6 @@ from .errors import (
     InvalidParams,
     NonPhysical,
     SolverFailure,
-    StepSizeUnderflow,
     Unstable,
     WindowTooShort,
 )
@@ -175,9 +179,14 @@ def thermal_covariance(params: NormalizedParams) -> CovarianceState:
     return CovarianceState(t=0.0, v=np.diag([s, s, 1.0, 1.0]))
 
 
-def physicality_defect(v: np.ndarray) -> float:
-    """Smallest eigenvalue of V + iJ; >= 0 for a physical state."""
-    return float(np.linalg.eigvalsh(v + 1j * SYMPLECTIC_FORM).min().real)
+def physicality_defect(v: np.ndarray):
+    """Smallest eigenvalue of V + iJ; >= 0 for a physical state.
+
+    ``v`` may be one 4x4 covariance (a float is returned) or a stack of
+    shape (..., 4, 4) (an array of the leading shape is returned).
+    """
+    defect = np.linalg.eigvalsh(v + 1j * SYMPLECTIC_FORM)[..., 0]
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def _vech(m: np.ndarray) -> np.ndarray:
@@ -236,67 +245,49 @@ def evolve_covariance(
     v0: CovarianceState | None = None,
     t_end: float = 1.0,
     *,
-    rtol: float = 1e-9,
     n_samples: int = 201,
     t_eval=None,
 ) -> list[CovarianceState]:
-    """Integrate dV/dt = A V + V A^T + D from v0 up to t_end (1/Gamma units).
+    """Covariance V(t) solving dV/dt = A V + V A^T + D from v0 (1/Gamma units).
 
-    Explicit adaptive Runge-Kutta stepping on the ten independent
-    entries, with the step capped at a tenth of the cavity lifetime so
-    the fast field scale is always resolved. Default initial condition:
-    thermal mirror, vacuum field (cooling switched on at t = 0).
+    Exact propagation V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau},
+    tau = t * Q, at ``n_samples`` evenly spaced times on [0, t_end] or
+    at the given ``t_eval`` (each within [0, t_end]). The cost does not
+    depend on Q or on t_end. Default initial condition: thermal mirror,
+    vacuum field (cooling switched on at t = 0).
 
     Raises
     ------
-    StepSizeUnderflow
-        If the integrator cannot advance.
     NonPhysical
-        If a stored sample violates V + iJ >= 0 beyond tolerance,
-        which signals integrator failure rather than physics.
+        If a sample violates V + iJ >= 0 beyond -1e-9 times the scale
+        of v0. Besides a propagator failure this can be the model: the
+        flat mirror bath is not completely positive, so a mirror that
+        starts near its ground state at low Q leaves the physical set.
     """
     if t_end <= 0:
         raise InvalidParams(f"t_end must be > 0, got {t_end}")
     if v0 is None:
         v0 = thermal_covariance(sys.params)
-    q = sys.params.q_factor
-    tau_end = t_end * q
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, n_samples)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
-    a, d = sys.drift, sys.diffusion
-    d_vech = _vech(d)
+        if np.any(t_eval < 0) or np.any(t_eval > t_end):
+            raise InvalidParams(f"t_eval must lie within [0, {t_end}]")
+    q = sys.params.q_factor
+    v_ss = lyapunov_steady_state(sys).v
+    e = _propagators(sys, t_eval * q)
+    v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
+    v = 0.5 * (v + v.transpose(0, 2, 1))
 
-    def rhs(_tau, x):
-        v = _unvech(x)
-        return _vech(a @ v + v @ a.T) + d_vech
-
-    scale = max(1.0, float(np.max(np.abs(v0.v))))
-    sol = solve_ivp(
-        rhs,
-        (0.0, tau_end),
-        _vech(v0.v),
-        method="RK45",
-        rtol=rtol,
-        atol=rtol * 1e-3 * scale,
-        max_step=0.1 * sys.params.b,
-        t_eval=t_eval * q,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-
-    out = []
-    tol = -1e-9 * scale
-    for tau, col in zip(sol.t, sol.y.T):
-        v = _unvech(col)
-        defect = physicality_defect(v)
-        if defect < tol:
-            raise NonPhysical(
-                f"physicality defect {defect:.3e} at t={tau / q:.6g} (1/Gamma)"
-            )
-        out.append(CovarianceState(t=tau / q, v=v))
-    return out
+    defects = physicality_defect(v)
+    bad = np.flatnonzero(defects < -1e-9 * max(1.0, float(np.max(np.abs(v0.v)))))
+    if bad.size:
+        k = bad[0]
+        raise NonPhysical(
+            f"physicality defect {defects[k]:.3e} at t={t_eval[k]:.6g} (1/Gamma)"
+        )
+    return [CovarianceState(t=float(t), v=vt) for t, vt in zip(t_eval, v)]
 
 
 def output_variance_track(sys: LinearSystem, trajectory) -> np.ndarray:
@@ -306,11 +297,8 @@ def output_variance_track(sys: LinearSystem, trajectory) -> np.ndarray:
     spike being excluded. Returns an (n, 2) array aligned with the
     trajectory samples.
     """
-    track = np.empty((len(trajectory), 2))
-    for i, state in enumerate(trajectory):
-        track[i, 0] = 2.0 * (state.v[2, 2] - 1.0)
-        track[i, 1] = 2.0 * (state.v[3, 3] - 1.0)
-    return track
+    v = np.array([state.v for state in trajectory]).reshape(-1, 4, 4)
+    return 2.0 * (v[:, [2, 3], [2, 3]] - 1.0)
 
 
 def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
@@ -326,17 +314,10 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
     xi, wi = leggauss(n_inner)
     t_out = 0.5 * window * (xo + 1.0)
     w_out = 0.5 * window * wo
-    times = np.empty((n_outer * n_inner, 2))
-    weights = np.empty(n_outer * n_inner)
-    k = 0
-    for t, wt in zip(t_out, w_out):
-        inner_t = 0.5 * t * (xi + 1.0)
-        inner_w = 0.5 * t * wi
-        for tp, wtp in zip(inner_t, inner_w):
-            times[k, 0] = t
-            times[k, 1] = tp
-            weights[k] = wt * wtp
-            k += 1
+    inner_t = np.outer(0.5 * t_out, xi + 1.0)
+    inner_w = np.outer(0.5 * t_out, wi)
+    times = np.column_stack([np.repeat(t_out, n_inner), inner_t.ravel()])
+    weights = (w_out[:, None] * inner_w).ravel()
     return times, weights
 
 
@@ -349,7 +330,7 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
         phases = np.exp(np.multiply.outer(taus, lam))  # (n, 4)
         out = np.einsum("ik,nk,kj->nij", s, phases, s_inv).real
         return out
-    return np.array([expm(a * tau) for tau in taus])
+    return np.array([expm(a * tau) for tau in taus]).reshape(-1, 4, 4)
 
 
 def two_time_correlations(
@@ -410,22 +391,19 @@ def two_time_correlations(
     e_anchor = _propagators(sys, tau_anchor)
     e_lag = _propagators(sys, tau_lag)
 
-    theta0 = 0.0 if quadrature == "x_out" else 0.5 * math.pi
-    values = np.empty(len(pairs))
-    for n in range(len(pairs)):
-        vk = trajectory[anchor[n]].v
-        ea = e_anchor[n]
-        v_t = v_ss + ea @ (vk - v_ss) @ ea.T
-        block = ((v_t - eye) @ e_lag[n].T)[2:, 2:]
-        if demod_rate == 0.0:
-            idx = _QUAD_INDEX[quadrature] - 2
-            values[n] = 2.0 * block[idx, idx]
-        else:
-            th_e = demod_rate * t_early[n] + theta0
-            th_l = demod_rate * t_late[n] + theta0
-            ce = np.array([math.cos(th_e), -math.sin(th_e)])
-            cl = np.array([math.cos(th_l), -math.sin(th_l)])
-            values[n] = 2.0 * (ce @ block @ cl)
+    vk = np.array([state.v for state in trajectory])[anchor]
+    v_t = v_ss + e_anchor @ (vk - v_ss) @ e_anchor.transpose(0, 2, 1)
+    block = ((v_t - eye) @ e_lag.transpose(0, 2, 1))[:, 2:, 2:]
+    if demod_rate == 0.0:
+        idx = _QUAD_INDEX[quadrature] - 2
+        values = 2.0 * block[:, idx, idx]
+    else:
+        theta0 = 0.0 if quadrature == "x_out" else 0.5 * math.pi
+        th_e = demod_rate * t_early + theta0
+        th_l = demod_rate * t_late + theta0
+        ce = np.column_stack([np.cos(th_e), -np.sin(th_e)])
+        cl = np.column_stack([np.cos(th_l), -np.sin(th_l)])
+        values = 2.0 * np.einsum("ni,nij,nj->n", ce, block, cl)
 
     return TwoTimeGrid(
         times=pairs,

@@ -41,10 +41,6 @@ class OptimizationFailure(OptocoolError):
     """No stable operating point was found during optimization."""
 
 
-class StepSizeUnderflow(OptocoolError):
-    """Covariance integrator failed to advance."""
-
-
 class NonPhysical(OptocoolError):
     """Covariance matrix violates the physicality bound beyond tolerance."""
 

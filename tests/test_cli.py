@@ -1,11 +1,18 @@
 """Configuration parsing, sweep dispatch and CSV emission."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from optocool import ParseError, ValidationError, optimal_detuning
+from optocool import (
+    ParseError,
+    ValidationError,
+    build_system,
+    lyapunov_steady_state,
+    optimal_detuning,
+)
 from optocool.cli import (
     ResultTable,
     emit_csv,
@@ -31,7 +38,6 @@ class TestParseConfig:
         assert cfg.params.b == 10.0
         assert cfg.noise_model is ThermalNoiseModel.MARKOV_FLAT
         assert cfg.quadrature_rel == 1e-8
-        assert cfg.ode_rel == 1e-9
         assert cfg.omega_max == 100.0
 
     def test_figure_modes_default_to_coth(self):
@@ -167,6 +173,17 @@ class TestRun:
         assert [r[0] for r in table.rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
         assert table.rows[1][1] == pytest.approx(table.rows[3][1], rel=1e-12)
 
+    def test_default_dynamics_window_reaches_steady_state(self):
+        # outside the adiabatic regime the closed-form Gamma_eff
+        # overstates the relaxation rate; the default window must still
+        # cover the slowest drift mode
+        doc = MINIMAL.replace("phi_nl = 0.1", "phi_nl = 0.3")
+        cfg = parse_config(doc, mode="dynamics")
+        last = run(cfg).rows[-1]
+        v_ss = lyapunov_steady_state(build_system(cfg.params)).v
+        assert last[1] == pytest.approx(v_ss[0, 0], rel=1e-5)
+        assert last[2] == pytest.approx(v_ss[1, 1], rel=1e-5)
+
     def test_homodyne_mode_row(self):
         doc = MINIMAL + "homodyne.n_outer = 32\nhomodyne.n_inner = 16\ndynamics.samples = 101\n"
         table = run(parse_config(doc, mode="homodyne"))
@@ -244,6 +261,19 @@ class TestMain:
         )
         assert rc == 3
         assert "Unstable" in capsys.readouterr().err
+
+    def test_removed_ode_tolerance_is_unknown_key(self, capsys):
+        # covariance propagation is exact and takes no tolerance, so the
+        # old tolerances.ode_rel setting is rejected like any unknown key
+        rc = main(
+            ["dynamics", "--set", "tolerances.ode_rel=1e-9",
+             "--set", "b=10", "--set", "phi=10", "--set", "phi_nl=0.1",
+             "--set", "q_factor=1e4", "--set", "n_t_i=100"]
+        )
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["type"] == "ValidationError"
+        assert "tolerances.ode_rel: unknown key" in record["violations"]
 
     def test_bad_set_syntax(self, capsys):
         rc = main(["variances", "--set", "b10"])

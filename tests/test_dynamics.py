@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from optocool import (
     GridMismatch,
@@ -24,7 +27,7 @@ from optocool import (
     thermal_covariance,
     two_time_correlations,
 )
-from optocool.dynamics import LinearSystem
+from optocool.dynamics import SYMPLECTIC_FORM, LinearSystem
 from optocool.spectra import Method, ThermalNoiseModel
 
 FIG3 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
@@ -33,6 +36,53 @@ DEEP = NormalizedParams(b=10, phi=10, phi_nl=0.01, q_factor=1e5, n_t_i=100)
 
 def bare(n_t_i=100.0):
     return NormalizedParams(b=10, phi=5, phi_nl=0.0, q_factor=1e4, n_t_i=n_t_i)
+
+
+def rk45_oracle(sysm, v0, t_eval):
+    """dV/dt = A V + V A^T + D integrated by RK45 on all 16 entries.
+
+    Shares nothing with the exact propagator or the Lyapunov solve, so
+    it checks both independently. Times in 1/Gamma units, as returned by
+    ``evolve_covariance``.
+    """
+    a, d, q = sysm.drift, sysm.diffusion, sysm.params.q_factor
+
+    def rhs(_tau, x):
+        v = x.reshape(4, 4)
+        return (a @ v + v @ a.T + d).ravel()
+
+    scale = max(1.0, float(np.max(np.abs(v0))))
+    sol = solve_ivp(
+        rhs, (0.0, t_eval[-1] * q), v0.ravel(), method="RK45",
+        rtol=1e-11, atol=1e-11 * scale, t_eval=t_eval * q,
+    )
+    assert sol.success, sol.message
+    return sol.y.T.reshape(-1, 4, 4)
+
+
+def assert_close_to_oracle(traj, want, rel):
+    got = np.array([s.v for s in traj])
+    dev = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    assert dev.max() <= rel, f"largest relative deviation {dev.max():.3e}"
+
+
+@st.composite
+def stable_points(draw):
+    # n_t_i >= 1: the flat Markovian mirror bath has no position
+    # diffusion, so it is not completely positive, and a mirror that
+    # starts in its ground state leaves the physical set by up to O(1/Q)
+    b = draw(st.floats(0.2, 30.0))
+    p = NormalizedParams(
+        b=b,
+        phi=b * draw(st.floats(0.05, 3.0)),
+        phi_nl=draw(st.floats(1e-4, 1.0)),
+        q_factor=draw(st.sampled_from([1e2, 1e4, 1e6])),
+        n_t_i=draw(st.floats(1.0, 1000.0)),
+    )
+    try:
+        return build_system(p)
+    except Unstable:
+        assume(False)
 
 
 class TestBuildSystem:
@@ -103,6 +153,68 @@ class TestEvolve:
         assert dq2[-1] == pytest.approx(
             lyapunov_steady_state(sysm).v[0, 0], rel=1e-5
         )
+
+
+class TestExactPropagation:
+    @pytest.mark.parametrize("q_factor", [1e4, 1e6])
+    def test_matches_rk45_oracle(self, q_factor):
+        p = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=q_factor, n_t_i=100)
+        sysm = build_system(p)
+        # the fig3 window: twenty lifetimes of the covariance at Q = 1e4
+        t_end = 0.02 * 1e4 / q_factor
+        traj = evolve_covariance(sysm, t_end=t_end, n_samples=101)
+        want = rk45_oracle(sysm, thermal_covariance(p).v, np.linspace(0, t_end, 101))
+        assert_close_to_oracle(traj, want, 1e-7)
+
+    def test_expm_branch_on_jordan_block(self):
+        # a critically damped mirror: the drift has a defective double
+        # eigenvalue, so its eigenvectors are singular and the propagator
+        # must come from expm
+        p = NormalizedParams(b=10, phi=10, phi_nl=0.0, q_factor=1e2, n_t_i=30)
+        drift = np.array(
+            [
+                [0.0, 1.0, 0.0, 0.0],
+                [-1.0, -2.0, 0.0, 0.0],
+                [0.0, 0.0, -0.1, 1.0],
+                [0.0, 0.0, -1.0, -0.1],
+            ]
+        )
+        diffusion = np.diag([2.0 * 61, 2.0 * 61, 0.2, 0.2])
+        sysm = LinearSystem(drift=drift, diffusion=diffusion, params=p, coupling=0.0)
+        assert np.linalg.cond(np.linalg.eig(drift)[1]) >= 1e8
+        # quantum noise consistency: D + i(A J + J A^T) >= 0
+        j = SYMPLECTIC_FORM
+        assert np.linalg.eigvalsh(diffusion + 1j * (drift @ j + j @ drift.T)).min() >= 0
+
+        v0 = thermal_covariance(p)
+        t_eval = np.linspace(0.0, 0.5, 51)  # tau = t Q up to 50 / Omega_m
+        traj = evolve_covariance(sysm, v0, t_end=0.5, t_eval=t_eval)
+        assert_close_to_oracle(traj, rk45_oracle(sysm, v0.v, t_eval), 1e-7)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        sysm=stable_points(),
+        t=st.floats(0.0, 3.0),
+        s=st.floats(0.0, 3.0),
+    )
+    def test_exact_propagation_properties(self, sysm, t, s):
+        # t and s in lifetimes of the slowest mode
+        slowest = float(np.max(np.linalg.eigvals(sysm.drift).real))
+        life = 1.0 / (2.0 * abs(slowest) * sysm.params.q_factor)
+        t, s = t * life, s * life
+        v0 = thermal_covariance(sysm.params)
+        t_end = max(t + s, life)
+
+        traj = evolve_covariance(sysm, v0, t_end=t_end, n_samples=21)
+        assert np.allclose(traj[0].v, v0.v, rtol=1e-9, atol=1e-9)
+        scale = max(1.0, float(np.max(np.abs(v0.v))))
+        assert physicality_defect(np.array([x.v for x in traj])).min() >= -1e-9 * scale
+
+        direct = evolve_covariance(sysm, v0, t_end=t_end, t_eval=[t + s])[0].v
+        mid = evolve_covariance(sysm, v0, t_end=t_end, t_eval=[t])[0]
+        stepped = evolve_covariance(sysm, mid, t_end=t_end, t_eval=[s])[0].v
+        dev = np.abs(stepped - direct) / np.maximum(np.abs(direct), 1.0)
+        assert dev.max() <= 1e-9
 
 
 class TestLyapunov:
