@@ -59,10 +59,10 @@ from .model import (
     PhysicalParams,
     StabilityReport,
     SteadyState,
+    classify,
     denormalize,
     normalize,
     solve_steady_state,
-    stability_check,
     thermal_occupancy,
 )
 from .spectra import (

@@ -33,14 +33,8 @@ from .errors import (
     QuadratureFailure,
     Unstable,
 )
-from .model import NormalizedParams
-from .spectra import (
-    Method,
-    ThermalNoiseModel,
-    VarianceResult,
-    _effective_peak,
-    integrate_variances,
-)
+from .model import NormalizedParams, classify
+from .spectra import Method, ThermalNoiseModel, VarianceResult, integrate_variances
 
 __all__ = [
     "EffectiveOscillator",
@@ -97,9 +91,8 @@ def effective_rates(params: NormalizedParams) -> EffectiveOscillator:
     the mechanical resonance. A negative damping ratio is returned
     as-is (blue-detuned heating); a non-real frequency raises.
     """
-    w2, gamma_ratio = _effective_peak(
-        params.b, params.phi, params.phi_nl, params.q_factor
-    )
+    report = classify(params)
+    w2, gamma_ratio = report.omega_eff2, report.gamma_eff_ratio
     if w2 <= 0:
         raise ImaginaryFrequency(
             f"effective spring softened away (1 - 2 phi phi_nl Re[1/D] = {w2:.3g})"
@@ -123,10 +116,23 @@ def approx_variance(params: NormalizedParams) -> VarianceResult:
     two-variance forms reduce to this one when the mechanical frequency
     dominates the effective damping, and the exact spectrum remains the
     authority whenever they differ.
+
+    Raises
+    ------
+    Unstable
+        If :func:`~optocool.model.classify` finds the point unstable.
+    ImaginaryFrequency
+        If the closed-form effective frequency is not real.
+    InvalidRegime
+        If the point is stable but Gamma_eff <= 0, where the closed form
+        has no meaning.
+    InvalidParams
+        If the closed form overflows.
     """
+    classify(params).require_stable()
     rates = effective_rates(params)
     if rates.gamma_eff_ratio <= 0:
-        raise Unstable(
+        raise InvalidRegime(
             f"effective damping ratio {rates.gamma_eff_ratio:.3g} <= 0"
         )
     b, phi = params.b, params.phi
@@ -135,6 +141,8 @@ def approx_variance(params: NormalizedParams) -> VarianceResult:
         2.0 * params.n_t_i + 1.0
         + 2.0 * params.phi_nl * params.q_factor * (1.0 + b * b + phi * phi) / dm_abs2
     ) / rates.gamma_eff_ratio
+    if not math.isfinite(dq2):
+        raise InvalidParams(f"closed-form variance is not finite ({dq2})")
     return VarianceResult.from_variances(
         dq2, dq2,
         method=Method.ADIABATIC,
@@ -175,7 +183,10 @@ def optimal_detuning(b: float) -> float:
     """
     if not b > 0:
         raise InvalidParams(f"b must be > 0, got {b}")
-    return math.sqrt((b * b - 1.0 + 2.0 * math.sqrt(1.0 + b * b + b**4)) / 3.0)
+    try:
+        return math.sqrt((b * b - 1.0 + 2.0 * math.sqrt(1.0 + b * b + b**4)) / 3.0)
+    except OverflowError:
+        raise InvalidParams(f"b = {b} overflows the optimal-detuning formula") from None
 
 
 def regime_validity(params: NormalizedParams) -> RegimeReport:
@@ -187,9 +198,7 @@ def regime_validity(params: NormalizedParams) -> RegimeReport:
     kappa). Thresholds: Gamma_eff/Gamma > 10, Gamma_eff/kappa < 0.5,
     phi_nl b / 2 < 1.
     """
-    _, gamma_ratio = _effective_peak(
-        params.b, params.phi, params.phi_nl, params.q_factor
-    )
+    gamma_ratio = classify(params).gamma_eff_ratio
     gamma_over_kappa = gamma_ratio * params.b / params.q_factor
     breakdown = params.phi_nl * params.b / 2.0
     ok = gamma_ratio > 10.0 and gamma_over_kappa < 0.5 and breakdown < 1.0

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, make_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,56 +52,92 @@ from .errors import (
     ParseError,
     QuadratureFailure,
     SingularResponse,
+    SolverFailure,
     Unstable,
     ValidationError,
 )
-from .model import NormalizedParams, PhysicalParams, normalize, solve_steady_state
-from .spectra import (
-    ThermalNoiseModel,
-    _effective_peak,
-    _spectrum_values,
-    _static_margins,
-    integrate_variances,
+from .model import (
+    NormalizedParams,
+    PhysicalParams,
+    classify,
+    normalize,
+    solve_steady_state,
 )
+from .spectra import MIN_RTOL, ThermalNoiseModel, _spectrum_values, integrate_variances
+
+# unused; perfbench/tracer.py wraps these names in this module
+_effective_peak = _static_margins = None
 
 MODES = (
     "steady", "spectrum", "variances", "adiabatic", "optimize",
     "dynamics", "homodyne", "fig1", "fig2", "fig3",
 )
 SWEEPABLE = ("b", "phi", "phi_nl", "q_factor", "n_t_i")
+# config key -> field of SweepSpec / PhysicalParams
+_SWEEP_KEYS = {f"sweep.{f}": f for f in ("variable", "start", "stop", "points", "spacing")}
+_PHYSICAL_KEYS = {
+    f"physical.{f}": f
+    for f in (
+        "omega_m", "kappa", "gamma", "mass", "cavity_length", "omega_c",
+        "delta_c", "drive_intensity", "temperature",
+    )
+}
 
 _ROW_ERRORS = (
     Unstable, QuadratureFailure, SingularResponse, InvalidParams,
     ImaginaryFrequency, InvalidRegime, NoStableBranch,
 )
 
-_FLOAT_KEYS = {
-    "b", "phi", "phi_nl", "q_factor", "n_t_i",
-    "sweep.start", "sweep.stop",
-    "tolerances.quadrature_rel", "tolerances.omega_max",
-    "steady.phi_c", "steady.drive",
-    "spectrum.omega_start", "spectrum.omega_stop",
-    "dynamics.t_end",
-    "homodyne.window", "homodyne.lo_rate", "homodyne.demod_rate",
-    "physical.omega_m", "physical.kappa", "physical.gamma", "physical.mass",
-    "physical.cavity_length", "physical.omega_c", "physical.delta_c",
-    "physical.drive_intensity", "physical.temperature",
-}
-_INT_KEYS = {
-    "sweep.points", "spectrum.omega_points", "dynamics.samples",
-    "homodyne.n_outer", "homodyne.n_inner", "optimize.b_points",
-}
-_STR_KEYS = {
-    "mode", "sweep.variable", "sweep.spacing", "noise_model", "output_path",
-    "homodyne.quadrature",
-}
-_BOOL_KEYS = {"lock_phi_to_b"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _BOOL_KEYS
 
-_PHYSICAL_FIELDS = (
-    "omega_m", "kappa", "gamma", "mass", "cavity_length", "omega_c",
-    "delta_c", "drive_intensity", "temperature",
-)
+class Key(NamedTuple):
+    """One config key: how its text is read, where it lands, what it may hold.
+
+    ``attr`` names the RunConfig field the value fills (``default`` when
+    the key is absent); keys without one build the operating point, the
+    sweep or the noise model in :func:`parse_config`. Floats must be
+    finite. ``domain`` is an (op, bound) pair for numbers and the allowed
+    values for text; the normalized and physical operating-point fields
+    take theirs from :class:`NormalizedParams` and :class:`PhysicalParams`.
+    """
+
+    kind: type
+    attr: str | None = None
+    default: object = None
+    domain: tuple = ()
+
+
+KEYS = {
+    **{name: Key(float) for name in SWEEPABLE},
+    "sweep.variable": Key(str, domain=SWEEPABLE),
+    "sweep.start": Key(float),
+    "sweep.stop": Key(float),
+    "sweep.points": Key(int, domain=(">=", 2)),
+    "sweep.spacing": Key(str, domain=("linear", "log")),
+    "noise_model": Key(str, domain=tuple(m.value for m in ThermalNoiseModel)),
+    "tolerances.quadrature_rel": Key(float, "quadrature_rel", 1e-8, (">", MIN_RTOL)),
+    "tolerances.omega_max": Key(float, "omega_max", 100.0, (">", 2)),
+    "output_path": Key(str, "output_path"),
+    "lock_phi_to_b": Key(bool, "lock_phi_to_b", False),
+    "steady.phi_c": Key(float, "phi_c"),
+    "steady.drive": Key(float, "drive", None, (">=", 0)),
+    "spectrum.omega_start": Key(float, "omega_start", -2.0),
+    "spectrum.omega_stop": Key(float, "omega_stop", 2.0),
+    "spectrum.omega_points": Key(int, "omega_points", 801, (">=", 0)),
+    "dynamics.t_end": Key(float, "t_end", None, (">", 0)),
+    "dynamics.samples": Key(int, "samples", 401, (">=", 0)),
+    "homodyne.window": Key(float, "window", 12.0, (">", 0)),
+    "homodyne.lo_rate": Key(float, "lo_rate", None, (">", 0)),
+    "homodyne.demod_rate": Key(float, "demod_rate"),
+    "homodyne.quadrature": Key(str, "homodyne_quadrature", "x_out", ("x_out", "y_out")),
+    "homodyne.n_outer": Key(int, "n_outer", 64, (">=", 1)),
+    "homodyne.n_inner": Key(int, "n_inner", 32, (">=", 1)),
+    "optimize.b_points": Key(int, "b_points", 9, (">=", 1)),
+    **{key: Key(float) for key in _PHYSICAL_KEYS},
+}
+
+_DEFAULTS = {spec.attr: spec.default for spec in KEYS.values() if spec.attr}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 @dataclass
@@ -115,31 +154,15 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    params: NormalizedParams | None = None
-    sweep: SweepSpec | None = None
-    noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH
-    quadrature_rel: float = 1e-8
-    omega_max: float = 100.0
-    output_path: str | None = None
-    lock_phi_to_b: bool = False
-    phi_c: float | None = None
-    drive: float | None = None
-    omega_start: float = -2.0
-    omega_stop: float = 2.0
-    omega_points: int = 801
-    t_end: float | None = None
-    samples: int = 401
-    window: float = 12.0
-    lo_rate: float | None = None
-    demod_rate: float | None = None
-    homodyne_quadrature: str = "x_out"
-    n_outer: int = 64
-    n_inner: int = 32
-    b_points: int = 9
-    raw: dict = field(default_factory=dict)
+#: A validated run: the operating point, the sweep, the noise model, the
+#: expanded config text (``raw``) and one field per KEYS entry with an attr.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("mode", str), ("params", NormalizedParams | None), ("sweep", SweepSpec | None),
+     ("noise_model", ThermalNoiseModel), ("raw", dict)]
+    + [(spec.attr, spec.kind) for spec in KEYS.values() if spec.attr],
+    namespace={"__module__": __name__},
+)
 
 
 @dataclass
@@ -193,23 +216,71 @@ def _preset_defaults(mode: str) -> dict:
     return {}
 
 
-def _convert(key: str, value: str, violations: list):
+def _read(key: str, spec: Key, text: str):
+    """(value, None) for a valid entry, (None, violation) otherwise."""
+    kind, domain = spec.kind, spec.domain
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _BOOL_KEYS:
-            low = value.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-    except ValueError:
-        violations.append(f"{key}: cannot interpret {value!r}")
+        value = _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        return None, f"{key}: cannot interpret {text!r}"
+    if kind is float and not math.isfinite(value):
+        return None, f"{key}: must be finite, got {text!r}"
+    if not domain:
+        return value, None
+    if kind is str:
+        if value not in domain:
+            return None, f"{key}: must be one of {', '.join(domain)}, got {value!r}"
+    elif not _COMPARE[domain[0]](value, domain[1]):
+        return None, f"{key}: must be {domain[0]} {domain[1]}, got {value}"
+    return value, None
+
+
+def _operating_point(mode: str, merged: dict, vals: dict, violations: list):
+    """The NormalizedParams of a run, built when every field it needs is valid."""
+    normalized = [k for k in SWEEPABLE if k in merged]
+    physical = [k for k in _PHYSICAL_KEYS if k in merged]
+    if normalized and physical:
+        violations.append(
+            "params: give either normalized (b, phi, ...) or physical.* keys, not both"
+        )
+    elif physical:
+        missing = [f for k, f in _PHYSICAL_KEYS.items() if k not in merged]
+        if missing:
+            violations.append(f"physical: missing fields {', '.join(missing)}")
+        elif all(k in vals for k in physical):
+            try:
+                return normalize(PhysicalParams(**{_PHYSICAL_KEYS[k]: vals[k] for k in physical}))
+            except InvalidParams as exc:
+                violations += [f"physical: {p}" for p in exc.problems]
+            except (NoStableBranch, SolverFailure) as exc:
+                violations.append(f"physical: {exc}")
+    elif normalized:
+        missing = [k for k in SWEEPABLE if k not in merged]
+        if missing:
+            violations.append(f"params: missing fields {', '.join(missing)}")
+        elif all(k in vals for k in normalized):
+            try:
+                return NormalizedParams(**{k: vals[k] for k in normalized})
+            except InvalidParams as exc:
+                violations += [f"params: {p}" for p in exc.problems]
+    elif mode != "steady":
+        violations.append("params: an operating point is required for this mode")
+    return None
+
+
+def _sweep(merged: dict, vals: dict, violations: list):
+    given = [k for k in _SWEEP_KEYS if k in merged]
+    if not given:
         return None
-    return value
+    if not {"sweep.variable", "sweep.start", "sweep.stop", "sweep.points"} <= merged.keys():
+        violations.append("sweep: needs variable, start, stop and points")
+    elif all(k in vals for k in given):
+        sweep = SweepSpec(**{_SWEEP_KEYS[k]: vals[k] for k in given})
+        if sweep.spacing == "log" and not (sweep.start > 0 and sweep.stop > 0):
+            violations.append("sweep.spacing: log spacing requires start and stop > 0")
+        else:
+            return sweep
+    return None
 
 
 def parse_config(
@@ -221,6 +292,7 @@ def parse_config(
 
     ``mode`` (the CLI subcommand) takes precedence over a ``mode`` key in
     the document; ``overrides`` are applied on top of the document.
+    Every other key is read and checked through :data:`KEYS`.
     Raises :class:`ParseError` on malformed syntax and
     :class:`ValidationError` carrying *every* violated invariant.
     """
@@ -241,162 +313,55 @@ def parse_config(
     merged.update(raw)
     merged.pop("mode", None)
 
+    vals, settings = {}, dict(_DEFAULTS)
     for key in sorted(merged):
-        if key not in _ALL_KEYS:
+        spec = KEYS.get(key)
+        if spec is None:
             violations.append(f"{key}: unknown key")
-
-    vals = {}
-    for key, sval in merged.items():
-        if key in _ALL_KEYS:
-            vals[key] = _convert(key, sval, violations)
-
-    cfg = RunConfig(mode=mode, raw=dict(merged))
-
-    # normalized / physical parameter point
-    phys_keys = [k for k in vals if k.startswith("physical.")]
-    norm_keys = [k for k in vals if k in ("b", "phi", "phi_nl", "q_factor", "n_t_i")]
-    if phys_keys and norm_keys:
-        violations.append(
-            "params: give either normalized (b, phi, ...) or physical.* keys, not both"
-        )
-    elif phys_keys:
-        missing = [f for f in _PHYSICAL_FIELDS if f"physical.{f}" not in vals]
-        if missing:
-            violations.append(f"physical: missing fields {', '.join(missing)}")
+            continue
+        value, problem = _read(key, spec, merged[key])
+        if problem is not None:
+            violations.append(problem)
+        elif spec.attr:
+            settings[spec.attr] = value
         else:
-            try:
-                p = PhysicalParams(**{f: vals[f"physical.{f}"] for f in _PHYSICAL_FIELDS})
-                cfg.params = normalize(p)
-            except (InvalidParams, NoStableBranch) as exc:
-                violations.append(f"physical: {exc}")
-    elif norm_keys:
-        pv = {k: vals.get(k) for k in ("b", "phi", "phi_nl", "q_factor", "n_t_i")}
-        missing = [k for k, v in pv.items() if v is None]
-        if missing:
-            violations.append(f"params: missing fields {', '.join(missing)}")
-        else:
-            if not pv["b"] > 0:
-                violations.append(f"b: must be > 0, got {pv['b']}")
-            if not pv["phi_nl"] >= 0:
-                violations.append(f"phi_nl: must be >= 0, got {pv['phi_nl']}")
-            if not pv["q_factor"] > 1:
-                violations.append(f"q_factor: must be > 1, got {pv['q_factor']}")
-            if not pv["n_t_i"] >= 0:
-                violations.append(f"n_t_i: must be >= 0, got {pv['n_t_i']}")
-            if not violations:
-                cfg.params = NormalizedParams(**pv)
-    if cfg.params is None and mode not in ("steady",):
-        violations.append("params: an operating point is required for this mode")
+            vals[key] = value
 
-    # sweep
-    sweep_keys = [k for k in vals if k.startswith("sweep.")]
-    if sweep_keys:
-        var = vals.get("sweep.variable")
-        if var not in SWEEPABLE:
-            violations.append(
-                f"sweep.variable: must be one of {', '.join(SWEEPABLE)}, got {var!r}"
-            )
-        start, stop = vals.get("sweep.start"), vals.get("sweep.stop")
-        points = vals.get("sweep.points")
-        spacing = vals.get("sweep.spacing", "linear")
-        if start is None or stop is None or points is None:
-            violations.append("sweep: needs variable, start, stop and points")
-        else:
-            if points < 2:
-                violations.append(f"sweep.points: must be >= 2, got {points}")
-            if spacing not in ("linear", "log"):
-                violations.append(f"sweep.spacing: must be linear or log, got {spacing!r}")
-            if spacing == "log" and start <= 0:
-                violations.append("sweep.spacing: log spacing requires start > 0")
-        if not any(v.startswith("sweep") for v in violations):
-            cfg.sweep = SweepSpec(variable=var, start=start, stop=stop,
-                                  points=points, spacing=spacing)
+    params = _operating_point(mode, merged, vals, violations)
+    sweep = _sweep(merged, vals, violations)
 
     # noise model: flat bath for cross-check modes, coth for figure modes
-    nm = vals.get("noise_model")
-    if nm is None:
-        cfg.noise_model = (
-            ThermalNoiseModel.QUANTUM_COTH
-            if mode in ("fig1", "fig2", "fig3")
-            else ThermalNoiseModel.MARKOV_FLAT
-        )
-    else:
-        try:
-            cfg.noise_model = ThermalNoiseModel(nm)
-        except ValueError:
-            violations.append(
-                f"noise_model: must be quantum_coth or markov_flat, got {nm!r}"
-            )
+    figure = mode in ("fig1", "fig2", "fig3")
+    noise = vals.get("noise_model", "quantum_coth" if figure else "markov_flat")
 
-    # tolerances and mode extras
-    simple = {
-        "tolerances.quadrature_rel": "quadrature_rel",
-        "tolerances.omega_max": "omega_max",
-        "output_path": "output_path",
-        "lock_phi_to_b": "lock_phi_to_b",
-        "steady.phi_c": "phi_c",
-        "steady.drive": "drive",
-        "spectrum.omega_start": "omega_start",
-        "spectrum.omega_stop": "omega_stop",
-        "spectrum.omega_points": "omega_points",
-        "dynamics.t_end": "t_end",
-        "dynamics.samples": "samples",
-        "homodyne.window": "window",
-        "homodyne.lo_rate": "lo_rate",
-        "homodyne.demod_rate": "demod_rate",
-        "homodyne.quadrature": "homodyne_quadrature",
-        "homodyne.n_outer": "n_outer",
-        "homodyne.n_inner": "n_inner",
-        "optimize.b_points": "b_points",
-    }
-    for key, attr in simple.items():
-        if key in vals and vals[key] is not None:
-            setattr(cfg, attr, vals[key])
-
-    if cfg.quadrature_rel <= 0:
-        violations.append("tolerances.quadrature_rel: must be > 0")
-    if not cfg.omega_max > 2:
-        violations.append(f"tolerances.omega_max: must be > 2, got {cfg.omega_max}")
-    if mode == "steady":
-        if cfg.phi_c is None or cfg.drive is None:
-            violations.append("steady: needs steady.phi_c and steady.drive")
-        elif cfg.drive < 0:
-            violations.append(f"steady.drive: must be >= 0, got {cfg.drive}")
-    if mode == "spectrum" and cfg.omega_points < 2:
-        violations.append(f"spectrum.omega_points: must be >= 2, got {cfg.omega_points}")
-    if cfg.homodyne_quadrature not in ("x_out", "y_out"):
+    if mode == "steady" and not ("steady.phi_c" in merged and "steady.drive" in merged):
+        violations.append("steady: needs steady.phi_c and steady.drive")
+    if mode == "spectrum" and settings["omega_points"] < 2:
         violations.append(
-            f"homodyne.quadrature: must be x_out or y_out, got {cfg.homodyne_quadrature!r}"
+            f"spectrum.omega_points: must be >= 2, got {settings['omega_points']}"
         )
 
     if violations:
         raise ValidationError(violations)
-    return cfg
-
-
-def _is_stable_point(params: NormalizedParams) -> bool:
-    phip, spring = _static_margins(params)
-    if phip <= 0 or spring <= 0:
-        return False
-    _, gamma_ratio = _effective_peak(
-        params.b, params.phi, params.phi_nl, params.q_factor
+    return RunConfig(
+        mode=mode, params=params, sweep=sweep, noise_model=ThermalNoiseModel(noise),
+        raw=dict(merged), **settings,
     )
-    return gamma_ratio > 0
 
 
 def _sweep_points(cfg: RunConfig):
-    """Yield (label, params-or-None) rows; None params marks an invalid point."""
+    """Yield (label columns, params-or-None); None params marks an invalid point."""
     if cfg.sweep is None:
-        yield None, cfg.params
+        yield (), cfg.params
         return
     for value in cfg.sweep.values():
         fields = {cfg.sweep.variable: float(value)}
         if cfg.lock_phi_to_b and cfg.sweep.variable == "b":
             fields["phi"] = float(value)
         try:
-            yield float(value), cfg.params.replace(**fields)
+            yield (float(value),), cfg.params.replace(**fields)
         except InvalidParams:
-            yield float(value), None
+            yield (float(value),), None
 
 
 def _run_steady(cfg: RunConfig) -> ResultTable:
@@ -412,8 +377,7 @@ def _run_steady(cfg: RunConfig) -> ResultTable:
 def _run_spectrum(cfg: RunConfig) -> ResultTable:
     grid = np.linspace(cfg.omega_start, cfg.omega_stop, cfg.omega_points)
     cols = (("omega", "Omega_m"), ("s_q", "dimensionless"), ("stable", "bool"))
-    stable = _is_stable_point(cfg.params)
-    if stable:
+    if classify(cfg.params).stable:
         s = _spectrum_values(grid, cfg.params, cfg.noise_model)
         rows = [(float(w), float(v), True) for w, v in zip(grid, s)]
     else:
@@ -422,40 +386,31 @@ def _run_spectrum(cfg: RunConfig) -> ResultTable:
 
 
 def _run_variances(cfg: RunConfig, figure: bool = False) -> ResultTable:
-    cols = []
-    if cfg.sweep is not None:
-        cols.append((cfg.sweep.variable, "dimensionless"))
+    cols = [] if cfg.sweep is None else [(cfg.sweep.variable, "dimensionless")]
     cols += [("dq2", "dimensionless"), ("dp2", "dimensionless"),
              ("n_t_f", "dimensionless")]
     if not figure:
         cols.append(("quadrature_error", "dimensionless"))
     cols.append(("stable", "bool"))
+    width = 3 if figure else 4
     rows = []
-    for label, params in _sweep_points(cfg):
-        prefix = () if label is None else (label,)
-        width = 3 if figure else 4
-        if params is None:
-            rows.append(prefix + (None,) * width + (False,))
-            continue
-        try:
-            res = integrate_variances(
-                params, cfg.noise_model,
-                omega_max=cfg.omega_max, rtol=cfg.quadrature_rel,
-            )
-        except _ROW_ERRORS:
-            rows.append(prefix + (None,) * width + (False,))
-            continue
-        body = (res.dq2, res.dp2, res.n_t_f)
-        if not figure:
-            body += (res.quadrature_error,)
-        rows.append(prefix + body + (True,))
+    for prefix, params in _sweep_points(cfg):
+        body, stable = (None,) * width, params is not None and classify(params).stable
+        if stable:
+            try:
+                res = integrate_variances(
+                    params, cfg.noise_model,
+                    omega_max=cfg.omega_max, rtol=cfg.quadrature_rel,
+                )
+                body = (res.dq2, res.dp2, res.n_t_f, res.quadrature_error)[:width]
+            except _ROW_ERRORS:
+                pass
+        rows.append(prefix + body + (stable,))
     return ResultTable(columns=tuple(cols), rows=rows, metadata=_metadata(cfg))
 
 
 def _run_adiabatic(cfg: RunConfig) -> ResultTable:
-    cols = []
-    if cfg.sweep is not None:
-        cols.append((cfg.sweep.variable, "dimensionless"))
+    cols = [] if cfg.sweep is None else [(cfg.sweep.variable, "dimensionless")]
     cols += [
         ("omega_eff_ratio", "dimensionless"), ("gamma_eff_ratio", "dimensionless"),
         ("q_eff", "dimensionless"), ("f", "dimensionless"), ("eta", "dimensionless"),
@@ -463,24 +418,20 @@ def _run_adiabatic(cfg: RunConfig) -> ResultTable:
         ("adiabatic_ok", "bool"), ("stable", "bool"),
     ]
     rows = []
-    for label, params in _sweep_points(cfg):
-        prefix = () if label is None else (label,)
-        if params is None:
-            rows.append(prefix + (None,) * 8 + (False,))
-            continue
+    for prefix, params in _sweep_points(cfg):
+        stable = params is not None and classify(params).stable
         try:
-            rates = effective_rates(params)
+            rates = None if params is None else effective_rates(params)
         except ImaginaryFrequency:
-            rows.append(prefix + (None,) * 8 + (False,))
+            rates = None
+        if rates is None:
+            rows.append(prefix + (None,) * 8 + (stable,))
             continue
+        head = prefix + (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
         try:
             var = approx_variance(params)
-        except (Unstable, ImaginaryFrequency):
-            rows.append(
-                prefix
-                + (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
-                + (None,) * 5 + (False,)
-            )
+        except (Unstable, InvalidRegime, InvalidParams):
+            rows.append(head + (None,) * 5 + (stable,))
             continue
         if params.phi > 0:
             dec = decompose(params)
@@ -488,36 +439,28 @@ def _run_adiabatic(cfg: RunConfig) -> ResultTable:
         else:
             f_val = eta = None
         ok = regime_validity(params).adiabatic_ok
-        rows.append(
-            prefix
-            + (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff,
-               f_val, eta, var.dq2, var.n_t_f, ok, True)
-        )
+        rows.append(head + (f_val, eta, var.dq2, var.n_t_f, ok, stable))
     return ResultTable(columns=tuple(cols), rows=rows, metadata=_metadata(cfg))
 
 
 def _run_fig2(cfg: RunConfig) -> ResultTable:
-    from .adiabatic import approx_variance
-
     cols = (
         ("phi", "dimensionless"), ("dq2_exact", "dimensionless"),
         ("dq2_adiabatic", "dimensionless"), ("stable", "bool"),
     )
     rows = []
-    for label, params in _sweep_points(cfg):
-        if params is None:
-            rows.append((label, None, None, False))
-            continue
-        try:
-            exact = integrate_variances(
-                params, cfg.noise_model,
-                omega_max=cfg.omega_max, rtol=cfg.quadrature_rel,
-            )
-            approx = approx_variance(params)
-        except _ROW_ERRORS:
-            rows.append((label, None, None, False))
-            continue
-        rows.append((label, exact.dq2, approx.dq2, True))
+    for prefix, params in _sweep_points(cfg):
+        body, stable = (None, None), params is not None and classify(params).stable
+        if stable:
+            try:
+                exact = integrate_variances(
+                    params, cfg.noise_model,
+                    omega_max=cfg.omega_max, rtol=cfg.quadrature_rel,
+                )
+                body = (exact.dq2, approx_variance(params).dq2)
+            except _ROW_ERRORS:
+                pass
+        rows.append(prefix + body + (stable,))
     return ResultTable(columns=cols, rows=rows, metadata=_metadata(cfg))
 
 
@@ -528,7 +471,7 @@ def _default_t_end(sys_) -> float:
     this holds outside the adiabatic regime too, where the closed-form
     Gamma_eff would end the window before relaxation.
     """
-    slowest = float(np.max(np.linalg.eigvals(sys_.drift).real))
+    slowest = float(np.max(sys_.eigenvalues.real))
     return 20.0 / (2.0 * abs(slowest) * sys_.params.q_factor)
 
 

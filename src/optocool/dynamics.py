@@ -31,7 +31,7 @@ units of 1/Omega_m (tau = t * Q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,7 +46,7 @@ from .errors import (
     Unstable,
     WindowTooShort,
 )
-from .model import NormalizedParams
+from .model import NormalizedParams, classify
 from .spectra import Method, ThermalNoiseModel, VarianceResult
 
 __all__ = [
@@ -86,13 +86,29 @@ _VECH = [(i, j) for i in range(4) for j in range(i, 4)]
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Drift/diffusion pair of the linearized dynamics, rates in Omega_m units."""
+    """Drift/diffusion pair of the linearized dynamics, rates in Omega_m units.
+
+    The drift is diagonalized once, at construction, and a drift with an
+    eigenvalue of nonnegative real part is rejected with
+    :class:`~optocool.errors.Unstable`; every later solve and propagator
+    reuses ``eigenvalues`` and ``eigenvectors``.
+    """
 
     drift: np.ndarray
     diffusion: np.ndarray
     params: NormalizedParams
     coupling: float
     basis: tuple[str, ...] = ("dq", "dp", "dx", "dy")
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam, s = np.linalg.eig(self.drift)
+        max_re = float(np.max(lam.real))
+        if not max_re < 0.0:
+            raise Unstable(f"drift eigenvalue with Re = {max_re:.3g} >= 0")
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvectors", s)
 
     @property
     def kappa(self) -> float:
@@ -143,15 +159,10 @@ def build_system(params: NormalizedParams) -> LinearSystem:
     Raises
     ------
     Unstable
-        If a static stability margin is not positive, or if the drift
-        has an eigenvalue with nonnegative real part (dynamical
-        instability, which supersedes the static check).
+        If :func:`~optocool.model.classify` finds the point unstable.
     """
+    classify(params).require_stable()
     phi, phi_nl, b, q = params.phi, params.phi_nl, params.b, params.q_factor
-    phip = 1.0 + phi * phi + 2.0 * phi * phi_nl
-    spring = 1.0 + phi * phi - 2.0 * phi * phi_nl
-    if phip <= 0 or spring <= 0:
-        raise Unstable(f"static stability violated (margins {phip:.3g}, {spring:.3g})")
 
     g = math.sqrt(2.0 * phi_nl / b)
     drift = np.array(
@@ -163,11 +174,6 @@ def build_system(params: NormalizedParams) -> LinearSystem:
         ]
     )
     diffusion = np.diag([0.0, 2.0 * (2.0 * params.n_t_i + 1.0) / q, 2.0 / b, 2.0 / b])
-
-    max_re = float(np.max(np.linalg.eigvals(drift).real))
-    if max_re >= 0.0:
-        raise Unstable(f"drift eigenvalue with Re = {max_re:.3g} >= 0")
-
     drift.setflags(write=False)
     diffusion.setflags(write=False)
     return LinearSystem(drift=drift, diffusion=diffusion, params=params, coupling=g)
@@ -201,19 +207,12 @@ def _unvech(x) -> np.ndarray:
     return v
 
 
-def _require_stable(sys: LinearSystem) -> None:
-    max_re = float(np.max(np.linalg.eigvals(sys.drift).real))
-    if max_re >= 0.0:
-        raise Unstable(f"drift eigenvalue with Re = {max_re:.3g} >= 0")
-
-
 def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     """Steady covariance from A V + V A^T + D = 0 by direct linear solve.
 
     The ten independent entries of the symmetric V are solved for
     exactly; the residual is verified below 1e-12 (relative to ||V||).
     """
-    _require_stable(sys)
     a, d = sys.drift, sys.diffusion
     cols = []
     for (k, l) in _VECH:
@@ -225,7 +224,7 @@ def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     x = np.linalg.solve(m, -_vech(d))
     v = _unvech(x)
     resid = np.linalg.norm(a @ v + v @ a.T + d)
-    if resid > 1e-12 * max(1.0, np.linalg.norm(v)):
+    if not resid <= 1e-12 * max(1.0, np.linalg.norm(v)):
         raise SolverFailure(f"steady-state residual {resid:.3e} too large")
     return CovarianceState(t=math.inf, v=v)
 
@@ -264,8 +263,8 @@ def evolve_covariance(
         flat mirror bath is not completely positive, so a mirror that
         starts near its ground state at low Q leaves the physical set.
     """
-    if t_end <= 0:
-        raise InvalidParams(f"t_end must be > 0, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise InvalidParams(f"t_end must be finite and > 0, got {t_end}")
     if v0 is None:
         v0 = thermal_covariance(sys.params)
     if t_eval is None:
@@ -281,7 +280,7 @@ def evolve_covariance(
     v = 0.5 * (v + v.transpose(0, 2, 1))
 
     defects = physicality_defect(v)
-    bad = np.flatnonzero(defects < -1e-9 * max(1.0, float(np.max(np.abs(v0.v)))))
+    bad = np.flatnonzero(~(defects >= -1e-9 * max(1.0, float(np.max(np.abs(v0.v))))))
     if bad.size:
         k = bad[0]
         raise NonPhysical(
@@ -308,8 +307,8 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
     across the diagonal, so the square is integrated as twice the lower
     triangle. Times are in the same units as the trajectory (1/Gamma).
     """
-    if window <= 0:
-        raise InvalidParams(f"window must be > 0, got {window}")
+    if not 0.0 < window < math.inf:
+        raise InvalidParams(f"window must be finite and > 0, got {window}")
     xo, wo = leggauss(n_outer)
     xi, wi = leggauss(n_inner)
     t_out = 0.5 * window * (xo + 1.0)
@@ -323,8 +322,7 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
 
 def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
     """exp(A tau) for every tau, by eigendecomposition when well conditioned."""
-    a = sys.drift
-    lam, s = np.linalg.eig(a)
+    a, lam, s = sys.drift, sys.eigenvalues, sys.eigenvectors
     if np.linalg.cond(s) < 1e8:
         s_inv = np.linalg.inv(s)
         phases = np.exp(np.multiply.outer(taus, lam))  # (n, 4)
@@ -372,6 +370,8 @@ def two_time_correlations(
         raise GridMismatch("two-time correlations need t, t' >= 0")
 
     traj_t = np.array([s.t for s in trajectory])
+    if not len(traj_t):
+        raise GridMismatch("two-time correlations need a nonempty trajectory")
     if pairs.min() < traj_t[0] - 1e-12 or pairs.max() > traj_t[-1] + 1e-12:
         raise GridMismatch(
             f"trajectory [{traj_t[0]}, {traj_t[-1]}] does not cover pairs "
@@ -433,8 +433,8 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     """
     if grid.weights is None:
         raise GridMismatch("homodyne integration needs a grid built with weights")
-    if lo_rate <= 0:
-        raise InvalidParams(f"lo_rate must be > 0, got {lo_rate}")
+    if not 0.0 < lo_rate < math.inf:
+        raise InvalidParams(f"lo_rate must be finite and > 0, got {lo_rate}")
     window = float(grid.times.max())
     if window < 5.0 / lo_rate:
         raise WindowTooShort(
@@ -445,6 +445,8 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     c_vals = grid.values * kappa_over_gamma  # back to 1/Gamma-time rate units
     env = 2.0 * lo_rate * np.exp(-lo_rate * grid.times.sum(axis=1))
     integral = 2.0 * float(np.sum(grid.weights * env * c_vals))
+    if not math.isfinite(integral):
+        raise InvalidParams(f"matched-filter integral is not finite at lo_rate={lo_rate}")
 
     c_max = float(np.max(np.abs(c_vals))) if len(c_vals) else 0.0
     x = math.exp(-lo_rate * window)

@@ -6,7 +6,11 @@ class OptocoolError(Exception):
 
 
 class InvalidParams(OptocoolError):
-    """Parameter values violate a documented invariant."""
+    """Parameter values violate a documented invariant; one problem per field."""
+
+    def __init__(self, *problems: str):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 class NoStableBranch(OptocoolError):

@@ -1,7 +1,8 @@
 """Operating-point model of a driven cavity coupled to a movable mirror.
 
 Physical parameters, their dimensionless normalization, the cubic
-steady-state (bistability) relation, and static stability classification.
+steady-state (bistability) relation, and the stability classification
+that every route (spectrum, adiabatic, Lyapunov, CLI) reads.
 
 All downstream modules work in the normalized coordinates
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .errors import InvalidParams, NoStableBranch, SolverFailure
+from .errors import InvalidParams, NoStableBranch, SolverFailure, Unstable
 
 __all__ = [
     "PhysicalParams",
@@ -36,13 +37,42 @@ __all__ = [
     "StabilityReport",
     "thermal_occupancy",
     "solve_steady_state",
-    "stability_check",
+    "classify",
     "normalize",
     "denormalize",
 ]
 
 #: residual tolerance on the normalized steady-state cubic
 CUBIC_RESIDUAL_TOL = 1e-10
+
+
+def _domain_problems(obj, rules) -> list:
+    """One message per field that is not finite or violates its lower bound.
+
+    ``rules`` holds (field, op, bound) with op ">" or ">=", or None for
+    a field that only has to be finite.
+    """
+    bad = []
+    for name, op, bound in rules:
+        value = getattr(obj, name)
+        if op == ">" and bound < value < math.inf or op == ">=" and bound <= value < math.inf:
+            continue
+        if not math.isfinite(value):
+            bad.append(f"{name} must be finite, got {value}")
+        elif op is not None:
+            bad.append(f"{name} must be {op} {bound:g}, got {value}")
+    return bad
+
+
+_PHYSICAL_DOMAIN = (
+    ("omega_m", ">", 0), ("kappa", ">", 0), ("gamma", ">", 0), ("mass", ">", 0),
+    ("cavity_length", ">", 0), ("omega_c", ">", 0), ("delta_c", None, None),
+    ("drive_intensity", ">=", 0), ("temperature", ">=", 0),
+)
+_NORMALIZED_DOMAIN = (
+    ("b", ">", 0), ("phi", None, None), ("phi_nl", ">=", 0),
+    ("q_factor", ">", 1), ("n_t_i", ">=", 0),
+)
 
 
 def thermal_occupancy(temperature: float, omega_m: float) -> float:
@@ -108,18 +138,11 @@ class PhysicalParams:
     temperature: float
 
     def __post_init__(self):
-        bad = []
-        for name in ("omega_m", "kappa", "gamma", "mass", "cavity_length", "omega_c"):
-            if not getattr(self, name) > 0:
-                bad.append(f"{name} must be > 0")
-        if self.drive_intensity < 0:
-            bad.append("drive_intensity must be >= 0")
-        if self.temperature < 0:
-            bad.append("temperature must be >= 0")
-        if self.gamma > 0 and self.omega_m > 0 and not self.gamma < self.omega_m:
+        bad = _domain_problems(self, _PHYSICAL_DOMAIN)
+        if not bad and not self.gamma < self.omega_m:
             bad.append("gamma must be < omega_m (underdamped oscillator)")
         if bad:
-            raise InvalidParams("; ".join(bad))
+            raise InvalidParams(*bad)
 
     @property
     def coupling_constant(self) -> float:
@@ -139,8 +162,8 @@ class PhysicalParams:
 class NormalizedParams:
     """Dimensionless operating point (b, phi, phi_nl, Q, n_t_i).
 
-    Static stability (1 + phi^2 + 2*phi*phi_nl > 0) is *reported* by
-    :func:`stability_check` rather than enforced at construction, so that
+    Every field must be finite. Stability is *reported* by
+    :func:`classify` rather than enforced at construction, so that
     unstable points can be represented, swept over and flagged.
     """
 
@@ -151,17 +174,9 @@ class NormalizedParams:
     n_t_i: float
 
     def __post_init__(self):
-        bad = []
-        if not self.b > 0:
-            bad.append(f"b must be > 0, got {self.b}")
-        if not self.phi_nl >= 0:
-            bad.append(f"phi_nl must be >= 0, got {self.phi_nl}")
-        if not self.q_factor > 1:
-            bad.append(f"q_factor must be > 1, got {self.q_factor}")
-        if not self.n_t_i >= 0:
-            bad.append(f"n_t_i must be >= 0, got {self.n_t_i}")
+        bad = _domain_problems(self, _NORMALIZED_DOMAIN)
         if bad:
-            raise InvalidParams("; ".join(bad))
+            raise InvalidParams(*bad)
 
     def replace(self, **kwargs) -> "NormalizedParams":
         fields = dict(
@@ -194,34 +209,69 @@ class SteadyState:
         return tuple(br for br in self.branches if br.stable)
 
 
-class StabilityReport(tuple):
-    """(stable, margin) pair returned by :func:`stability_check`."""
+@dataclass(frozen=True)
+class StabilityReport:
+    """Verdict of :func:`classify` and the quantities it rests on."""
 
-    __slots__ = ()
+    stable: bool
+    reason: str             # "stable", or the first condition that fails
+    static_margin: float    # 1 + phi^2 + 2 phi phi_nl
+    spring_margin: float    # 1 + phi^2 - 2 phi phi_nl
+    omega_eff2: float       # (Omega_eff/Omega_m)^2 = 1 - 2 phi phi_nl Re[1/D(1)]
+    gamma_eff_ratio: float  # Gamma_eff/Gamma = 1 + 2 phi phi_nl Q Im[1/D(1)]
 
-    def __new__(cls, stable: bool, margin: float):
-        return super().__new__(cls, (stable, margin))
-
-    @property
-    def stable(self) -> bool:
-        return self[0]
-
-    @property
-    def margin(self) -> float:
-        return self[1]
+    def require_stable(self) -> "StabilityReport":
+        """This report, or :class:`~optocool.errors.Unstable` with its reason."""
+        if not self.stable:
+            raise Unstable(self.reason)
+        return self
 
 
-def stability_check(params: NormalizedParams) -> StabilityReport:
-    """Static stability margin 1 + phi^2 + 2*phi*phi_nl.
+def _margins(phi: float, phi_nl: float) -> tuple[float, float]:
+    """(static, spring) margins 1 + phi^2 +- 2 phi phi_nl."""
+    cross = 2.0 * phi * phi_nl
+    base = 1.0 + phi * phi
+    return base + cross, base - cross
 
-    Positive margin is required for a stable steady state; on the
-    blue-detuned side (phi < 0) this is the condition that the
-    radiation-pressure spring does not overwhelm the bare restoring
-    force. On branches of the cubic it must be combined with the
-    slope test dP/du > 0 (see :func:`solve_steady_state`).
+
+def classify(params: NormalizedParams) -> StabilityReport:
+    """Stability of an operating point: the one test every route applies.
+
+    Stable means a positive static margin and a Hurwitz characteristic
+    polynomial of the linearized dynamics (the spectrum's denominator at
+    s = -i w), p(s) = (s^2 + s/Q + 1)((s + 1/b)^2 + (phi/b)^2) - 2 phi
+    phi_nl / b^2. Its constant term a0 is the spring margin over b^2 and
+    its other coefficients are positive, so by the Lienard-Chipart form
+    of the Routh-Hurwitz test it is Hurwitz exactly when a0 > 0 and
+    a3 a2 a1 - a1^2 - a3^2 a0 > 0. Unlike the sign of the closed-form
+    Gamma_eff (a resonance approximation) the test is exact.
     """
-    margin = 1.0 + params.phi**2 + 2.0 * params.phi * params.phi_nl
-    return StabilityReport(margin > 0.0, margin)
+    b, phi, q = params.b, params.phi, params.q_factor
+    static, spring = _margins(phi, params.phi_nl)
+    cross = 2.0 * phi * params.phi_nl
+    d = 1.0 - 1j * b  # D(1) = d^2 + phi^2; d * d overflows to inf where ** raises
+    inv = 1.0 / (d * d + phi * phi)
+    omega_eff2 = 1.0 - cross * inv.real
+    gamma_ratio = 1.0 + cross * q * inv.imag
+
+    k, c = 1.0 / b, 1.0 / q
+    e = k * k * (1.0 + phi * phi)
+    a3 = 2.0 * k + c
+    a2 = 1.0 + e + 2.0 * k * c
+    a1 = 2.0 * k + c * e
+    hurwitz = a3 * a2 * a1 - a1 * a1 - a3 * a3 * k * k * spring
+
+    if not all(map(math.isfinite, (hurwitz, omega_eff2, gamma_ratio))):
+        reason = "not finite: the operating point overflows the stability test"
+    elif not static > 0.0:
+        reason = f"static margin {static:.3g} <= 0"
+    elif not spring > 0.0:
+        reason = f"spring margin {spring:.3g} <= 0 (radiation-pressure spring too soft)"
+    elif not hurwitz > 0.0:
+        reason = f"Routh-Hurwitz determinant {hurwitz:.3g} <= 0: a drift mode grows"
+    else:
+        reason = "stable"
+    return StabilityReport(reason == "stable", reason, static, spring, omega_eff2, gamma_ratio)
 
 
 def _cubic(u: float, phi_c: float, drive: float) -> float:
@@ -241,17 +291,20 @@ def solve_steady_state(phi_c: float, drive: float) -> SteadyState:
     kappa^2) the normalized drive. Real roots are found from the
     companion matrix, polished with one Newton step, and classified:
 
-    * ``stable``   -- positive static margin *and* positive slope dP/du;
+    * ``stable``   -- positive static margin *and* positive slope dP/du,
+      which at phi = phi_c - u is the spring margin 1 + phi^2 - 2 phi u;
     * ``marginal`` -- fold points (double roots, dP/du ~ 0), excluded
       from stable selection.
 
     Roots are returned sorted ascending, with multiplicity, so a double
     root appears twice.
     """
-    if drive < 0:
+    if not drive >= 0:
         raise InvalidParams(f"drive must be >= 0, got {drive}")
 
     coeffs = [1.0, -2.0 * phi_c, 1.0 + phi_c * phi_c, -drive]
+    if not all(map(math.isfinite, coeffs)):
+        raise InvalidParams(f"cubic coefficients not finite at phi_c={phi_c}, P={drive}")
     roots = np.roots(coeffs)
 
     # conjugate symmetry of the companion-matrix roots guarantees one or
@@ -278,10 +331,9 @@ def solve_steady_state(phi_c: float, drive: float) -> SteadyState:
                 f"tolerance at u={u!r} (phi_c={phi_c}, P={drive})"
             )
         phi = phi_c - u
-        slope = _cubic_slope(u, phi_c)
+        static, slope = _margins(phi, u)
         marginal = abs(slope) <= 1e-6 * slope_scale
-        margin = 1.0 + phi * phi + 2.0 * phi * u
-        stable = (not marginal) and slope > 0.0 and margin > 0.0
+        stable = (not marginal) and slope > 0.0 and static > 0.0
         branches.append(Branch(u=u, phi_eff=phi, stable=stable, marginal=marginal))
 
     return SteadyState(phi_c=phi_c, drive=drive, branches=tuple(branches))

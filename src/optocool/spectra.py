@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import InvalidParams, QuadratureFailure, SingularResponse, Unstable
-from .model import NormalizedParams, stability_check
+from .errors import InvalidParams, QuadratureFailure, SingularResponse
+from .model import NormalizedParams, classify
 
 __all__ = [
     "ThermalNoiseModel",
@@ -42,7 +43,11 @@ __all__ = [
     "effective_susceptibility",
     "noise_spectrum",
     "integrate_variances",
+    "MIN_RTOL",
 ]
+
+#: smallest relative tolerance the adaptive quadrature accepts
+MIN_RTOL = 50.0 * sys.float_info.epsilon
 
 
 class ThermalNoiseModel(enum.Enum):
@@ -160,7 +165,11 @@ def _spectrum_values(omega, params: NormalizedParams, noise_model: ThermalNoiseM
     denom2 = (denom * denom.conjugate()).real
     if np.any(denom2 < 1e-26 * (1.0 + w * w) ** 2):
         raise SingularResponse(f"spectrum denominator vanishes near omega={omega!r}")
-    return num / denom2
+    out = num / denom2
+    if not np.all(np.isfinite(out)):
+        bad = w[~np.isfinite(out)][0]
+        raise SingularResponse(f"spectrum overflows at omega={bad!r}")
+    return out
 
 
 def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel):
@@ -190,7 +199,8 @@ def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel
                 return 2.0 * w / (q * math.tanh(x * w))
 
     def s_q(w):
-        d = (1.0 - 1j * b * w) ** 2 + phi2
+        d = 1.0 - 1j * b * w
+        d = d * d + phi2
         denom = d * (1.0 - w * w - 1j * w / q) - two_cross
         dabs2 = d.real * d.real + d.imag * d.imag
         denom2 = denom.real * denom.real + denom.imag * denom.imag
@@ -207,37 +217,21 @@ def noise_spectrum(
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
 ) -> SpectrumSample:
     """Symmetrized position-fluctuation spectrum S_q at one frequency."""
-    if not stability_check(params).stable:
-        raise Unstable(f"static stability violated for {params}")
+    classify(params).require_stable()
     val = float(_spectrum_values(np.array([omega]), params, noise_model)[0])
     return SpectrumSample(omega=float(omega), s_q=val)
 
 
-def _effective_peak(b: float, phi: float, phi_nl: float, q_factor: float):
-    """Raw effective-oscillator ratios ((Omega_eff/Omega_m)^2, Gamma_eff/Gamma).
-
-    Shared with the adiabatic module; here they locate and size the
-    resonance so the quadrature mesh never misses it.
-    """
-    inv = 1.0 / cavity_response(1.0, b, phi)
-    w2 = 1.0 - 2.0 * phi * phi_nl * inv.real
-    gamma_ratio = 1.0 + 2.0 * phi * phi_nl * q_factor * inv.imag
-    return float(w2), float(gamma_ratio)
-
-
-def _static_margins(params: NormalizedParams):
-    phip = 1.0 + params.phi**2 + 2.0 * params.phi * params.phi_nl
-    spring = 1.0 + params.phi**2 - 2.0 * params.phi * params.phi_nl
-    return phip, spring
-
-
 def _checked_quad(f, a, b, rtol, points=None):
-    res = quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=400, points=points,
-               full_output=1)
+    try:
+        res = quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=400, points=points,
+                   full_output=1)
+    except OverflowError as exc:  # float ** in the integrand, at extreme parameters
+        raise QuadratureFailure(f"integrand overflows: {exc}") from None
     if len(res) > 3:
         raise QuadratureFailure(str(res[3]))
     value, abserr = res[0], res[1]
-    if abserr > 10.0 * rtol * max(abs(value), 1e-12):
+    if not (math.isfinite(value) and abserr <= 10.0 * rtol * max(abs(value), 1e-12)):
         raise QuadratureFailure(
             f"integration error estimate {abserr:.3e} exceeds tolerance for "
             f"integral value {value:.6e}"
@@ -265,28 +259,21 @@ def integrate_variances(
     Raises
     ------
     Unstable
-        If the static stability margins are not positive, or the
-        effective damping is driven negative (heating side).
+        If :func:`~optocool.model.classify` finds the point unstable.
     QuadratureFailure
         If the error estimate exceeds the requested tolerance.
     """
     if not omega_max > 2.0:
         raise InvalidParams(f"omega_max must be > 2, got {omega_max}")
-    phip, spring = _static_margins(params)
-    if phip <= 0 or spring <= 0:
-        raise Unstable(
-            f"static stability violated (margins {phip:.3g}, {spring:.3g})"
-        )
-    w2, gamma_ratio = _effective_peak(
-        params.b, params.phi, params.phi_nl, params.q_factor
-    )
-    if gamma_ratio <= 0:
-        raise Unstable(
-            f"effective damping ratio {gamma_ratio:.3g} <= 0 (heating side)"
-        )
+    if not rtol > MIN_RTOL:
+        raise InvalidParams(f"rtol must be > {MIN_RTOL:.3g}, got {rtol}")
+    report = classify(params).require_stable()
 
+    # a stable point can still have Gamma_eff < 0 (the closed form is a
+    # resonance approximation); its magnitude still sizes the peak
+    w2 = report.omega_eff2
     peak = math.sqrt(w2) if w2 > 0 else 1.0
-    halfwidth = max(gamma_ratio / (2.0 * params.q_factor), 1e-12)
+    halfwidth = max(abs(report.gamma_eff_ratio) / (2.0 * params.q_factor), 1e-12)
     cavity = abs(params.phi) / params.b
     seeds = [
         peak - 5.0 * halfwidth, peak - halfwidth, peak, peak + halfwidth,

@@ -1,10 +1,14 @@
 """Configuration parsing, sweep dispatch and CSV emission."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optocool import (
     ParseError,
@@ -14,6 +18,7 @@ from optocool import (
     optimal_detuning,
 )
 from optocool.cli import (
+    KEYS,
     ResultTable,
     emit_csv,
     main,
@@ -273,8 +278,106 @@ class TestMain:
         assert rc == 2
         record = json.loads(capsys.readouterr().err)
         assert record["type"] == "ValidationError"
-        assert "tolerances.ode_rel: unknown key" in record["violations"]
+        assert record["violations"] == ["tolerances.ode_rel: unknown key"]
 
     def test_bad_set_syntax(self, capsys):
         rc = main(["variances", "--set", "b10"])
         assert rc == 2
+
+
+OPERATING_POINT = {"b": "10", "phi": "10", "phi_nl": "0.1", "q_factor": "1e4", "n_t_i": "100"}
+
+
+def argv_for(mode, overrides):
+    return [mode] + [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]
+
+
+def assert_one_json_record(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "mode, overrides",
+        [
+            ("variances", {"phi": "nan"}),
+            ("dynamics", {"phi": "nan"}),
+            ("variances", {"n_t_i": "inf"}),
+            ("adiabatic", {"phi": "nan"}),
+            ("variances", {"n_t_i": "inf", "noise_model": "quantum_coth"}),
+            ("dynamics", {"dynamics.t_end": "nan"}),
+            ("homodyne", {"homodyne.lo_rate": "nan"}),
+            ("steady", {"steady.phi_c": "nan", "steady.drive": "1"}),
+            ("homodyne", {"homodyne.demod_rate": "nan"}),
+            ("spectrum", {"spectrum.omega_start": "nan"}),
+            ("variances", {"tolerances.quadrature_rel": "nan"}),
+            ("variances", {"tolerances.omega_max": "inf"}),
+            ("dynamics", {"dynamics.samples": "-3"}),
+            ("homodyne", {"homodyne.n_outer": "0"}),
+        ],
+    )
+    def test_rejected_as_config_error(self, mode, overrides, capsys):
+        point = {} if mode == "steady" else OPERATING_POINT
+        rc = main(argv_for(mode, {**point, **overrides}))
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        record = assert_one_json_record(err)
+        assert record["type"] == "ValidationError"
+        bad = next(k for k in overrides if k != "noise_model")
+        assert any(v.startswith(f"{bad}:") for v in record["violations"])
+
+
+# Keys and text for the fuzz property. Integer-valued text is capped so
+# that no example asks for a long sweep or a large grid; output_path is
+# left out because any text there names a file to write.
+FUZZ_KEYS = sorted(set(KEYS) - {"output_path"}) + ["mode", "warp_drive"]
+HOSTILE = ["nan", "inf", "-inf", "-0", "0", "1", "2", "-3", "0.5", "1e308", "-1e308",
+           "1e-308", "junk", "", "true", "log", "phi", "x_out", "markov_flat"]
+
+
+def _small_if_integer(text):
+    try:
+        return abs(int(text)) <= 40
+    except ValueError:
+        return True
+
+
+FUZZ_TEXT = st.one_of(
+    st.sampled_from(HOSTILE),
+    st.integers(-5, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=8).filter(_small_if_integer),
+)
+FUZZ_BASE = {
+    "steady": {"steady.phi_c": "2", "steady.drive": "2"},
+    "spectrum": {**OPERATING_POINT, "spectrum.omega_points": "9"},
+    "variances": {**OPERATING_POINT, "sweep.variable": "phi", "sweep.start": "5",
+                  "sweep.stop": "15", "sweep.points": "3"},
+    "adiabatic": {**OPERATING_POINT, "sweep.variable": "b", "sweep.start": "1",
+                  "sweep.stop": "10", "sweep.points": "4"},
+    "dynamics": {**OPERATING_POINT, "dynamics.samples": "9"},
+}
+
+
+@settings(max_examples=150)
+@given(
+    mode=st.sampled_from(sorted(FUZZ_BASE)),
+    overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_TEXT, max_size=3),
+)
+def test_any_input_exits_cleanly(mode, overrides):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv_for(mode, {**FUZZ_BASE[mode], **overrides}))
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 2, 3)
+    if rc:
+        assert out == ""
+        assert "type" in assert_one_json_record(err)
+    else:
+        assert err == ""
+        for row in out.splitlines():
+            if not row.startswith("#") and row.endswith(",true"):
+                assert "nan" not in row and "inf" not in row, row

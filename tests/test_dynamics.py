@@ -191,7 +191,7 @@ class TestExactPropagation:
         traj = evolve_covariance(sysm, v0, t_end=0.5, t_eval=t_eval)
         assert_close_to_oracle(traj, rk45_oracle(sysm, v0.v, t_eval), 1e-7)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         sysm=stable_points(),
         t=st.floats(0.0, 3.0),

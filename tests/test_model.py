@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import constants
 
 from optocool import (
@@ -11,10 +13,10 @@ from optocool import (
     NoStableBranch,
     NormalizedParams,
     PhysicalParams,
+    classify,
     denormalize,
     normalize,
     solve_steady_state,
-    stability_check,
     thermal_occupancy,
 )
 
@@ -76,6 +78,25 @@ class TestParamTypes:
             NormalizedParams(b=1, phi=1, phi_nl=-0.1, q_factor=100, n_t_i=0)
         with pytest.raises(InvalidParams):
             NormalizedParams(b=1, phi=1, phi_nl=0, q_factor=0.5, n_t_i=0)
+
+    @pytest.mark.parametrize("field", ["b", "phi", "phi_nl", "q_factor", "n_t_i"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_normalized_rejects_non_finite(self, field, value):
+        fields = dict(b=1.0, phi=1.0, phi_nl=0.1, q_factor=100.0, n_t_i=1.0)
+        with pytest.raises(InvalidParams) as err:
+            NormalizedParams(**{**fields, field: value})
+        assert err.value.problems == [f"{field} must be finite, got {value}"]
+
+    @pytest.mark.parametrize("field", ["omega_m", "delta_c", "drive_intensity", "temperature"])
+    def test_physical_rejects_non_finite(self, field):
+        with pytest.raises(InvalidParams) as err:
+            si_params(**{field: math.nan})
+        assert err.value.problems == [f"{field} must be finite, got nan"]
+
+    def test_one_problem_per_field(self):
+        with pytest.raises(InvalidParams) as err:
+            NormalizedParams(b=-1, phi=math.nan, phi_nl=-2, q_factor=0.1, n_t_i=5)
+        assert [p.split()[0] for p in err.value.problems] == ["b", "phi", "phi_nl", "q_factor"]
 
     def test_coupling_constant_scaling(self):
         p = si_params()
@@ -152,22 +173,26 @@ class TestSteadyState:
 class TestStabilityCheck:
     def test_resonant_drive(self):
         p = NormalizedParams(b=1, phi=0.0, phi_nl=5.0, q_factor=100, n_t_i=0)
-        rep = stability_check(p)
-        assert rep.margin == pytest.approx(1.0)
-        assert rep.stable
+        rep = classify(p)
+        assert rep.static_margin == pytest.approx(1.0)
+        assert rep.spring_margin == pytest.approx(1.0)
+        assert rep.stable and rep.reason == "stable"
 
     def test_blue_detuned_unstable(self):
         p = NormalizedParams(b=1, phi=-0.5, phi_nl=2.0, q_factor=100, n_t_i=0)
-        rep = stability_check(p)
-        assert rep.margin == pytest.approx(-0.75)
+        rep = classify(p)
+        assert rep.static_margin == pytest.approx(-0.75)
         assert not rep.stable
+        assert "static margin" in rep.reason
 
     def test_red_side_always_stable(self):
+        # the red side guarantees only the static margin; the spring margin
+        # 1 + phi^2 - 2 phi phi_nl is -3.75 at b = 0.5 and -15 at b = 2
+        # with phi_nl = 5, and classify rejects those points
         for b in (0.5, 2.0, 10.0):
             for phi_nl in (0.0, 0.3, 5.0):
                 p = NormalizedParams(b=b, phi=b, phi_nl=phi_nl, q_factor=50, n_t_i=1)
-                assert stability_check(p).stable
-
+                assert classify(p).static_margin > 0
 
 class TestNormalize:
     def test_undriven_cavity(self):
@@ -218,8 +243,8 @@ class TestNormalize:
         assert m.phi == pytest.approx(n.phi, rel=1e-9)
         assert m.phi_nl == pytest.approx(n.phi_nl, rel=1e-9)
         assert m.n_t_i == pytest.approx(n.n_t_i, rel=1e-9)
-        assert stability_check(m).margin == pytest.approx(
-            stability_check(n).margin, rel=1e-9
+        assert classify(m).static_margin == pytest.approx(
+            classify(n).static_margin, rel=1e-9
         )
 
     def test_no_stable_branch(self):
@@ -255,3 +280,25 @@ class TestRoundTrip:
         assert m.phi_nl == pytest.approx(n.phi_nl, rel=1e-12, abs=1e-16)
         assert m.q_factor == pytest.approx(n.q_factor, rel=1e-12)
         assert m.n_t_i == pytest.approx(n.n_t_i, rel=1e-12, abs=1e-16)
+
+
+@settings(max_examples=200)
+@given(
+    b=st.floats(0.05, 100.0),
+    ratio=st.floats(-1.0, 3.0),
+    phi_nl=st.floats(0.0, 2.0),
+    q_factor=st.floats(1.5, 1e7),
+    n_t_i=st.floats(0.0, 1e4),
+)
+def test_normalize_denormalize_round_trip(b, ratio, phi_nl, q_factor, n_t_i):
+    n = NormalizedParams(b=b, phi=b * ratio, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i)
+    p = denormalize(n)
+    ss = solve_steady_state(p.delta_c / p.kappa, p.drive_strength)
+    branch = min(ss.branches, key=lambda br: abs(br.u - n.phi_nl))
+    m = normalize(p, steady=ss, branch=branch)
+    scale = 1.0 + abs(n.phi) + n.phi_nl
+    assert m.b == pytest.approx(n.b, rel=1e-12)
+    assert m.phi == pytest.approx(n.phi, rel=1e-9, abs=1e-12 * scale)
+    assert m.phi_nl == pytest.approx(n.phi_nl, rel=1e-9, abs=1e-12 * scale)
+    assert m.q_factor == pytest.approx(n.q_factor, rel=1e-12)
+    assert m.n_t_i == pytest.approx(n.n_t_i, rel=1e-9, abs=1e-300)
