@@ -238,7 +238,6 @@ def optimize_operating_point(
     n_t_i: float,
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
     omega_max: float = 100.0,
-    b_points: int = 9,
     lock_phi_to_b: bool = False,
     phi_tol: float = 1e-3,
 ) -> OperatingPoint:
@@ -248,24 +247,19 @@ def optimize_operating_point(
     closed-form optimum phi*(b) and refined by golden section; the
     objective is always ``integrate_variances`` (the exact spectrum),
     never the closed form. With ``lock_phi_to_b`` the detuning is pinned
-    to phi = b and only b is scanned. Deterministic for fixed grids and
-    tolerances; ties break toward smaller b, then smaller phi.
-
-    ``b_range`` may be a (lo, hi) tuple, expanded to ``b_points``
-    equally spaced values, or any other sequence used verbatim.
+    to phi = b and only b is scanned. ``b_range`` is the sequence of
+    bandwidths b to scan, in order (the CLI passes its ``sweep`` values
+    of b, or b alone). Deterministic for fixed grids and tolerances;
+    ties break toward the earlier b of ``b_range``, then smaller phi.
 
     Raises
     ------
+    InvalidParams
+        If ``b_range`` is empty.
     OptimizationFailure
         If every probed point is unstable or fails to integrate.
     """
-    if isinstance(b_range, tuple) and len(b_range) == 2:
-        lo, hi = b_range
-        if not (0 < lo <= hi):
-            raise InvalidParams(f"bad b_range {b_range}")
-        b_grid = [lo] if lo == hi else list(np.linspace(lo, hi, b_points))
-    else:
-        b_grid = [float(b) for b in b_range]
+    b_grid = [float(b) for b in b_range]
     if not b_grid:
         raise InvalidParams("empty b_range")
 

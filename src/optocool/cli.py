@@ -131,7 +131,6 @@ KEYS = {
     "homodyne.quadrature": Key(str, "homodyne_quadrature", "x_out", ("x_out", "y_out")),
     "homodyne.n_outer": Key(int, "n_outer", 64, (">=", 1)),
     "homodyne.n_inner": Key(int, "n_inner", 32, (">=", 1)),
-    "optimize.b_points": Key(int, "b_points", 9, (">=", 1)),
     **{key: Key(float) for key in _PHYSICAL_KEYS},
 }
 
@@ -504,10 +503,9 @@ def _run_homodyne(cfg: RunConfig) -> ResultTable:
         else params.phi * params.q_factor / params.b
     )
     window = cfg.window / lo_rate  # 1/Gamma units
-    traj = evolve_covariance(sys_, t_end=window, n_samples=cfg.samples)
     pairs, weights = matched_filter_pairs(window, cfg.n_outer, cfg.n_inner)
     grid = two_time_correlations(
-        sys_, traj, cfg.homodyne_quadrature, pairs,
+        sys_, None, cfg.homodyne_quadrature, pairs,
         demod_rate=demod, weights=weights,
     )
     res = homodyne_variance(grid, lo_rate)
@@ -528,7 +526,7 @@ def _run_optimize(cfg: RunConfig) -> ResultTable:
     opt = optimize_operating_point(
         b_range, p.phi_nl, p.q_factor, p.n_t_i,
         noise_model=cfg.noise_model, omega_max=cfg.omega_max,
-        b_points=cfg.b_points, lock_phi_to_b=cfg.lock_phi_to_b,
+        lock_phi_to_b=cfg.lock_phi_to_b,
     )
     cols = (
         ("b_opt", "dimensionless"), ("phi_opt", "dimensionless"),

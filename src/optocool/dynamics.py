@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/tracer.py wraps it
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     GridMismatch,
@@ -78,10 +78,8 @@ SYMPLECTIC_FORM = np.array(
 )
 SYMPLECTIC_FORM.setflags(write=False)
 
-_QUAD_INDEX = {"x_out": 2, "y_out": 3}
-
-# upper-triangle (i, j) pairs packing a symmetric 4x4 into 10 entries
-_VECH = [(i, j) for i in range(4) for j in range(i, 4)]
+#: phase of the measured quadrature at t = 0 (``y_out`` lags ``x_out`` by pi/2)
+_QUAD_PHASE = {"x_out": 0.0, "y_out": 0.5 * math.pi}
 
 
 @dataclass(frozen=True)
@@ -195,34 +193,14 @@ def physicality_defect(v: np.ndarray):
     return float(defect) if defect.ndim == 0 else defect
 
 
-def _vech(m: np.ndarray) -> np.ndarray:
-    return np.array([m[i, j] for i, j in _VECH])
-
-
-def _unvech(x) -> np.ndarray:
-    v = np.empty((4, 4))
-    for val, (i, j) in zip(x, _VECH):
-        v[i, j] = val
-        v[j, i] = val
-    return v
-
-
 def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
-    """Steady covariance from A V + V A^T + D = 0 by direct linear solve.
+    """Steady covariance from A V + V A^T + D = 0 (Bartels-Stewart solve).
 
-    The ten independent entries of the symmetric V are solved for
-    exactly; the residual is verified below 1e-12 (relative to ||V||).
+    The residual is verified below 1e-12 (relative to ||V||).
     """
     a, d = sys.drift, sys.diffusion
-    cols = []
-    for (k, l) in _VECH:
-        e = np.zeros((4, 4))
-        e[k, l] = 1.0
-        e[l, k] = 1.0
-        cols.append(_vech(a @ e + e @ a.T))
-    m = np.column_stack(cols)
-    x = np.linalg.solve(m, -_vech(d))
-    v = _unvech(x)
+    v = solve_continuous_lyapunov(a, -d)
+    v = 0.5 * (v + v.T)
     resid = np.linalg.norm(a @ v + v @ a.T + d)
     if not resid <= 1e-12 * max(1.0, np.linalg.norm(v)):
         raise SolverFailure(f"steady-state residual {resid:.3e} too large")
@@ -257,6 +235,9 @@ def evolve_covariance(
 
     Raises
     ------
+    InvalidParams
+        If v0 has a non-finite entry or one so large that the propagation
+        overflows, or a ``t_eval`` time lies outside [0, t_end].
     NonPhysical
         If a sample violates V + iJ >= 0 beyond -1e-9 times the scale
         of v0. Besides a propagator failure this can be the model: the
@@ -265,27 +246,13 @@ def evolve_covariance(
     """
     if not 0.0 < t_end < math.inf:
         raise InvalidParams(f"t_end must be finite and > 0, got {t_end}")
-    if v0 is None:
-        v0 = thermal_covariance(sys.params)
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, n_samples)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
-        if np.any(t_eval < 0) or np.any(t_eval > t_end):
+        if not np.all((t_eval >= 0) & (t_eval <= t_end)):
             raise InvalidParams(f"t_eval must lie within [0, {t_end}]")
-    q = sys.params.q_factor
-    v_ss = lyapunov_steady_state(sys).v
-    e = _propagators(sys, t_eval * q)
-    v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
-    v = 0.5 * (v + v.transpose(0, 2, 1))
-
-    defects = physicality_defect(v)
-    bad = np.flatnonzero(~(defects >= -1e-9 * max(1.0, float(np.max(np.abs(v0.v))))))
-    if bad.size:
-        k = bad[0]
-        raise NonPhysical(
-            f"physicality defect {defects[k]:.3e} at t={t_eval[k]:.6g} (1/Gamma)"
-        )
+    v = _transient(sys, v0, t_eval)
     return [CovarianceState(t=float(t), v=vt) for t, vt in zip(t_eval, v)]
 
 
@@ -331,9 +298,56 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
     return np.array([expm(a * tau) for tau in taus]).reshape(-1, 4, 4)
 
 
+def _physical(v: np.ndarray, tol: float) -> bool:
+    """True when every defect of the (..., 4, 4) stack ``v`` exceeds -tol.
+
+    V + iJ + tol I is positive definite exactly then, so one batched
+    Cholesky factorization decides it, far cheaper than the eigenvalues.
+    NaN input yields NaN factors rather than an error, hence the finiteness
+    test.
+    """
+    try:
+        chol = np.linalg.cholesky(v + (1j * SYMPLECTIC_FORM + tol * np.eye(4)))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(chol)))
+
+
+def _transient(
+    sys: LinearSystem, v0: CovarianceState | None, times: np.ndarray
+) -> np.ndarray:
+    """V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau} at each t (1/Gamma units).
+
+    ``v0`` None is the thermal state. The stack is symmetrized and
+    checked for physicality within -1e-9 times the scale of v0.
+    """
+    if v0 is None:
+        v0 = thermal_covariance(sys.params)
+    if not np.all(np.isfinite(v0.v)):
+        raise InvalidParams("initial covariance v0 must be finite")
+    v_ss = lyapunov_steady_state(sys).v
+    e = _propagators(sys, times * sys.params.q_factor)
+    v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
+    v = 0.5 * (v + v.transpose(0, 2, 1))
+
+    scale = max(1.0, float(np.max(np.abs(v0.v))))
+    tol = 1e-9 * scale
+    if not _physical(v, tol):
+        if not np.all(np.isfinite(v)):
+            raise InvalidParams(f"covariance overflows in propagation (v0 scale {scale:.3g})")
+        defects = physicality_defect(v)
+        bad = np.flatnonzero(~(defects >= -tol))
+        if bad.size:
+            k = bad[0]
+            raise NonPhysical(
+                f"physicality defect {defects[k]:.3e} at t={times[k]:.6g} (1/Gamma)"
+            )
+    return v
+
+
 def two_time_correlations(
     sys: LinearSystem,
-    trajectory,
+    v0: CovarianceState | None,
     quadrature: str,
     pairs,
     *,
@@ -342,68 +356,56 @@ def two_time_correlations(
 ) -> TwoTimeGrid:
     """Smooth symmetrized correlation of an output quadrature on (t, t') pairs.
 
-    For t' >= t the intracavity correlation follows the regression rule
+    The system starts from ``v0`` at t = 0 (None: thermal mirror, vacuum
+    field, as in :func:`evolve_covariance`). For t' >= t the
+    intracavity correlation follows the regression rule
     <z(t) z^T(t')>_sym = V(t) exp(A^T (t'-t)); composing it with the
     input-output relation a_out = sqrt(2 kappa) a - a_in cancels the
     input cross terms into
 
         C(t, t') = 2 kappa [(V(t) - 1) exp(A^T (t'-t))]  (field block),
 
-    whose shot-noise delta has been dropped. V(t) between trajectory
-    samples is reconstructed exactly from the nearest earlier sample via
-    V(t) = V_ss + e^{A dt} (V_k - V_ss) e^{A^T dt}.
+    whose shot-noise delta has been dropped. V(t) at each pair's earlier
+    time is propagated exactly from v0 and checked for physicality.
 
     With ``demod_rate`` = Delta/Gamma the stored scalar is the
     correlation of the co-rotating quadrature cos(theta) x_out -
     sin(theta) y_out, theta = demod_rate * t (+ pi/2 for ``y_out``):
     the frame in which a sideband-matched local oscillator measures.
-    At the default 0 the plain lab-frame quadrature is returned.
+    At the default 0 this is the plain lab-frame quadrature.
 
     Values are reported in kappa units; times in 1/Gamma units.
+
+    Raises
+    ------
+    GridMismatch
+        For an unknown quadrature, or pairs that are not an (n, 2) array
+        of finite times >= 0.
+    InvalidParams
+        If v0 has a non-finite entry or one so large that the propagation
+        overflows.
+    NonPhysical
+        If V(t) at some pair violates V + iJ >= 0 beyond tolerance.
     """
-    if quadrature not in _QUAD_INDEX:
+    if quadrature not in _QUAD_PHASE:
         raise GridMismatch(f"unknown quadrature {quadrature!r}")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GridMismatch(f"pairs must be (n, 2), got shape {pairs.shape}")
-    if np.any(pairs < 0):
-        raise GridMismatch("two-time correlations need t, t' >= 0")
-
-    traj_t = np.array([s.t for s in trajectory])
-    if not len(traj_t):
-        raise GridMismatch("two-time correlations need a nonempty trajectory")
-    if pairs.min() < traj_t[0] - 1e-12 or pairs.max() > traj_t[-1] + 1e-12:
-        raise GridMismatch(
-            f"trajectory [{traj_t[0]}, {traj_t[-1]}] does not cover pairs "
-            f"[{pairs.min()}, {pairs.max()}]"
-        )
-
-    q = sys.params.q_factor
-    v_ss = lyapunov_steady_state(sys).v
-    eye = np.eye(4)
+    if not np.all((pairs >= 0) & (pairs < math.inf)):
+        raise GridMismatch("two-time correlations need finite t, t' >= 0")
 
     t_early = pairs.min(axis=1)
     t_late = pairs.max(axis=1)
-    anchor = np.clip(np.searchsorted(traj_t, t_early, side="right") - 1, 0, None)
-    tau_anchor = (t_early - traj_t[anchor]) * q
-    tau_lag = (t_late - t_early) * q
+    v_t = _transient(sys, v0, t_early)
+    e_lag = _propagators(sys, (t_late - t_early) * sys.params.q_factor)
+    block = ((v_t - np.eye(4)) @ e_lag.transpose(0, 2, 1))[:, 2:, 2:]
 
-    e_anchor = _propagators(sys, tau_anchor)
-    e_lag = _propagators(sys, tau_lag)
-
-    vk = np.array([state.v for state in trajectory])[anchor]
-    v_t = v_ss + e_anchor @ (vk - v_ss) @ e_anchor.transpose(0, 2, 1)
-    block = ((v_t - eye) @ e_lag.transpose(0, 2, 1))[:, 2:, 2:]
-    if demod_rate == 0.0:
-        idx = _QUAD_INDEX[quadrature] - 2
-        values = 2.0 * block[:, idx, idx]
-    else:
-        theta0 = 0.0 if quadrature == "x_out" else 0.5 * math.pi
-        th_e = demod_rate * t_early + theta0
-        th_l = demod_rate * t_late + theta0
-        ce = np.column_stack([np.cos(th_e), -np.sin(th_e)])
-        cl = np.column_stack([np.cos(th_l), -np.sin(th_l)])
-        values = 2.0 * np.einsum("ni,nij,nj->n", ce, block, cl)
+    th_e = demod_rate * t_early + _QUAD_PHASE[quadrature]
+    th_l = demod_rate * t_late + _QUAD_PHASE[quadrature]
+    ce = np.column_stack([np.cos(th_e), -np.sin(th_e)])
+    cl = np.column_stack([np.cos(th_l), -np.sin(th_l)])
+    values = 2.0 * np.einsum("ni,nij,nj->n", ce, block, cl)
 
     return TwoTimeGrid(
         times=pairs,

@@ -187,8 +187,8 @@ class TestRegimeValidity:
 class TestOptimizer:
     def test_no_coupling_returns_initial_occupancy(self):
         opt = optimize_operating_point(
-            (2.0, 10.0), phi_nl=0.0, q_factor=1e4, n_t_i=100.0,
-            noise_model=ThermalNoiseModel.MARKOV_FLAT, b_points=3,
+            [2.0, 6.0, 10.0], phi_nl=0.0, q_factor=1e4, n_t_i=100.0,
+            noise_model=ThermalNoiseModel.MARKOV_FLAT,
         )
         assert opt.n_t_f_min == pytest.approx(100.0, abs=1e-5)
 
@@ -211,9 +211,8 @@ class TestOptimizer:
 
     def test_lock_phi_to_b(self):
         opt = optimize_operating_point(
-            (3.0, 7.0), phi_nl=0.1, q_factor=1e4, n_t_i=100.0,
-            noise_model=ThermalNoiseModel.QUANTUM_COTH,
-            b_points=5, lock_phi_to_b=True,
+            [3.0, 4.0, 5.0, 6.0, 7.0], phi_nl=0.1, q_factor=1e4, n_t_i=100.0,
+            noise_model=ThermalNoiseModel.QUANTUM_COTH, lock_phi_to_b=True,
         )
         assert opt.phi_opt == opt.b_opt
 

@@ -190,7 +190,7 @@ class TestRun:
         assert last[2] == pytest.approx(v_ss[1, 1], rel=1e-5)
 
     def test_homodyne_mode_row(self):
-        doc = MINIMAL + "homodyne.n_outer = 32\nhomodyne.n_inner = 16\ndynamics.samples = 101\n"
+        doc = MINIMAL + "homodyne.n_outer = 32\nhomodyne.n_inner = 16\n"
         table = run(parse_config(doc, mode="homodyne"))
         row = table.rows[0]
         assert row[0] > 30.0
@@ -279,6 +279,23 @@ class TestMain:
         record = json.loads(capsys.readouterr().err)
         assert record["type"] == "ValidationError"
         assert record["violations"] == ["tolerances.ode_rel: unknown key"]
+
+    def test_removed_b_points_is_unknown_key(self, capsys):
+        # optimize scans the sweep values of b, or b itself; a point count
+        # never entered it
+        rc = main(argv_for("optimize", {**OPERATING_POINT, "optimize.b_points": "9"}))
+        assert rc == 2
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["violations"] == ["optimize.b_points: unknown key"]
+
+    @pytest.mark.parametrize("mode", ["dynamics", "homodyne"])
+    def test_transient_leaving_physical_set_exits_3(self, mode, capsys):
+        # from the ground state the flat mirror bath leaves the physical set
+        rc = main(argv_for(mode, {**OPERATING_POINT, "n_t_i": "0"}))
+        assert rc == 3
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["type"] == "NonPhysical"
+        assert "at t=" in record["message"]
 
     def test_bad_set_syntax(self, capsys):
         rc = main(["variances", "--set", "b10"])

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from optocool import (
+    CovarianceState,
     GridMismatch,
+    InvalidParams,
+    NonPhysical,
     NormalizedParams,
     TwoTimeGrid,
     Unstable,
@@ -27,11 +31,16 @@ from optocool import (
     thermal_covariance,
     two_time_correlations,
 )
-from optocool.dynamics import SYMPLECTIC_FORM, LinearSystem
+from optocool.dynamics import SYMPLECTIC_FORM, LinearSystem, _physical
 from optocool.spectra import Method, ThermalNoiseModel
 
 FIG3 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
 DEEP = NormalizedParams(b=10, phi=10, phi_nl=0.01, q_factor=1e5, n_t_i=100)
+#: FIG3 from the mirror's ground state. The flat mirror bath is not
+#: completely positive, so early in the transient the state leaves the
+#: physical set (smallest defect about -1e-8 near t = 5e-5, against a
+#: tolerance of -1e-9).
+NONCP = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=0)
 
 
 def bare(n_t_i=100.0):
@@ -217,6 +226,57 @@ class TestExactPropagation:
         assert dev.max() <= 1e-9
 
 
+class TestPhysicalityCheck:
+    def test_transient_leaving_physical_set_raises(self):
+        with pytest.raises(NonPhysical, match=r"at t=\S+ \(1/Gamma\)"):
+            evolve_covariance(build_system(NONCP), t_end=0.02, n_samples=401)
+
+    def test_correlations_check_every_pair_time(self):
+        ts = np.linspace(0.0, 2e-4, 41)
+        pairs = np.column_stack([ts, ts + 1e-3])
+        with pytest.raises(NonPhysical, match=r"at t=\S+ \(1/Gamma\)"):
+            two_time_correlations(build_system(NONCP), None, "x_out", pairs)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_cholesky_agrees_with_eigenvalues(self, side):
+        # a stack of random symmetric matrices shifted so that one defect
+        # sits 0.1% of tol below (side -1) or above (side +1) -tol and the
+        # rest well inside: V + cI shifts every eigenvalue of V + iJ by c
+        rng = np.random.default_rng(11)
+        m = rng.normal(scale=10.0, size=(16, 4, 4))
+        v = m + m.transpose(0, 2, 1)
+        tol = 1e-9 * float(np.max(np.abs(v)))
+        target = rng.uniform(0.0, 5.0, 16)
+        target[5] = -tol * (1.0 - side * 1e-3)
+        v += (target - physicality_defect(v))[:, None, None] * np.eye(4)
+        assert _physical(v, tol) == (side > 0)
+        assert _physical(v, tol) == bool(np.all(physicality_defect(v) >= -tol))
+
+    def test_cholesky_rejects_nan(self):
+        v = np.stack([np.eye(4), np.full((4, 4), np.nan)])
+        assert not _physical(v, 1e-9)
+
+
+class TestTransientInput:
+    # 1.7e308 is finite, but the propagation overflows it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.7e308])
+    def test_initial_covariance(self, bad):
+        sysm = build_system(FIG3)
+        v = thermal_covariance(FIG3).v.copy()
+        v[0, 1] = v[1, 0] = bad
+        v0 = CovarianceState(t=0.0, v=v)
+        with pytest.raises(InvalidParams):
+            evolve_covariance(sysm, v0, t_end=0.01, n_samples=11)
+        with pytest.raises(InvalidParams):
+            two_time_correlations(sysm, v0, "x_out", [[0.0, 0.001]])
+
+    @pytest.mark.parametrize("t_eval", [[0.0, math.nan], [-0.001], [0.02]])
+    def test_sample_times(self, t_eval):
+        with pytest.raises(InvalidParams):
+            evolve_covariance(build_system(FIG3), t_end=0.01, t_eval=t_eval)
+
+
 class TestLyapunov:
     def test_decoupled_thermal(self):
         sysm = build_system(bare(7.0))
@@ -274,20 +334,18 @@ class TestLyapunov:
 class TestTwoTimeCorrelations:
     def test_vacuum_output_has_no_smooth_part(self):
         sysm = build_system(bare(50.0))
-        traj = evolve_covariance(sysm, t_end=0.01, n_samples=51)
         ts = np.linspace(0, 0.009, 7)
         pairs = np.array([(a, b) for a in ts for b in ts])
         for quad in ("x_out", "y_out"):
-            grid = two_time_correlations(sysm, traj, quad, pairs)
+            grid = two_time_correlations(sysm, None, quad, pairs)
             assert np.max(np.abs(grid.values)) < 1e-10
 
     def test_symmetry_under_time_swap(self):
         sysm = build_system(FIG3)
-        traj = evolve_covariance(sysm, t_end=0.01, n_samples=201)
         ts = np.linspace(0.0, 0.009, 6)
         pairs = np.array([(a, b) for a in ts for b in ts])
-        grid = two_time_correlations(sysm, traj, "x_out", pairs)
-        swapped = two_time_correlations(sysm, traj, "x_out", pairs[:, ::-1])
+        grid = two_time_correlations(sysm, None, "x_out", pairs)
+        swapped = two_time_correlations(sysm, None, "x_out", pairs[:, ::-1])
         assert np.allclose(grid.values, swapped.values, rtol=1e-10, atol=1e-12)
 
     def test_equal_time_matches_variance_track(self):
@@ -296,7 +354,7 @@ class TestTwoTimeCorrelations:
         track = output_variance_track(sysm, traj)
         ts = np.array([s.t for s in traj[::10]])
         pairs = np.column_stack([ts, ts])
-        grid = two_time_correlations(sysm, traj, "x_out", pairs)
+        grid = two_time_correlations(sysm, None, "x_out", pairs)
         assert np.allclose(grid.values, track[::10, 0], rtol=1e-8, atol=1e-10)
 
     def test_noise_transfer_transient(self):
@@ -315,24 +373,44 @@ class TestTwoTimeCorrelations:
     def test_correlations_decay_in_lag(self):
         sysm = build_system(DEEP)
         gamma_eff = effective_rates(DEEP).gamma_eff_ratio
-        t_end = 30.0 / gamma_eff
-        traj = evolve_covariance(sysm, t_end=t_end, n_samples=201)
         t0 = 20.0 / gamma_eff
         lags = np.array([0.5, 4.0]) / gamma_eff
         pairs = np.column_stack([np.full(2, t0), t0 + lags])
         demod = DEEP.phi * DEEP.q_factor / DEEP.b
-        grid = two_time_correlations(sysm, traj, "x_out", pairs, demod_rate=demod)
+        grid = two_time_correlations(sysm, None, "x_out", pairs, demod_rate=demod)
         assert abs(grid.values[1]) < abs(grid.values[0])
+
+    @pytest.mark.parametrize("quadrature", ["x_out", "y_out"])
+    @pytest.mark.parametrize("demod", [0.0, FIG3.phi * FIG3.q_factor / FIG3.b])
+    def test_matches_regression_oracle(self, quadrature, demod):
+        # C(t, t')/kappa = 2 [(V(t) - 1) e^{A^T (t' - t)}] on the field
+        # block, read along the quadrature rotated by demod * t, with V(t)
+        # from evolve_covariance and the lag propagator from expm
+        sysm = build_system(FIG3)
+        pairs = np.array(
+            [[0.0, 0.0], [0.001, 0.003], [0.004, 0.0015], [0.01, 0.01], [0.002, 0.012]]
+        )
+        grid = two_time_correlations(sysm, None, quadrature, pairs, demod_rate=demod)
+        theta0 = 0.0 if quadrature == "x_out" else 0.5 * math.pi
+        for (t1, t2), got in zip(pairs, grid.values):
+            t, tp = min(t1, t2), max(t1, t2)
+            v = evolve_covariance(sysm, t_end=0.02, t_eval=[t])[0].v
+            lag = expm(sysm.drift.T * (tp - t) * FIG3.q_factor)
+            c = 2.0 * ((v - np.eye(4)) @ lag)[2:, 2:]
+            u, w = (
+                np.array([math.cos(demod * s + theta0), -math.sin(demod * s + theta0)])
+                for s in (t, tp)
+            )
+            want = u @ c @ w
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_grid_errors(self):
         sysm = build_system(FIG3)
-        traj = evolve_covariance(sysm, t_end=0.01, n_samples=21)
         with pytest.raises(GridMismatch):
-            two_time_correlations(sysm, traj, "z_out", np.array([[0.0, 0.0]]))
-        with pytest.raises(GridMismatch):
-            two_time_correlations(sysm, traj, "x_out", np.array([[0.0, 0.02]]))
-        with pytest.raises(GridMismatch):
-            two_time_correlations(sysm, traj, "x_out", np.array([[0.0, -0.001]]))
+            two_time_correlations(sysm, None, "z_out", np.array([[0.0, 0.0]]))
+        for pair in ((0.0, -0.001), (math.nan, 0.001), (0.001, math.nan), (math.inf, 0.0)):
+            with pytest.raises(GridMismatch):
+                two_time_correlations(sysm, None, "x_out", np.array([pair]))
 
 
 class TestHomodyne:
@@ -406,16 +484,15 @@ class TestHomodyne:
         rates = effective_rates(FIG3)
         lo = rates.gamma_eff_ratio
         window = 12.0 / lo
-        traj = evolve_covariance(sysm, t_end=window, n_samples=401)
         pairs, weights = matched_filter_pairs(window, 64, 32)
         demod = FIG3.phi * FIG3.q_factor / FIG3.b
         grid = two_time_correlations(
-            sysm, traj, "x_out", pairs, demod_rate=demod, weights=weights
+            sysm, None, "x_out", pairs, demod_rate=demod, weights=weights
         )
         res = homodyne_variance(grid, lo)
         assert res.dx_m2 > 30.0
         # without demodulation the sidebands average out of the filter
-        lab = two_time_correlations(sysm, traj, "x_out", pairs, weights=weights)
+        lab = two_time_correlations(sysm, None, "x_out", pairs, weights=weights)
         env = 2 * lo * np.exp(-lo * pairs.sum(axis=1))
         lab_excess = 2 * float(
             np.sum(weights * env * lab.values * FIG3.q_factor / FIG3.b)
