@@ -12,9 +12,10 @@ with coupling shape factor f = 4 phi b / ((1 - b^2 + phi^2)^2 + 4 b^2).
 Maximizing f over the detuning gives the closed-form optimum phi*.
 
 This module provides the effective rates, the closed-form variance and
-its decomposition, the optimal detuning, regime-validity flags, and a
-grid + golden-section optimizer whose objective is the *exact* spectrum
-integral (the closed form only seeds the search).
+its decomposition, the optimal detuning, regime-validity flags, and an
+optimizer (a coarse grid refined by Brent's bounded search) whose
+objective is the *exact* spectrum integral (the closed form only seeds
+the search).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import (
     ImaginaryFrequency,
@@ -210,27 +212,6 @@ def regime_validity(params: NormalizedParams) -> RegimeReport:
     )
 
 
-def _golden_refine(objective, lo, mid, hi, xtol, max_iter=200):
-    """Golden-section minimization on a bracketing triple."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    it = 0
-    while abs(b - a) > xtol and it < max_iter:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-        it += 1
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def optimize_operating_point(
     b_range,
     phi_nl: float,
@@ -239,18 +220,21 @@ def optimize_operating_point(
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
     omega_max: float = 100.0,
     lock_phi_to_b: bool = False,
-    phi_tol: float = 1e-3,
 ) -> OperatingPoint:
     """Minimize the exact final occupancy over bandwidth and detuning.
 
-    For each b on the grid the detuning search is seeded at the
-    closed-form optimum phi*(b) and refined by golden section; the
-    objective is always ``integrate_variances`` (the exact spectrum),
-    never the closed form. With ``lock_phi_to_b`` the detuning is pinned
-    to phi = b and only b is scanned. ``b_range`` is the sequence of
-    bandwidths b to scan, in order (the CLI passes its ``sweep`` values
-    of b, or b alone). Deterministic for fixed grids and tolerances;
-    ties break toward the earlier b of ``b_range``, then smaller phi.
+    For each b on the grid the detuning is first scanned on 9 points
+    spaced geometrically over [phi*(b)/2, 2 phi*(b)] around the
+    closed-form optimum; the bracket around the best of them is then
+    refined by Brent's bounded search to 1e-3 phi*(b), and the best grid
+    point is kept if it beats the refinement. The objective is always
+    ``integrate_variances`` (the exact spectrum), never the closed form;
+    a point that is unstable or fails to integrate scores inf. With
+    ``lock_phi_to_b`` the detuning is pinned to phi = b and only b is
+    scanned. ``b_range`` is the sequence of bandwidths b to scan, in
+    order (the CLI passes its ``sweep`` values of b, or b alone).
+    Deterministic for a fixed grid; ties go to the earlier b of
+    ``b_range``.
 
     Raises
     ------
@@ -263,24 +247,17 @@ def optimize_operating_point(
     if not b_grid:
         raise InvalidParams("empty b_range")
 
-    cache: dict[tuple[float, float], float] = {}
-
     def objective(b, phi):
-        key = (b, phi)
-        if key not in cache:
-            try:
-                res = integrate_variances(
-                    NormalizedParams(
-                        b=b, phi=phi, phi_nl=phi_nl,
-                        q_factor=q_factor, n_t_i=n_t_i,
-                    ),
-                    noise_model=noise_model,
-                    omega_max=omega_max,
-                )
-                cache[key] = res.n_t_f
-            except (Unstable, QuadratureFailure, InvalidParams):
-                cache[key] = math.inf
-        return cache[key]
+        try:
+            return integrate_variances(
+                NormalizedParams(
+                    b=b, phi=phi, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i,
+                ),
+                noise_model=noise_model,
+                omega_max=omega_max,
+            ).n_t_f
+        except (Unstable, QuadratureFailure, InvalidParams):
+            return math.inf
 
     best = (math.inf, math.inf, math.inf)  # (n_t_f, b, phi)
     for b in b_grid:
@@ -294,11 +271,16 @@ def optimize_operating_point(
             if math.isinf(vals[i]):
                 continue
             lo_i, hi_i = max(i - 1, 0), min(i + 1, len(coarse) - 1)
-            phi_best, val = _golden_refine(
-                lambda phi: objective(b, phi),
-                coarse[lo_i], coarse[i], coarse[hi_i],
-                xtol=phi_tol * phi_star,
-            )
+            # an unstable probe scores inf, so Brent's parabolic step can be
+            # inf - inf = nan; it then falls back to a golden-section step
+            with np.errstate(invalid="ignore"):
+                res = minimize_scalar(
+                    lambda phi: objective(b, phi),
+                    bounds=(coarse[lo_i], coarse[hi_i]),
+                    method="bounded",
+                    options={"xatol": 1e-3 * phi_star},
+                )
+            phi_best, val = float(res.x), float(res.fun)
             if vals[i] < val:
                 phi_best, val = coarse[i], vals[i]
         if val < best[0]:

@@ -63,7 +63,7 @@ from .model import (
     normalize,
     solve_steady_state,
 )
-from .spectra import MIN_RTOL, ThermalNoiseModel, _spectrum_values, integrate_variances
+from .spectra import ThermalNoiseModel, _spectrum_values, integrate_variances
 
 # unused; perfbench/tracer.py wraps these names in this module
 _effective_peak = _static_margins = None
@@ -114,7 +114,6 @@ KEYS = {
     "sweep.points": Key(int, domain=(">=", 2)),
     "sweep.spacing": Key(str, domain=("linear", "log")),
     "noise_model": Key(str, domain=tuple(m.value for m in ThermalNoiseModel)),
-    "tolerances.quadrature_rel": Key(float, "quadrature_rel", 1e-8, (">", MIN_RTOL)),
     "tolerances.omega_max": Key(float, "omega_max", 100.0, (">", 2)),
     "output_path": Key(str, "output_path"),
     "lock_phi_to_b": Key(bool, "lock_phi_to_b", False),
@@ -397,10 +396,7 @@ def _run_variances(cfg: RunConfig, figure: bool = False) -> ResultTable:
         body, stable = (None,) * width, params is not None and classify(params).stable
         if stable:
             try:
-                res = integrate_variances(
-                    params, cfg.noise_model,
-                    omega_max=cfg.omega_max, rtol=cfg.quadrature_rel,
-                )
+                res = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
                 body = (res.dq2, res.dp2, res.n_t_f, res.quadrature_error)[:width]
             except _ROW_ERRORS:
                 pass
@@ -452,10 +448,7 @@ def _run_fig2(cfg: RunConfig) -> ResultTable:
         body, stable = (None, None), params is not None and classify(params).stable
         if stable:
             try:
-                exact = integrate_variances(
-                    params, cfg.noise_model,
-                    omega_max=cfg.omega_max, rtol=cfg.quadrature_rel,
-                )
+                exact = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
                 body = (exact.dq2, approx_variance(params).dq2)
             except _ROW_ERRORS:
                 pass
@@ -478,7 +471,7 @@ def _run_dynamics(cfg: RunConfig) -> ResultTable:
     sys_ = build_system(cfg.params)
     t_end = cfg.t_end if cfg.t_end is not None else _default_t_end(sys_)
     traj = evolve_covariance(sys_, t_end=t_end, n_samples=cfg.samples)
-    track = output_variance_track(sys_, traj)
+    track = output_variance_track(traj)
     cols = (
         ("t", "1/Gamma"), ("dq2", "dimensionless"), ("dp2", "dimensionless"),
         ("dx2", "dimensionless"), ("dy2", "dimensionless"),

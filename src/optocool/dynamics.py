@@ -196,14 +196,19 @@ def physicality_defect(v: np.ndarray):
 def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     """Steady covariance from A V + V A^T + D = 0 (Bartels-Stewart solve).
 
-    The residual is verified below 1e-12 (relative to ||V||).
+    The residual is verified below 1e-12 (relative to ||V||). Both norms
+    are taken after dividing by max|V|, so that the test still means
+    something where ||V||^2 overflows.
     """
     a, d = sys.drift, sys.diffusion
     v = solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
-    resid = np.linalg.norm(a @ v + v @ a.T + d)
-    if not resid <= 1e-12 * max(1.0, np.linalg.norm(v)):
-        raise SolverFailure(f"steady-state residual {resid:.3e} too large")
+    scale = np.max(np.abs(v))
+    with np.errstate(all="ignore"):  # an overflow or a nan fails the test
+        resid = np.linalg.norm((a @ v + v @ a.T + d) / scale)
+        ok = resid <= 1e-12 * max(1.0 / scale, np.linalg.norm(v / scale))
+    if not ok:
+        raise SolverFailure(f"steady-state residual {resid:.3e} * max|V| too large")
     return CovarianceState(t=math.inf, v=v)
 
 
@@ -256,7 +261,7 @@ def evolve_covariance(
     return [CovarianceState(t=float(t), v=vt) for t, vt in zip(t_eval, v)]
 
 
-def output_variance_track(sys: LinearSystem, trajectory) -> np.ndarray:
+def output_variance_track(trajectory) -> np.ndarray:
     """Equal-time output-field correlations C_x(t,t), C_y(t,t) in kappa units.
 
     Smooth part only: C_a(t,t)/kappa = 2 (V_aa(t) - 1), the shot-noise
@@ -428,13 +433,15 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     Raises
     ------
     GridMismatch
-        If the grid carries no quadrature weights.
+        If the grid carries no quadrature weights or no pairs.
     WindowTooShort
         If the filter mass outside the window could shift the integral
         by more than 1%.
     """
     if grid.weights is None:
         raise GridMismatch("homodyne integration needs a grid built with weights")
+    if not len(grid.values):
+        raise GridMismatch("homodyne integration needs a grid with at least one pair")
     if not 0.0 < lo_rate < math.inf:
         raise InvalidParams(f"lo_rate must be finite and > 0, got {lo_rate}")
     window = float(grid.times.max())
@@ -450,7 +457,7 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     if not math.isfinite(integral):
         raise InvalidParams(f"matched-filter integral is not finite at lo_rate={lo_rate}")
 
-    c_max = float(np.max(np.abs(c_vals))) if len(c_vals) else 0.0
+    c_max = float(np.max(np.abs(c_vals)))
     x = math.exp(-lo_rate * window)
     tail = c_max * (2.0 / lo_rate) * (2.0 * x - x * x)
     if tail > 0.01 * abs(integral):

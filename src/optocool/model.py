@@ -215,7 +215,6 @@ class StabilityReport:
 
     stable: bool
     reason: str             # "stable", or the first condition that fails
-    static_margin: float    # 1 + phi^2 + 2 phi phi_nl
     spring_margin: float    # 1 + phi^2 - 2 phi phi_nl
     omega_eff2: float       # (Omega_eff/Omega_m)^2 = 1 - 2 phi phi_nl Re[1/D(1)]
     gamma_eff_ratio: float  # Gamma_eff/Gamma = 1 + 2 phi phi_nl Q Im[1/D(1)]
@@ -237,17 +236,20 @@ def _margins(phi: float, phi_nl: float) -> tuple[float, float]:
 def classify(params: NormalizedParams) -> StabilityReport:
     """Stability of an operating point: the one test every route applies.
 
-    Stable means a positive static margin and a Hurwitz characteristic
-    polynomial of the linearized dynamics (the spectrum's denominator at
-    s = -i w), p(s) = (s^2 + s/Q + 1)((s + 1/b)^2 + (phi/b)^2) - 2 phi
-    phi_nl / b^2. Its constant term a0 is the spring margin over b^2 and
-    its other coefficients are positive, so by the Lienard-Chipart form
-    of the Routh-Hurwitz test it is Hurwitz exactly when a0 > 0 and
+    Stable means a Hurwitz characteristic polynomial of the linearized
+    drift, p(s) = (s^2 + s/Q + 1)((s + 1/b)^2 + (phi/b)^2) - 2 phi
+    phi_nl / b^2, which is also b^-2 times the spectrum's denominator at
+    s = -i w. Its constant term a0 is the spring margin over b^2 and its
+    other coefficients are positive, so by the Lienard-Chipart form of
+    the Routh-Hurwitz test it is Hurwitz exactly when a0 > 0 and
     a3 a2 a1 - a1^2 - a3^2 a0 > 0. Unlike the sign of the closed-form
-    Gamma_eff (a resonance approximation) the test is exact.
+    Gamma_eff (a resonance approximation) the test is exact. The static
+    margin 1 + phi^2 + 2 phi phi_nl, which the steady-state branch
+    selection reads, appears neither in p(s) nor in the drift and plays
+    no part here.
     """
     b, phi, q = params.b, params.phi, params.q_factor
-    static, spring = _margins(phi, params.phi_nl)
+    spring = _margins(phi, params.phi_nl)[1]
     cross = 2.0 * phi * params.phi_nl
     d = 1.0 - 1j * b  # D(1) = d^2 + phi^2; d * d overflows to inf where ** raises
     inv = 1.0 / (d * d + phi * phi)
@@ -263,15 +265,13 @@ def classify(params: NormalizedParams) -> StabilityReport:
 
     if not all(map(math.isfinite, (hurwitz, omega_eff2, gamma_ratio))):
         reason = "not finite: the operating point overflows the stability test"
-    elif not static > 0.0:
-        reason = f"static margin {static:.3g} <= 0"
     elif not spring > 0.0:
         reason = f"spring margin {spring:.3g} <= 0 (radiation-pressure spring too soft)"
     elif not hurwitz > 0.0:
         reason = f"Routh-Hurwitz determinant {hurwitz:.3g} <= 0: a drift mode grows"
     else:
         reason = "stable"
-    return StabilityReport(reason == "stable", reason, static, spring, omega_eff2, gamma_ratio)
+    return StabilityReport(reason == "stable", reason, spring, omega_eff2, gamma_ratio)
 
 
 def _cubic(u: float, phi_c: float, drive: float) -> float:

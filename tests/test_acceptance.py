@@ -200,7 +200,7 @@ def test_criterion_6_dynamics_convergence(fig3_run):
     monotone = bool(np.all(increments <= 1e-3 * dq2[0]))
     decays = dq2[0] == pytest.approx(201.0) and dq2[-1] < 1.5
 
-    track = output_variance_track(sysm, traj)
+    track = output_variance_track(traj)
     peak = int(track[:, 0].argmax())
     shape_b = (
         track[0, 0] == pytest.approx(0.0, abs=1e-9)

@@ -13,6 +13,7 @@ from optocool import (
     ThermalNoiseModel,
     Unstable,
     approx_variance,
+    classify,
     decompose,
     effective_rates,
     integrate_variances,
@@ -208,6 +209,51 @@ class TestOptimizer:
         )
         assert opt.b_opt == 10.0
         assert opt.phi_opt == pytest.approx(best, abs=0.05)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noise_model", list(ThermalNoiseModel))
+    def test_only_stable_grid_point_is_kept(self, noise_model):
+        # of the 9 grid detunings at b = 0.5 and b = 1 only the lowest at
+        # b = 0.5, phi*(0.5)/2, is stable, so every refinement probe inside
+        # the bracket scores inf; a search over the open interval without
+        # the grid finds no stable point at all
+        grid = {b: optimal_detuning(b) * np.geomspace(0.5, 2.0, 9) for b in (0.5, 1.0)}
+        stable = [
+            (b, phi) for b, phis in grid.items() for phi in phis
+            if classify(NormalizedParams(b=b, phi=float(phi), phi_nl=1.5,
+                                         q_factor=100, n_t_i=20)).stable
+        ]
+        assert stable == [(0.5, grid[0.5][0])]
+        opt = optimize_operating_point(
+            [0.5, 1.0], phi_nl=1.5, q_factor=100, n_t_i=20.0, noise_model=noise_model,
+        )
+        assert opt.b_opt == 0.5
+        assert opt.phi_opt == pytest.approx(optimal_detuning(0.5) / 2, rel=1e-12)
+        assert opt.phi_opt == pytest.approx(0.35839, abs=1e-5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "b_range, phi_nl, q_factor, n_t_i",
+        [
+            ([10.0], 0.1, 1e4, 100.0),            # minimum inside the grid
+            ([0.5], 1.0, 30, 20.0),               # minimum at the lowest grid point
+            ([1.0], 1.0, 100, 1.0),               # minimum at the highest grid point
+            ([2.0], 2.0, 30, 1.0),                # only the highest grid point is stable
+            ([0.3, 1.0, 3.0], 0.5, 100, 10.0),
+        ],
+    )
+    def test_never_worse_than_the_grid(self, b_range, phi_nl, q_factor, n_t_i):
+        flat = ThermalNoiseModel.MARKOV_FLAT
+        opt = optimize_operating_point(
+            b_range, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i, noise_model=flat,
+        )
+        grid_vals = []
+        for phi in optimal_detuning(opt.b_opt) * np.geomspace(0.5, 2.0, 9):
+            p = NormalizedParams(b=opt.b_opt, phi=float(phi), phi_nl=phi_nl,
+                                 q_factor=q_factor, n_t_i=n_t_i)
+            if classify(p).stable:
+                grid_vals.append(integrate_variances(p, flat).n_t_f)
+        assert opt.n_t_f_min <= min(grid_vals)
 
     def test_lock_phi_to_b(self):
         opt = optimize_operating_point(

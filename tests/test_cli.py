@@ -42,7 +42,6 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL, mode="variances")
         assert cfg.params.b == 10.0
         assert cfg.noise_model is ThermalNoiseModel.MARKOV_FLAT
-        assert cfg.quadrature_rel == 1e-8
         assert cfg.omega_max == 100.0
 
     def test_figure_modes_default_to_coth(self):
@@ -280,6 +279,30 @@ class TestMain:
         assert record["type"] == "ValidationError"
         assert record["violations"] == ["tolerances.ode_rel: unknown key"]
 
+    def test_removed_quadrature_rel_is_unknown_key(self, capsys):
+        # optimize never passed the setting on, so it applied to some modes
+        # and not to others; the library keeps its rtol argument
+        rc = main(argv_for("variances", {**OPERATING_POINT,
+                                         "tolerances.quadrature_rel": "1e-9"}))
+        assert rc == 2
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["violations"] == ["tolerances.quadrature_rel: unknown key"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_t_i", ["1e200", "1e300"])
+    def test_overflowing_covariance_norm_is_silent(self, n_t_i, capsys):
+        # ||V||^2 overflows here; the Lyapunov residual check must neither
+        # print numpy's overflow warning nor wave the solve through
+        rc = main(argv_for("dynamics", {**OPERATING_POINT, "n_t_i": n_t_i,
+                                        "dynamics.samples": "3"}))
+        out, err = capsys.readouterr()
+        if n_t_i == "1e200":
+            assert rc == 0 and err == ""
+        else:
+            assert rc == 0 and err == "" or rc == 3 and out == ""
+            if rc:
+                assert assert_one_json_record(err)["type"] == "SolverFailure"
+
     def test_removed_b_points_is_unknown_key(self, capsys):
         # optimize scans the sweep values of b, or b itself; a point count
         # never entered it
@@ -329,7 +352,6 @@ class TestNonFiniteInput:
             ("steady", {"steady.phi_c": "nan", "steady.drive": "1"}),
             ("homodyne", {"homodyne.demod_rate": "nan"}),
             ("spectrum", {"spectrum.omega_start": "nan"}),
-            ("variances", {"tolerances.quadrature_rel": "nan"}),
             ("variances", {"tolerances.omega_max": "inf"}),
             ("dynamics", {"dynamics.samples": "-3"}),
             ("homodyne", {"homodyne.n_outer": "0"}),

@@ -15,6 +15,7 @@ from optocool import (
     InvalidParams,
     NonPhysical,
     NormalizedParams,
+    SolverFailure,
     TwoTimeGrid,
     Unstable,
     WindowTooShort,
@@ -31,6 +32,7 @@ from optocool import (
     thermal_covariance,
     two_time_correlations,
 )
+from optocool import dynamics
 from optocool.dynamics import SYMPLECTIC_FORM, LinearSystem, _physical
 from optocool.spectra import Method, ThermalNoiseModel
 
@@ -294,6 +296,18 @@ class TestLyapunov:
         r = sysm.drift @ v + v @ sysm.drift.T + sysm.diffusion
         assert np.linalg.norm(r) < 1e-12 * np.linalg.norm(v)
 
+    def test_residual_check_survives_overflowing_norm(self, monkeypatch):
+        # at n_t_i = 1e200 ||V||^2 overflows; an unscaled test then lets
+        # through any V, here one 1e-6 off
+        sysm = build_system(FIG3.replace(n_t_i=1e200))
+        lyapunov_steady_state(sysm)
+        solve = dynamics.solve_continuous_lyapunov
+        monkeypatch.setattr(
+            dynamics, "solve_continuous_lyapunov", lambda a, q: solve(a, q) * (1.0 + 1e-6)
+        )
+        with pytest.raises(SolverFailure):
+            lyapunov_steady_state(sysm)
+
     def test_matches_spectrum_integral(self):
         for p in (
             FIG3,
@@ -351,7 +365,7 @@ class TestTwoTimeCorrelations:
     def test_equal_time_matches_variance_track(self):
         sysm = build_system(FIG3)
         traj = evolve_covariance(sysm, t_end=0.01, n_samples=101)
-        track = output_variance_track(sysm, traj)
+        track = output_variance_track(traj)
         ts = np.array([s.t for s in traj[::10]])
         pairs = np.column_stack([ts, ts])
         grid = two_time_correlations(sysm, None, "x_out", pairs)
@@ -362,7 +376,7 @@ class TestTwoTimeCorrelations:
         # the output record rises from zero and decays back
         sysm = build_system(FIG3)
         traj = evolve_covariance(sysm, t_end=0.02, n_samples=401)
-        track = output_variance_track(sysm, traj)
+        track = output_variance_track(traj)
         dq2 = [s.v[0, 0] for s in traj]
         assert dq2[0] > dq2[-1]
         peak = track[:, 0].argmax()
@@ -447,6 +461,14 @@ class TestHomodyne:
         grid = TwoTimeGrid(
             times=pairs, values=np.zeros(len(pairs)), quadrature="x_out",
             demod_rate=0.0, params=FIG3, weights=None,
+        )
+        with pytest.raises(GridMismatch):
+            homodyne_variance(grid, 998.5)
+
+    def test_empty_grid(self):
+        sysm = build_system(FIG3)
+        grid = two_time_correlations(
+            sysm, None, "x_out", np.empty((0, 2)), weights=np.empty(0),
         )
         with pytest.raises(GridMismatch):
             homodyne_variance(grid, 998.5)
