@@ -22,7 +22,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, make_dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,10 +68,6 @@ from .spectra import ThermalNoiseModel, _spectrum_values, integrate_variances
 # unused; perfbench/tracer.py wraps these names in this module
 _effective_peak = _static_margins = None
 
-MODES = (
-    "steady", "spectrum", "variances", "adiabatic", "optimize",
-    "dynamics", "homodyne", "fig1", "fig2", "fig3",
-)
 SWEEPABLE = ("b", "phi", "phi_nl", "q_factor", "n_t_i")
 # config key -> field of SweepSpec / PhysicalParams
 _SWEEP_KEYS = {f"sweep.{f}": f for f in ("variable", "start", "stop", "points", "spacing")}
@@ -121,7 +117,7 @@ KEYS = {
     "steady.drive": Key(float, "drive", None, (">=", 0)),
     "spectrum.omega_start": Key(float, "omega_start", -2.0),
     "spectrum.omega_stop": Key(float, "omega_stop", 2.0),
-    "spectrum.omega_points": Key(int, "omega_points", 801, (">=", 0)),
+    "spectrum.omega_points": Key(int, "omega_points", 801, (">=", 2)),
     "dynamics.t_end": Key(float, "t_end", None, (">", 0)),
     "dynamics.samples": Key(int, "samples", 401, (">=", 0)),
     "homodyne.window": Key(float, "window", 12.0, (">", 0)),
@@ -185,33 +181,6 @@ def _parse_kv(text: str) -> dict:
             raise ParseError("empty key", line=lineno)
         out[key] = value
     return out
-
-
-def _preset_defaults(mode: str) -> dict:
-    if mode == "fig1":
-        return {
-            "q_factor": "1e4", "n_t_i": "100", "phi_nl": "0.1",
-            "b": "5", "phi": "5", "lock_phi_to_b": "true",
-            "sweep.variable": "b", "sweep.start": "1", "sweep.stop": "10",
-            "sweep.points": "19", "sweep.spacing": "linear",
-        }
-    if mode == "fig2":
-        phi_star = optimal_detuning(10.0)
-        return {
-            "q_factor": "1e4", "n_t_i": "100", "phi_nl": "0.1",
-            "b": "10", "phi": "10",
-            "sweep.variable": "phi",
-            "sweep.start": repr(0.5 * phi_star),
-            "sweep.stop": repr(2.0 * phi_star),
-            "sweep.points": "61", "sweep.spacing": "linear",
-        }
-    if mode == "fig3":
-        return {
-            "q_factor": "1e4", "n_t_i": "100", "phi_nl": "0.1",
-            "b": "10", "phi": "10",
-            "dynamics.t_end": "0.02", "dynamics.samples": "401",
-        }
-    return {}
 
 
 def _read(key: str, spec: Key, text: str):
@@ -289,8 +258,10 @@ def parse_config(
     """Parse and validate a configuration document into a RunConfig.
 
     ``mode`` (the CLI subcommand) takes precedence over a ``mode`` key in
-    the document; ``overrides`` are applied on top of the document.
-    Every other key is read and checked through :data:`KEYS`.
+    the document; ``overrides`` are applied on top of the document, and
+    the document on top of the mode's preset (:data:`MODES`). Every other
+    key is read and checked through :data:`KEYS`; a sweep must be over
+    one of the mode's ``sweeps``.
     Raises :class:`ParseError` on malformed syntax and
     :class:`ValidationError` carrying *every* violated invariant.
     """
@@ -307,7 +278,8 @@ def parse_config(
         violations.append(
             f"mode: config says {raw['mode']!r} but {mode!r} was requested"
         )
-    merged = _preset_defaults(mode)
+    entry = MODES[mode]
+    merged = dict(entry.preset)
     merged.update(raw)
     merged.pop("mode", None)
 
@@ -327,22 +299,17 @@ def parse_config(
 
     params = _operating_point(mode, merged, vals, violations)
     sweep = _sweep(merged, vals, violations)
-
-    # noise model: flat bath for cross-check modes, coth for figure modes
-    figure = mode in ("fig1", "fig2", "fig3")
-    noise = vals.get("noise_model", "quantum_coth" if figure else "markov_flat")
-
+    variable = vals.get("sweep.variable")
+    if variable is not None and variable not in entry.sweeps:
+        violations.append(f"sweep.variable: mode {mode!r} cannot sweep {variable!r}")
     if mode == "steady" and not ("steady.phi_c" in merged and "steady.drive" in merged):
         violations.append("steady: needs steady.phi_c and steady.drive")
-    if mode == "spectrum" and settings["omega_points"] < 2:
-        violations.append(
-            f"spectrum.omega_points: must be >= 2, got {settings['omega_points']}"
-        )
 
     if violations:
         raise ValidationError(violations)
     return RunConfig(
-        mode=mode, params=params, sweep=sweep, noise_model=ThermalNoiseModel(noise),
+        mode=mode, params=params, sweep=sweep,
+        noise_model=ThermalNoiseModel(vals.get("noise_model", entry.noise)),
         raw=dict(merged), **settings,
     )
 
@@ -362,98 +329,76 @@ def _sweep_points(cfg: RunConfig):
             yield (float(value),), None
 
 
-def _run_steady(cfg: RunConfig) -> ResultTable:
+def _sweep_table(columns: tuple, row):
+    """Table builder for a mode that evaluates each sweep point on its own.
+
+    A row holds the sweep value (when there is a sweep), the fields of
+    ``row(cfg, params)`` and ``classify``'s verdict. An invalid point or
+    a row error leaves the fields empty; a short return is padded.
+    """
+    def table(cfg: RunConfig):
+        label = () if cfg.sweep is None else ((cfg.sweep.variable, "dimensionless"),)
+        rows = []
+        for prefix, params in _sweep_points(cfg):
+            body = ()
+            if params is not None:
+                try:
+                    body = row(cfg, params)
+                except _ROW_ERRORS:
+                    pass
+            stable = params is not None and classify(params).stable
+            rows.append(prefix + body + (None,) * (len(columns) - len(body)) + (stable,))
+        return label + columns + (("stable", "bool"),), rows
+
+    return table
+
+
+def _variances_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
+    res = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
+    return res.dq2, res.dp2, res.n_t_f, res.quadrature_error
+
+
+def _fig1_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
+    return _variances_row(cfg, params)[:3]
+
+
+def _fig2_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
+    exact = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
+    return exact.dq2, approx_variance(params).dq2
+
+
+def _adiabatic_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
+    """Effective rates, then the closed-form variance where the regime allows it."""
+    rates = effective_rates(params)
+    head = (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
+    try:
+        var = approx_variance(params)
+    except (Unstable, InvalidRegime, InvalidParams):
+        return head
+    if params.phi > 0:
+        dec = decompose(params)
+        f_eta = (dec.f, dec.eta)
+    else:
+        f_eta = (None, None)
+    return head + f_eta + (var.dq2, var.n_t_f, regime_validity(params).adiabatic_ok)
+
+
+def _steady_table(cfg: RunConfig):
     steady = solve_steady_state(cfg.phi_c, cfg.drive)
-    cols = (
+    columns = (
         ("u", "dimensionless"), ("phi", "dimensionless"),
         ("stable", "bool"), ("marginal", "bool"),
     )
-    rows = [(br.u, br.phi_eff, br.stable, br.marginal) for br in steady.branches]
-    return ResultTable(columns=cols, rows=rows, metadata=_metadata(cfg))
+    return columns, [(br.u, br.phi_eff, br.stable, br.marginal) for br in steady.branches]
 
 
-def _run_spectrum(cfg: RunConfig) -> ResultTable:
+def _spectrum_table(cfg: RunConfig):
     grid = np.linspace(cfg.omega_start, cfg.omega_stop, cfg.omega_points)
-    cols = (("omega", "Omega_m"), ("s_q", "dimensionless"), ("stable", "bool"))
-    if classify(cfg.params).stable:
-        s = _spectrum_values(grid, cfg.params, cfg.noise_model)
-        rows = [(float(w), float(v), True) for w, v in zip(grid, s)]
-    else:
-        rows = [(float(w), None, False) for w in grid]
-    return ResultTable(columns=cols, rows=rows, metadata=_metadata(cfg))
-
-
-def _run_variances(cfg: RunConfig, figure: bool = False) -> ResultTable:
-    cols = [] if cfg.sweep is None else [(cfg.sweep.variable, "dimensionless")]
-    cols += [("dq2", "dimensionless"), ("dp2", "dimensionless"),
-             ("n_t_f", "dimensionless")]
-    if not figure:
-        cols.append(("quadrature_error", "dimensionless"))
-    cols.append(("stable", "bool"))
-    width = 3 if figure else 4
-    rows = []
-    for prefix, params in _sweep_points(cfg):
-        body, stable = (None,) * width, params is not None and classify(params).stable
-        if stable:
-            try:
-                res = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
-                body = (res.dq2, res.dp2, res.n_t_f, res.quadrature_error)[:width]
-            except _ROW_ERRORS:
-                pass
-        rows.append(prefix + body + (stable,))
-    return ResultTable(columns=tuple(cols), rows=rows, metadata=_metadata(cfg))
-
-
-def _run_adiabatic(cfg: RunConfig) -> ResultTable:
-    cols = [] if cfg.sweep is None else [(cfg.sweep.variable, "dimensionless")]
-    cols += [
-        ("omega_eff_ratio", "dimensionless"), ("gamma_eff_ratio", "dimensionless"),
-        ("q_eff", "dimensionless"), ("f", "dimensionless"), ("eta", "dimensionless"),
-        ("dq2", "dimensionless"), ("n_t_f", "dimensionless"),
-        ("adiabatic_ok", "bool"), ("stable", "bool"),
-    ]
-    rows = []
-    for prefix, params in _sweep_points(cfg):
-        stable = params is not None and classify(params).stable
-        try:
-            rates = None if params is None else effective_rates(params)
-        except ImaginaryFrequency:
-            rates = None
-        if rates is None:
-            rows.append(prefix + (None,) * 8 + (stable,))
-            continue
-        head = prefix + (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
-        try:
-            var = approx_variance(params)
-        except (Unstable, InvalidRegime, InvalidParams):
-            rows.append(head + (None,) * 5 + (stable,))
-            continue
-        if params.phi > 0:
-            dec = decompose(params)
-            f_val, eta = dec.f, dec.eta
-        else:
-            f_val = eta = None
-        ok = regime_validity(params).adiabatic_ok
-        rows.append(head + (f_val, eta, var.dq2, var.n_t_f, ok, stable))
-    return ResultTable(columns=tuple(cols), rows=rows, metadata=_metadata(cfg))
-
-
-def _run_fig2(cfg: RunConfig) -> ResultTable:
-    cols = (
-        ("phi", "dimensionless"), ("dq2_exact", "dimensionless"),
-        ("dq2_adiabatic", "dimensionless"), ("stable", "bool"),
-    )
-    rows = []
-    for prefix, params in _sweep_points(cfg):
-        body, stable = (None, None), params is not None and classify(params).stable
-        if stable:
-            try:
-                exact = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
-                body = (exact.dq2, approx_variance(params).dq2)
-            except _ROW_ERRORS:
-                pass
-        rows.append(prefix + body + (stable,))
-    return ResultTable(columns=cols, rows=rows, metadata=_metadata(cfg))
+    columns = (("omega", "Omega_m"), ("s_q", "dimensionless"), ("stable", "bool"))
+    if not classify(cfg.params).stable:
+        return columns, [(float(w), None, False) for w in grid]
+    s = _spectrum_values(grid, cfg.params, cfg.noise_model)
+    return columns, [(float(w), float(v), True) for w, v in zip(grid, s)]
 
 
 def _default_t_end(sys_) -> float:
@@ -467,25 +412,23 @@ def _default_t_end(sys_) -> float:
     return 20.0 / (2.0 * abs(slowest) * sys_.params.q_factor)
 
 
-def _run_dynamics(cfg: RunConfig) -> ResultTable:
+def _dynamics_table(cfg: RunConfig):
     sys_ = build_system(cfg.params)
     t_end = cfg.t_end if cfg.t_end is not None else _default_t_end(sys_)
     traj = evolve_covariance(sys_, t_end=t_end, n_samples=cfg.samples)
     track = output_variance_track(traj)
-    cols = (
+    columns = (
         ("t", "1/Gamma"), ("dq2", "dimensionless"), ("dp2", "dimensionless"),
         ("dx2", "dimensionless"), ("dy2", "dimensionless"),
         ("c_x", "kappa"), ("c_y", "kappa"), ("stable", "bool"),
     )
-    rows = [
-        (s.t, s.v[0, 0], s.v[1, 1], s.v[2, 2], s.v[3, 3],
-         track[i, 0], track[i, 1], True)
+    return columns, [
+        (s.t, s.v[0, 0], s.v[1, 1], s.v[2, 2], s.v[3, 3], track[i, 0], track[i, 1], True)
         for i, s in enumerate(traj)
     ]
-    return ResultTable(columns=cols, rows=rows, metadata=_metadata(cfg))
 
 
-def _run_homodyne(cfg: RunConfig) -> ResultTable:
+def _homodyne_table(cfg: RunConfig):
     params = cfg.params
     sys_ = build_system(params)
     rates = effective_rates(params)
@@ -502,34 +445,78 @@ def _run_homodyne(cfg: RunConfig) -> ResultTable:
         demod_rate=demod, weights=weights,
     )
     res = homodyne_variance(grid, lo_rate)
-    cols = (
+    columns = (
         ("dx_m2", "shot"), ("lo_rate", "Gamma"), ("window", "1/lo_rate"),
         ("quadrature", "name"), ("demod_rate", "Gamma"), ("stable", "bool"),
     )
-    rows = [(res.dx_m2, res.lo_rate, res.window, cfg.homodyne_quadrature, demod, True)]
-    return ResultTable(columns=cols, rows=rows, metadata=_metadata(cfg))
+    return columns, [(res.dx_m2, res.lo_rate, res.window, cfg.homodyne_quadrature, demod, True)]
 
 
-def _run_optimize(cfg: RunConfig) -> ResultTable:
+def _optimize_table(cfg: RunConfig):
     p = cfg.params
-    if cfg.sweep is not None and cfg.sweep.variable == "b":
-        b_range = [float(v) for v in cfg.sweep.values()]
-    else:
-        b_range = [p.b]
+    b_range = [p.b] if cfg.sweep is None else [float(v) for v in cfg.sweep.values()]
     opt = optimize_operating_point(
         b_range, p.phi_nl, p.q_factor, p.n_t_i,
         noise_model=cfg.noise_model, omega_max=cfg.omega_max,
         lock_phi_to_b=cfg.lock_phi_to_b,
     )
-    cols = (
+    columns = (
         ("b_opt", "dimensionless"), ("phi_opt", "dimensionless"),
         ("n_t_f_min", "dimensionless"), ("stable", "bool"),
     )
-    return ResultTable(
-        columns=cols,
-        rows=[(opt.b_opt, opt.phi_opt, opt.n_t_f_min, True)],
-        metadata=_metadata(cfg),
-    )
+    return columns, [(opt.b_opt, opt.phi_opt, opt.n_t_f_min, True)]
+
+
+class Mode(NamedTuple):
+    """One CLI mode.
+
+    ``table(cfg)`` returns the (columns, rows) of its result; ``sweeps``
+    are the variables it may sweep; ``noise`` is its default
+    ``noise_model``; ``preset`` is config text the user's keys override.
+    """
+
+    table: Callable
+    sweeps: tuple = ()
+    noise: str = "markov_flat"
+    preset: dict = {}
+
+
+_VARIANCES = (("dq2", "dimensionless"), ("dp2", "dimensionless"), ("n_t_f", "dimensionless"))
+_FIGURE_POINT = {"q_factor": "1e4", "n_t_i": "100", "phi_nl": "0.1", "b": "10", "phi": "10"}
+_PHI_STAR = optimal_detuning(10.0)
+
+# flat bath for the cross-check modes, coth for the figure presets
+MODES = {
+    "steady": Mode(_steady_table),
+    "spectrum": Mode(_spectrum_table),
+    "variances": Mode(
+        _sweep_table(_VARIANCES + (("quadrature_error", "dimensionless"),), _variances_row),
+        SWEEPABLE,
+    ),
+    "adiabatic": Mode(_sweep_table((
+        ("omega_eff_ratio", "dimensionless"), ("gamma_eff_ratio", "dimensionless"),
+        ("q_eff", "dimensionless"), ("f", "dimensionless"), ("eta", "dimensionless"),
+        ("dq2", "dimensionless"), ("n_t_f", "dimensionless"), ("adiabatic_ok", "bool"),
+    ), _adiabatic_row), SWEEPABLE),
+    "optimize": Mode(_optimize_table, ("b",)),
+    "dynamics": Mode(_dynamics_table),
+    "homodyne": Mode(_homodyne_table),
+    "fig1": Mode(_sweep_table(_VARIANCES, _fig1_row), SWEEPABLE, "quantum_coth", {
+        **_FIGURE_POINT, "b": "5", "phi": "5", "lock_phi_to_b": "true",
+        "sweep.variable": "b", "sweep.start": "1", "sweep.stop": "10",
+        "sweep.points": "19", "sweep.spacing": "linear",
+    }),
+    "fig2": Mode(_sweep_table(
+        (("dq2_exact", "dimensionless"), ("dq2_adiabatic", "dimensionless")), _fig2_row,
+    ), SWEEPABLE, "quantum_coth", {
+        **_FIGURE_POINT, "sweep.variable": "phi",
+        "sweep.start": repr(0.5 * _PHI_STAR), "sweep.stop": repr(2.0 * _PHI_STAR),
+        "sweep.points": "61", "sweep.spacing": "linear",
+    }),
+    "fig3": Mode(_dynamics_table, (), "quantum_coth", {
+        **_FIGURE_POINT, "dynamics.t_end": "0.02", "dynamics.samples": "401",
+    }),
+}
 
 
 def _metadata(cfg: RunConfig) -> list:
@@ -540,21 +527,9 @@ def _metadata(cfg: RunConfig) -> list:
 
 
 def run(config: RunConfig) -> ResultTable:
-    """Dispatch a validated RunConfig to its mode handler."""
-    handlers = {
-        "steady": _run_steady,
-        "spectrum": _run_spectrum,
-        "variances": _run_variances,
-        "adiabatic": _run_adiabatic,
-        "optimize": _run_optimize,
-        "dynamics": _run_dynamics,
-        "homodyne": _run_homodyne,
-        "fig1": lambda c: _run_variances(c, figure=True),
-        "fig2": _run_fig2,
-        "fig3": _run_dynamics,
-    }
-    return handlers[config.mode](config)
-
+    """Build the result table of a validated RunConfig with its mode's builder."""
+    columns, rows = MODES[config.mode].table(config)
+    return ResultTable(columns=columns, rows=rows, metadata=_metadata(config))
 
 def _fmt(value) -> str:
     if value is None:

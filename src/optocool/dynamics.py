@@ -198,10 +198,13 @@ def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
 
     The residual is verified below 1e-12 (relative to ||V||). Both norms
     are taken after dividing by max|V|, so that the test still means
-    something where ||V||^2 overflows.
+    something where ||V||^2 overflows. The solve is linear in D, so it
+    runs on D / s with s the power of two at max|D|, which keeps a huge
+    diffusion inside the solver's range and changes no rounding.
     """
     a, d = sys.drift, sys.diffusion
-    v = solve_continuous_lyapunov(a, -d)
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(d))))[1])
+    v = solve_continuous_lyapunov(a, -d / s) * s
     v = 0.5 * (v + v.T)
     scale = np.max(np.abs(v))
     with np.errstate(all="ignore"):  # an overflow or a nan fails the test
@@ -433,7 +436,8 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     Raises
     ------
     GridMismatch
-        If the grid carries no quadrature weights or no pairs.
+        If the grid carries no quadrature weights or no pairs, or if the
+        measured variance comes out <= 0 (the grid misses the correlation).
     WindowTooShort
         If the filter mass outside the window could shift the integral
         by more than 1%.
@@ -463,6 +467,11 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     if tail > 0.01 * abs(integral):
         raise WindowTooShort(
             f"truncation bound {tail:.3e} exceeds 1% of integral {integral:.3e}"
+        )
+    if 1.0 + integral <= 0.0:
+        raise GridMismatch(
+            f"measured variance {1.0 + integral:.3g} <= 0: "
+            "the grid does not resolve the correlation"
         )
     return HomodyneResult(
         dx_m2=1.0 + integral, lo_rate=lo_rate, window=window * lo_rate

@@ -21,6 +21,7 @@ Quadratures are normalized so the vacuum variance is 1 ([q, p] = 2i).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -179,12 +180,7 @@ class NormalizedParams:
             raise InvalidParams(*bad)
 
     def replace(self, **kwargs) -> "NormalizedParams":
-        fields = dict(
-            b=self.b, phi=self.phi, phi_nl=self.phi_nl,
-            q_factor=self.q_factor, n_t_i=self.n_t_i,
-        )
-        fields.update(kwargs)
-        return NormalizedParams(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

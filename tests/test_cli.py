@@ -289,19 +289,15 @@ class TestMain:
         assert record["violations"] == ["tolerances.quadrature_rel: unknown key"]
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n_t_i", ["1e200", "1e300"])
+    @pytest.mark.parametrize("n_t_i", ["1e200", "1e300", "1e307"])
     def test_overflowing_covariance_norm_is_silent(self, n_t_i, capsys):
         # ||V||^2 overflows here; the Lyapunov residual check must neither
-        # print numpy's overflow warning nor wave the solve through
+        # print numpy's overflow warning nor wave the solve through, and
+        # the solve itself must not underflow on the huge diffusion
         rc = main(argv_for("dynamics", {**OPERATING_POINT, "n_t_i": n_t_i,
                                         "dynamics.samples": "3"}))
         out, err = capsys.readouterr()
-        if n_t_i == "1e200":
-            assert rc == 0 and err == ""
-        else:
-            assert rc == 0 and err == "" or rc == 3 and out == ""
-            if rc:
-                assert assert_one_json_record(err)["type"] == "SolverFailure"
+        assert rc == 0 and err == ""
 
     def test_removed_b_points_is_unknown_key(self, capsys):
         # optimize scans the sweep values of b, or b itself; a point count
@@ -319,6 +315,47 @@ class TestMain:
         record = assert_one_json_record(capsys.readouterr().err)
         assert record["type"] == "NonPhysical"
         assert "at t=" in record["message"]
+
+    @pytest.mark.parametrize("mode, variable", [
+        ("steady", "phi"), ("spectrum", "phi"), ("dynamics", "phi"),
+        ("homodyne", "phi"), ("fig3", "phi"), ("optimize", "q_factor"),
+    ])
+    def test_sweep_the_mode_would_ignore_is_rejected(self, mode, variable, capsys):
+        # these modes evaluate one operating point (optimize scans b only),
+        # so any other sweep would be validated and then dropped
+        point = {"steady.phi_c": "2", "steady.drive": "2"} if mode == "steady" \
+            else OPERATING_POINT
+        rc = main(argv_for(mode, {**point, "sweep.variable": variable, "sweep.start": "8",
+                                  "sweep.stop": "12", "sweep.points": "3"}))
+        assert rc == 2
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["violations"] == [
+            f"sweep.variable: mode {mode!r} cannot sweep {variable!r}"
+        ]
+
+    def test_fig2_labels_its_sweep_variable(self, capsys):
+        rc = main(argv_for("fig2", {"sweep.variable": "b", "sweep.start": "5",
+                                    "sweep.stop": "10", "sweep.points": "3"}))
+        assert rc == 0
+        header = next(
+            line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")
+        )
+        assert header.split(",")[0] == "b [dimensionless]"
+
+    def test_omega_points_checked_in_every_mode(self, capsys):
+        rc = main(argv_for("variances", {**OPERATING_POINT, "spectrum.omega_points": "1"}))
+        assert rc == 2
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["violations"] == ["spectrum.omega_points: must be >= 2, got 1"]
+
+    def test_unresolved_lab_frame_homodyne_exits_3(self, capsys):
+        # the grid cannot follow the rotation at Omega_m without
+        # demodulation; it used to print dx_m2 = -0.624
+        rc = main(argv_for("homodyne", {**OPERATING_POINT, "phi_nl": "0.01",
+                                        "homodyne.demod_rate": "0"}))
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert assert_one_json_record(err)["type"] == "GridMismatch"
 
     def test_bad_set_syntax(self, capsys):
         rc = main(["variances", "--set", "b10"])

@@ -308,6 +308,14 @@ class TestLyapunov:
         with pytest.raises(SolverFailure):
             lyapunov_steady_state(sysm)
 
+    def test_huge_diffusion_scales_linearly(self):
+        # the solve runs on D scaled by a power of two; unscaled, scipy
+        # returns V of order 1e-297 at n_t_i = 1e300
+        v200 = lyapunov_steady_state(build_system(FIG3.replace(n_t_i=1e200))).v
+        v300 = lyapunov_steady_state(build_system(FIG3.replace(n_t_i=1e300))).v
+        # relative to max|V|: V_qp is round-off, about 1e-16 of it
+        assert np.max(np.abs(v300 - 1e100 * v200)) <= 1e-12 * np.max(np.abs(v300))
+
     def test_matches_spectrum_integral(self):
         for p in (
             FIG3,
@@ -446,6 +454,22 @@ class TestHomodyne:
         )
         res = homodyne_variance(grid, gam)
         assert abs(res.dx_m2 - (1 + c1 / 2 + c2)) < 1e-9
+
+    def test_negative_variance_is_grid_mismatch(self):
+        # a kernel whose matched-filter integral is below -1 would read as
+        # a negative variance; no physical state gives one
+        gam = 998.5
+        pairs, weights = matched_filter_pairs(16.0 / gam, 64, 32)
+        t, tp = pairs[:, 0], pairs[:, 1]
+        kern = -3.0 * gam * np.exp(-gam * (t + tp)) - 0.5 * gam * np.exp(
+            -gam * np.abs(t - tp)
+        )
+        grid = TwoTimeGrid(
+            times=pairs, values=kern / (FIG3.q_factor / FIG3.b), quadrature="x_out",
+            demod_rate=0.0, params=FIG3, weights=weights,
+        )
+        with pytest.raises(GridMismatch, match="<= 0"):
+            homodyne_variance(grid, gam)
 
     def test_zero_kernel_is_shot_noise(self):
         gam = 100.0
