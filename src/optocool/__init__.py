@@ -61,6 +61,7 @@ from .model import (
     SteadyState,
     classify,
     denormalize,
+    drift_matrix,
     normalize,
     solve_steady_state,
     thermal_occupancy,
@@ -75,6 +76,7 @@ from .spectra import (
     effective_susceptibility,
     integrate_variances,
     noise_spectrum,
+    position_variance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -212,6 +212,13 @@ def regime_validity(params: NormalizedParams) -> RegimeReport:
     )
 
 
+#: ratio of neighbouring detunings on the optimizer's coarse grid
+_GRID_RATIO = 2.0 ** 0.25
+#: most steps the optimizer takes beyond an edge of its detuning grid (a
+#: factor 16 past it)
+_EDGE_STEPS = 16
+
+
 def optimize_operating_point(
     b_range,
     phi_nl: float,
@@ -225,10 +232,12 @@ def optimize_operating_point(
 
     For each b on the grid the detuning is first scanned on 9 points
     spaced geometrically over [phi*(b)/2, 2 phi*(b)] around the
-    closed-form optimum; the bracket around the best of them is then
-    refined by Brent's bounded search to 1e-3 phi*(b), and the best grid
-    point is kept if it beats the refinement. The objective is always
-    ``integrate_variances`` (the exact spectrum), never the closed form;
+    closed-form optimum. When the best of them is an end point, the scan
+    steps outward at the grid's ratio 2^(1/4) until the value rises, a
+    probe scores inf or 16 steps are taken. The bracket around the best
+    probe is then refined by Brent's bounded search to 1e-3 phi*(b), and
+    the best probe is kept if it beats the refinement. The objective is
+    always ``integrate_variances`` (the exact spectrum), never the closed form;
     a point that is unstable or fails to integrate scores inf. With
     ``lock_phi_to_b`` the detuning is pinned to phi = b and only b is
     scanned. ``b_range`` is the sequence of bandwidths b to scan, in
@@ -265,11 +274,24 @@ def optimize_operating_point(
             phi_best, val = b, objective(b, b)
         else:
             phi_star = optimal_detuning(b)
-            coarse = phi_star * np.geomspace(0.5, 2.0, 9)
-            vals = [objective(b, phi) for phi in coarse]
-            i = int(np.argmin(vals))
-            if math.isinf(vals[i]):
+            probes = {phi: objective(b, phi) for phi in phi_star * np.geomspace(0.5, 2.0, 9)}
+            coarse = list(probes)
+            i = int(np.argmin(list(probes.values())))
+            if math.isinf(probes[coarse[i]]):
                 continue
+            if i in (0, len(coarse) - 1):
+                # the minimum may lie beyond the grid: keep stepping outward
+                # at the grid's own ratio while the value falls
+                edge, ratio = coarse[i], _GRID_RATIO if i else 1.0 / _GRID_RATIO
+                for _ in range(_EDGE_STEPS):
+                    phi = edge * ratio
+                    probes[phi] = objective(b, phi)
+                    if not probes[phi] < probes[edge]:
+                        break
+                    edge = phi
+                coarse = sorted(probes)
+            vals = [probes[phi] for phi in coarse]
+            i = int(np.argmin(vals))
             lo_i, hi_i = max(i - 1, 0), min(i + 1, len(coarse) - 1)
             # an unstable probe scores inf, so Brent's parabolic step can be
             # inf - inf = nan; it then falls back to a golden-section step

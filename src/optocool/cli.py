@@ -63,7 +63,12 @@ from .model import (
     normalize,
     solve_steady_state,
 )
-from .spectra import ThermalNoiseModel, _spectrum_values, integrate_variances
+from .spectra import (
+    ThermalNoiseModel,
+    _spectrum_values,
+    integrate_variances,
+    position_variance,
+)
 
 # unused; perfbench/tracer.py wraps these names in this module
 _effective_peak = _static_margins = None
@@ -289,6 +294,9 @@ def parse_config(
         if spec is None:
             violations.append(f"{key}: unknown key")
             continue
+        if key == "noise_model" and entry.noise is None:
+            violations.append(f"noise_model: mode {mode!r} has only the flat Markovian bath")
+            continue
         value, problem = _read(key, spec, merged[key])
         if problem is not None:
             violations.append(problem)
@@ -309,7 +317,7 @@ def parse_config(
         raise ValidationError(violations)
     return RunConfig(
         mode=mode, params=params, sweep=sweep,
-        noise_model=ThermalNoiseModel(vals.get("noise_model", entry.noise)),
+        noise_model=ThermalNoiseModel(vals.get("noise_model", entry.noise or "markov_flat")),
         raw=dict(merged), **settings,
     )
 
@@ -363,8 +371,7 @@ def _fig1_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
 
 
 def _fig2_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
-    exact = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
-    return exact.dq2, approx_variance(params).dq2
+    return position_variance(params, cfg.noise_model)[0], approx_variance(params).dq2
 
 
 def _adiabatic_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
@@ -472,12 +479,14 @@ class Mode(NamedTuple):
 
     ``table(cfg)`` returns the (columns, rows) of its result; ``sweeps``
     are the variables it may sweep; ``noise`` is its default
-    ``noise_model``; ``preset`` is config text the user's keys override.
+    ``noise_model``, or None for a mode built on the time-domain model,
+    which has only the flat Markovian bath and rejects the key;
+    ``preset`` is config text the user's keys override.
     """
 
     table: Callable
     sweeps: tuple = ()
-    noise: str = "markov_flat"
+    noise: str | None = "markov_flat"
     preset: dict = {}
 
 
@@ -485,7 +494,8 @@ _VARIANCES = (("dq2", "dimensionless"), ("dp2", "dimensionless"), ("n_t_f", "dim
 _FIGURE_POINT = {"q_factor": "1e4", "n_t_i": "100", "phi_nl": "0.1", "b": "10", "phi": "10"}
 _PHI_STAR = optimal_detuning(10.0)
 
-# flat bath for the cross-check modes, coth for the figure presets
+# flat bath for the cross-check modes, coth for the spectral figure
+# presets; the time-domain modes have the flat bath only
 MODES = {
     "steady": Mode(_steady_table),
     "spectrum": Mode(_spectrum_table),
@@ -499,8 +509,8 @@ MODES = {
         ("dq2", "dimensionless"), ("n_t_f", "dimensionless"), ("adiabatic_ok", "bool"),
     ), _adiabatic_row), SWEEPABLE),
     "optimize": Mode(_optimize_table, ("b",)),
-    "dynamics": Mode(_dynamics_table),
-    "homodyne": Mode(_homodyne_table),
+    "dynamics": Mode(_dynamics_table, noise=None),
+    "homodyne": Mode(_homodyne_table, noise=None),
     "fig1": Mode(_sweep_table(_VARIANCES, _fig1_row), SWEEPABLE, "quantum_coth", {
         **_FIGURE_POINT, "b": "5", "phi": "5", "lock_phi_to_b": "true",
         "sweep.variable": "b", "sweep.start": "1", "sweep.stop": "10",
@@ -513,7 +523,7 @@ MODES = {
         "sweep.start": repr(0.5 * _PHI_STAR), "sweep.stop": repr(2.0 * _PHI_STAR),
         "sweep.points": "61", "sweep.spacing": "linear",
     }),
-    "fig3": Mode(_dynamics_table, (), "quantum_coth", {
+    "fig3": Mode(_dynamics_table, (), None, {
         **_FIGURE_POINT, "dynamics.t_end": "0.02", "dynamics.samples": "401",
     }),
 }

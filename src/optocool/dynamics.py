@@ -5,19 +5,14 @@ cavity amplitude/phase quadratures, vacuum variance 1. The field phase
 is chosen so the mean intracavity amplitude is real and positive, which
 puts the radiation-pressure force entirely into the amplitude
 quadrature dx and the mirror backaction into dy; observables are
-invariant under this gauge choice. In units of the mechanical frequency
-(kappa -> 1/b, Gamma -> 1/Q) the drift is
-
-    dq' =  dp
-    dp' = -dq - dp/Q + g dx          g = sqrt(2 phi_nl / b)
-    dx' = -dx/b + (phi/b) dy
-    dy' = -dy/b - (phi/b) dx + g dq
-
-driven by white noise with diffusion diag(0, 2(2 n_t_i + 1)/Q, 2/b,
-2/b): a flat Markovian mirror bath, matching the flat thermal weight of
-the spectral route, plus vacuum input noise on the field. The coupling
-g is *derived* from Delta_nl = G^2 |a_ss|^2 / Omega_m, not hard-coded, and
-is pinned by the cross-method test against the spectrum integrals.
+invariant under this gauge choice. The drift A, in units of the
+mechanical frequency (kappa -> 1/b, Gamma -> 1/Q), is
+:func:`~optocool.model.drift_matrix`, with the coupling g = sqrt(2
+phi_nl / b) *derived* from Delta_nl = G^2 |a_ss|^2 / Omega_m and pinned
+by the cross-method test against the spectrum integrals. It is driven
+by white noise with diffusion diag(0, 2(2 n_t_i + 1)/Q, 2/b, 2/b): a
+flat Markovian mirror bath, matching the flat thermal weight of the
+spectral route, plus vacuum input noise on the field.
 
 The drift is constant, so the transient is propagated exactly rather
 than integrated: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, with
@@ -46,7 +41,7 @@ from .errors import (
     Unstable,
     WindowTooShort,
 )
-from .model import NormalizedParams, classify
+from .model import NormalizedParams, classify, drift_matrix
 from .spectra import Method, ThermalNoiseModel, VarianceResult
 
 __all__ = [
@@ -160,21 +155,14 @@ def build_system(params: NormalizedParams) -> LinearSystem:
         If :func:`~optocool.model.classify` finds the point unstable.
     """
     classify(params).require_stable()
-    phi, phi_nl, b, q = params.phi, params.phi_nl, params.b, params.q_factor
-
-    g = math.sqrt(2.0 * phi_nl / b)
-    drift = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-1.0, -1.0 / q, g, 0.0],
-            [0.0, 0.0, -1.0 / b, phi / b],
-            [g, 0.0, -phi / b, -1.0 / b],
-        ]
-    )
+    b, q = params.b, params.q_factor
+    drift = drift_matrix(params)
     diffusion = np.diag([0.0, 2.0 * (2.0 * params.n_t_i + 1.0) / q, 2.0 / b, 2.0 / b])
     drift.setflags(write=False)
     diffusion.setflags(write=False)
-    return LinearSystem(drift=drift, diffusion=diffusion, params=params, coupling=g)
+    return LinearSystem(
+        drift=drift, diffusion=diffusion, params=params, coupling=float(drift[1, 2])
+    )
 
 
 def thermal_covariance(params: NormalizedParams) -> CovarianceState:

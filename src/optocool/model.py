@@ -39,6 +39,7 @@ __all__ = [
     "thermal_occupancy",
     "solve_steady_state",
     "classify",
+    "drift_matrix",
     "normalize",
     "denormalize",
 ]
@@ -268,6 +269,36 @@ def classify(params: NormalizedParams) -> StabilityReport:
     else:
         reason = "stable"
     return StabilityReport(reason == "stable", reason, spring, omega_eff2, gamma_ratio)
+
+
+def drift_matrix(params: NormalizedParams) -> np.ndarray:
+    """Drift A of the linearized mirror-field moments, rates in Omega_m units.
+
+    State (dq, dp, dx, dy): mirror position and momentum, cavity amplitude
+    and phase quadratures, with the field phase chosen so that the
+    radiation-pressure force sits in dx and the backaction in dy:
+
+        dq' =  dp
+        dp' = -dq - dp/Q + g dx          g = sqrt(2 phi_nl / b)
+        dx' = -dx/b + (phi/b) dy
+        dy' = -dy/b - (phi/b) dx + g dq
+
+    The coupling g follows from Delta_nl = G^2 |a_ss|^2 / Omega_m. The
+    characteristic polynomial of A is the p(s) of :func:`classify`, so
+    its eigenvalues are the poles of the position spectrum; the time
+    domain (:mod:`optocool.dynamics`) and the residue sums
+    (:mod:`optocool.spectra`) both read this one definition.
+    """
+    phi, b, q = params.phi, params.b, params.q_factor
+    g = math.sqrt(2.0 * params.phi_nl / b)
+    return np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-1.0, -1.0 / q, g, 0.0],
+            [0.0, 0.0, -1.0 / b, phi / b],
+            [g, 0.0, -phi / b, -1.0 / b],
+        ]
+    )
 
 
 def _cubic(u: float, phi_c: float, drive: float) -> float:

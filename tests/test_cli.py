@@ -46,7 +46,9 @@ class TestParseConfig:
 
     def test_figure_modes_default_to_coth(self):
         assert parse_config("", mode="fig1").noise_model is ThermalNoiseModel.QUANTUM_COTH
-        assert parse_config(MINIMAL, mode="fig3").noise_model is ThermalNoiseModel.QUANTUM_COTH
+        assert parse_config("", mode="fig2").noise_model is ThermalNoiseModel.QUANTUM_COTH
+        # fig3 is a transient of the time-domain model, which has the flat bath only
+        assert parse_config(MINIMAL, mode="fig3").noise_model is ThermalNoiseModel.MARKOV_FLAT
 
     def test_fig1_preset_expansion(self):
         cfg = parse_config("", mode="fig1")
@@ -331,6 +333,18 @@ class TestMain:
         record = assert_one_json_record(capsys.readouterr().err)
         assert record["violations"] == [
             f"sweep.variable: mode {mode!r} cannot sweep {variable!r}"
+        ]
+
+    @pytest.mark.parametrize("mode", ["dynamics", "homodyne", "fig3"])
+    @pytest.mark.parametrize("noise", ["quantum_coth", "markov_flat", "purple"])
+    def test_flat_bath_modes_reject_noise_model(self, mode, noise, capsys):
+        # the time-domain model has only the flat Markovian bath, so the key
+        # would be validated and then ignored
+        rc = main(argv_for(mode, {**OPERATING_POINT, "noise_model": noise}))
+        assert rc == 2
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["violations"] == [
+            f"noise_model: mode {mode!r} has only the flat Markovian bath"
         ]
 
     def test_fig2_labels_its_sweep_variable(self, capsys):

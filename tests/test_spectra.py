@@ -4,21 +4,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from optocool import (
     InvalidParams,
     NormalizedParams,
+    QuadratureFailure,
     ThermalNoiseModel,
     Unstable,
+    build_system,
     cavity_response,
+    classify,
     coth_scale,
     effective_rates,
     effective_susceptibility,
     integrate_variances,
     noise_spectrum,
+    optimal_detuning,
+    position_variance,
+    steady_variances,
 )
-from optocool.spectra import _scalar_spectrum_fn, _spectrum_values
+from optocool.spectra import (
+    _fractions,
+    _quad_moment,
+    _scalar_spectrum_fn,
+    _spectrum_values,
+)
 
 FIG2 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
 DEEP = NormalizedParams(b=10, phi=10, phi_nl=0.01, q_factor=1e5, n_t_i=100)
@@ -191,3 +204,101 @@ class TestIntegrateVariances:
         p = NormalizedParams(b=10, phi=10.0, phi_nl=6.0, q_factor=1e4, n_t_i=100)
         with pytest.raises(Unstable):
             integrate_variances(p)
+
+
+def quad_oracle(p, model, power, rtol=1e-10):
+    """The adaptive quadrature the residue sums replaced, at a tight tolerance."""
+    return _quad_moment(p, classify(p), model, power, 100.0, rtol)[0]
+
+
+def rel(x, ref):
+    return abs(x - ref) / abs(ref)
+
+
+stable_points = st.builds(
+    lambda b, r, nl, q, n: NormalizedParams(
+        b=b, phi=r * optimal_detuning(b), phi_nl=nl, q_factor=q, n_t_i=n
+    ),
+    b=st.floats(0.3, 30.0),
+    r=st.floats(-0.3, 2.5),
+    nl=st.floats(0.0, 1.0).map(lambda u: 0.3 * 1e-3 ** u),
+    q=st.floats(2.0, 7.0).map(lambda e: 10.0**e),
+    n=st.one_of(st.just(0.0), st.floats(-2.0, 3.0).map(lambda e: 10.0**e)),
+)
+
+
+class TestResidueRoute:
+    @settings(max_examples=60)
+    @given(p=stable_points)
+    def test_matches_adaptive_quadrature(self, p):
+        assume(classify(p).stable)
+        # where poles nearly coincide the route is itself a quadrature, to 1e-8
+        tol = 1e-10 if _fractions(p) is not None else 1e-8
+        for model in ThermalNoiseModel:
+            flat = model is ThermalNoiseModel.MARKOV_FLAT
+            try:
+                want_q = quad_oracle(p, model, 0)
+                want_p = quad_oracle(p, model, 2) if flat else None
+            except QuadratureFailure:  # the oracle's limit, not the sum's
+                continue
+            res = integrate_variances(p, model)
+            assert rel(res.dq2, want_q) <= tol
+            assert position_variance(p, model)[0] == res.dq2
+            if want_p is not None:
+                assert rel(res.dp2, want_p) <= tol
+
+    # Q up to 1e5 only: against 40-digit residue sums the Lyapunov solve is
+    # itself off by 1.4e-10 at Q = 1e6 and 1.1e-9 at Q = 1e7
+    @settings(max_examples=60)
+    @given(p=stable_points.filter(lambda p: p.q_factor <= 1e5))
+    def test_flat_bath_matches_lyapunov(self, p):
+        assume(classify(p).stable)
+        res = integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT)
+        lyap = steady_variances(build_system(p))
+        assert rel(res.dq2, lyap.dq2) <= 1e-10
+        assert rel(res.dp2, lyap.dp2) <= 1e-10
+
+    # the benchmark's degenerate sweep row: the cavity pair coincides at phi = 0
+    # and the closest poles separate like sqrt(phi)
+    @pytest.mark.parametrize("phi", [0.0, 5.6e-17, 1e-15, 1e-12, 1e-8, 1e-6])
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_nearly_coincident_poles(self, phi, model):
+        p = NormalizedParams(b=1.9206257319033062, phi=phi, phi_nl=0.09504903620523072,
+                             q_factor=5562.406725036761, n_t_i=480.9521065078436)
+        assert (_fractions(p) is None) == (phi <= 1e-8)
+        res = integrate_variances(p, model)
+        assert rel(res.dq2, quad_oracle(p, model, 0)) <= 1e-10
+        if model is ThermalNoiseModel.MARKOV_FLAT:
+            assert rel(res.dp2, quad_oracle(p, model, 2)) <= 1e-10
+
+    @pytest.mark.parametrize("n_t_i", [0.0, 1e-12, 1.0, 1e3])
+    def test_matsubara_sum_and_its_zero_temperature_limit(self, n_t_i):
+        # the psi form for n_t_i > 0, the log form at n_t_i = 0
+        p = FIG2.replace(n_t_i=n_t_i)
+        got = position_variance(p, ThermalNoiseModel.QUANTUM_COTH)[0]
+        assert rel(got, quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 0)) <= 1e-10
+
+    def test_decoupled_oscillator_is_exact_to_round_off(self):
+        for n in (0.0, 3.0, 100.0):
+            res = integrate_variances(bare(1e7, n), ThermalNoiseModel.MARKOV_FLAT)
+            assert res.dq2 == pytest.approx(2 * n + 1, rel=1e-14)
+            assert res.dp2 == pytest.approx(2 * n + 1, rel=1e-14)
+            # the quadrature's breakpoints must reach the Lorentzian tails,
+            # 13% of the weight beyond five half-widths
+            flat = quad_oracle(bare(1e7, n), ThermalNoiseModel.MARKOV_FLAT, 0, rtol=1e-8)
+            assert flat == pytest.approx(2 * n + 1, rel=1e-8)
+
+    def test_cutoff_changes_only_coth_dp2(self):
+        # only dp^2 under the coth weight depends on omega_max
+        lo = integrate_variances(FIG2, ThermalNoiseModel.QUANTUM_COTH, omega_max=10.0)
+        hi = integrate_variances(FIG2, ThermalNoiseModel.QUANTUM_COTH, omega_max=1000.0)
+        assert lo.dq2 == hi.dq2
+        assert lo.dp2 < hi.dp2
+
+    def test_nan_integrand_is_a_quadrature_failure(self):
+        # D(w) overflows to nan at b = 1e100; handed to QUADPACK with
+        # breakpoints, a nan integrand crashed the interpreter
+        p = NormalizedParams(b=1e100, phi=-3, phi_nl=0.0, q_factor=1.0000001, n_t_i=0.0)
+        s = _scalar_spectrum_fn(p, ThermalNoiseModel.QUANTUM_COTH)
+        with pytest.raises(QuadratureFailure):
+            s(0.5)
