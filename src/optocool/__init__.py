@@ -68,7 +68,6 @@ from .model import (
 )
 from .spectra import (
     Method,
-    SpectrumSample,
     ThermalNoiseModel,
     VarianceResult,
     cavity_response,

@@ -138,7 +138,8 @@ def approx_variance(params: NormalizedParams) -> VarianceResult:
             f"effective damping ratio {rates.gamma_eff_ratio:.3g} <= 0"
         )
     b, phi = params.b, params.phi
-    dm_abs2 = (1.0 - b * b + phi * phi) ** 2 + 4.0 * b * b
+    dm = 1.0 - b * b + phi * phi  # not ** 2, which raises where the square overflows
+    dm_abs2 = dm * dm + 4.0 * b * b
     dq2 = (
         2.0 * params.n_t_i + 1.0
         + 2.0 * params.phi_nl * params.q_factor * (1.0 + b * b + phi * phi) / dm_abs2
@@ -162,7 +163,8 @@ def decompose(params: NormalizedParams) -> CoolingDecomposition:
     if params.phi <= 0:
         raise InvalidRegime(f"decomposition requires phi > 0, got {params.phi}")
     b, phi = params.b, params.phi
-    dm_abs2 = (1.0 - b * b + phi * phi) ** 2 + 4.0 * b * b
+    dm = 1.0 - b * b + phi * phi
+    dm_abs2 = dm * dm + 4.0 * b * b
     f = 4.0 * phi * b / dm_abs2
     strength = f * params.phi_nl * params.q_factor
     eta = strength / (1.0 + strength)
@@ -248,13 +250,15 @@ def optimize_operating_point(
     Raises
     ------
     InvalidParams
-        If ``b_range`` is empty.
+        If ``b_range`` is empty or ``omega_max`` is not finite and > 2.
     OptimizationFailure
         If every probed point is unstable or fails to integrate.
     """
     b_grid = [float(b) for b in b_range]
     if not b_grid:
         raise InvalidParams("empty b_range")
+    if not 2.0 < omega_max < math.inf:  # the objective would score every probe inf
+        raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
 
     def objective(b, phi):
         try:

@@ -65,13 +65,13 @@ from .model import (
 )
 from .spectra import (
     ThermalNoiseModel,
-    _spectrum_values,
     integrate_variances,
+    noise_spectrum,
     position_variance,
 )
 
 # unused; perfbench/tracer.py wraps these names in this module
-_effective_peak = _static_margins = None
+_effective_peak = _static_margins = _spectrum_values = None
 
 SWEEPABLE = ("b", "phi", "phi_nl", "q_factor", "n_t_i")
 # config key -> field of SweepSpec / PhysicalParams
@@ -135,6 +135,8 @@ KEYS = {
 }
 
 _DEFAULTS = {spec.attr: spec.default for spec in KEYS.values() if spec.attr}
+#: the operating point, read as one unit: the normalized or the physical keys
+_POINT = frozenset(SWEEPABLE) | _PHYSICAL_KEYS.keys()
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -148,9 +150,16 @@ class SweepSpec:
     spacing: str = "linear"
 
     def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        return _grid(self.start, self.stop, self.points, self.spacing)
+
+
+def _grid(start: float, stop: float, points: int, spacing: str = "linear") -> np.ndarray:
+    """``points`` values from start to stop; InvalidParams where the span overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test follows
+        grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, points)
+    if not np.all(np.isfinite(grid)):
+        raise InvalidParams(f"the grid from {start} to {stop} overflows")
+    return grid
 
 
 #: A validated run: the operating point, the sweep, the noise model, the
@@ -207,7 +216,7 @@ def _read(key: str, spec: Key, text: str):
     return value, None
 
 
-def _operating_point(mode: str, merged: dict, vals: dict, violations: list):
+def _operating_point(merged: dict, vals: dict, violations: list):
     """The NormalizedParams of a run, built when every field it needs is valid."""
     normalized = [k for k in SWEEPABLE if k in merged]
     physical = [k for k in _PHYSICAL_KEYS if k in merged]
@@ -235,7 +244,7 @@ def _operating_point(mode: str, merged: dict, vals: dict, violations: list):
                 return NormalizedParams(**{k: vals[k] for k in normalized})
             except InvalidParams as exc:
                 violations += [f"params: {p}" for p in exc.problems]
-    elif mode != "steady":
+    else:
         violations.append("params: an operating point is required for this mode")
     return None
 
@@ -265,8 +274,8 @@ def parse_config(
     ``mode`` (the CLI subcommand) takes precedence over a ``mode`` key in
     the document; ``overrides`` are applied on top of the document, and
     the document on top of the mode's preset (:data:`MODES`). Every other
-    key is read and checked through :data:`KEYS`; a sweep must be over
-    one of the mode's ``sweeps``.
+    key must be one the mode ``reads``, and is checked through
+    :data:`KEYS`; a sweep must be over one of the mode's ``sweeps``.
     Raises :class:`ParseError` on malformed syntax and
     :class:`ValidationError` carrying *every* violated invariant.
     """
@@ -293,19 +302,19 @@ def parse_config(
         spec = KEYS.get(key)
         if spec is None:
             violations.append(f"{key}: unknown key")
-            continue
-        if key == "noise_model" and entry.noise is None:
-            violations.append(f"noise_model: mode {mode!r} has only the flat Markovian bath")
-            continue
-        value, problem = _read(key, spec, merged[key])
-        if problem is not None:
-            violations.append(problem)
-        elif spec.attr:
-            settings[spec.attr] = value
+        elif key not in entry.reads:
+            violations.append(f"{key}: mode {mode!r} does not read it")
         else:
-            vals[key] = value
+            value, problem = _read(key, spec, merged[key])
+            if problem is not None:
+                violations.append(problem)
+            elif spec.attr:
+                settings[spec.attr] = value
+            else:
+                vals[key] = value
+    merged = {k: v for k, v in merged.items() if k in entry.reads}
 
-    params = _operating_point(mode, merged, vals, violations)
+    params = _operating_point(merged, vals, violations) if _POINT <= entry.reads else None
     sweep = _sweep(merged, vals, violations)
     variable = vals.get("sweep.variable")
     if variable is not None and variable not in entry.sweeps:
@@ -317,7 +326,7 @@ def parse_config(
         raise ValidationError(violations)
     return RunConfig(
         mode=mode, params=params, sweep=sweep,
-        noise_model=ThermalNoiseModel(vals.get("noise_model", entry.noise or "markov_flat")),
+        noise_model=ThermalNoiseModel(vals.get("noise_model", entry.noise)),
         raw=dict(merged), **settings,
     )
 
@@ -400,11 +409,12 @@ def _steady_table(cfg: RunConfig):
 
 
 def _spectrum_table(cfg: RunConfig):
-    grid = np.linspace(cfg.omega_start, cfg.omega_stop, cfg.omega_points)
+    grid = _grid(cfg.omega_start, cfg.omega_stop, cfg.omega_points)
     columns = (("omega", "Omega_m"), ("s_q", "dimensionless"), ("stable", "bool"))
-    if not classify(cfg.params).stable:
+    try:
+        s = noise_spectrum(grid, cfg.params, cfg.noise_model)
+    except Unstable:
         return columns, [(float(w), None, False) for w in grid]
-    s = _spectrum_values(grid, cfg.params, cfg.noise_model)
     return columns, [(float(w), float(v), True) for w, v in zip(grid, s)]
 
 
@@ -474,56 +484,83 @@ def _optimize_table(cfg: RunConfig):
     return columns, [(opt.b_opt, opt.phi_opt, opt.n_t_f_min, True)]
 
 
+def _reads(*groups: str) -> frozenset:
+    """The keys a mode reads: ``output_path`` and the named groups.
+
+    A group is ``"point"`` (the operating point, normalized or physical),
+    ``"prefix.*"`` (every key under the prefix) or a single key.
+    """
+    keys = {"output_path"}
+    for group in groups:
+        if group == "point":
+            keys |= _POINT
+        elif group.endswith(".*"):
+            keys |= {k for k in KEYS if k.startswith(group[:-1])}
+        else:
+            keys.add(group)
+    return frozenset(keys)
+
+
 class Mode(NamedTuple):
     """One CLI mode.
 
-    ``table(cfg)`` returns the (columns, rows) of its result; ``sweeps``
-    are the variables it may sweep; ``noise`` is its default
-    ``noise_model``, or None for a mode built on the time-domain model,
-    which has only the flat Markovian bath and rejects the key;
-    ``preset`` is config text the user's keys override.
+    ``table(cfg)`` returns the (columns, rows) of its result; ``reads``
+    holds the config keys its table depends on, and every other key is
+    rejected; a mode that reads the operating point requires one.
+    ``sweeps`` are the variables a sweep may run over; ``noise`` is the
+    default ``noise_model``; ``preset`` is config text the user's keys
+    override.
     """
 
     table: Callable
-    sweeps: tuple = ()
-    noise: str | None = "markov_flat"
+    reads: frozenset
+    sweeps: tuple = SWEEPABLE
+    noise: str = "markov_flat"
     preset: dict = {}
 
 
 _VARIANCES = (("dq2", "dimensionless"), ("dp2", "dimensionless"), ("n_t_f", "dimensionless"))
 _FIGURE_POINT = {"q_factor": "1e4", "n_t_i": "100", "phi_nl": "0.1", "b": "10", "phi": "10"}
 _PHI_STAR = optimal_detuning(10.0)
+_SWEEPING = ("point", "sweep.*", "lock_phi_to_b")
+_INTEGRATING = (*_SWEEPING, "noise_model", "tolerances.*")
 
-# flat bath for the cross-check modes, coth for the spectral figure
-# presets; the time-domain modes have the flat bath only
+# flat bath for the cross-check modes, coth for the spectral figure presets
 MODES = {
-    "steady": Mode(_steady_table),
-    "spectrum": Mode(_spectrum_table),
+    "steady": Mode(_steady_table, _reads("steady.*")),
+    "spectrum": Mode(_spectrum_table, _reads("point", "noise_model", "spectrum.*")),
     "variances": Mode(
         _sweep_table(_VARIANCES + (("quadrature_error", "dimensionless"),), _variances_row),
-        SWEEPABLE,
+        _reads(*_INTEGRATING),
     ),
     "adiabatic": Mode(_sweep_table((
         ("omega_eff_ratio", "dimensionless"), ("gamma_eff_ratio", "dimensionless"),
         ("q_eff", "dimensionless"), ("f", "dimensionless"), ("eta", "dimensionless"),
         ("dq2", "dimensionless"), ("n_t_f", "dimensionless"), ("adiabatic_ok", "bool"),
-    ), _adiabatic_row), SWEEPABLE),
-    "optimize": Mode(_optimize_table, ("b",)),
-    "dynamics": Mode(_dynamics_table, noise=None),
-    "homodyne": Mode(_homodyne_table, noise=None),
-    "fig1": Mode(_sweep_table(_VARIANCES, _fig1_row), SWEEPABLE, "quantum_coth", {
-        **_FIGURE_POINT, "b": "5", "phi": "5", "lock_phi_to_b": "true",
-        "sweep.variable": "b", "sweep.start": "1", "sweep.stop": "10",
-        "sweep.points": "19", "sweep.spacing": "linear",
-    }),
-    "fig2": Mode(_sweep_table(
-        (("dq2_exact", "dimensionless"), ("dq2_adiabatic", "dimensionless")), _fig2_row,
-    ), SWEEPABLE, "quantum_coth", {
-        **_FIGURE_POINT, "sweep.variable": "phi",
-        "sweep.start": repr(0.5 * _PHI_STAR), "sweep.stop": repr(2.0 * _PHI_STAR),
-        "sweep.points": "61", "sweep.spacing": "linear",
-    }),
-    "fig3": Mode(_dynamics_table, (), None, {
+    ), _adiabatic_row), _reads(*_SWEEPING)),
+    "optimize": Mode(_optimize_table, _reads(*_INTEGRATING), ("b",)),
+    "dynamics": Mode(_dynamics_table, _reads("point", "dynamics.*")),
+    "homodyne": Mode(_homodyne_table, _reads("point", "homodyne.*")),
+    "fig1": Mode(
+        _sweep_table(_VARIANCES, _fig1_row), _reads(*_INTEGRATING), noise="quantum_coth",
+        preset={
+            **_FIGURE_POINT, "b": "5", "phi": "5", "lock_phi_to_b": "true",
+            "sweep.variable": "b", "sweep.start": "1", "sweep.stop": "10",
+            "sweep.points": "19", "sweep.spacing": "linear",
+        },
+    ),
+    "fig2": Mode(
+        _sweep_table(
+            (("dq2_exact", "dimensionless"), ("dq2_adiabatic", "dimensionless")), _fig2_row,
+        ),
+        _reads(*_SWEEPING, "noise_model"), noise="quantum_coth",
+        preset={
+            **_FIGURE_POINT, "sweep.variable": "phi",
+            "sweep.start": repr(0.5 * _PHI_STAR), "sweep.stop": repr(2.0 * _PHI_STAR),
+            "sweep.points": "61", "sweep.spacing": "linear",
+        },
+    ),
+    "fig3": Mode(_dynamics_table, _reads("point", "dynamics.*"), preset={
         **_FIGURE_POINT, "dynamics.t_end": "0.02", "dynamics.samples": "401",
     }),
 }

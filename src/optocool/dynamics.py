@@ -26,6 +26,7 @@ units of 1/Omega_m (tau = t * Q).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,7 +193,9 @@ def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     """
     a, d = sys.drift, sys.diffusion
     s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(d))))[1])
-    v = solve_continuous_lyapunov(a, -d / s) * s
+    with warnings.catch_warnings():  # a perturbed solve warns; the residual test decides
+        warnings.simplefilter("ignore", RuntimeWarning)
+        v = solve_continuous_lyapunov(a, -d / s) * s
     v = 0.5 * (v + v.T)
     scale = np.max(np.abs(v))
     with np.errstate(all="ignore"):  # an overflow or a nan fails the test
@@ -279,7 +282,10 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
     inner_t = np.outer(0.5 * t_out, xi + 1.0)
     inner_w = np.outer(0.5 * t_out, wi)
     times = np.column_stack([np.repeat(t_out, n_inner), inner_t.ravel()])
-    weights = (w_out[:, None] * inner_w).ravel()
+    with np.errstate(over="ignore"):  # the finiteness test follows
+        weights = (w_out[:, None] * inner_w).ravel()
+    if not np.all(np.isfinite(weights)):
+        raise InvalidParams(f"window {window} too long: its quadrature weights overflow")
     return times, weights
 
 
@@ -322,8 +328,9 @@ def _transient(
     if not np.all(np.isfinite(v0.v)):
         raise InvalidParams("initial covariance v0 must be finite")
     v_ss = lyapunov_steady_state(sys).v
-    e = _propagators(sys, times * sys.params.q_factor)
-    v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below
+        e = _propagators(sys, times * sys.params.q_factor)
+        v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
     v = 0.5 * (v + v.transpose(0, 2, 1))
 
     scale = max(1.0, float(np.max(np.abs(v0.v))))
@@ -444,8 +451,9 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
 
     kappa_over_gamma = grid.params.q_factor / grid.params.b
     c_vals = grid.values * kappa_over_gamma  # back to 1/Gamma-time rate units
-    env = 2.0 * lo_rate * np.exp(-lo_rate * grid.times.sum(axis=1))
-    integral = 2.0 * float(np.sum(grid.weights * env * c_vals))
+    with np.errstate(all="ignore"):  # the finiteness test follows
+        env = 2.0 * lo_rate * np.exp(-lo_rate * grid.times.sum(axis=1))
+        integral = 2.0 * float(np.sum(grid.weights * env * c_vals))
     if not math.isfinite(integral):
         raise InvalidParams(f"matched-filter integral is not finite at lo_rate={lo_rate}")
 

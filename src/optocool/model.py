@@ -164,9 +164,9 @@ class PhysicalParams:
 class NormalizedParams:
     """Dimensionless operating point (b, phi, phi_nl, Q, n_t_i).
 
-    Every field must be finite. Stability is *reported* by
-    :func:`classify` rather than enforced at construction, so that
-    unstable points can be represented, swept over and flagged.
+    Every field is stored as a float and must be finite. Stability is
+    *reported* by :func:`classify` rather than enforced at construction,
+    so that unstable points can be represented, swept over and flagged.
     """
 
     b: float
@@ -176,7 +176,16 @@ class NormalizedParams:
     n_t_i: float
 
     def __post_init__(self):
-        bad = _domain_problems(self, _NORMALIZED_DOMAIN)
+        bad, rules = [], []
+        for rule in _NORMALIZED_DOMAIN:
+            value = getattr(self, rule[0])
+            try:
+                object.__setattr__(self, rule[0], float(value))
+            except (TypeError, ValueError, OverflowError):
+                bad.append(f"{rule[0]} must be a real number, got {value!r}")
+            else:
+                rules.append(rule)
+        bad += _domain_problems(self, rules)
         if bad:
             raise InvalidParams(*bad)
 
@@ -330,13 +339,14 @@ def solve_steady_state(phi_c: float, drive: float) -> SteadyState:
         raise InvalidParams(f"drive must be >= 0, got {drive}")
 
     coeffs = [1.0, -2.0 * phi_c, 1.0 + phi_c * phi_c, -drive]
-    if not all(map(math.isfinite, coeffs)):
-        raise InvalidParams(f"cubic coefficients not finite at phi_c={phi_c}, P={drive}")
+    scale = max(1.0, abs(phi_c))
+    tol = CUBIC_RESIDUAL_TOL * max(1.0, drive, scale * scale * scale)
+    if not all(map(math.isfinite, coeffs + [tol])):
+        raise InvalidParams(f"cubic terms not finite at phi_c={phi_c}, P={drive}")
     roots = np.roots(coeffs)
 
     # conjugate symmetry of the companion-matrix roots guarantees one or
     # three survive this filter (a double root splits into a tight pair)
-    scale = max(1.0, abs(phi_c))
     real = [float(r.real) for r in roots if abs(r.imag) <= 1e-7 * max(1.0, abs(r))]
 
     slope_scale = 1.0 + phi_c * phi_c
@@ -349,7 +359,6 @@ def solve_steady_state(phi_c: float, drive: float) -> SteadyState:
         polished.append(u)
     polished.sort()
 
-    tol = CUBIC_RESIDUAL_TOL * max(1.0, drive, scale**3)
     branches = []
     for u in polished:
         if abs(_cubic(u, phi_c, drive)) > tol:

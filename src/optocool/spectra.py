@@ -39,7 +39,6 @@ from .model import NormalizedParams, classify, drift_matrix
 __all__ = [
     "ThermalNoiseModel",
     "Method",
-    "SpectrumSample",
     "VarianceResult",
     "coth_scale",
     "cavity_response",
@@ -75,14 +74,6 @@ class Method(enum.Enum):
     EXACT_SPECTRUM = "exact_spectrum"
     ADIABATIC = "adiabatic"
     LYAPUNOV = "lyapunov"
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """One point of the position-fluctuation spectrum."""
-
-    omega: float
-    s_q: float
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ def cavity_response(omega, b: float, phi: float):
 
 def _flat_weight(params: NormalizedParams) -> float:
     """The flat Markovian weight 2 (2 n_t_i + 1)/Q, the coth weight at w = 1."""
-    return 2.0 * (2.0 * float(params.n_t_i) + 1.0) / float(params.q_factor)
+    return 2.0 * (2.0 * params.n_t_i + 1.0) / params.q_factor
 
 
 def _thermal_weight(omega, params: NormalizedParams, noise_model: ThermalNoiseModel):
@@ -174,18 +165,21 @@ def effective_susceptibility(omega, params: NormalizedParams):
 
 def _spectrum_values(omega, params: NormalizedParams, noise_model: ThermalNoiseModel):
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    d, denom = _response_parts(w, params)
-    dabs2 = (d * d.conjugate()).real
-    num = _thermal_weight(w, params, noise_model) * dabs2 + 4.0 * params.phi_nl * (
-        1.0 + params.phi**2 + (params.b * w) ** 2
-    )
-    denom2 = (denom * denom.conjugate()).real
-    if np.any(denom2 < 1e-26 * (1.0 + w * w) ** 2):
-        raise SingularResponse(f"spectrum denominator vanishes near omega={omega!r}")
-    out = num / denom2
+    with np.errstate(all="ignore"):  # an overflow fails the finiteness test below
+        d, denom = _response_parts(w, params)
+        dabs2 = (d * d.conjugate()).real
+        num = _thermal_weight(w, params, noise_model) * dabs2 + 4.0 * params.phi_nl * (
+            1.0 + params.phi * params.phi + (params.b * w) ** 2
+        )
+        denom2 = (denom * denom.conjugate()).real
+        vanishing = denom2 < 1e-26 * (1.0 + w * w) ** 2
+        out = num / denom2
+    if np.any(vanishing):
+        bad = float(w[vanishing][0])
+        raise SingularResponse(f"spectrum denominator vanishes near omega={bad}")
     if not np.all(np.isfinite(out)):
-        bad = w[~np.isfinite(out)][0]
-        raise SingularResponse(f"spectrum overflows at omega={bad!r}")
+        bad = float(w[~np.isfinite(out)][0])
+        raise SingularResponse(f"spectrum overflows at omega={bad}")
     return out
 
 
@@ -232,14 +226,24 @@ def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel
 
 
 def noise_spectrum(
-    omega: float,
+    omega,
     params: NormalizedParams,
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
-) -> SpectrumSample:
-    """Symmetrized position-fluctuation spectrum S_q at one frequency."""
+):
+    """Symmetrized position-fluctuation spectrum S_q at ``omega``.
+
+    A scalar frequency gives a float, an array of them an array.
+
+    Raises
+    ------
+    Unstable
+        If :func:`~optocool.model.classify` finds the point unstable.
+    SingularResponse
+        If the spectrum's denominator vanishes or its value overflows.
+    """
     classify(params).require_stable()
-    val = float(_spectrum_values(np.array([omega]), params, noise_model)[0])
-    return SpectrumSample(omega=float(omega), s_q=val)
+    values = _spectrum_values(omega, params, noise_model)
+    return float(values[0]) if np.ndim(omega) == 0 else values
 
 
 def _checked_quad(f, a, b, rtol, points=None):
@@ -346,8 +350,7 @@ def _fractions(params: NormalizedParams) -> _Fractions | None:
     40-digit sums stayed below 0.24 of it.
 
     Four poles make numpy's per-call cost dominate, so everything after
-    the eigenvalues is plain complex arithmetic, on plain floats, so that
-    numpy scalars in ``params`` round the same way.
+    the eigenvalues is plain complex arithmetic.
     """
     drift = drift_matrix(params)
     lam = np.linalg.eigvals(drift).tolist()
@@ -355,7 +358,7 @@ def _fractions(params: NormalizedParams) -> _Fractions | None:
     if any(abs(x - y) <= POLE_SEPARATION_MIN * max(abs(x), abs(y)) for x, y in pairs):
         return None
     norm = float(np.linalg.norm(drift))
-    b, phi, phi_nl, q = map(float, (params.b, params.phi, params.phi_nl, params.q_factor))
+    b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
     k, phik = 1.0 / b, phi / b
 
     # One Newton step on p(s) = M(s) C(s) - K with the bare mechanical and
@@ -419,7 +422,7 @@ def _position_variance(params, noise_model, report, fr, rtol):
                 thermal = -2.0 * np.log(poles)
             else:
                 thermal = math.pi / (x * poles) - 2.0 * psi(1.0 + (x / math.pi) * poles)
-        scale = 1.0 / (math.pi * float(params.q_factor))
+        scale = 1.0 / (math.pi * params.q_factor)
         terms = [scale * al * th + f / (2.0 * a)
                  for a, al, f, th in zip(fr.a, fr.alpha, fr.f, thermal.tolist())]
     return _residue_sum(terms, fr.roundoff)
@@ -502,8 +505,8 @@ def integrate_variances(
     QuadratureFailure
         If a quadrature misses its tolerance or a sum is not finite.
     """
-    if not omega_max > 2.0:
-        raise InvalidParams(f"omega_max must be > 2, got {omega_max}")
+    if not 2.0 < omega_max < math.inf:
+        raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
     report, fr = _residues_or_quad(params, rtol)
     dq2, err_q = _position_variance(params, noise_model, report, fr, rtol)
     if fr is not None and noise_model is ThermalNoiseModel.MARKOV_FLAT:

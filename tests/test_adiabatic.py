@@ -7,6 +7,7 @@ import pytest
 
 from optocool import (
     ImaginaryFrequency,
+    InvalidParams,
     InvalidRegime,
     NormalizedParams,
     OptimizationFailure,
@@ -284,6 +285,10 @@ class TestOptimizer:
                 [10.0], phi_nl=30.0, q_factor=1e4, n_t_i=100.0,
                 noise_model=ThermalNoiseModel.MARKOV_FLAT,
             )
+
+    def test_infinite_cutoff_rejected(self):
+        with pytest.raises(InvalidParams, match="omega_max"):
+            optimize_operating_point([10.0], 0.1, 1e4, 100.0, omega_max=math.inf)
 
 
 # The paper's central claim: optimal self-cooling lies in the good-cavity

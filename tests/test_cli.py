@@ -1,6 +1,7 @@
 """Configuration parsing, sweep dispatch and CSV emission."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from optocool import (
 )
 from optocool.cli import (
     KEYS,
+    MODES,
     ResultTable,
     emit_csv,
     main,
@@ -323,17 +325,19 @@ class TestMain:
         ("homodyne", "phi"), ("fig3", "phi"), ("optimize", "q_factor"),
     ])
     def test_sweep_the_mode_would_ignore_is_rejected(self, mode, variable, capsys):
-        # these modes evaluate one operating point (optimize scans b only),
-        # so any other sweep would be validated and then dropped
+        # these modes evaluate one operating point and read no sweep.* key;
+        # optimize reads a sweep, but scans b only
         point = {"steady.phi_c": "2", "steady.drive": "2"} if mode == "steady" \
             else OPERATING_POINT
-        rc = main(argv_for(mode, {**point, "sweep.variable": variable, "sweep.start": "8",
-                                  "sweep.stop": "12", "sweep.points": "3"}))
+        sweep = {"sweep.variable": variable, "sweep.start": "8", "sweep.stop": "12",
+                 "sweep.points": "3"}
+        rc = main(argv_for(mode, {**point, **sweep}))
         assert rc == 2
         record = assert_one_json_record(capsys.readouterr().err)
-        assert record["violations"] == [
-            f"sweep.variable: mode {mode!r} cannot sweep {variable!r}"
-        ]
+        assert record["violations"] == (
+            ["sweep.variable: mode 'optimize' cannot sweep 'q_factor'"] if mode == "optimize"
+            else [f"{key}: mode {mode!r} does not read it" for key in sorted(sweep)]
+        )
 
     @pytest.mark.parametrize("mode", ["dynamics", "homodyne", "fig3"])
     @pytest.mark.parametrize("noise", ["quantum_coth", "markov_flat", "purple"])
@@ -343,9 +347,7 @@ class TestMain:
         rc = main(argv_for(mode, {**OPERATING_POINT, "noise_model": noise}))
         assert rc == 2
         record = assert_one_json_record(capsys.readouterr().err)
-        assert record["violations"] == [
-            f"noise_model: mode {mode!r} has only the flat Markovian bath"
-        ]
+        assert record["violations"] == [f"noise_model: mode {mode!r} does not read it"]
 
     def test_fig2_labels_its_sweep_variable(self, capsys):
         rc = main(argv_for("fig2", {"sweep.variable": "b", "sweep.start": "5",
@@ -356,11 +358,15 @@ class TestMain:
         )
         assert header.split(",")[0] == "b [dimensionless]"
 
-    def test_omega_points_checked_in_every_mode(self, capsys):
-        rc = main(argv_for("variances", {**OPERATING_POINT, "spectrum.omega_points": "1"}))
+    def test_omega_points_checked_where_read(self, capsys):
+        rc = main(argv_for("spectrum", {**OPERATING_POINT, "spectrum.omega_points": "1"}))
         assert rc == 2
         record = assert_one_json_record(capsys.readouterr().err)
         assert record["violations"] == ["spectrum.omega_points: must be >= 2, got 1"]
+        rc = main(argv_for("variances", {**OPERATING_POINT, "spectrum.omega_points": "1"}))
+        assert rc == 2
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["violations"] == ["spectrum.omega_points: mode 'variances' does not read it"]
 
     def test_unresolved_lab_frame_homodyne_exits_3(self, capsys):
         # the grid cannot follow the rotation at Omega_m without
@@ -420,12 +426,165 @@ class TestNonFiniteInput:
         assert any(v.startswith(f"{bad}:") for v in record["violations"])
 
 
-# Keys and text for the fuzz property. Integer-valued text is capped so
-# that no example asks for a long sweep or a large grid; output_path is
-# left out because any text there names a file to write.
-FUZZ_KEYS = sorted(set(KEYS) - {"output_path"}) + ["mode", "warp_drive"]
+PHYSICAL_POINT = {
+    "physical.omega_m": "6.283185307179586e7", "physical.kappa": "6.283185307179586e6",
+    "physical.gamma": "6283.185307179586", "physical.mass": "1e-12",
+    "physical.cavity_length": "1e-3", "physical.omega_c": "1.7704e15",
+    "physical.delta_c": "6.283185307179586e6", "physical.drive_intensity": "0",
+    "physical.temperature": "0",
+}
+# A small valid run of each mode (BASE) and a valid text for every key (SAMPLE).
+BASE = {
+    "steady": {"steady.phi_c": "2", "steady.drive": "2"},
+    "spectrum": {**OPERATING_POINT, "spectrum.omega_points": "9"},
+    "variances": {**OPERATING_POINT, "sweep.variable": "phi", "sweep.start": "5",
+                  "sweep.stop": "15", "sweep.points": "3"},
+    "adiabatic": {**OPERATING_POINT, "sweep.variable": "b", "sweep.start": "1",
+                  "sweep.stop": "10", "sweep.points": "4"},
+    "optimize": {**OPERATING_POINT, "noise_model": "markov_flat", "sweep.variable": "b",
+                 "sweep.start": "9", "sweep.stop": "10", "sweep.points": "2"},
+    "dynamics": {**OPERATING_POINT, "dynamics.samples": "9"},
+    "homodyne": {**OPERATING_POINT, "homodyne.n_outer": "16", "homodyne.n_inner": "8"},
+    "fig1": {"sweep.points": "4"},
+    "fig2": {"sweep.points": "5"},
+    "fig3": {"dynamics.samples": "9"},
+}
+SAMPLE = {
+    **OPERATING_POINT, **PHYSICAL_POINT,
+    "sweep.variable": "b", "sweep.start": "5", "sweep.stop": "10", "sweep.points": "3",
+    "sweep.spacing": "log", "noise_model": "quantum_coth", "tolerances.omega_max": "50",
+    "output_path": "out.csv", "lock_phi_to_b": "true",
+    "steady.phi_c": "1", "steady.drive": "3",
+    "spectrum.omega_start": "-1", "spectrum.omega_stop": "1", "spectrum.omega_points": "5",
+    "dynamics.t_end": "0.01", "dynamics.samples": "5",
+    "homodyne.window": "10", "homodyne.lo_rate": "1", "homodyne.demod_rate": "0",
+    "homodyne.quadrature": "y_out", "homodyne.n_outer": "8", "homodyne.n_inner": "4",
+}
+
+# The key groups each mode reads, as the README's CLI table lists them;
+# "point" is the operating point: the normalized or the physical keys.
+_INTEGRATING = ["point", "sweep.*", "lock_phi_to_b", "noise_model", "tolerances.*"]
+READS = {
+    "steady": ["steady.*"],
+    "spectrum": ["point", "noise_model", "spectrum.*"],
+    "variances": _INTEGRATING,
+    "fig1": _INTEGRATING,
+    "optimize": _INTEGRATING,
+    "fig2": ["point", "sweep.*", "lock_phi_to_b", "noise_model"],
+    "adiabatic": ["point", "sweep.*", "lock_phi_to_b"],
+    "dynamics": ["point", "dynamics.*"],
+    "fig3": ["point", "dynamics.*"],
+    "homodyne": ["point", "homodyne.*"],
+}
+
+
+def declared(mode):
+    keys = {"output_path"}
+    for group in READS[mode]:
+        if group == "point":
+            keys |= OPERATING_POINT.keys() | PHYSICAL_POINT.keys()
+        elif group.endswith(".*"):
+            keys |= {k for k in KEYS if k.startswith(group[:-1])}
+        else:
+            keys.add(group)
+    return keys
+
+
+def test_declarations_and_samples():
+    assert SAMPLE.keys() == KEYS.keys()
+    assert sum(len(declared(mode)) for mode in MODES) == 189
+    for mode, entry in MODES.items():
+        assert entry.preset.keys() <= declared(mode)
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_mode_reads_its_keys_and_rejects_the_rest(mode, key, capsys):
+    if key not in declared(mode):
+        rc = main(argv_for(mode, {**BASE[mode], key: SAMPLE[key]}))
+        assert rc == 2
+        record = assert_one_json_record(capsys.readouterr().err)
+        assert record["violations"] == [f"{key}: mode {mode!r} does not read it"]
+    elif key in PHYSICAL_POINT:
+        # a physical key takes the place of the normalized point, which the
+        # figure presets fix
+        settings = {k: v for k, v in BASE[mode].items() if k not in OPERATING_POINT}
+        if MODES[mode].preset.keys() & OPERATING_POINT.keys():
+            with pytest.raises(ValidationError) as err:
+                parse_config("", mode, {**settings, **PHYSICAL_POINT})
+            assert err.value.violations == [
+                "params: give either normalized (b, phi, ...) or physical.* keys, not both"
+            ]
+        else:
+            assert parse_config("", mode, {**settings, **PHYSICAL_POINT}).params.b == \
+                pytest.approx(10.0)
+    else:
+        cfg = parse_config("", mode, {**BASE[mode], key: SAMPLE[key]})
+        assert cfg.raw[key] == SAMPLE[key]
+
+
+class Poison:
+    """A setting no table builder may touch: every use of it raises."""
+
+    def _touched(self, *args, **kwargs):
+        raise AssertionError("a table builder read a setting its mode does not declare")
+
+    __getattr__ = __bool__ = __float__ = __int__ = __index__ = __iter__ = __len__ = _touched
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __neg__ = __abs__ = _touched
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _touched
+    __truediv__ = __rtruediv__ = __pow__ = __rpow__ = __array__ = _touched
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_table_reads_only_declared_settings(mode):
+    cfg = parse_config("", mode, BASE[mode])
+    reads = MODES[mode].reads
+    owners = {
+        "params": OPERATING_POINT.keys() | PHYSICAL_POINT.keys(),
+        "sweep": {k for k in KEYS if k.startswith("sweep.")},
+        **{spec.attr: {key} for key, spec in KEYS.items() if spec.attr},
+    }
+    poison = {field: Poison() for field, keys in owners.items() if not keys & reads}
+    if "noise_model" not in reads:  # an `is` test cannot be poisoned: flip the bath
+        flat = cfg.noise_model is ThermalNoiseModel.MARKOV_FLAT
+        poison["noise_model"] = ThermalNoiseModel("quantum_coth" if flat else "markov_flat")
+    expected = MODES[mode].table(cfg)
+    assert MODES[mode].table(dataclasses.replace(cfg, **poison)) == expected
+
+
+@pytest.mark.parametrize("mode, overrides", [
+    ("spectrum", {"spectrum.omega_start": "1e300", "spectrum.omega_stop": "1.7e308"}),
+    ("spectrum", {"spectrum.omega_start": "-1.7e308"}),
+    ("spectrum", {"spectrum.omega_start": "-1.7e308", "spectrum.omega_stop": "1.7e308"}),
+    ("variances", {"sweep.variable": "phi", "sweep.start": "-1e308", "sweep.stop": "1e308",
+                   "sweep.points": "3"}),
+    ("dynamics", {"dynamics.t_end": "1e308", "dynamics.samples": "3"}),
+    ("dynamics", {"phi": "1.8014398509481988e16", "dynamics.samples": "3"}),
+    ("fig3", {"dynamics.t_end": "1e305"}),
+    ("homodyne", {"homodyne.lo_rate": "1e-300"}),
+    ("homodyne", {"homodyne.window": "1e308"}),
+    ("homodyne", {"homodyne.lo_rate": "1e308"}),
+    ("optimize", {"b": "1e-300", "phi": "1"}),
+    ("adiabatic", {"sweep.variable": "b", "sweep.start": "1.2e77", "sweep.stop": "10",
+                   "sweep.points": "3"}),
+])
+def test_extreme_finite_input_exits_cleanly(mode, overrides, capsys):
+    # warnings are errors under pytest, so numpy's would surface as a raise
+    rc = main(argv_for(mode, {**OPERATING_POINT, **overrides}))
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc in (2, 3) and out == ""
+        assert "np." not in assert_one_json_record(err)["message"]
+
+
+# Text for the fuzz property. Integer-valued text is capped so that no
+# example asks for a long sweep or a large grid; output_path is left out
+# because any text there names a file to write.
 HOSTILE = ["nan", "inf", "-inf", "-0", "0", "1", "2", "-3", "0.5", "1e308", "-1e308",
-           "1e-308", "junk", "", "true", "log", "phi", "x_out", "markov_flat"]
+           "1e-308", "1e-300", "1e300", "junk", "", "true", "log", "phi", "x_out",
+           "markov_flat"]
 
 
 def _small_if_integer(text):
@@ -441,26 +600,17 @@ FUZZ_TEXT = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.text(max_size=8).filter(_small_if_integer),
 )
-FUZZ_BASE = {
-    "steady": {"steady.phi_c": "2", "steady.drive": "2"},
-    "spectrum": {**OPERATING_POINT, "spectrum.omega_points": "9"},
-    "variances": {**OPERATING_POINT, "sweep.variable": "phi", "sweep.start": "5",
-                  "sweep.stop": "15", "sweep.points": "3"},
-    "adiabatic": {**OPERATING_POINT, "sweep.variable": "b", "sweep.start": "1",
-                  "sweep.stop": "10", "sweep.points": "4"},
-    "dynamics": {**OPERATING_POINT, "dynamics.samples": "9"},
-}
 
 
-@settings(max_examples=150)
-@given(
-    mode=st.sampled_from(sorted(FUZZ_BASE)),
-    overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_TEXT, max_size=3),
-)
-def test_any_input_exits_cleanly(mode, overrides):
+@settings(max_examples=200)
+@given(data=st.data())
+def test_any_input_exits_cleanly(data):
+    mode = data.draw(st.sampled_from(sorted(MODES)))
+    keys = sorted(MODES[mode].reads - {"output_path"})
+    overrides = data.draw(st.dictionaries(st.sampled_from(keys), FUZZ_TEXT, max_size=3))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv_for(mode, {**FUZZ_BASE[mode], **overrides}))
+        rc = main(argv_for(mode, {**BASE[mode], **overrides}))
     out, err = out.getvalue(), err.getvalue()
     assert rc in (0, 2, 3)
     if rc:

@@ -93,6 +93,22 @@ class TestParamTypes:
             si_params(**{field: math.nan})
         assert err.value.problems == [f"{field} must be finite, got nan"]
 
+    def test_normalized_stores_plain_floats(self):
+        p = NormalizedParams(
+            b=np.float64(10), phi=np.float32(2.5), phi_nl=0, q_factor=100, n_t_i=np.int64(1)
+        )
+        assert [type(v) for v in vars(p).values()] == [float] * 5
+        assert p.replace(phi=np.float64(3)).phi.__class__ is float
+
+    def test_normalized_rejects_non_numbers(self):
+        with pytest.raises(InvalidParams) as err:
+            NormalizedParams(b="ten", phi=1, phi_nl=-1, q_factor=100, n_t_i=None)
+        assert err.value.problems == [
+            "b must be a real number, got 'ten'",
+            "n_t_i must be a real number, got None",
+            "phi_nl must be >= 0, got -1.0",
+        ]
+
     def test_one_problem_per_field(self):
         with pytest.raises(InvalidParams) as err:
             NormalizedParams(b=-1, phi=math.nan, phi_nl=-2, q_factor=0.1, n_t_i=5)
@@ -168,6 +184,12 @@ class TestSteadyState:
     def test_negative_drive_rejected(self):
         with pytest.raises(InvalidParams):
             solve_steady_state(1.0, -0.5)
+
+    def test_overflowing_cube_rejected(self):
+        # 1 + phi_c^2 is finite here, phi_c^3 (the residual's scale) is not;
+        # the CLI printed a raw OverflowError
+        with pytest.raises(InvalidParams):
+            solve_steady_state(1e103, 0.0)
 
 
 class TestStabilityCheck:

@@ -12,6 +12,7 @@ from optocool import (
     InvalidParams,
     NormalizedParams,
     QuadratureFailure,
+    SingularResponse,
     ThermalNoiseModel,
     Unstable,
     build_system,
@@ -133,8 +134,17 @@ class TestNoiseSpectrum:
         assert w[s.argmax()] == pytest.approx(rates.omega_eff_ratio, abs=0.03)
 
     def test_sample_type(self):
-        sample = noise_spectrum(0.5, FIG2)
-        assert sample.omega == 0.5 and sample.s_q > 0
+        # a scalar frequency gives a float, an array of them an array
+        s = noise_spectrum(0.5, FIG2)
+        assert type(s) is float and s > 0
+        values = noise_spectrum(np.array([0.5, -0.5, 2.0]), FIG2)
+        assert values.shape == (3,)
+        assert values[0] == s and values[1] == pytest.approx(s, rel=1e-12)
+
+    def test_overflow_is_typed_and_names_a_float(self):
+        with pytest.raises(SingularResponse) as err:
+            noise_spectrum(np.array([1e300, 1.7e308]), FIG2)
+        assert str(err.value) == "spectrum overflows at omega=1e+300"
 
     def test_unstable_rejected(self):
         p = NormalizedParams(b=1, phi=-0.5, phi_nl=2.0, q_factor=100, n_t_i=0)
@@ -191,9 +201,11 @@ class TestIntegrateVariances:
         res = integrate_variances(FIG2, ThermalNoiseModel.MARKOV_FLAT)
         assert res.quadrature_error < 1e-6
 
-    def test_bad_cutoff_rejected(self):
+    @pytest.mark.parametrize("cutoff", [1.5, math.inf, math.nan])
+    def test_bad_cutoff_rejected(self, cutoff):
+        # the coth dp^2 diverges without a cutoff, so inf is no cutoff at all
         with pytest.raises(InvalidParams):
-            integrate_variances(FIG2, omega_max=1.5)
+            integrate_variances(FIG2, ThermalNoiseModel.QUANTUM_COTH, omega_max=cutoff)
 
     def test_heating_side_rejected(self):
         p = NormalizedParams(b=10, phi=-5.0, phi_nl=0.1, q_factor=1e4, n_t_i=100)
