@@ -13,6 +13,8 @@ position in the pair are appended to ``--out`` (created if missing), and
 the summary of each (workload, seed) is recomputed from all its runs:
 per side the median and quartiles of every metric, and the number of
 pairs the change wins, by the metric's direction in ``BENCHMARK.json``.
+An existing ``--out`` must hold runs of the same ``--seconds``; otherwise
+the script exits with status 1 before any run.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ def main() -> None:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if doc["seconds"] != args.seconds:
+            sys.exit(f"{args.out} holds {doc['seconds']} s runs, not --seconds {args.seconds}; "
+                     "one summary must not mix run lengths")
     first = max((r["pair"] for r in doc["runs"]
                  if (r["workload"], r["seed"]) == (args.workload, args.seed)), default=-1) + 1
     for pair in range(first, first + args.pairs):

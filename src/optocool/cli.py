@@ -136,7 +136,8 @@ KEYS = {
 
 _DEFAULTS = {spec.attr: spec.default for spec in KEYS.values() if spec.attr}
 #: the operating point, read as one unit: the normalized or the physical keys
-_POINT = frozenset(SWEEPABLE) | _PHYSICAL_KEYS.keys()
+_NORMALIZED = frozenset(SWEEPABLE)
+_POINT = _NORMALIZED | _PHYSICAL_KEYS.keys()
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -314,7 +315,7 @@ def parse_config(
                 vals[key] = value
     merged = {k: v for k, v in merged.items() if k in entry.reads}
 
-    params = _operating_point(merged, vals, violations) if _POINT <= entry.reads else None
+    params = _operating_point(merged, vals, violations) if _NORMALIZED <= entry.reads else None
     sweep = _sweep(merged, vals, violations)
     variable = vals.get("sweep.variable")
     if variable is not None and variable not in entry.sweeps:
@@ -488,12 +489,15 @@ def _reads(*groups: str) -> frozenset:
     """The keys a mode reads: ``output_path`` and the named groups.
 
     A group is ``"point"`` (the operating point, normalized or physical),
-    ``"prefix.*"`` (every key under the prefix) or a single key.
+    ``"normalized"`` (its normalized keys alone), ``"prefix.*"`` (every
+    key under the prefix) or a single key.
     """
     keys = {"output_path"}
     for group in groups:
         if group == "point":
             keys |= _POINT
+        elif group == "normalized":
+            keys |= _NORMALIZED
         elif group.endswith(".*"):
             keys |= {k for k in KEYS if k.startswith(group[:-1])}
         else:
@@ -506,7 +510,8 @@ class Mode(NamedTuple):
 
     ``table(cfg)`` returns the (columns, rows) of its result; ``reads``
     holds the config keys its table depends on, and every other key is
-    rejected; a mode that reads the operating point requires one.
+    rejected; a mode that reads the normalized keys requires an operating
+    point.
     ``sweeps`` are the variables a sweep may run over; ``noise`` is the
     default ``noise_model``; ``preset`` is config text the user's keys
     override.
@@ -522,27 +527,29 @@ class Mode(NamedTuple):
 _VARIANCES = (("dq2", "dimensionless"), ("dp2", "dimensionless"), ("n_t_f", "dimensionless"))
 _FIGURE_POINT = {"q_factor": "1e4", "n_t_i": "100", "phi_nl": "0.1", "b": "10", "phi": "10"}
 _PHI_STAR = optimal_detuning(10.0)
-_SWEEPING = ("point", "sweep.*", "lock_phi_to_b")
+_SWEEPING = ("sweep.*", "lock_phi_to_b")
 _INTEGRATING = (*_SWEEPING, "noise_model", "tolerances.*")
 
-# flat bath for the cross-check modes, coth for the spectral figure presets
+# flat bath for the cross-check modes, coth for the spectral figure presets;
+# the presets fix the normalized point, so they read no physical.* key
 MODES = {
     "steady": Mode(_steady_table, _reads("steady.*")),
     "spectrum": Mode(_spectrum_table, _reads("point", "noise_model", "spectrum.*")),
     "variances": Mode(
         _sweep_table(_VARIANCES + (("quadrature_error", "dimensionless"),), _variances_row),
-        _reads(*_INTEGRATING),
+        _reads("point", *_INTEGRATING),
     ),
     "adiabatic": Mode(_sweep_table((
         ("omega_eff_ratio", "dimensionless"), ("gamma_eff_ratio", "dimensionless"),
         ("q_eff", "dimensionless"), ("f", "dimensionless"), ("eta", "dimensionless"),
         ("dq2", "dimensionless"), ("n_t_f", "dimensionless"), ("adiabatic_ok", "bool"),
-    ), _adiabatic_row), _reads(*_SWEEPING)),
-    "optimize": Mode(_optimize_table, _reads(*_INTEGRATING), ("b",)),
+    ), _adiabatic_row), _reads("point", *_SWEEPING)),
+    "optimize": Mode(_optimize_table, _reads("point", *_INTEGRATING), ("b",)),
     "dynamics": Mode(_dynamics_table, _reads("point", "dynamics.*")),
     "homodyne": Mode(_homodyne_table, _reads("point", "homodyne.*")),
     "fig1": Mode(
-        _sweep_table(_VARIANCES, _fig1_row), _reads(*_INTEGRATING), noise="quantum_coth",
+        _sweep_table(_VARIANCES, _fig1_row), _reads("normalized", *_INTEGRATING),
+        noise="quantum_coth",
         preset={
             **_FIGURE_POINT, "b": "5", "phi": "5", "lock_phi_to_b": "true",
             "sweep.variable": "b", "sweep.start": "1", "sweep.stop": "10",
@@ -553,14 +560,14 @@ MODES = {
         _sweep_table(
             (("dq2_exact", "dimensionless"), ("dq2_adiabatic", "dimensionless")), _fig2_row,
         ),
-        _reads(*_SWEEPING, "noise_model"), noise="quantum_coth",
+        _reads("normalized", *_SWEEPING, "noise_model"), noise="quantum_coth",
         preset={
             **_FIGURE_POINT, "sweep.variable": "phi",
             "sweep.start": repr(0.5 * _PHI_STAR), "sweep.stop": repr(2.0 * _PHI_STAR),
             "sweep.points": "61", "sweep.spacing": "linear",
         },
     ),
-    "fig3": Mode(_dynamics_table, _reads("point", "dynamics.*"), preset={
+    "fig3": Mode(_dynamics_table, _reads("normalized", "dynamics.*"), preset={
         **_FIGURE_POINT, "dynamics.t_end": "0.02", "dynamics.samples": "401",
     }),
 }

@@ -92,7 +92,6 @@ class LinearSystem:
     diffusion: np.ndarray
     params: NormalizedParams
     coupling: float
-    basis: tuple[str, ...] = ("dq", "dp", "dx", "dy")
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -103,11 +102,6 @@ class LinearSystem:
             raise Unstable(f"drift eigenvalue with Re = {max_re:.3g} >= 0")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", s)
-
-    @property
-    def kappa(self) -> float:
-        """Cavity decay rate in Omega_m units."""
-        return 1.0 / self.params.b
 
 
 @dataclass(frozen=True)
@@ -294,7 +288,10 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
     a, lam, s = sys.drift, sys.eigenvalues, sys.eigenvectors
     if np.linalg.cond(s) < 1e8:
         s_inv = np.linalg.inv(s)
-        phases = np.exp(np.multiply.outer(taus, lam))  # (n, 4)
+        z = np.multiply.outer(taus, lam)  # (n, 4)
+        # e^z underflows to 0 below Re z of about -745; set it there, as
+        # exp gives nan where tau |Im lam| overflows on top of the decay
+        phases = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
         out = np.einsum("ik,nk,kj->nij", s, phases, s_inv).real
         return out
     return np.array([expm(a * tau) for tau in taus]).reshape(-1, 4, 4)

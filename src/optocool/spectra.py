@@ -18,6 +18,13 @@ agree exactly at w = 1, so they differ only through the off-resonant
 wings. The flat model is what a white-noise (Lyapunov) time-domain
 treatment assumes, which makes it the reference for cross-method
 checks; the coth model is the physical default.
+
+S_q is written once, as the plain-Python closure of
+:func:`_scalar_spectrum_fn`: :func:`noise_spectrum` maps it over its
+frequencies and the adaptive quadratures integrate it. The variance
+integrals are residue sums at the drift eigenvalues, except dp^2 under
+the coth weight and integrals over nearly coincident poles: those are
+adaptive quadratures to a fixed relative tolerance of 1e-8.
 """
 
 from __future__ import annotations
@@ -46,13 +53,12 @@ __all__ = [
     "noise_spectrum",
     "position_variance",
     "integrate_variances",
-    "MIN_RTOL",
     "POLE_SEPARATION_MIN",
 ]
 
 _EPS = sys.float_info.epsilon
-#: smallest relative tolerance the adaptive quadrature accepts
-MIN_RTOL = 50.0 * _EPS
+#: relative tolerance of every adaptive quadrature of a variance
+_QUAD_RTOL = 1e-8
 #: relative separation of two drift eigenvalues at or below which the
 #: variance integrals are taken by adaptive quadrature rather than
 #: residues (the measurement behind it is in :func:`_fractions`)
@@ -123,68 +129,32 @@ def _flat_weight(params: NormalizedParams) -> float:
     return 2.0 * (2.0 * params.n_t_i + 1.0) / params.q_factor
 
 
-def _thermal_weight(omega, params: NormalizedParams, noise_model: ThermalNoiseModel):
-    """Thermal weight T(w); even in w, with the w = 0 coth limit built in."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    q = params.q_factor
-    if noise_model is ThermalNoiseModel.MARKOV_FLAT:
-        return np.full(w.shape, _flat_weight(params))
-    x = coth_scale(params.n_t_i)
-    if math.isinf(x):  # zero-temperature bath: coth(x w) -> sign(w)
-        return 2.0 * np.abs(w) / q
-    out = np.empty_like(w)
-    nz = x * w != 0.0  # x w can underflow where n_t_i is huge
-    out[~nz] = 2.0 / (x * q)
-    out[nz] = 2.0 * w[nz] / (q * np.tanh(x * w[nz]))
-    return out
-
-
-def _response_parts(omega, params: NormalizedParams):
-    w = np.asarray(omega, dtype=float)
-    d = cavity_response(w, params.b, params.phi)
-    chi_inv = 1.0 - w * w - 1j * w / params.q_factor
-    denom = d * chi_inv - 2.0 * params.phi * params.phi_nl
-    return d, denom
-
-
 def effective_susceptibility(omega, params: NormalizedParams):
     """Mechanical response dressed by the cavity, in units of 1/(M Omega_m^2).
 
     Returns 1 / [(1 - w^2 - i w/Q) - 2 phi phi_nl / D(w)]. At phi_nl = 0
     this is the bare susceptibility (1 at w = 0, i Q on resonance).
     """
-    d, denom = _response_parts(omega, params)
-    val = denom / d
-    if np.any(np.abs(val) < 1e-13 * (1.0 + np.asarray(omega, dtype=float) ** 2)):
-        raise SingularResponse(
-            f"effective susceptibility diverges near omega={omega!r}"
-        )
+    w = np.asarray(omega, dtype=float)
+    d = cavity_response(w, params.b, params.phi)
+    val = 1.0 - w * w - 1j * w / params.q_factor - 2.0 * params.phi * params.phi_nl / d
+    diverging = np.atleast_1d(np.abs(val) < 1e-13 * (1.0 + w * w))
+    if diverging.any():
+        bad = float(np.atleast_1d(w)[diverging][0])
+        raise SingularResponse(f"effective susceptibility diverges near omega={bad}")
     out = 1.0 / val
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def _spectrum_values(omega, params: NormalizedParams, noise_model: ThermalNoiseModel):
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    with np.errstate(all="ignore"):  # an overflow fails the finiteness test below
-        d, denom = _response_parts(w, params)
-        dabs2 = (d * d.conjugate()).real
-        num = _thermal_weight(w, params, noise_model) * dabs2 + 4.0 * params.phi_nl * (
-            1.0 + params.phi * params.phi + (params.b * w) ** 2
-        )
-        denom2 = (denom * denom.conjugate()).real
-        vanishing = denom2 < 1e-26 * (1.0 + w * w) ** 2
-        out = num / denom2
-    if np.any(vanishing):
-        bad = float(w[vanishing][0])
-        raise SingularResponse(f"spectrum denominator vanishes near omega={bad}")
-    if not np.all(np.isfinite(out)):
-        bad = float(w[~np.isfinite(out)][0])
-        raise SingularResponse(f"spectrum overflows at omega={bad}")
-    return out
-
-
 def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel):
-    """Plain-Python S_q(w) closure, cheap enough for adaptive quadrature."""
+    """S_q(w) as a plain-Python closure, cheap enough for adaptive quadrature.
+
+    The thermal weight T(w) is even in w, with the w = 0 coth limit built
+    in. The closure raises :class:`SingularResponse` where the
+    denominator vanishes and OverflowError where the value is not finite
+    (a nan integrand can crash QUADPACK's breakpoint routine), as a
+    float ``**`` that overflows does too.
+    """
     b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
     phi2 = phi * phi
     two_cross = 2.0 * phi * phi_nl
@@ -197,7 +167,7 @@ def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel
 
     else:
         x = coth_scale(params.n_t_i)
-        if math.isinf(x):
+        if math.isinf(x):  # zero-temperature bath: coth(x w) -> sign(w)
 
             def thermal(w):
                 return 2.0 * abs(w) / q
@@ -218,8 +188,8 @@ def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel
         if denom2 < 1e-26 * (1.0 + w * w) ** 2:
             raise SingularResponse(f"spectrum denominator vanishes at omega={w}")
         value = (thermal(w) * dabs2 + four_nl * (1.0 + phi2 + (b * w) ** 2)) / denom2
-        if value != value:  # a nan integrand can crash QUADPACK's breakpoint routine
-            raise QuadratureFailure(f"spectrum overflows at omega={w}")
+        if not math.isfinite(value):
+            raise OverflowError(f"spectrum overflows at omega={w}")
         return value
 
     return s_q
@@ -242,15 +212,22 @@ def noise_spectrum(
         If the spectrum's denominator vanishes or its value overflows.
     """
     classify(params).require_stable()
-    values = _spectrum_values(omega, params, noise_model)
-    return float(values[0]) if np.ndim(omega) == 0 else values
+    s_q = _scalar_spectrum_fn(params, noise_model)
+    w = np.asarray(omega, dtype=float)
+    values = []
+    for x in w.ravel().tolist():
+        try:
+            values.append(s_q(x))
+        except OverflowError:
+            raise SingularResponse(f"spectrum overflows at omega={x}") from None
+    return values[0] if w.ndim == 0 else np.array(values).reshape(w.shape)
 
 
 def _checked_quad(f, a, b, rtol, points=None):
     try:
         res = quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=400, points=points,
                    full_output=1)
-    except OverflowError as exc:  # float ** in the integrand, at extreme parameters
+    except OverflowError as exc:  # the integrand overflows, at extreme parameters
         raise QuadratureFailure(f"integrand overflows: {exc}") from None
     if len(res) > 3:
         raise QuadratureFailure(str(res[3]))
@@ -407,10 +384,10 @@ def _residue_sum(terms, roundoff):
     return value, err
 
 
-def _position_variance(params, noise_model, report, fr, rtol):
+def _position_variance(params, noise_model, report, fr):
     """dq^2 and its error from the partial fractions ``fr`` (None: quadrature)."""
     if fr is None:
-        return _quad_moment(params, report, noise_model, 0, _OMEGA_SPLIT, rtol)
+        return _quad_moment(params, report, noise_model, 0, _OMEGA_SPLIT, _QUAD_RTOL)
     if noise_model is ThermalNoiseModel.MARKOV_FLAT:
         weight = _flat_weight(params)
         terms = [(weight * al + f) / (2.0 * a) for a, al, f in zip(fr.a, fr.alpha, fr.f)]
@@ -428,18 +405,9 @@ def _position_variance(params, noise_model, report, fr, rtol):
     return _residue_sum(terms, fr.roundoff)
 
 
-def _residues_or_quad(params: NormalizedParams, rtol: float):
-    """(classify report, partial fractions or None) of a stable point."""
-    if not rtol > MIN_RTOL:
-        raise InvalidParams(f"rtol must be > {MIN_RTOL:.3g}, got {rtol}")
-    report = classify(params).require_stable()
-    return report, _fractions(params)
-
-
 def position_variance(
     params: NormalizedParams,
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
-    rtol: float = 1e-8,
 ) -> tuple[float, float]:
     """dq^2 = int dw/(2 pi) S_q(w) and a bound on its error, without dp^2.
 
@@ -456,7 +424,7 @@ def position_variance(
 
     at n_t_i = 0 (x -> inf) the bracket is -2 log a_j. Where two poles
     nearly coincide (see :func:`_fractions`) the integral is taken by
-    adaptive quadrature to ``rtol`` instead; the error is then its
+    adaptive quadrature to 1e-8 (relative) instead; the error is then its
     estimate, otherwise a round-off bound.
 
     Raises
@@ -466,15 +434,14 @@ def position_variance(
     QuadratureFailure
         If the quadrature misses its tolerance or the sum is not finite.
     """
-    report, fr = _residues_or_quad(params, rtol)
-    return _position_variance(params, noise_model, report, fr, rtol)
+    report = classify(params).require_stable()
+    return _position_variance(params, noise_model, report, _fractions(params))
 
 
 def integrate_variances(
     params: NormalizedParams,
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
     omega_max: float = 100.0,
-    rtol: float = 1e-8,
 ) -> VarianceResult:
     """Mirror variances of the exact spectrum.
 
@@ -489,7 +456,7 @@ def integrate_variances(
     * dp^2, coth weight: w^2 S_q falls off only like 2/(Q |w|), so the
       variance is cut off at ``omega_max`` by definition and no contour
       closes it. It stays one adaptive quadrature on [0, omega_max] to
-      ``rtol``, on a mesh split at the resonances.
+      1e-8 (relative), on a mesh split at the resonances.
 
     ``omega_max`` therefore affects only dp^2 under the coth weight (and,
     where poles nearly coincide, where the flat dp^2 quadrature splits off
@@ -507,8 +474,9 @@ def integrate_variances(
     """
     if not 2.0 < omega_max < math.inf:
         raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
-    report, fr = _residues_or_quad(params, rtol)
-    dq2, err_q = _position_variance(params, noise_model, report, fr, rtol)
+    report = classify(params).require_stable()
+    fr = _fractions(params)
+    dq2, err_q = _position_variance(params, noise_model, report, fr)
     if fr is not None and noise_model is ThermalNoiseModel.MARKOV_FLAT:
         weight = _flat_weight(params)
         dp2, err_p = _residue_sum(
@@ -516,7 +484,7 @@ def integrate_variances(
             fr.roundoff,
         )
     else:
-        dp2, err_p = _quad_moment(params, report, noise_model, 2, omega_max, rtol)
+        dp2, err_p = _quad_moment(params, report, noise_model, 2, omega_max, _QUAD_RTOL)
 
     return VarianceResult.from_variances(
         dq2, dp2,

@@ -285,7 +285,7 @@ class TestMain:
 
     def test_removed_quadrature_rel_is_unknown_key(self, capsys):
         # optimize never passed the setting on, so it applied to some modes
-        # and not to others; the library keeps its rtol argument
+        # and not to others; the integrals now take no tolerance at all
         rc = main(argv_for("variances", {**OPERATING_POINT,
                                          "tolerances.quadrature_rel": "1e-9"}))
         assert rc == 2
@@ -463,17 +463,18 @@ SAMPLE = {
 
 # The key groups each mode reads, as the README's CLI table lists them;
 # "point" is the operating point: the normalized or the physical keys.
-_INTEGRATING = ["point", "sweep.*", "lock_phi_to_b", "noise_model", "tolerances.*"]
+# The figure presets fix the normalized keys and read no physical one.
+_INTEGRATING = ["sweep.*", "lock_phi_to_b", "noise_model", "tolerances.*"]
 READS = {
     "steady": ["steady.*"],
     "spectrum": ["point", "noise_model", "spectrum.*"],
-    "variances": _INTEGRATING,
-    "fig1": _INTEGRATING,
-    "optimize": _INTEGRATING,
-    "fig2": ["point", "sweep.*", "lock_phi_to_b", "noise_model"],
+    "variances": ["point", *_INTEGRATING],
+    "fig1": ["normalized", *_INTEGRATING],
+    "optimize": ["point", *_INTEGRATING],
+    "fig2": ["normalized", "sweep.*", "lock_phi_to_b", "noise_model"],
     "adiabatic": ["point", "sweep.*", "lock_phi_to_b"],
     "dynamics": ["point", "dynamics.*"],
-    "fig3": ["point", "dynamics.*"],
+    "fig3": ["normalized", "dynamics.*"],
     "homodyne": ["point", "homodyne.*"],
 }
 
@@ -483,6 +484,8 @@ def declared(mode):
     for group in READS[mode]:
         if group == "point":
             keys |= OPERATING_POINT.keys() | PHYSICAL_POINT.keys()
+        elif group == "normalized":
+            keys |= OPERATING_POINT.keys()
         elif group.endswith(".*"):
             keys |= {k for k in KEYS if k.startswith(group[:-1])}
         else:
@@ -492,7 +495,7 @@ def declared(mode):
 
 def test_declarations_and_samples():
     assert SAMPLE.keys() == KEYS.keys()
-    assert sum(len(declared(mode)) for mode in MODES) == 189
+    assert sum(len(declared(mode)) for mode in MODES) == 162
     for mode, entry in MODES.items():
         assert entry.preset.keys() <= declared(mode)
 
@@ -506,18 +509,10 @@ def test_mode_reads_its_keys_and_rejects_the_rest(mode, key, capsys):
         record = assert_one_json_record(capsys.readouterr().err)
         assert record["violations"] == [f"{key}: mode {mode!r} does not read it"]
     elif key in PHYSICAL_POINT:
-        # a physical key takes the place of the normalized point, which the
-        # figure presets fix
+        # a physical key takes the place of the normalized point
         settings = {k: v for k, v in BASE[mode].items() if k not in OPERATING_POINT}
-        if MODES[mode].preset.keys() & OPERATING_POINT.keys():
-            with pytest.raises(ValidationError) as err:
-                parse_config("", mode, {**settings, **PHYSICAL_POINT})
-            assert err.value.violations == [
-                "params: give either normalized (b, phi, ...) or physical.* keys, not both"
-            ]
-        else:
-            assert parse_config("", mode, {**settings, **PHYSICAL_POINT}).params.b == \
-                pytest.approx(10.0)
+        assert parse_config("", mode, {**settings, **PHYSICAL_POINT}).params.b == \
+            pytest.approx(10.0)
     else:
         cfg = parse_config("", mode, {**BASE[mode], key: SAMPLE[key]})
         assert cfg.raw[key] == SAMPLE[key]
@@ -577,6 +572,20 @@ def test_extreme_finite_input_exits_cleanly(mode, overrides, capsys):
     else:
         assert rc in (2, 3) and out == ""
         assert "np." not in assert_one_json_record(err)["message"]
+
+
+def test_decayed_transient_is_the_steady_state(capsys):
+    # at these times t Q |Im lambda| overflows while e^{A t Q} has long
+    # decayed: every sample past t = 0 is the Lyapunov steady state
+    overrides = {"dynamics.t_end": "1e305"}
+    rc = main(argv_for("fig3", overrides))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1].startswith("1e+305,")
+    cfg = parse_config("", "fig3", overrides)
+    v_ss = lyapunov_steady_state(build_system(cfg.params)).v
+    last = run(cfg).rows[-1]
+    assert last[1:5] == pytest.approx(np.diag(v_ss), rel=1e-12)
 
 
 # Text for the fuzz property. Integer-valued text is capped so that no

@@ -27,12 +27,7 @@ from optocool import (
     position_variance,
     steady_variances,
 )
-from optocool.spectra import (
-    _fractions,
-    _quad_moment,
-    _scalar_spectrum_fn,
-    _spectrum_values,
-)
+from optocool.spectra import _fractions, _quad_moment, _scalar_spectrum_fn
 
 FIG2 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
 DEEP = NormalizedParams(b=10, phi=10, phi_nl=0.01, q_factor=1e5, n_t_i=100)
@@ -83,12 +78,18 @@ class TestEffectiveSusceptibility:
             FIG2.q_factor / rates.gamma_eff_ratio, rel=2e-3
         )
 
+    def test_divergence_names_a_float(self):
+        # at Q = 1e300 the bare response diverges on resonance
+        with pytest.raises(SingularResponse) as err:
+            effective_susceptibility(np.array([0.5, 1.0, 1.5]), bare(1e300, 0))
+        assert str(err.value) == "effective susceptibility diverges near omega=1.0"
+
 
 class TestNoiseSpectrum:
     def test_bare_thermal_lorentzian(self):
         p = bare(1e4, 7.0)
         w = np.linspace(-3, 3, 101)
-        got = _spectrum_values(w, p, ThermalNoiseModel.MARKOV_FLAT)
+        got = noise_spectrum(w, p, ThermalNoiseModel.MARKOV_FLAT)
         chi = 1.0 - w**2 - 1j * w / p.q_factor
         want = (2 * (2 * p.n_t_i + 1) / p.q_factor) / np.abs(chi) ** 2
         assert np.allclose(got, want, rtol=1e-12)
@@ -98,8 +99,8 @@ class TestNoiseSpectrum:
     )
     def test_even_in_frequency(self, model):
         w = np.linspace(0.01, 5, 57)
-        s_pos = _spectrum_values(w, FIG2, model)
-        s_neg = _spectrum_values(-w, FIG2, model)
+        s_pos = noise_spectrum(w, FIG2, model)
+        s_neg = noise_spectrum(-w, FIG2, model)
         assert np.allclose(s_pos, s_neg, rtol=1e-13)
 
     @pytest.mark.parametrize(
@@ -108,7 +109,7 @@ class TestNoiseSpectrum:
     def test_nonnegative(self, model):
         w = np.linspace(-20, 20, 2001)
         for p in (FIG2, DEEP, bare(1e4, 0)):
-            assert np.all(_spectrum_values(w, p, model) >= 0)
+            assert np.all(noise_spectrum(w, p, model) >= 0)
 
     def test_coth_zero_frequency_limit(self):
         s = _scalar_spectrum_fn(FIG2, ThermalNoiseModel.QUANTUM_COTH)
@@ -122,7 +123,7 @@ class TestNoiseSpectrum:
     def test_peak_tracks_effective_frequency_when_adiabatic(self):
         rates = effective_rates(DEEP)
         w = np.linspace(0.99, 1.01, 400001)
-        s = _spectrum_values(w, DEEP, ThermalNoiseModel.QUANTUM_COTH)
+        s = noise_spectrum(w, DEEP, ThermalNoiseModel.QUANTUM_COTH)
         assert w[s.argmax()] == pytest.approx(rates.omega_eff_ratio, abs=1e-4)
 
     def test_peak_near_effective_frequency_fig2(self):
@@ -130,7 +131,7 @@ class TestNoiseSpectrum:
         # the match is loose
         rates = effective_rates(FIG2)
         w = np.linspace(0.9, 1.1, 200001)
-        s = _spectrum_values(w, FIG2, ThermalNoiseModel.QUANTUM_COTH)
+        s = noise_spectrum(w, FIG2, ThermalNoiseModel.QUANTUM_COTH)
         assert w[s.argmax()] == pytest.approx(rates.omega_eff_ratio, abs=0.03)
 
     def test_sample_type(self):
@@ -308,9 +309,8 @@ class TestResidueRoute:
         assert lo.dp2 < hi.dp2
 
     def test_nan_integrand_is_a_quadrature_failure(self):
-        # D(w) overflows to nan at b = 1e100; handed to QUADPACK with
+        # S_q overflows to nan at b = 1e100; handed to QUADPACK with
         # breakpoints, a nan integrand crashed the interpreter
         p = NormalizedParams(b=1e100, phi=-3, phi_nl=0.0, q_factor=1.0000001, n_t_i=0.0)
-        s = _scalar_spectrum_fn(p, ThermalNoiseModel.QUANTUM_COTH)
-        with pytest.raises(QuadratureFailure):
-            s(0.5)
+        with pytest.raises(QuadratureFailure, match="integrand overflows"):
+            integrate_variances(p)
