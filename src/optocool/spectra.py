@@ -22,9 +22,12 @@ checks; the coth model is the physical default.
 S_q is written once, as the plain-Python closure of
 :func:`_scalar_spectrum_fn`: :func:`noise_spectrum` maps it over its
 frequencies and the adaptive quadratures integrate it. The variance
-integrals are residue sums at the drift eigenvalues, except dp^2 under
-the coth weight and integrals over nearly coincident poles: those are
-adaptive quadratures to a fixed relative tolerance of 1e-8.
+integrals are residue sums at the drift eigenvalues; dp^2 under the coth
+weight, cut off at omega_max, is a sum of arctangents, logarithms and
+digamma functions at the same poles plus a fixed Gauss-Legendre rule
+for the Bose tail beyond the cutoff. Adaptive quadrature, to a fixed
+relative tolerance of 1e-8, is left only where poles nearly coincide
+and, for the coth dp^2, where a pole is not well inside the cutoff.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import psi
 
@@ -65,6 +69,15 @@ _QUAD_RTOL = 1e-8
 POLE_SEPARATION_MIN = 1e-4
 #: where the quadrature of dq^2 splits into [0, split] and the tail
 _OMEGA_SPLIT = 100.0
+#: the coth dp^2 is taken in closed form only while every pole |a_j| lies
+#: below this fraction of omega_max (see :func:`_bose_tail`)
+_POLE_CUTOFF_FRACTION = 0.5
+#: 16-point Gauss-Legendre nodes and weights on [0, 1], one panel of the
+#: Bose tail rule
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+#: stated relative error bound of the Bose tail rule (see :func:`_bose_tail`)
+_BOSE_TAIL_RTOL = 1e-12
 
 
 class ThermalNoiseModel(enum.Enum):
@@ -118,9 +131,30 @@ def coth_scale(n_t_i: float) -> float:
     return 0.5 * math.log1p(1.0 / n_t_i)
 
 
+def _cavity_response(w, b, phi):
+    return (1.0 - 1j * b * w) ** 2 + phi * phi
+
+
+def _first_nonfinite(values, w):
+    """The first frequency of ``w`` where ``values`` is not finite, or None."""
+    bad = ~np.isfinite(np.atleast_1d(values))
+    return float(np.atleast_1d(w)[bad][0]) if bad.any() else None
+
+
 def cavity_response(omega, b: float, phi: float):
-    """Cavity response D(w) = (1 - i b w)^2 + phi^2 (w in Omega_m units)."""
-    out = (1.0 - 1j * b * np.asarray(omega, dtype=float)) ** 2 + phi * phi
+    """Cavity response D(w) = (1 - i b w)^2 + phi^2 (w in Omega_m units).
+
+    Raises
+    ------
+    SingularResponse
+        Where D is not finite: it overflows once |b w| passes about 1e154.
+    """
+    w = np.asarray(omega, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _cavity_response(w, b, phi)
+    bad = _first_nonfinite(out, w)
+    if bad is not None:
+        raise SingularResponse(f"cavity response is not finite at omega={bad}")
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -133,16 +167,26 @@ def effective_susceptibility(omega, params: NormalizedParams):
     """Mechanical response dressed by the cavity, in units of 1/(M Omega_m^2).
 
     Returns 1 / [(1 - w^2 - i w/Q) - 2 phi phi_nl / D(w)]. At phi_nl = 0
-    this is the bare susceptibility (1 at w = 0, i Q on resonance).
+    this is the bare susceptibility (1 at w = 0, i Q on resonance). Where
+    w^2 and D overflow (|w| above about 1e154) the value is its limit -0.
+
+    Raises
+    ------
+    SingularResponse
+        Where the response diverges, or is not finite.
     """
     w = np.asarray(omega, dtype=float)
-    d = cavity_response(w, params.b, params.phi)
-    val = 1.0 - w * w - 1j * w / params.q_factor - 2.0 * params.phi * params.phi_nl / d
-    diverging = np.atleast_1d(np.abs(val) < 1e-13 * (1.0 + w * w))
-    if diverging.any():
-        bad = float(np.atleast_1d(w)[diverging][0])
-        raise SingularResponse(f"effective susceptibility diverges near omega={bad}")
-    out = 1.0 / val
+    with np.errstate(all="ignore"):
+        d = _cavity_response(w, params.b, params.phi)
+        val = 1.0 - w * w - 1j * w / params.q_factor - 2.0 * params.phi * params.phi_nl / d
+        diverging = np.atleast_1d(np.abs(val) < 1e-13 * (1.0 + w * w))
+        if diverging.any():
+            bad = float(np.atleast_1d(w)[diverging][0])
+            raise SingularResponse(f"effective susceptibility diverges near omega={bad}")
+        out = 1.0 / val
+    bad = _first_nonfinite(out, w)
+    if bad is not None:
+        raise SingularResponse(f"effective susceptibility is not finite at omega={bad}")
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -243,7 +287,10 @@ def _checked_quad(f, a, b, rtol, points=None):
 def _quad_moment(params, report, noise_model, power, omega_max, rtol):
     """(1/pi) int_0^inf w^power S_q(w) dw and its error, by adaptive quadrature.
 
-    The integrand is even, so this is the variance int dw/(2 pi). The
+    The integrand is even, so this is the variance int dw/(2 pi). It is
+    the fallback of the residue and closed-form routes where those do not
+    apply (nearly coincident poles; for the coth dp^2 also a pole not well
+    inside the cutoff), and the tests' oracle for both. The
     mesh is pre-split around the (possibly shifted and broadened)
     mechanical resonance and at the cavity feature near w = phi/b, whose
     widths can be orders of magnitude below the plain mesh scale. Beyond
@@ -384,6 +431,19 @@ def _residue_sum(terms, roundoff):
     return value, err
 
 
+def _digamma(z):
+    """psi(z) for an array with Re z > 0, as psi(z + 3) - 1/z - 1/(z + 1) - 1/(z + 2).
+
+    scipy's complex psi switches to slow series near z = 0 and near its
+    positive root 1.46: about 40 us for four poles there against 2 us
+    elsewhere, and the coth variances land there at every n_t_i above
+    about 1. Over 3000 points with Re z > 0 the recurrence stayed within
+    2e-15 of mpmath (absolute, or relative where |psi| > 1), against
+    5e-15 for psi(z) itself.
+    """
+    return psi(z + 3.0) - 1.0 / z - 1.0 / (z + 1.0) - 1.0 / (z + 2.0)
+
+
 def _position_variance(params, noise_model, report, fr):
     """dq^2 and its error from the partial fractions ``fr`` (None: quadrature)."""
     if fr is None:
@@ -398,11 +458,114 @@ def _position_variance(params, noise_model, report, fr):
             if math.isinf(x):
                 thermal = -2.0 * np.log(poles)
             else:
-                thermal = math.pi / (x * poles) - 2.0 * psi(1.0 + (x / math.pi) * poles)
+                thermal = math.pi / (x * poles) - 2.0 * _digamma(1.0 + (x / math.pi) * poles)
         scale = 1.0 / (math.pi * params.q_factor)
         terms = [scale * al * th + f / (2.0 * a)
                  for a, al, f, th in zip(fr.a, fr.alpha, fr.f, thermal.tolist())]
     return _residue_sum(terms, fr.roundoff)
+
+
+def _bose_tail(params, x, omega_max):
+    """(2/(pi Q)) int_W^inf 2w/(e^{2xw} - 1) w^2 |chi_eff(w)|^2 dw, and its error bound.
+
+    This is the Bose part of the coth weight in w^2 S_q beyond the cutoff
+    W = omega_max (|D|^2/|P|^2 = |chi_eff|^2), summed over the poles
+    before it is integrated: one real integrand with no pole on the real
+    axis. It is taken in t = ln w over [ln W, ln(W + 20/x)], beyond which
+    the Bose factor has fallen by e^-40, with 16 Gauss-Legendre nodes on
+    each of ceil(width) equal panels (690 of them at n_t_i = 1e300). The
+    integrand's singularities nearest to that strip are the Bose poles,
+    pi/2 off the real t axis, and the spectrum's poles, at least ln 2 left
+    of the first panel while every |a_j| < W/2 (_POLE_CUTOFF_FRACTION).
+    Against 30-digit mpmath quadratures of the tail, with a strongly
+    coupled cavity pole moved from 0.3 W to 2 W (b from 1 to 1000), the
+    rule was within 1.1e-15 (relative) up to 0.7 W, 3.6e-13 at 0.9 W and
+    off by up to 1e-3 once the pole reached W; _BOSE_TAIL_RTOL = 1e-12 of
+    the tail is the stated bound.
+
+    w^2 |chi_eff|^2 is evaluated as 1/|(1 - w^2 - i w/Q - 2 phi phi_nl/D)/w|^2
+    with D/w^2 = (1/w - i b)^2 + (phi/w)^2, so that nothing overflows
+    where w^2 would: the last node is near 4e301 at n_t_i = 1e300.
+    """
+    if x * omega_max > 400.0:  # the Bose factor is below e^-800 on the whole tail
+        return 0.0, 0.0
+    span = math.log1p(20.0 / (x * omega_max))
+    if math.isinf(span):  # 1/x overflows, at n_t_i above about 1e307
+        raise QuadratureFailure(f"Bose tail beyond the cutoff overflows (n_t_i={params.n_t_i})")
+    panels = math.ceil(span)  # span >= log1p(0.05) here
+    h = span / panels
+    b, phi = params.b, params.phi
+    with np.errstate(all="ignore"):  # an overflow fails the finiteness test below
+        w = np.exp(math.log(omega_max) + h * (np.arange(panels)[:, None] + _GL_NODES)).ravel()
+        u = 1.0 / w
+        r = 1.0 / np.abs(u - w - 1j / params.q_factor - 2.0 * phi * params.phi_nl * u**3
+                         / ((u - 1j * b) ** 2 + (phi * u) ** 2))
+        s = 2.0 * x * w
+        # the Bose factor times w^3 |chi_eff|^2, the integrand in dt = dw/w
+        values = 2.0 * w * np.exp(-s) / -np.expm1(-s) * (w * r) * r
+    integral = h * float((values.reshape(panels, -1) @ _GL_WEIGHTS).sum())
+    tail = 2.0 / (math.pi * params.q_factor) * integral
+    if not math.isfinite(tail):  # a node past the largest float, n_t_i near 1e307
+        raise QuadratureFailure(f"Bose tail beyond the cutoff is not finite ({tail})")
+    return tail, _BOSE_TAIL_RTOL * tail
+
+
+def _momentum_variance(params, noise_model, report, fr, omega_max):
+    """dp^2 and its error from the partial fractions ``fr`` (None: quadrature).
+
+    Under the flat weight, int_0^inf w^2 dw/(w^2 + a^2) = -pi a/2 once the
+    sum over j of the numerators vanishes, so dp^2 is the residue sum
+    sum_j -(T alpha_j + f_j) a_j/2.
+
+    Under the coth weight w^2 S_q falls off only like 2/(Q |w|), so dp^2
+    is cut off at W = omega_max by definition. With sum_j alpha_j =
+    sum_j f_j = 0,
+
+        w^2 S_q = -T(w) sum_j alpha_j a_j^2/(w^2 + a_j^2)
+                  + sum_j f_j w^2/(w^2 + a_j^2),
+
+    and with w coth(x w) = w + 2w/(e^{2xw} - 1) each piece on [0, W] has
+    a closed form (principal branches; Re a_j > 0):
+
+    * radiation: int_0^W w^2 dw/(w^2 + a^2) = W - a arctan(W/a), whose W
+      terms cancel in the sum;
+    * zero-point: int_0^W w dw/(w^2 + a^2)
+      = [log(a + iW) + log(a - iW)]/2 - log a;
+    * Bose part on [0, inf), by Binet's integral for psi (DLMF 5.9.13):
+      int_0^inf 2w dw/((e^{2xw} - 1)(w^2 + a^2)) = log z - 1/(2z) - psi(z),
+      z = x a/pi, less its part on [W, inf) (:func:`_bose_tail`).
+
+    At n_t_i = 0 there is no Bose part. Where a pole is not well inside the
+    cutoff (|a_j| >= W/2) the tail rule loses its accuracy, and dp^2 is the
+    adaptive quadrature instead. Against 40-digit mpmath quadratures at
+    b = phi = 10, phi_nl = 0.1 and 0.01, with n_t_i from 0 to 1e306, the
+    closed form was within 5e-15, also at n_t_i = 1e300 and 1e306, where
+    the quadrature's integrand overflows.
+    """
+    flat = noise_model is ThermalNoiseModel.MARKOV_FLAT
+    if fr is None or (not flat and max(map(abs, fr.a)) >= _POLE_CUTOFF_FRACTION * omega_max):
+        return _quad_moment(params, report, noise_model, 2, omega_max, _QUAD_RTOL)
+    if flat:
+        weight = _flat_weight(params)
+        return _residue_sum(
+            [-0.5 * (weight * al + f) * a for a, al, f in zip(fr.a, fr.alpha, fr.f)],
+            fr.roundoff,
+        )
+    poles = np.array(fr.a)
+    x = coth_scale(params.n_t_i)
+    with np.errstate(all="ignore"):  # an overflow fails the finiteness test
+        thermal = 0.5 * (np.log(poles + 1j * omega_max) + np.log(poles - 1j * omega_max))
+        thermal -= np.log(poles)
+        if not math.isinf(x):
+            z = (x / math.pi) * poles
+            thermal += np.log(z) - 0.5 / z - _digamma(z)
+        terms = (-2.0 / (math.pi * params.q_factor) * np.array(fr.alpha) * poles * poles * thermal
+                 - np.array(fr.f) * poles * np.arctan(omega_max / poles) / math.pi)
+    value, err = _residue_sum(terms.tolist(), fr.roundoff)
+    if math.isinf(x):
+        return value, err
+    tail, tail_err = _bose_tail(params, x, omega_max)
+    return value - tail, err + tail_err
 
 
 def position_variance(
@@ -448,22 +611,25 @@ def integrate_variances(
     Routes:
 
     * dq^2, both weights: :func:`position_variance`, a sum of residues
-      at the drift eigenvalues (adaptive quadrature near coincident
-      poles).
-    * dp^2, flat weight: the same residues, sum_j -(T alpha_j + f_j)
-      a_j/2, from int w^2 dw/(w^2 + a^2) = -pi a once the sum over j of
-      the numerators vanishes.
+      at the drift eigenvalues.
+    * dp^2, flat weight: the same residues (:func:`_momentum_variance`).
     * dp^2, coth weight: w^2 S_q falls off only like 2/(Q |w|), so the
-      variance is cut off at ``omega_max`` by definition and no contour
-      closes it. It stays one adaptive quadrature on [0, omega_max] to
-      1e-8 (relative), on a mesh split at the resonances.
+      variance is cut off at ``omega_max`` by definition. It is a sum of
+      arctangents, logarithms and digamma functions at the same poles,
+      less a fixed Gauss-Legendre rule for the Bose tail beyond the
+      cutoff (:func:`_momentum_variance`).
+
+    Adaptive quadrature to 1e-8 (relative), on a mesh split at the
+    resonances, replaces a route where two poles nearly coincide (see
+    :func:`_fractions`) and, for the coth dp^2, where a pole has
+    |a_j| >= omega_max/2.
 
     ``omega_max`` therefore affects only dp^2 under the coth weight (and,
     where poles nearly coincide, where the flat dp^2 quadrature splits off
-    its tail). ``quadrature_error``
-    sums the errors of dq^2 and dp^2: a round-off bound for a residue
-    sum; for a quadrature its error estimate, plus the one-decade tail
-    bound 2 ln(10)/(pi Q) for dp^2 under the coth weight.
+    its tail). ``quadrature_error`` sums the errors of dq^2 and dp^2: a
+    round-off bound for a residue sum, plus 1e-12 of the Bose tail for the
+    coth dp^2; for a quadrature its error estimate, plus the one-decade
+    tail bound 2 ln(10)/(pi Q) for dp^2 under the coth weight.
 
     Raises
     ------
@@ -477,15 +643,7 @@ def integrate_variances(
     report = classify(params).require_stable()
     fr = _fractions(params)
     dq2, err_q = _position_variance(params, noise_model, report, fr)
-    if fr is not None and noise_model is ThermalNoiseModel.MARKOV_FLAT:
-        weight = _flat_weight(params)
-        dp2, err_p = _residue_sum(
-            [-0.5 * (weight * al + f) * a for a, al, f in zip(fr.a, fr.alpha, fr.f)],
-            fr.roundoff,
-        )
-    else:
-        dp2, err_p = _quad_moment(params, report, noise_model, 2, omega_max, _QUAD_RTOL)
-
+    dp2, err_p = _momentum_variance(params, noise_model, report, fr, omega_max)
     return VarianceResult.from_variances(
         dq2, dp2,
         method=Method.EXACT_SPECTRUM,

@@ -27,6 +27,7 @@ from optocool import (
     position_variance,
     steady_variances,
 )
+from optocool import spectra
 from optocool.spectra import _fractions, _quad_moment, _scalar_spectrum_fn
 
 FIG2 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
@@ -60,6 +61,13 @@ class TestCavityResponse:
         d = cavity_response(w, 7.0, 2.5)
         assert np.allclose(d[::-1], np.conj(d))
 
+    @pytest.mark.parametrize("omega", [1e200, np.array([1.0, 1e200])])
+    def test_overflow_is_typed_and_names_a_float(self, omega):
+        # D ~ -(b w)^2 overflows past |b w| ~ 1e154; no numpy warning escapes
+        with pytest.raises(SingularResponse) as err:
+            cavity_response(omega, 10.0, 10.0)
+        assert str(err.value) == "cavity response is not finite at omega=1e+200"
+
 
 class TestEffectiveSusceptibility:
     def test_bare_static(self):
@@ -77,6 +85,13 @@ class TestEffectiveSusceptibility:
         assert abs(val) == pytest.approx(
             FIG2.q_factor / rates.gamma_eff_ratio, rel=2e-3
         )
+
+    def test_far_wing_is_its_limit_without_warnings(self):
+        # w^2 and D overflow at |w| = 1e200, and chi_eff -> -0 there
+        val = effective_susceptibility(1e200, FIG2)
+        assert val == 0 and math.copysign(1.0, val.real) == -1.0
+        vals = effective_susceptibility(np.array([1.0, 1e200]), FIG2)
+        assert vals[0] == effective_susceptibility(1.0, FIG2) and vals[1] == 0
 
     def test_divergence_names_a_float(self):
         # at Q = 1e300 the bare response diverges on resonance
@@ -175,10 +190,20 @@ class TestIntegrateVariances:
         assert two_sided == pytest.approx(2 * one_sided, rel=1e-8)
 
     def test_cutoff_convergence(self):
+        coth = ThermalNoiseModel.QUANTUM_COTH
         for p in (FIG2, NormalizedParams(b=5, phi=5, phi_nl=0.1, q_factor=1e4, n_t_i=100)):
-            lo = integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH, omega_max=50.0)
-            hi = integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH, omega_max=200.0)
+            lo = integrate_variances(p, coth, omega_max=50.0)
+            hi = integrate_variances(p, coth, omega_max=200.0)
             assert abs(lo.dq2 - hi.dq2) / hi.dq2 < 1e-6
+            # d(dp^2)/dW = W^2 S_q(W)/pi: the closed form's cutoff dependence,
+            # by the five-point central difference (truncation ~ (h/W)^4)
+            for cutoff in (50.0, 100.0, 200.0):
+                h = 1e-3 * cutoff
+                dp2 = [integrate_variances(p, coth, omega_max=cutoff + k * h).dp2
+                       for k in (-2, -1, 1, 2)]
+                slope = (dp2[0] - 8.0 * dp2[1] + 8.0 * dp2[2] - dp2[3]) / (12.0 * h)
+                want = cutoff**2 * noise_spectrum(cutoff, p, coth) / math.pi
+                assert slope == pytest.approx(want, rel=1e-6)
 
     def test_cooling_beats_thermal(self):
         from optocool import decompose
@@ -240,6 +265,25 @@ stable_points = st.builds(
 )
 
 
+def closed_form_applies(p, omega_max=100.0):
+    """Whether the coth dp^2 is taken in closed form rather than by quadrature."""
+    fr = _fractions(p)
+    return fr is not None and max(map(abs, fr.a)) < 0.5 * omega_max
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The (a, b) limits of each adaptive quadrature that spectra runs."""
+    calls = []
+
+    def counted(f, a, b, **kwargs):
+        calls.append((a, b))
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(spectra, "quad", counted)
+    return calls
+
+
 class TestResidueRoute:
     @settings(max_examples=60)
     @given(p=stable_points)
@@ -249,16 +293,72 @@ class TestResidueRoute:
         tol = 1e-10 if _fractions(p) is not None else 1e-8
         for model in ThermalNoiseModel:
             flat = model is ThermalNoiseModel.MARKOV_FLAT
+            # the oracle runs to 1e-12: at rtol 1e-10 it was itself 2.1e-10
+            # off a 40-digit dq^2 at b=1, phi=6.4e-8, phi_nl=0.3, Q=1e7
             try:
-                want_q = quad_oracle(p, model, 0)
-                want_p = quad_oracle(p, model, 2) if flat else None
+                want_q = quad_oracle(p, model, 0, rtol=1e-12)
             except QuadratureFailure:  # the oracle's limit, not the sum's
                 continue
             res = integrate_variances(p, model)
             assert rel(res.dq2, want_q) <= tol
             assert position_variance(p, model)[0] == res.dq2
-            if want_p is not None:
-                assert rel(res.dp2, want_p) <= tol
+            try:
+                want_p = quad_oracle(p, model, 2, rtol=1e-12)
+            except QuadratureFailure:
+                continue
+            tol_p = tol if flat or closed_form_applies(p) else 1e-8
+            assert rel(res.dp2, want_p) <= tol_p
+
+    @pytest.mark.parametrize("n_t_i", [0.0, 1e6, 1e12, 1e50, 1e150])
+    @pytest.mark.parametrize("point", [FIG2, DEEP], ids=["fig2", "deep"])
+    def test_coth_momentum_variance_over_occupancies(self, point, n_t_i):
+        # the Bose tail beyond the cutoff reaches w ~ 20/x = 40 n_t_i
+        p = point.replace(n_t_i=n_t_i)
+        want = quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 2, rtol=1e-12)
+        assert rel(integrate_variances(p).dp2, want) <= 1e-10
+
+    # strongly coupled points with the cavity feature phi/b at 0.45, 0.55, 1
+    # and 2 times the cutoff: the closed form holds while every pole has
+    # |a_j| < omega_max/2, and the quadrature takes over from there
+    @pytest.mark.parametrize("ratio, closed", [(0.45, True), (0.55, False),
+                                               (1.0, False), (2.0, False)])
+    @pytest.mark.parametrize("b", [10.0, 100.0])
+    def test_coth_momentum_variance_near_the_cutoff(self, quad_calls, ratio, closed, b):
+        phi = ratio * 100.0 * b
+        p = NormalizedParams(b=b, phi=phi, phi_nl=0.3 * phi, q_factor=1e4, n_t_i=100.0)
+        assert closed_form_applies(p) == closed
+        res = integrate_variances(p)
+        assert (len(quad_calls) == 0) == closed
+        want = quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 2, rtol=1e-12)
+        assert rel(res.dp2, want) <= (1e-10 if closed else 1e-8)
+
+    @pytest.mark.parametrize(
+        "p",
+        [FIG2, DEEP, FIG2.replace(n_t_i=0.0), DEEP.replace(n_t_i=1e6)],
+        ids=["fig2", "deep", "zero_temperature", "hot"],
+    )
+    def test_coth_variances_run_no_quadrature(self, monkeypatch, p):
+        # at a regular point with its poles well inside the cutoff both coth
+        # variances are closed forms; a fallback to quad here is a regression
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature at a regular point")
+
+        monkeypatch.setattr(spectra, "quad", refuse)
+        res = integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH)
+        assert res.dq2 > 0 and res.dp2 > 0
+
+    def test_huge_occupancy_matches_mpmath(self):
+        # the adaptive quadrature overflows here; the closed form does not.
+        # Reference: 40-digit mpmath quadrature of w^2 S_q on [0, 100]
+        p = FIG2.replace(n_t_i=1e300)
+        assert rel(integrate_variances(p).dp2, 3.0002229167063407e297) <= 1e-13
+        with pytest.raises(QuadratureFailure, match="integrand overflows"):
+            quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 2)
+
+    @pytest.mark.parametrize("n_t_i", [1e307, 1.7e308])
+    def test_occupancy_past_the_checked_range_is_typed(self, n_t_i):
+        with pytest.raises(QuadratureFailure):
+            integrate_variances(FIG2.replace(n_t_i=n_t_i))
 
     # Q up to 1e5 only: against 40-digit residue sums the Lyapunov solve is
     # itself off by 1.4e-10 at Q = 1e6 and 1.1e-9 at Q = 1e7
@@ -310,7 +410,14 @@ class TestResidueRoute:
 
     def test_nan_integrand_is_a_quadrature_failure(self):
         # S_q overflows to nan at b = 1e100; handed to QUADPACK with
-        # breakpoints, a nan integrand crashed the interpreter
+        # breakpoints, a nan integrand crashed the interpreter. The
+        # quadrature is the fallback and the oracle of the closed forms
         p = NormalizedParams(b=1e100, phi=-3, phi_nl=0.0, q_factor=1.0000001, n_t_i=0.0)
         with pytest.raises(QuadratureFailure, match="integrand overflows"):
-            integrate_variances(p)
+            quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 2)
+        # the decoupled oscillator's variances, from 30-digit mpmath
+        # quadratures; the residue round-off bound does not see that the
+        # cavity poles carry no weight here
+        res = integrate_variances(p)
+        assert rel(res.dq2, 0.769800375700806) <= 1e-13
+        assert rel(res.dp2, 3.316610536182234) <= 1e-13
