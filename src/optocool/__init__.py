@@ -55,6 +55,7 @@ from .errors import (
 )
 from .model import (
     Branch,
+    DriftModes,
     NormalizedParams,
     PhysicalParams,
     StabilityReport,
@@ -62,6 +63,7 @@ from .model import (
     classify,
     denormalize,
     drift_matrix,
+    drift_modes,
     normalize,
     solve_steady_state,
     thermal_occupancy,

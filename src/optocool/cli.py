@@ -426,7 +426,9 @@ def _default_t_end(sys_) -> float:
     this holds outside the adiabatic regime too, where the closed-form
     Gamma_eff would end the window before relaxation.
     """
-    slowest = float(np.max(sys_.eigenvalues.real))
+    slowest = max(z.real for z in sys_.modes.eigenvalues)
+    if not slowest < 0.0:  # classify found it stable; its decay is below round-off
+        raise SolverFailure(f"the slowest drift mode does not decay in floating point ({slowest})")
     return 20.0 / (2.0 * abs(slowest) * sys_.params.q_factor)
 
 

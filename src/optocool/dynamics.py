@@ -16,9 +16,10 @@ spectral route, plus vacuum input noise on the field.
 
 The drift is constant, so the transient is propagated exactly rather
 than integrated: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, with
-V_ss the Lyapunov steady state and e^{A tau} taken from one
-eigendecomposition of A (``expm`` when its eigenvectors are ill
-conditioned); see C. F. Van Loan, IEEE TAC 23(3), 1978. Exposed
+V_ss the Lyapunov steady state and e^{A tau} taken in the eigenbasis of
+:func:`~optocool.model.drift_modes` where its modes are separated, by
+``expm`` where they are not (the spectral route's quadrature test); see
+C. F. Van Loan, IEEE TAC 23(3), 1978. Exposed
 timestamps are in units of 1/Gamma; the propagator's argument is in
 units of 1/Omega_m (tau = t * Q).
 """
@@ -39,10 +40,9 @@ from .errors import (
     InvalidParams,
     NonPhysical,
     SolverFailure,
-    Unstable,
     WindowTooShort,
 )
-from .model import NormalizedParams, classify, drift_matrix
+from .model import DriftModes, NormalizedParams, classify, drift_matrix, drift_modes
 from .spectra import Method, ThermalNoiseModel, VarianceResult
 
 __all__ = [
@@ -82,26 +82,29 @@ _QUAD_PHASE = {"x_out": 0.0, "y_out": 0.5 * math.pi}
 class LinearSystem:
     """Drift/diffusion pair of the linearized dynamics, rates in Omega_m units.
 
-    The drift is diagonalized once, at construction, and a drift with an
-    eigenvalue of nonnegative real part is rejected with
-    :class:`~optocool.errors.Unstable`; every later solve and propagator
-    reuses ``eigenvalues`` and ``eigenvectors``.
+    Derived once from ``params``, which :func:`~optocool.model.classify`
+    must find stable (else :class:`~optocool.errors.Unstable`): the
+    drift, the diffusion, the drift's ``modes`` and, where they are
+    separated, their ``inverse`` S^-1 (None where propagators use expm).
     """
 
-    drift: np.ndarray
-    diffusion: np.ndarray
     params: NormalizedParams
-    coupling: float
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+    drift: np.ndarray = field(init=False, repr=False, compare=False)
+    diffusion: np.ndarray = field(init=False, repr=False, compare=False)
+    modes: DriftModes = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam, s = np.linalg.eig(self.drift)
-        max_re = float(np.max(lam.real))
-        if not max_re < 0.0:
-            raise Unstable(f"drift eigenvalue with Re = {max_re:.3g} >= 0")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", s)
+        p = self.params
+        classify(p).require_stable()
+        modes = drift_modes(p)
+        diffusion = np.diag([0.0, 2.0 * (2.0 * p.n_t_i + 1.0) / p.q_factor, 2.0 / p.b, 2.0 / p.b])
+        inverse = np.linalg.inv(modes.vectors) if modes.separated else None
+        for name, value in (("drift", drift_matrix(p)), ("diffusion", diffusion),
+                            ("modes", modes), ("inverse", inverse)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -142,22 +145,8 @@ class HomodyneResult:
 
 
 def build_system(params: NormalizedParams) -> LinearSystem:
-    """Assemble the drift and diffusion matrices at an operating point.
-
-    Raises
-    ------
-    Unstable
-        If :func:`~optocool.model.classify` finds the point unstable.
-    """
-    classify(params).require_stable()
-    b, q = params.b, params.q_factor
-    drift = drift_matrix(params)
-    diffusion = np.diag([0.0, 2.0 * (2.0 * params.n_t_i + 1.0) / q, 2.0 / b, 2.0 / b])
-    drift.setflags(write=False)
-    diffusion.setflags(write=False)
-    return LinearSystem(
-        drift=drift, diffusion=diffusion, params=params, coupling=float(drift[1, 2])
-    )
+    """``LinearSystem(params)``, or :class:`~optocool.errors.Unstable`."""
+    return LinearSystem(params)
 
 
 def thermal_covariance(params: NormalizedParams) -> CovarianceState:
@@ -284,17 +273,17 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
 
 
 def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
-    """exp(A tau) for every tau, by eigendecomposition when well conditioned."""
-    a, lam, s = sys.drift, sys.eigenvalues, sys.eigenvectors
-    if np.linalg.cond(s) < 1e8:
-        s_inv = np.linalg.inv(s)
-        z = np.multiply.outer(taus, lam)  # (n, 4)
-        # e^z underflows to 0 below Re z of about -745; set it there, as
-        # exp gives nan where tau |Im lam| overflows on top of the decay
-        phases = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
-        out = np.einsum("ik,nk,kj->nij", s, phases, s_inv).real
-        return out
-    return np.array([expm(a * tau) for tau in taus]).reshape(-1, 4, 4)
+    """exp(A tau) for every tau: in the eigenbasis where the modes are separated."""
+    # e^z underflows to 0 below Re z of about -745; set it there, as exp
+    # gives nan where tau |Im lam| overflows on top of the decay (and expm
+    # where A tau overflows)
+    if sys.inverse is None:
+        slowest = max(z.real for z in sys.modes.eigenvalues)
+        return np.array([expm(sys.drift * tau) if slowest * tau > -800.0 else np.zeros((4, 4))
+                         for tau in taus]).reshape(-1, 4, 4)
+    z = np.multiply.outer(taus, sys.modes.eigenvalues)  # (n, 4)
+    phases = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
+    return np.einsum("ik,nk,kj->nij", sys.modes.vectors, phases, sys.inverse).real
 
 
 def _physical(v: np.ndarray, tol: float) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import constants
@@ -36,16 +37,25 @@ __all__ = [
     "Branch",
     "SteadyState",
     "StabilityReport",
+    "DriftModes",
+    "POLE_SEPARATION_MIN",
     "thermal_occupancy",
     "solve_steady_state",
     "classify",
     "drift_matrix",
+    "drift_modes",
     "normalize",
     "denormalize",
 ]
 
 #: residual tolerance on the normalized steady-state cubic
 CUBIC_RESIDUAL_TOL = 1e-10
+#: relative separation of two drift eigenvalues at or below which the
+#: modes are not ``separated``: the variance integrals are then taken by
+#: adaptive quadrature rather than residues, and the propagator by expm
+#: rather than in the eigenbasis (the measurement behind it is in the
+#: partial fractions of :mod:`optocool.spectra`)
+POLE_SEPARATION_MIN = 1e-4
 
 
 def _domain_problems(obj, rules) -> list:
@@ -308,6 +318,51 @@ def drift_matrix(params: NormalizedParams) -> np.ndarray:
             [g, 0.0, -phi / b, -1.0 / b],
         ]
     )
+
+
+class DriftModes(NamedTuple):
+    """The eigen-decomposition A = S diag(lambda) S^-1 of the drift."""
+
+    eigenvalues: list      # lambda_j (complex), polished by one Newton step
+    vectors: np.ndarray    # S, the eigenvectors as columns
+    gaps: list             # min_k |lambda_j - lambda_k| (before the polish)
+    separated: bool        # every gap_j > POLE_SEPARATION_MIN |lambda_j|
+    norm: float            # ||A|| (Frobenius), the scale of the eigen-solve's round-off
+
+
+def drift_modes(params: NormalizedParams) -> DriftModes:
+    """The one eigen-solve of :func:`drift_matrix`, and its separation test.
+
+    ``separated`` (read before the polish) picks residues or quadrature in
+    :mod:`optocool.spectra` and the eigenbasis or ``expm`` in :mod:`optocool.dynamics`.
+    """
+    drift = drift_matrix(params)
+    lam, vectors = np.linalg.eig(drift)
+    lam = lam.tolist()
+    gaps = [min([abs(x - lam[k]) for k in range(4) if k != j]) for j, x in enumerate(lam)]
+    separated = all(gap > POLE_SEPARATION_MIN * abs(x) for x, gap in zip(lam, gaps))
+    norm = float(np.linalg.norm(drift))
+    k, phik = 1.0 / params.b, params.phi / params.b
+
+    # One Newton step on p(s) = M(s) C(s) - K with the bare mechanical and
+    # cavity roots factored out, so that a weakly coupled pole keeps its
+    # small real part to full relative precision (eig alone leaves it an
+    # absolute error of order eps ||A||, 1e-12 relative at Q = 1e4). The
+    # step's own round-off, eps K / |p'|, grows near exceptional points,
+    # so it is taken only where that stays below 1% of eig's, and only
+    # where it is finite (the products overflow at extreme detunings).
+    half = 0.5 / params.q_factor
+    mech = complex(-half, math.sqrt(1.0 - half * half))
+    bare = (mech, mech.conjugate(), complex(-k, phik), complex(-k, -phik))
+    coupling = 2.0 * params.phi * params.phi_nl * k * k
+    polished = []
+    for z in lam:
+        d0, d1, d2, d3 = (z - r for r in bare)
+        lo, hi = d0 * d1, d2 * d3
+        slope = lo * (d2 + d3) + hi * (d0 + d1)
+        step = (lo * hi - coupling) / slope if abs(coupling) < 0.01 * norm * abs(slope) else 0.0
+        polished.append(z - step if abs(step) < math.inf else z)
+    return DriftModes(polished, vectors, gaps, separated, norm)
 
 
 def _cubic(u: float, phi_c: float, drive: float) -> float:

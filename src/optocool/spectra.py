@@ -33,7 +33,6 @@ and, for the coth dp^2, where a pole is not well inside the cutoff.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from scipy.integrate import quad
 from scipy.special import psi
 
 from .errors import InvalidParams, QuadratureFailure, SingularResponse
-from .model import NormalizedParams, classify, drift_matrix
+from .model import NormalizedParams, classify, drift_modes
 
 __all__ = [
     "ThermalNoiseModel",
@@ -57,16 +56,11 @@ __all__ = [
     "noise_spectrum",
     "position_variance",
     "integrate_variances",
-    "POLE_SEPARATION_MIN",
 ]
 
 _EPS = sys.float_info.epsilon
 #: relative tolerance of every adaptive quadrature of a variance
 _QUAD_RTOL = 1e-8
-#: relative separation of two drift eigenvalues at or below which the
-#: variance integrals are taken by adaptive quadrature rather than
-#: residues (the measurement behind it is in :func:`_fractions`)
-POLE_SEPARATION_MIN = 1e-4
 #: where the quadrature of dq^2 splits into [0, split] and the tail
 _OMEGA_SPLIT = 100.0
 #: the coth dp^2 is taken in closed form only while every pole |a_j| lies
@@ -338,14 +332,14 @@ class _Fractions(NamedTuple):
     |D|^2/|P|^2 = sum_j alpha_j/(u + a_j^2) and 4 phi_nl (1 + phi^2 +
     b^2 u)/|P|^2 = sum_j f_j/(u + a_j^2), with a_j = -lambda_j for the
     drift eigenvalues lambda_j (Re a_j > 0): S_q has its upper-half-plane
-    poles at w = i a_j. ``roundoff`` times the summed magnitude of the
-    terms of a residue sum bounds its round-off error.
+    poles at w = i a_j. ``roundoff[j]`` times the magnitude of pole j's
+    term of a residue sum bounds that term's round-off error.
     """
 
     a: list
     alpha: list
     f: list
-    roundoff: float
+    roundoff: list
 
 
 def _fractions(params: NormalizedParams) -> _Fractions | None:
@@ -362,62 +356,39 @@ def _fractions(params: NormalizedParams) -> _Fractions | None:
     both sides), the error of the flat dq^2 and dp^2 against 40-digit
     residue sums reached 4.6e-10 at relative separations of the closest
     pair in [1e-6, 1e-5), 4.8e-11 in [1e-5, 1e-4) and 1.1e-11 above
-    1e-4. Below POLE_SEPARATION_MIN = 1e-4 the adaptive quadrature is
-    used instead. Where the cavity pair is degenerate (phi = 0) the
-    computed separation is either at round-off level or at least
-    sqrt(eps) = 1.1e-8.
+    1e-4. Where the modes are not ``separated`` (below 1e-4, see
+    :func:`~optocool.model.drift_modes`) the quadrature is used. Where
+    the cavity pair is degenerate (phi = 0) the computed separation is
+    either at round-off level or at least sqrt(eps) = 1.1e-8.
 
-    The round-off bound is first order: the eigenvalues carry an error
-    of order eps ||A||, set against the smallest distance of a pole to
-    the real axis and to another pole, with a margin of 10. Over 450
-    stable points, random and near exceptional points, the error against
-    40-digit sums stayed below 0.24 of it.
+    The round-off bound is first order, pole by pole: lambda_j carries an
+    error of order eps ||A||, set against its distance to the real axis
+    and to its nearest pole, with a margin of 10, so a pole without weight
+    adds nothing. Over 450 points (150 random, 300 beside exceptional
+    points) no residue sum's error against 40-digit sums passed 0.083 of it.
 
     Four poles make numpy's per-call cost dominate, so everything after
-    the eigenvalues is plain complex arithmetic.
+    the eigen-solve is plain complex arithmetic.
     """
-    drift = drift_matrix(params)
-    lam = np.linalg.eigvals(drift).tolist()
-    pairs = list(itertools.combinations(lam, 2))
-    if any(abs(x - y) <= POLE_SEPARATION_MIN * max(abs(x), abs(y)) for x, y in pairs):
+    modes = drift_modes(params)
+    if not modes.separated:
         return None
-    norm = float(np.linalg.norm(drift))
-    b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
-    k, phik = 1.0 / b, phi / b
-
-    # One Newton step on p(s) = M(s) C(s) - K with the bare mechanical and
-    # cavity roots factored out, so that a weakly coupled pole keeps its
-    # small real part to full relative precision (eig alone leaves it an
-    # absolute error of order eps ||A||, 1e-12 relative at Q = 1e4). The
-    # step's own round-off, eps K / |p'|, grows near exceptional points,
-    # so it is taken only where that stays below 1% of eig's.
-    half = 0.5 / q
-    mech = complex(-half, math.sqrt(1.0 - half * half))
-    bare = (mech, mech.conjugate(), complex(-k, phik), complex(-k, -phik))
-    coupling = 2.0 * phi * phi_nl * k * k
-    a = []
-    for z in lam:
-        d0, d1, d2, d3 = (z - r for r in bare)
-        lo, hi = d0 * d1, d2 * d3
-        slope = lo * (d2 + d3) + hi * (d0 + d1)
-        if abs(coupling) < 0.01 * norm * abs(slope):
-            z -= (lo * hi - coupling) / slope
-        a.append(-z)
+    k, phik = 1.0 / params.b, params.phi / params.b
+    a = [-z for z in modes.eigenvalues]
 
     # |D|^2 / b^4 = prod_c (beta_c^2 + w^2) over the bare cavity poles
     # beta_c = k -+ i phi k. It and the b^4-free denominator are taken in
     # the same factored form, so that their common factors cancel to
     # round-off where the cavity decouples.
-    beta = (-bare[2], -bare[3])
+    beta = (complex(k, -phik), complex(k, phik))
     den = [math.prod((a[m] - a[j]) * (a[m] + a[j]) for m in range(4) if m != j)
            for j in range(4)]
     cav2 = k * k + phik * phik
     try:  # a squared-pole difference or a real part can underflow to zero
         alpha = [math.prod((c - z) * (c + z) for c in beta) / d for z, d in zip(a, den)]
-        f = [4.0 * phi_nl * k * k * (cav2 - z * z) / d for z, d in zip(a, den)]
-        roundoff = 10.0 * _EPS * norm * (
-            1.0 / min(abs(z.real) for z in lam) + 1.0 / min(abs(x - y) for x, y in pairs)
-        )
+        f = [4.0 * params.phi_nl * k * k * (cav2 - z * z) / d for z, d in zip(a, den)]
+        roundoff = [10.0 * _EPS * modes.norm * (1.0 / abs(z.real) + 1.0 / gap)
+                    for z, gap in zip(a, modes.gaps)]
     except ZeroDivisionError:
         return None
     return _Fractions(a, alpha, f, roundoff)
@@ -425,7 +396,7 @@ def _fractions(params: NormalizedParams) -> _Fractions | None:
 
 def _residue_sum(terms, roundoff):
     value = sum(terms).real
-    err = roundoff * sum(map(abs, terms))
+    err = sum(r * abs(t) for r, t in zip(roundoff, terms))
     if not (math.isfinite(value) and math.isfinite(err)):
         raise QuadratureFailure(f"residue sum is not finite ({value})")
     return value, err

@@ -574,10 +574,12 @@ def test_extreme_finite_input_exits_cleanly(mode, overrides, capsys):
         assert "np." not in assert_one_json_record(err)["message"]
 
 
-def test_decayed_transient_is_the_steady_state(capsys):
+# phi = 0 and 1e-9: the modes are not separated and the propagator is expm
+@pytest.mark.parametrize("phi", ["10", "0", "1e-9"])
+def test_decayed_transient_is_the_steady_state(phi, capsys):
     # at these times t Q |Im lambda| overflows while e^{A t Q} has long
     # decayed: every sample past t = 0 is the Lyapunov steady state
-    overrides = {"dynamics.t_end": "1e305"}
+    overrides = {"dynamics.t_end": "1e305", "phi": phi}
     rc = main(argv_for("fig3", overrides))
     out, err = capsys.readouterr()
     assert rc == 0 and err == ""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from optocool import (
     CovarianceState,
@@ -33,7 +33,7 @@ from optocool import (
     two_time_correlations,
 )
 from optocool import dynamics
-from optocool.dynamics import SYMPLECTIC_FORM, LinearSystem, _physical
+from optocool.dynamics import _physical
 from optocool.spectra import Method, ThermalNoiseModel
 
 FIG3 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
@@ -101,13 +101,13 @@ class TestBuildSystem:
         sysm = build_system(bare())
         a = sysm.drift
         assert np.all(a[:2, 2:] == 0) and np.all(a[2:, :2] == 0)
-        assert sysm.coupling == 0.0
+        assert a[1, 2] == 0.0
 
     def test_coupling_entries_symmetric(self):
         sysm = build_system(FIG3)
         a = sysm.drift
-        assert a[1, 2] == a[3, 0] == sysm.coupling
-        assert sysm.coupling**2 == pytest.approx(2 * FIG3.phi_nl / FIG3.b, rel=1e-13)
+        assert a[1, 2] == a[3, 0]
+        assert a[1, 2] ** 2 == pytest.approx(2 * FIG3.phi_nl / FIG3.b, rel=1e-13)
 
     def test_diffusion(self):
         sysm = build_system(FIG3)
@@ -178,29 +178,33 @@ class TestExactPropagation:
         assert_close_to_oracle(traj, want, 1e-7)
 
     def test_expm_branch_on_jordan_block(self):
-        # a critically damped mirror: the drift has a defective double
-        # eigenvalue, so its eigenvectors are singular and the propagator
-        # must come from expm
-        p = NormalizedParams(b=10, phi=10, phi_nl=0.0, q_factor=1e2, n_t_i=30)
-        drift = np.array(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [-1.0, -2.0, 0.0, 0.0],
-                [0.0, 0.0, -0.1, 1.0],
-                [0.0, 0.0, -1.0, -0.1],
-            ]
-        )
-        diffusion = np.diag([2.0 * 61, 2.0 * 61, 0.2, 0.2])
-        sysm = LinearSystem(drift=drift, diffusion=diffusion, params=p, coupling=0.0)
-        assert np.linalg.cond(np.linalg.eig(drift)[1]) >= 1e8
-        # quantum noise consistency: D + i(A J + J A^T) >= 0
-        j = SYMPLECTIC_FORM
-        assert np.linalg.eigvalsh(diffusion + 1j * (drift @ j + j @ drift.T)).min() >= 0
+        # on resonance (phi = 0) the cavity pair -1/b is a defective double
+        # eigenvalue of the coupled drift: its eigenvectors are singular,
+        # the modes are not separated and the propagator comes from expm
+        p = NormalizedParams(b=10, phi=0, phi_nl=0.1, q_factor=1e2, n_t_i=30)
+        sysm = build_system(p)
+        assert not sysm.modes.separated and sysm.inverse is None
+        assert np.linalg.cond(sysm.modes.vectors) >= 1e8
 
         v0 = thermal_covariance(p)
         t_eval = np.linspace(0.0, 0.5, 51)  # tau = t Q up to 50 / Omega_m
         traj = evolve_covariance(sysm, v0, t_end=0.5, t_eval=t_eval)
         assert_close_to_oracle(traj, rk45_oracle(sysm, v0.v, t_eval), 1e-7)
+
+    def test_expm_branch_where_poles_nearly_coincide(self):
+        # at phi = 1e-9 the cavity pair is split by about 1e-5 (relative):
+        # the eigenvectors are usable (cond 1.4e4) but the modes are not
+        # separated, so, as in the spectral route, the propagator leaves
+        # the eigenbasis. expm(0) is the identity, so the output starts at
+        # exactly the vacuum, where S S^-1 would leave round-off (3.6e-13)
+        p = NormalizedParams(b=10, phi=1e-9, phi_nl=0.1, q_factor=1e4, n_t_i=30)
+        sysm = build_system(p)
+        assert not sysm.modes.separated and sysm.inverse is None
+        v0 = thermal_covariance(p)
+        t_eval = np.linspace(0.0, 0.005, 101)  # tau up to 50 / Omega_m
+        traj = evolve_covariance(sysm, v0, t_end=0.005, t_eval=t_eval)
+        assert_close_to_oracle(traj, rk45_oracle(sysm, v0.v, t_eval), 1e-7)
+        assert output_variance_track(traj)[0, 1] == 0.0
 
     @settings(max_examples=60)
     @given(
@@ -338,13 +342,7 @@ class TestLyapunov:
         r = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, -s], [0, 0, s, c]]
         )
-        rotated = LinearSystem(
-            drift=r @ sysm.drift @ r.T,
-            diffusion=r @ sysm.diffusion @ r.T,
-            params=sysm.params,
-            coupling=sysm.coupling,
-        )
-        v_rot = lyapunov_steady_state(rotated).v
+        v_rot = solve_continuous_lyapunov(r @ sysm.drift @ r.T, -(r @ sysm.diffusion @ r.T))
         v = lyapunov_steady_state(sysm).v
         assert np.allclose(v_rot[:2, :2], v[:2, :2], rtol=1e-12, atol=1e-12)
 

@@ -391,6 +391,22 @@ class TestResidueRoute:
         got = position_variance(p, ThermalNoiseModel.QUANTUM_COTH)[0]
         assert rel(got, quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 0)) <= 1e-10
 
+    @pytest.mark.parametrize("point, dq2, dp2", [
+        # the largest error-to-bound ratio (0.08) over 150 random points
+        (dict(b=0.8640737530092529, phi=0.44786400839312984, phi_nl=0.23592529762997586,
+              q_factor=13111.321085161555, n_t_i=7.295393597541269),
+         2.8567978854222896076, 2.5250124490343784522),
+        # and over 300 points beside 150 exceptional points of the drift
+        (dict(b=0.36000192146367005, phi=0.06290622313760147, phi_nl=0.27329941625737086,
+              q_factor=685302.306651566, n_t_i=3.475764434632965),
+         25.812150573899813615, 25.026098336871720634),
+    ])
+    def test_roundoff_bound_covers_the_error(self, point, dq2, dp2):
+        # the references are 40-digit mpmath residue sums
+        res = integrate_variances(NormalizedParams(**point), ThermalNoiseModel.MARKOV_FLAT)
+        err = abs(res.dq2 - dq2) + abs(res.dp2 - dp2)
+        assert err <= res.quadrature_error <= 1e-11 * (dq2 + dp2)
+
     def test_decoupled_oscillator_is_exact_to_round_off(self):
         for n in (0.0, 3.0, 100.0):
             res = integrate_variances(bare(1e7, n), ThermalNoiseModel.MARKOV_FLAT)
@@ -416,8 +432,9 @@ class TestResidueRoute:
         with pytest.raises(QuadratureFailure, match="integrand overflows"):
             quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 2)
         # the decoupled oscillator's variances, from 30-digit mpmath
-        # quadratures; the residue round-off bound does not see that the
-        # cavity poles carry no weight here
+        # quadratures. The cavity poles, 1e-100 off the real axis, carry
+        # no weight, so the pole-by-pole round-off bound stays at round-off
         res = integrate_variances(p)
         assert rel(res.dq2, 0.769800375700806) <= 1e-13
         assert rel(res.dp2, 3.316610536182234) <= 1e-13
+        assert res.quadrature_error <= 1e-13

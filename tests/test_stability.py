@@ -24,6 +24,7 @@ from optocool import (
     steady_variances,
 )
 from optocool.cli import main
+from optocool.model import drift_modes
 
 
 def drift(p):
@@ -175,5 +176,23 @@ def test_spectrum_and_lyapunov_agree_at_stable_points(b, ratio, phi_nl, q_factor
         # b=1, phi=2, phi_nl=1, Q=10, n_t_i=0)
         assert physicality_defect(v) >= -1e-9 * np.max(np.abs(v))
     exact = integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT)
-    assert exact.dq2 == pytest.approx(v[0, 0], rel=1e-6)
-    assert exact.dp2 == pytest.approx(v[1, 1], rel=1e-6)
+    # residue sums where the modes are separated; else a quadrature to 1e-8
+    rel = 1e-10 if drift_modes(p).separated else 1e-6
+    assert exact.dq2 == pytest.approx(v[0, 0], rel=rel)
+    assert exact.dp2 == pytest.approx(v[1, 1], rel=rel)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Bartels-Stewart loses digits at high Q")
+def test_lyapunov_holds_residue_accuracy_at_high_q():
+    # non-degenerate (the modes are separated), yet the Bartels-Stewart
+    # steady state is 1.7e-9 off the residue sums, which 40-digit mpmath
+    # sums confirm to 1e-15. A modal Lyapunov solve in the drift's
+    # eigenbasis is expected to close the gap
+    p = NormalizedParams(b=0.342, phi=-0.0133, phi_nl=3.35e-4, q_factor=2.02e5, n_t_i=33.4)
+    if not (classify(p).stable and drift_modes(p).separated):
+        pytest.fail("the point must be stable with separated modes")
+    exact = integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT)
+    lyap = steady_variances(build_system(p))
+    assert lyap.dq2 == pytest.approx(exact.dq2, rel=1e-10)
+    assert lyap.dp2 == pytest.approx(exact.dp2, rel=1e-10)
