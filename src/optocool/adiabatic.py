@@ -85,16 +85,30 @@ class OperatingPoint(NamedTuple):
     n_t_f_min: float
 
 
+def _closed_form(params: NormalizedParams) -> tuple[float, float, float]:
+    """(Omega_eff/Omega_m)^2, Gamma_eff/Gamma (:func:`effective_rates`) and |D(1)|^2."""
+    b, phi = params.b, params.phi
+    cross = 2.0 * phi * params.phi_nl
+    re = 1.0 - b * b + phi * phi  # Re D(1); not ** 2, which raises where the square overflows
+    inv = 1.0 / complex(re, -2.0 * b)
+    omega_eff2 = 1.0 - cross * inv.real
+    gamma_ratio = 1.0 + cross * params.q_factor * inv.imag
+    return omega_eff2, gamma_ratio, re * re + 4.0 * b * b
+
+
 def effective_rates(params: NormalizedParams) -> EffectiveOscillator:
     """Effective resonance frequency and relaxation rate of the mirror.
 
     Omega_eff/Omega_m = sqrt(1 - 2 phi phi_nl Re[1/D(1)]) and
-    Gamma_eff/Gamma = 1 + 2 phi phi_nl Q Im[1/D(1)], with D evaluated at
-    the mechanical resonance. A negative damping ratio is returned
-    as-is (blue-detuned heating); a non-real frequency raises.
+    Gamma_eff/Gamma = 1 + 2 phi phi_nl Q Im[1/D(1)], with the cavity
+    response at the mechanical resonance D(1) = (1 - i b)^2 + phi^2. A negative
+    damping ratio is returned as-is (blue-detuned heating); a non-real
+    frequency raises ImaginaryFrequency, an overflow InvalidParams. These
+    are a resonance approximation: stability is :func:`~optocool.model.classify`'s.
     """
-    report = classify(params)
-    w2, gamma_ratio = report.omega_eff2, report.gamma_eff_ratio
+    w2, gamma_ratio, _ = _closed_form(params)
+    if not (math.isfinite(w2) and math.isfinite(gamma_ratio)):
+        raise InvalidParams(f"closed-form effective rates are not finite ({w2}, {gamma_ratio})")
     if w2 <= 0:
         raise ImaginaryFrequency(
             f"effective spring softened away (1 - 2 phi phi_nl Re[1/D] = {w2:.3g})"
@@ -138,12 +152,8 @@ def approx_variance(params: NormalizedParams) -> VarianceResult:
             f"effective damping ratio {rates.gamma_eff_ratio:.3g} <= 0"
         )
     b, phi = params.b, params.phi
-    dm = 1.0 - b * b + phi * phi  # not ** 2, which raises where the square overflows
-    dm_abs2 = dm * dm + 4.0 * b * b
-    dq2 = (
-        2.0 * params.n_t_i + 1.0
-        + 2.0 * params.phi_nl * params.q_factor * (1.0 + b * b + phi * phi) / dm_abs2
-    ) / rates.gamma_eff_ratio
+    radiation = 2.0 * params.phi_nl * params.q_factor * (1.0 + b * b + phi * phi)
+    dq2 = (2.0 * params.n_t_i + 1.0 + radiation / _closed_form(params)[2]) / rates.gamma_eff_ratio
     if not math.isfinite(dq2):
         raise InvalidParams(f"closed-form variance is not finite ({dq2})")
     return VarianceResult.from_variances(
@@ -163,9 +173,7 @@ def decompose(params: NormalizedParams) -> CoolingDecomposition:
     if params.phi <= 0:
         raise InvalidRegime(f"decomposition requires phi > 0, got {params.phi}")
     b, phi = params.b, params.phi
-    dm = 1.0 - b * b + phi * phi
-    dm_abs2 = dm * dm + 4.0 * b * b
-    f = 4.0 * phi * b / dm_abs2
+    f = 4.0 * phi * b / _closed_form(params)[2]
     strength = f * params.phi_nl * params.q_factor
     eta = strength / (1.0 + strength)
     dq2_thermal = 1.0 + 2.0 * params.n_t_i
@@ -202,7 +210,7 @@ def regime_validity(params: NormalizedParams) -> RegimeReport:
     kappa). Thresholds: Gamma_eff/Gamma > 10, Gamma_eff/kappa < 0.5,
     phi_nl b / 2 < 1.
     """
-    gamma_ratio = classify(params).gamma_eff_ratio
+    gamma_ratio = _closed_form(params)[1]
     gamma_over_kappa = gamma_ratio * params.b / params.q_factor
     breakdown = params.phi_nl * params.b / 2.0
     ok = gamma_ratio > 10.0 and gamma_over_kappa < 0.5 and breakdown < 1.0

@@ -278,9 +278,10 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
     # gives nan where tau |Im lam| overflows on top of the decay (and expm
     # where A tau overflows)
     if sys.inverse is None:
-        slowest = max(z.real for z in sys.modes.eigenvalues)
-        return np.array([expm(sys.drift * tau) if slowest * tau > -800.0 else np.zeros((4, 4))
-                         for tau in taus]).reshape(-1, 4, 4)
+        live = max(z.real for z in sys.modes.eigenvalues) * taus > -800.0
+        out = np.zeros((len(taus), 4, 4))
+        out[live] = expm(np.multiply.outer(taus[live], sys.drift))
+        return out
     z = np.multiply.outer(taus, sys.modes.eigenvalues)  # (n, 4)
     phases = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
     return np.einsum("ik,nk,kj->nij", sys.modes.vectors, phases, sys.inverse).real

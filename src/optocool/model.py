@@ -209,7 +209,7 @@ class Branch:
 
     u: float        # Delta_nl / kappa on this branch
     phi_eff: float  # phi_c - u
-    stable: bool
+    stable: bool    # spring margin > 0, the static test (see solve_steady_state)
     marginal: bool
 
 
@@ -227,13 +227,11 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Verdict of :func:`classify` and the quantities it rests on."""
+    """Verdict of :func:`classify` and the margin it rests on."""
 
     stable: bool
     reason: str             # "stable", or the first condition that fails
     spring_margin: float    # 1 + phi^2 - 2 phi phi_nl
-    omega_eff2: float       # (Omega_eff/Omega_m)^2 = 1 - 2 phi phi_nl Re[1/D(1)]
-    gamma_eff_ratio: float  # Gamma_eff/Gamma = 1 + 2 phi phi_nl Q Im[1/D(1)]
 
     def require_stable(self) -> "StabilityReport":
         """This report, or :class:`~optocool.errors.Unstable` with its reason."""
@@ -242,11 +240,9 @@ class StabilityReport:
         return self
 
 
-def _margins(phi: float, phi_nl: float) -> tuple[float, float]:
-    """(static, spring) margins 1 + phi^2 +- 2 phi phi_nl."""
-    cross = 2.0 * phi * phi_nl
-    base = 1.0 + phi * phi
-    return base + cross, base - cross
+def _spring_margin(phi: float, phi_nl: float) -> float:
+    """1 + phi^2 - 2 phi phi_nl: the spring constant dressed by the radiation pressure."""
+    return 1.0 + phi * phi - 2.0 * phi * phi_nl
 
 
 def classify(params: NormalizedParams) -> StabilityReport:
@@ -259,19 +255,11 @@ def classify(params: NormalizedParams) -> StabilityReport:
     other coefficients are positive, so by the Lienard-Chipart form of
     the Routh-Hurwitz test it is Hurwitz exactly when a0 > 0 and
     a3 a2 a1 - a1^2 - a3^2 a0 > 0. Unlike the sign of the closed-form
-    Gamma_eff (a resonance approximation) the test is exact. The static
-    margin 1 + phi^2 + 2 phi phi_nl, which the steady-state branch
-    selection reads, appears neither in p(s) nor in the drift and plays
-    no part here.
+    Gamma_eff of :func:`~optocool.adiabatic.effective_rates` (a
+    resonance approximation) the test is exact.
     """
     b, phi, q = params.b, params.phi, params.q_factor
-    spring = _margins(phi, params.phi_nl)[1]
-    cross = 2.0 * phi * params.phi_nl
-    d = 1.0 - 1j * b  # D(1) = d^2 + phi^2; d * d overflows to inf where ** raises
-    inv = 1.0 / (d * d + phi * phi)
-    omega_eff2 = 1.0 - cross * inv.real
-    gamma_ratio = 1.0 + cross * q * inv.imag
-
+    spring = _spring_margin(phi, params.phi_nl)
     k, c = 1.0 / b, 1.0 / q
     e = k * k * (1.0 + phi * phi)
     a3 = 2.0 * k + c
@@ -279,7 +267,7 @@ def classify(params: NormalizedParams) -> StabilityReport:
     a1 = 2.0 * k + c * e
     hurwitz = a3 * a2 * a1 - a1 * a1 - a3 * a3 * k * k * spring
 
-    if not all(map(math.isfinite, (hurwitz, omega_eff2, gamma_ratio))):
+    if not math.isfinite(hurwitz):
         reason = "not finite: the operating point overflows the stability test"
     elif not spring > 0.0:
         reason = f"spring margin {spring:.3g} <= 0 (radiation-pressure spring too soft)"
@@ -287,7 +275,7 @@ def classify(params: NormalizedParams) -> StabilityReport:
         reason = f"Routh-Hurwitz determinant {hurwitz:.3g} <= 0: a drift mode grows"
     else:
         reason = "stable"
-    return StabilityReport(reason == "stable", reason, spring, omega_eff2, gamma_ratio)
+    return StabilityReport(reason == "stable", reason, spring)
 
 
 def drift_matrix(params: NormalizedParams) -> np.ndarray:
@@ -335,13 +323,18 @@ def drift_modes(params: NormalizedParams) -> DriftModes:
 
     ``separated`` (read before the polish) picks residues or quadrature in
     :mod:`optocool.spectra` and the eigenbasis or ``expm`` in :mod:`optocool.dynamics`.
+    An ||A|| past the float range (g or 1/b overflows, at points that
+    :func:`classify` can call stable) raises :class:`~optocool.errors.InvalidParams`.
     """
     drift = drift_matrix(params)
+    with np.errstate(over="ignore"):  # finite entries past 1e154 overflow the norm
+        norm = float(np.linalg.norm(drift))
+    if not math.isfinite(norm):
+        raise InvalidParams(f"drift matrix overflows (||A|| = {norm})")
     lam, vectors = np.linalg.eig(drift)
     lam = lam.tolist()
     gaps = [min([abs(x - lam[k]) for k in range(4) if k != j]) for j, x in enumerate(lam)]
     separated = all(gap > POLE_SEPARATION_MIN * abs(x) for x, gap in zip(lam, gaps))
-    norm = float(np.linalg.norm(drift))
     k, phik = 1.0 / params.b, params.phi / params.b
 
     # One Newton step on p(s) = M(s) C(s) - K with the bare mechanical and
@@ -382,8 +375,9 @@ def solve_steady_state(phi_c: float, drive: float) -> SteadyState:
     kappa^2) the normalized drive. Real roots are found from the
     companion matrix, polished with one Newton step, and classified:
 
-    * ``stable``   -- positive static margin *and* positive slope dP/du,
-      which at phi = phi_c - u is the spring margin 1 + phi^2 - 2 phi u;
+    * ``stable``   -- positive slope dP/du, the spring margin
+      1 + phi^2 - 2 phi u at phi = phi_c - u: static stability, the w = 0
+      limit of :func:`classify`, which alone detects a growing drift mode;
     * ``marginal`` -- fold points (double roots, dP/du ~ 0), excluded
       from stable selection.
 
@@ -422,9 +416,9 @@ def solve_steady_state(phi_c: float, drive: float) -> SteadyState:
                 f"tolerance at u={u!r} (phi_c={phi_c}, P={drive})"
             )
         phi = phi_c - u
-        static, slope = _margins(phi, u)
+        slope = _spring_margin(phi, u)
         marginal = abs(slope) <= 1e-6 * slope_scale
-        stable = (not marginal) and slope > 0.0 and static > 0.0
+        stable = (not marginal) and slope > 0.0
         branches.append(Branch(u=u, phi_eff=phi, stable=stable, marginal=marginal))
 
     return SteadyState(phi_c=phi_c, drive=drive, branches=tuple(branches))

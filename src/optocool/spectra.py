@@ -44,7 +44,7 @@ from scipy.integrate import quad
 from scipy.special import psi
 
 from .errors import InvalidParams, QuadratureFailure, SingularResponse
-from .model import NormalizedParams, classify, drift_modes
+from .model import DriftModes, NormalizedParams, classify, drift_modes
 
 __all__ = [
     "ThermalNoiseModel",
@@ -278,37 +278,31 @@ def _checked_quad(f, a, b, rtol, points=None):
     return value, abserr
 
 
-def _quad_moment(params, report, noise_model, power, omega_max, rtol):
+def _quad_moment(params, poles, noise_model, power, omega_max, rtol):
     """(1/pi) int_0^inf w^power S_q(w) dw and its error, by adaptive quadrature.
 
-    The integrand is even, so this is the variance int dw/(2 pi). It is
-    the fallback of the residue and closed-form routes where those do not
-    apply (nearly coincident poles; for the coth dp^2 also a pole not well
-    inside the cutoff), and the tests' oracle for both. The
-    mesh is pre-split around the (possibly shifted and broadened)
-    mechanical resonance and at the cavity feature near w = phi/b, whose
-    widths can be orders of magnitude below the plain mesh scale. Beyond
-    omega_max the tail is integrated to infinity, except for dp^2 (power
-    2) under the quantum coth weight, whose tail grows logarithmically
-    with the cutoff: there the one-decade tail bound 2 ln(10)/(pi Q) is
-    added to the error instead.
+    The integrand is even, so this is the variance int dw/(2 pi): the
+    fallback of the residue and closed-form routes (nearly coincident
+    poles; for the coth dp^2 also a pole not well inside the cutoff) and
+    the tests' oracle for both. The mesh is split at the drift
+    eigenvalues ``poles``: each is a peak of half-width |Re lambda| at
+    w = |Im lambda|, often far narrower than the plain mesh. Beyond
+    omega_max the tail is integrated to infinity, except for the coth
+    dp^2 (power 2), whose tail grows logarithmically with the cutoff:
+    there the one-decade tail bound 2 ln(10)/(pi Q) is added to the error.
     """
-    # a stable point can still have Gamma_eff < 0 (the closed form is a
-    # resonance approximation); its magnitude still sizes the peak
-    w2 = report.omega_eff2
-    peak = math.sqrt(w2) if w2 > 0 else 1.0
-    halfwidth = max(abs(report.gamma_eff_ratio) / (2.0 * params.q_factor), 1e-12)
-    cavity = abs(params.phi) / params.b
-    # breakpoints at the peak +- 5^m half-widths resolve the resonance's
-    # Lorentzian tails: with only m = 0, 1 the tails beyond five
-    # half-widths (2/(5 pi) = 13% of the peak's weight) fell between the
-    # nodes of a long first panel where the resonance is narrow, and the
-    # flat bare oscillator at Q = 1e7 came out 0.874 instead of 1
-    widths = [halfwidth, 5.0 * halfwidth]
-    while 5.0 * widths[-1] < peak:
-        widths.append(5.0 * widths[-1])
-    seeds = [peak, 1.0, cavity - 1.0 / params.b, cavity, cavity + 1.0 / params.b]
-    seeds += [peak + side * w for w in widths for side in (-1.0, 1.0)]
+    # breakpoints at each peak +- 5^m half-widths resolve its Lorentzian
+    # tails: with only m = 0, 1 the tails beyond five half-widths
+    # (2/(5 pi) = 13% of the peak's weight) fell between the nodes of a
+    # long first panel where the resonance is narrow, and the flat bare
+    # oscillator at Q = 1e7 came out 0.874 instead of 1
+    seeds = []
+    for z in poles:
+        peak, halfwidth = abs(z.imag), max(abs(z.real), 1e-12)
+        widths = [halfwidth, 5.0 * halfwidth]
+        while 5.0 * widths[-1] < peak:
+            widths.append(5.0 * widths[-1])
+        seeds += [peak] + [peak + side * w for w in widths for side in (-1.0, 1.0)]
     points = sorted({p for p in seeds if 0.0 < p < omega_max})
 
     s_q = _scalar_spectrum_fn(params, noise_model)
@@ -342,8 +336,8 @@ class _Fractions(NamedTuple):
     roundoff: list
 
 
-def _fractions(params: NormalizedParams) -> _Fractions | None:
-    """The spectrum's partial fractions, or None when two poles nearly coincide.
+def _fractions(params: NormalizedParams, modes: DriftModes) -> _Fractions | None:
+    """The spectrum's partial fractions at ``modes``, or None when two poles nearly coincide.
 
     None also where they cannot be formed in floating point (a pole or a
     difference of squared poles that underflows to zero).
@@ -370,7 +364,6 @@ def _fractions(params: NormalizedParams) -> _Fractions | None:
     Four poles make numpy's per-call cost dominate, so everything after
     the eigen-solve is plain complex arithmetic.
     """
-    modes = drift_modes(params)
     if not modes.separated:
         return None
     k, phik = 1.0 / params.b, params.phi / params.b
@@ -415,10 +408,10 @@ def _digamma(z):
     return psi(z + 3.0) - 1.0 / z - 1.0 / (z + 1.0) - 1.0 / (z + 2.0)
 
 
-def _position_variance(params, noise_model, report, fr):
-    """dq^2 and its error from the partial fractions ``fr`` (None: quadrature)."""
+def _position_variance(params, noise_model, poles, fr):
+    """dq^2 and its error from the partial fractions ``fr`` (None: quadrature at ``poles``)."""
     if fr is None:
-        return _quad_moment(params, report, noise_model, 0, _OMEGA_SPLIT, _QUAD_RTOL)
+        return _quad_moment(params, poles, noise_model, 0, _OMEGA_SPLIT, _QUAD_RTOL)
     if noise_model is ThermalNoiseModel.MARKOV_FLAT:
         weight = _flat_weight(params)
         terms = [(weight * al + f) / (2.0 * a) for a, al, f in zip(fr.a, fr.alpha, fr.f)]
@@ -481,8 +474,8 @@ def _bose_tail(params, x, omega_max):
     return tail, _BOSE_TAIL_RTOL * tail
 
 
-def _momentum_variance(params, noise_model, report, fr, omega_max):
-    """dp^2 and its error from the partial fractions ``fr`` (None: quadrature).
+def _momentum_variance(params, noise_model, poles, fr, omega_max):
+    """dp^2 and its error from the partial fractions ``fr`` (None: quadrature at ``poles``).
 
     Under the flat weight, int_0^inf w^2 dw/(w^2 + a^2) = -pi a/2 once the
     sum over j of the numerators vanishes, so dp^2 is the residue sum
@@ -515,7 +508,7 @@ def _momentum_variance(params, noise_model, report, fr, omega_max):
     """
     flat = noise_model is ThermalNoiseModel.MARKOV_FLAT
     if fr is None or (not flat and max(map(abs, fr.a)) >= _POLE_CUTOFF_FRACTION * omega_max):
-        return _quad_moment(params, report, noise_model, 2, omega_max, _QUAD_RTOL)
+        return _quad_moment(params, poles, noise_model, 2, omega_max, _QUAD_RTOL)
     if flat:
         weight = _flat_weight(params)
         return _residue_sum(
@@ -568,8 +561,9 @@ def position_variance(
     QuadratureFailure
         If the quadrature misses its tolerance or the sum is not finite.
     """
-    report = classify(params).require_stable()
-    return _position_variance(params, noise_model, report, _fractions(params))
+    classify(params).require_stable()
+    modes = drift_modes(params)
+    return _position_variance(params, noise_model, modes.eigenvalues, _fractions(params, modes))
 
 
 def integrate_variances(
@@ -591,7 +585,7 @@ def integrate_variances(
       cutoff (:func:`_momentum_variance`).
 
     Adaptive quadrature to 1e-8 (relative), on a mesh split at the
-    resonances, replaces a route where two poles nearly coincide (see
+    drift's poles, replaces a route where two poles nearly coincide (see
     :func:`_fractions`) and, for the coth dp^2, where a pole has
     |a_j| >= omega_max/2.
 
@@ -611,10 +605,11 @@ def integrate_variances(
     """
     if not 2.0 < omega_max < math.inf:
         raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
-    report = classify(params).require_stable()
-    fr = _fractions(params)
-    dq2, err_q = _position_variance(params, noise_model, report, fr)
-    dp2, err_p = _momentum_variance(params, noise_model, report, fr, omega_max)
+    classify(params).require_stable()
+    modes = drift_modes(params)
+    fr = _fractions(params, modes)
+    dq2, err_q = _position_variance(params, noise_model, modes.eigenvalues, fr)
+    dp2, err_p = _momentum_variance(params, noise_model, modes.eigenvalues, fr, omega_max)
     return VarianceResult.from_variances(
         dq2, dp2,
         method=Method.EXACT_SPECTRUM,

@@ -57,6 +57,12 @@ class TestEffectiveRates:
         with pytest.raises(ImaginaryFrequency):
             effective_rates(p)
 
+    def test_overflowing_closed_form_raises(self):
+        # 2 phi phi_nl overflows, so the rates would be nan
+        p = NormalizedParams(b=1, phi=1e200, phi_nl=1e200, q_factor=10, n_t_i=0)
+        with pytest.raises(InvalidParams):
+            effective_rates(p)
+
     def test_cooling_heating_sign(self):
         for b in (0.5, 2.0, 10.0):
             cold = NormalizedParams(b=b, phi=b, phi_nl=0.05, q_factor=1e4, n_t_i=1)

@@ -574,6 +574,27 @@ def test_extreme_finite_input_exits_cleanly(mode, overrides, capsys):
         assert "np." not in assert_one_json_record(err)["message"]
 
 
+# g = sqrt(2 phi_nl/b) overflows the drift here, although classify finds
+# the point stable; eig used to print a raw LinAlgError traceback
+OVERFLOWING_DRIFT = {"b": "6.347468412528946e-64", "phi": "0",
+                     "phi_nl": "3.2474854227788175e+250",
+                     "q_factor": "2.718398599618707e+22", "n_t_i": "1"}
+
+
+def test_overflowing_drift_is_a_row_error(capsys):
+    rc = main(argv_for("variances", OVERFLOWING_DRIFT))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert [row for row in out.splitlines() if not row.startswith("#")][1:] == [",,,,true"]
+
+
+def test_overflowing_drift_exits_3(capsys):
+    rc = main(argv_for("dynamics", OVERFLOWING_DRIFT))
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert assert_one_json_record(err)["type"] == "InvalidParams"
+
+
 # phi = 0 and 1e-9: the modes are not separated and the propagator is expm
 @pytest.mark.parametrize("phi", ["10", "0", "1e-9"])
 def test_decayed_transient_is_the_steady_state(phi, capsys):

@@ -262,18 +262,42 @@ class TestNormalize:
             classify(n).spring_margin, rel=1e-9
         )
 
-    def test_no_stable_branch(self):
-        # single real root deep on the blue side violates the static margin
-        phi_c, u = -0.45, 2.0
-        drive = u * (1 + (phi_c - u) ** 2)
-        ss = solve_steady_state(phi_c, drive)
-        assert len(ss.branches) == 1 and not ss.branches[0].stable
+    @staticmethod
+    def driven(phi_c, drive):
+        """SI point with bare detuning phi_c and normalized drive P (b = 10, Q = 1e4)."""
         p0 = si_params(drive_intensity=0.0)
         g = p0.coupling_constant
         a_in_sq = drive * p0.omega_m * p0.kappa**2 / (2 * g * g)
-        p = si_params(delta_c=phi_c * p0.kappa, drive_intensity=a_in_sq)
+        return si_params(delta_c=phi_c * p0.kappa, drive_intensity=a_in_sq)
+
+    def test_statically_stable_branch_can_be_dynamically_unstable(self):
+        # deep on the blue side the single branch has a positive slope, so
+        # the cubic is statically stable and normalize returns it; the
+        # static margin 1 + phi^2 + 2 phi phi_nl (-2.8 here) enters neither
+        # that slope nor the drift. The point is unstable, and classify
+        # finds its growing drift mode.
+        phi_c, u = -0.45, 2.0
+        drive = u * (1 + (phi_c - u) ** 2)
+        ss = solve_steady_state(phi_c, drive)
+        assert len(ss.branches) == 1 and ss.branches[0].stable
+        n = normalize(self.driven(phi_c, drive))
+        assert n.b == pytest.approx(10.0) and n.q_factor == pytest.approx(1e4)
+        assert n.phi == pytest.approx(phi_c - u) and n.phi_nl == pytest.approx(u)
+        for b in (1.0, 10.0):
+            rep = classify(n.replace(b=b))
+            assert not rep.stable and rep.spring_margin > 0
+            assert rep.reason.startswith("Routh-Hurwitz determinant")
+            assert rep.reason.endswith("a drift mode grows")
+
+    def test_no_stable_branch(self):
+        # at the triple root (phi_c = sqrt 3, P = 8/(3 sqrt 3)) the one
+        # branch sits on the fold: it is marginal, and no branch is stable
+        phi_c = math.sqrt(3.0)
+        drive = 8.0 / (3.0 * math.sqrt(3.0))
+        ss = solve_steady_state(phi_c, drive)
+        assert ss.branches and all(br.marginal and not br.stable for br in ss.branches)
         with pytest.raises(NoStableBranch):
-            normalize(p)
+            normalize(self.driven(phi_c, drive))
 
 
 class TestRoundTrip:

@@ -5,12 +5,18 @@
 * The drift has one eigen-solve: ``eig`` and ``eigvals`` are called only
   in :func:`optocool.model.drift_modes`. (``eigvalsh`` of the Hermitian
   V + iJ in ``physicality_defect`` is another operation and is exempt.)
+* The exact routes (``model``, ``spectra``, ``dynamics``) import nothing
+  from the closed-form approximation in ``adiabatic``, and the stability
+  verdict carries no closed-form quantity.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from optocool import StabilityReport
 
 PACKAGE = Path(__file__).parents[1] / "src" / "optocool"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -98,3 +104,40 @@ def test_eigen_solve_finder_sees_every_spelling():
         "def f(a):\n    return np.linalg.eigvals(a), eig(a), np.linalg.eigvalsh(a)\n"
     )
     assert eigen_solves(tree) == [("f", 4), ("f", 4)]
+
+
+def package_modules(tree):
+    """The package modules a syntax tree imports, by their names inside ``optocool``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and package_import(node):
+            parts = (node.module or "").split(".")
+            inner = parts[1:] if node.level == 0 else parts
+            if inner and inner[0]:
+                found.add(inner[0])
+            else:  # ``from . import spectra`` names the modules themselves
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "optocool" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+@pytest.mark.parametrize("name", ["model", "spectra", "dynamics"])
+def test_exact_routes_do_not_import_the_closed_form(name):
+    assert "adiabatic" not in package_modules(parse(PACKAGE / f"{name}.py"))
+
+
+def test_module_finder_sees_every_spelling():
+    tree = ast.parse(
+        "from .model import classify\nfrom . import adiabatic, errors as e\n"
+        "from optocool.spectra import quad\nimport optocool.dynamics\nimport numpy\n"
+    )
+    assert package_modules(tree) == {"model", "adiabatic", "errors", "spectra", "dynamics"}
+
+
+def test_stability_report_is_the_verdict_alone():
+    names = [f.name for f in dataclasses.fields(StabilityReport)]
+    assert names == ["stable", "reason", "spring_margin"]
