@@ -448,11 +448,21 @@ def _dynamics_table(cfg: RunConfig):
     ]
 
 
+def _default_lo_rate(params: NormalizedParams) -> float:
+    """The closed-form Gamma_eff/Gamma, read only where ``homodyne.lo_rate`` is unset."""
+    try:
+        lo_rate = effective_rates(params).gamma_eff_ratio  # finite, or it raises
+        if not lo_rate > 0.0:
+            raise InvalidParams(f"Gamma_eff/Gamma = {lo_rate}")
+    except (ImaginaryFrequency, InvalidParams) as exc:
+        raise InvalidRegime(f"set homodyne.lo_rate: no closed-form rate > 0 ({exc})") from None
+    return lo_rate
+
+
 def _homodyne_table(cfg: RunConfig):
     params = cfg.params
     sys_ = build_system(params)
-    rates = effective_rates(params)
-    lo_rate = cfg.lo_rate if cfg.lo_rate is not None else rates.gamma_eff_ratio
+    lo_rate = cfg.lo_rate if cfg.lo_rate is not None else _default_lo_rate(params)
     demod = (
         cfg.demod_rate
         if cfg.demod_rate is not None

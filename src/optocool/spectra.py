@@ -21,13 +21,12 @@ checks; the coth model is the physical default.
 
 S_q is written once, as the plain-Python closure of
 :func:`_scalar_spectrum_fn`: :func:`noise_spectrum` maps it over its
-frequencies and the adaptive quadratures integrate it. The variance
-integrals are residue sums at the drift eigenvalues; dp^2 under the coth
-weight, cut off at omega_max, is a sum of arctangents, logarithms and
-digamma functions at the same poles plus a fixed Gauss-Legendre rule
-for the Bose tail beyond the cutoff. Adaptive quadrature, to a fixed
-relative tolerance of 1e-8, is left only where poles nearly coincide
-and, for the coth dp^2, where a pole is not well inside the cutoff.
+frequencies and the adaptive quadratures integrate it. Every variance,
+dq^2 or dp^2 under either weight, is one sum over the drift eigenvalues
+(:func:`_moment`), cut off at W = omega_max for the coth dp^2 alone,
+whose integrand falls off only like 1/|w|. Adaptive quadrature, to a
+fixed relative tolerance of 1e-8 and with the same cutoff, is left only
+where poles nearly coincide or a pole is not well inside the cutoff.
 """
 
 from __future__ import annotations
@@ -61,10 +60,10 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 #: relative tolerance of every adaptive quadrature of a variance
 _QUAD_RTOL = 1e-8
-#: where the quadrature of dq^2 splits into [0, split] and the tail
+#: where the quadrature of a moment without a cutoff splits into [0, split] and the tail
 _OMEGA_SPLIT = 100.0
-#: the coth dp^2 is taken in closed form only while every pole |a_j| lies
-#: below this fraction of omega_max (see :func:`_bose_tail`)
+#: a moment with the cutoff W is a sum over the poles only while every
+#: pole |a_j| lies below this fraction of W (see :func:`_bose_tail`)
 _POLE_CUTOFF_FRACTION = 0.5
 #: 16-point Gauss-Legendre nodes and weights on [0, 1], one panel of the
 #: Bose tail rule
@@ -189,9 +188,11 @@ def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel
 
     The thermal weight T(w) is even in w, with the w = 0 coth limit built
     in. The closure raises :class:`SingularResponse` where the
-    denominator vanishes and OverflowError where the value is not finite
-    (a nan integrand can crash QUADPACK's breakpoint routine), as a
-    float ``**`` that overflows does too.
+    denominator is zero in floating point (every caller has passed
+    :func:`~optocool.model.classify`, and a stable point has no zero on
+    the real axis, however high its Q) and OverflowError where the value
+    is not finite (a nan integrand can crash QUADPACK's breakpoint
+    routine), as a float ``**`` that overflows does too.
     """
     b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
     phi2 = phi * phi
@@ -223,7 +224,7 @@ def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel
         denom = d * (1.0 - w * w - 1j * w / q) - two_cross
         dabs2 = d.real * d.real + d.imag * d.imag
         denom2 = denom.real * denom.real + denom.imag * denom.imag
-        if denom2 < 1e-26 * (1.0 + w * w) ** 2:
+        if denom2 == 0.0:
             raise SingularResponse(f"spectrum denominator vanishes at omega={w}")
         value = (thermal(w) * dabs2 + four_nl * (1.0 + phi2 + (b * w) ** 2)) / denom2
         if not math.isfinite(value):
@@ -278,19 +279,20 @@ def _checked_quad(f, a, b, rtol, points=None):
     return value, abserr
 
 
-def _quad_moment(params, poles, noise_model, power, omega_max, rtol):
-    """(1/pi) int_0^inf w^power S_q(w) dw and its error, by adaptive quadrature.
+def _quad_moment(params, poles, noise_model, power, cutoff, rtol):
+    """(1/pi) int_0^W w^power S_q(w) dw and its error, by adaptive quadrature.
 
-    The integrand is even, so this is the variance int dw/(2 pi): the
-    fallback of the residue and closed-form routes (nearly coincident
-    poles; for the coth dp^2 also a pole not well inside the cutoff) and
-    the tests' oracle for both. The mesh is split at the drift
-    eigenvalues ``poles``: each is a peak of half-width |Re lambda| at
-    w = |Im lambda|, often far narrower than the plain mesh. Beyond
-    omega_max the tail is integrated to infinity, except for the coth
-    dp^2 (power 2), whose tail grows logarithmically with the cutoff:
-    there the one-decade tail bound 2 ln(10)/(pi Q) is added to the error.
+    The integrand is even, so this is the variance int dw/(2 pi) with the
+    cutoff W = ``cutoff``: the fallback of :func:`_moment` and the tests'
+    oracle. The mesh is split at the drift eigenvalues ``poles``: each is
+    a peak of half-width |Re lambda| at w = |Im lambda|, often far
+    narrower than the plain mesh. With W = inf the integral splits at
+    _OMEGA_SPLIT and its tail is integrated to infinity. A finite W is the
+    coth dp^2's (its tail grows logarithmically with the cutoff): the
+    integral stops there and the one-decade tail bound 2 ln(10)/(pi Q) is
+    added to the error.
     """
+    upper = _OMEGA_SPLIT if math.isinf(cutoff) else cutoff
     # breakpoints at each peak +- 5^m half-widths resolve its Lorentzian
     # tails: with only m = 0, 1 the tails beyond five half-widths
     # (2/(5 pi) = 13% of the peak's weight) fell between the nodes of a
@@ -303,7 +305,7 @@ def _quad_moment(params, poles, noise_model, power, omega_max, rtol):
         while 5.0 * widths[-1] < peak:
             widths.append(5.0 * widths[-1])
         seeds += [peak] + [peak + side * w for w in widths for side in (-1.0, 1.0)]
-    points = sorted({p for p in seeds if 0.0 < p < omega_max})
+    points = sorted({p for p in seeds if 0.0 < p < upper})
 
     s_q = _scalar_spectrum_fn(params, noise_model)
     if power == 0:
@@ -312,11 +314,11 @@ def _quad_moment(params, poles, noise_model, power, omega_max, rtol):
         def f(w):
             return w * w * s_q(w)
 
-    value, err = _checked_quad(f, 0.0, omega_max, rtol, points=points)
-    if power == 2 and noise_model is ThermalNoiseModel.QUANTUM_COTH:
-        tail, tail_err = 0.0, 2.0 * math.log(10.0) / params.q_factor
+    value, err = _checked_quad(f, 0.0, upper, rtol, points=points)
+    if math.isinf(cutoff):
+        tail, tail_err = _checked_quad(f, upper, math.inf, rtol)
     else:
-        tail, tail_err = _checked_quad(f, omega_max, math.inf, rtol)
+        tail, tail_err = 0.0, 2.0 * math.log(10.0) / params.q_factor
     return (value + tail) / math.pi, (err + tail_err) / math.pi
 
 
@@ -408,27 +410,6 @@ def _digamma(z):
     return psi(z + 3.0) - 1.0 / z - 1.0 / (z + 1.0) - 1.0 / (z + 2.0)
 
 
-def _position_variance(params, noise_model, poles, fr):
-    """dq^2 and its error from the partial fractions ``fr`` (None: quadrature at ``poles``)."""
-    if fr is None:
-        return _quad_moment(params, poles, noise_model, 0, _OMEGA_SPLIT, _QUAD_RTOL)
-    if noise_model is ThermalNoiseModel.MARKOV_FLAT:
-        weight = _flat_weight(params)
-        terms = [(weight * al + f) / (2.0 * a) for a, al, f in zip(fr.a, fr.alpha, fr.f)]
-    else:
-        x = coth_scale(params.n_t_i)
-        poles = np.array(fr.a)
-        with np.errstate(all="ignore"):  # an overflow fails the finiteness test
-            if math.isinf(x):
-                thermal = -2.0 * np.log(poles)
-            else:
-                thermal = math.pi / (x * poles) - 2.0 * _digamma(1.0 + (x / math.pi) * poles)
-        scale = 1.0 / (math.pi * params.q_factor)
-        terms = [scale * al * th + f / (2.0 * a)
-                 for a, al, f, th in zip(fr.a, fr.alpha, fr.f, thermal.tolist())]
-    return _residue_sum(terms, fr.roundoff)
-
-
 def _bose_tail(params, x, omega_max):
     """(2/(pi Q)) int_W^inf 2w/(e^{2xw} - 1) w^2 |chi_eff(w)|^2 dw, and its error bound.
 
@@ -474,61 +455,71 @@ def _bose_tail(params, x, omega_max):
     return tail, _BOSE_TAIL_RTOL * tail
 
 
-def _momentum_variance(params, noise_model, poles, fr, omega_max):
-    """dp^2 and its error from the partial fractions ``fr`` (None: quadrature at ``poles``).
+def _moment(params, noise_model, modes, fr, power, omega_max):
+    """(1/pi) int_0^W w^power S_q(w) dw and its error: dq^2 (power 0) or dp^2 (power 2).
 
-    Under the flat weight, int_0^inf w^2 dw/(w^2 + a^2) = -pi a/2 once the
-    sum over j of the numerators vanishes, so dp^2 is the residue sum
-    sum_j -(T alpha_j + f_j) a_j/2.
+    W is ``omega_max`` for the coth dp^2, whose integrand falls off only
+    like 2/(Q |w|), so that it is cut off by definition; the other three
+    moments converge and have W = inf. With the partial fractions ``fr``
+    (see :class:`_Fractions`), S_q = sum_j [T(w) alpha_j + f_j]/(w^2 + a_j^2),
+    and sum_j alpha_j = sum_j f_j = 0 lets w^2/(w^2 + a^2) be replaced by
+    -a^2/(w^2 + a^2). Every moment is then one sum over the poles,
 
-    Under the coth weight w^2 S_q falls off only like 2/(Q |w|), so dp^2
-    is cut off at W = omega_max by definition. With sum_j alpha_j =
-    sum_j f_j = 0,
+        sum_j m_j [alpha_j K(a_j) + f_j R(a_j)],
 
-        w^2 S_q = -T(w) sum_j alpha_j a_j^2/(w^2 + a_j^2)
-                  + sum_j f_j w^2/(w^2 + a_j^2),
+    m_j = 1 for dq^2 and -a_j^2 for dp^2, R(a) = (1/pi) int_0^W dw/(w^2 + a^2)
+    = arctan(W/a)/(pi a) (1/(2a) at W = inf) and K(a) the same integral
+    weighted by T(w). Under the flat weight K = T R. Under the coth weight,
+    with w coth(x w) = w + 2w/(e^{2xw} - 1) (principal branches, Re a_j > 0),
 
-    and with w coth(x w) = w + 2w/(e^{2xw} - 1) each piece on [0, W] has
-    a closed form (principal branches; Re a_j > 0):
+        K(a) = (2/(pi Q)) [(log(a + iW) + log(a - iW))/2 - log a
+                           + log z - 1/(2z) - psi(z)],   z = x a/pi:
 
-    * radiation: int_0^W w^2 dw/(w^2 + a^2) = W - a arctan(W/a), whose W
-      terms cancel in the sum;
-    * zero-point: int_0^W w dw/(w^2 + a^2)
-      = [log(a + iW) + log(a - iW)]/2 - log a;
-    * Bose part on [0, inf), by Binet's integral for psi (DLMF 5.9.13):
-      int_0^inf 2w dw/((e^{2xw} - 1)(w^2 + a^2)) = log z - 1/(2z) - psi(z),
-      z = x a/pi, less its part on [W, inf) (:func:`_bose_tail`).
+    the zero-point part is elementary, and the Bose part on [0, inf) is
+    Binet's integral for psi (DLMF 5.9.13), less its part beyond a finite W
+    (:func:`_bose_tail`). At W = inf the log W of the first term is the
+    same for every pole, which sum_j alpha_j cancels; at n_t_i = 0 there
+    is no Bose part; and log z - log a = log(x/pi).
 
-    At n_t_i = 0 there is no Bose part. Where a pole is not well inside the
-    cutoff (|a_j| >= W/2) the tail rule loses its accuracy, and dp^2 is the
-    adaptive quadrature instead. Against 40-digit mpmath quadratures at
+    Where ``fr`` is None (nearly coincident poles, see :func:`_fractions`)
+    or a pole has |a_j| >= W/2 (the tail rule loses its accuracy as a pole
+    nears the cutoff) the moment is instead the adaptive quadrature to
+    1e-8 (relative) with the same W (:func:`_quad_moment`). The error is
+    the round-off bound of the sum, plus 1e-12 of the Bose tail, or the
+    quadrature's estimate. Against 40-digit mpmath quadratures at
     b = phi = 10, phi_nl = 0.1 and 0.01, with n_t_i from 0 to 1e306, the
-    closed form was within 5e-15, also at n_t_i = 1e300 and 1e306, where
-    the quadrature's integrand overflows.
+    coth dp^2 was within 5e-15, also at n_t_i = 1e300 and 1e306, where the
+    quadrature's integrand overflows.
     """
-    flat = noise_model is ThermalNoiseModel.MARKOV_FLAT
-    if fr is None or (not flat and max(map(abs, fr.a)) >= _POLE_CUTOFF_FRACTION * omega_max):
-        return _quad_moment(params, poles, noise_model, 2, omega_max, _QUAD_RTOL)
-    if flat:
+    coth = noise_model is ThermalNoiseModel.QUANTUM_COTH
+    cutoff = omega_max if coth and power == 2 else math.inf
+    if fr is None or max(map(abs, fr.a)) >= _POLE_CUTOFF_FRACTION * cutoff:
+        return _quad_moment(params, modes.eigenvalues, noise_model, power, cutoff, _QUAD_RTOL)
+    if not coth:  # m_j R(a_j) is 1/(2 a_j) or -a_j/2
         weight = _flat_weight(params)
-        return _residue_sum(
-            [-0.5 * (weight * al + f) * a for a, al, f in zip(fr.a, fr.alpha, fr.f)],
-            fr.roundoff,
-        )
-    poles = np.array(fr.a)
+        return _residue_sum([(weight * al + f) * (0.5 / aj if power == 0 else -0.5 * aj)
+                             for aj, al, f in zip(fr.a, fr.alpha, fr.f)], fr.roundoff)
+    a = np.array(fr.a)
     x = coth_scale(params.n_t_i)
     with np.errstate(all="ignore"):  # an overflow fails the finiteness test
-        thermal = 0.5 * (np.log(poles + 1j * omega_max) + np.log(poles - 1j * omega_max))
-        thermal -= np.log(poles)
-        if not math.isinf(x):
-            z = (x / math.pi) * poles
-            thermal += np.log(z) - 0.5 / z - _digamma(z)
-        terms = (-2.0 / (math.pi * params.q_factor) * np.array(fr.alpha) * poles * poles * thermal
-                 - np.array(fr.f) * poles * np.arctan(omega_max / poles) / math.pi)
-    value, err = _residue_sum(terms.tolist(), fr.roundoff)
-    if math.isinf(x):
+        if math.isinf(cutoff):
+            r, k = [0.5 / aj for aj in fr.a], 0.0
+        else:
+            r = (np.arctan(cutoff / a) / (math.pi * a)).tolist()
+            k = 0.5 * (np.log(a + 1j * cutoff) + np.log(a - 1j * cutoff))
+        if math.isinf(x):
+            k = k - np.log(a)
+        else:
+            z = (x / math.pi) * a
+            k = k + math.log(x / math.pi) - 0.5 / z - _digamma(z)
+    scale = 2.0 / (math.pi * params.q_factor)
+    terms = [scale * al * kj + f * rj for al, f, kj, rj in zip(fr.alpha, fr.f, k.tolist(), r)]
+    if power == 2:
+        terms = [-aj * aj * t for aj, t in zip(fr.a, terms)]
+    value, err = _residue_sum(terms, fr.roundoff)
+    if math.isinf(cutoff) or math.isinf(x):
         return value, err
-    tail, tail_err = _bose_tail(params, x, omega_max)
+    tail, tail_err = _bose_tail(params, x, cutoff)
     return value - tail, err + tail_err
 
 
@@ -538,21 +529,9 @@ def position_variance(
 ) -> tuple[float, float]:
     """dq^2 = int dw/(2 pi) S_q(w) and a bound on its error, without dp^2.
 
-    The integral closes in the upper half plane, so it is a sum of the
-    residues at w = i a_j (a_j = -lambda_j, lambda_j the drift
-    eigenvalues). With the partial fractions of :class:`_Fractions`,
-    int dw/(w^2 + a^2) = pi/a gives the flat weight T and the
-    radiation-pressure term: sum_j (T alpha_j + f_j)/(2 a_j). Under the
-    coth weight, w coth(x w) = 1/x + sum_k 2 w^2/(x (w^2 + nu_k^2)),
-    nu_k = pi k/x, and the Matsubara sum closes (sum_j alpha_j = 0) into
-
-        int w coth(x w) sum_j alpha_j/(w^2 + a_j^2) dw
-            = sum_j alpha_j [pi/(x a_j) - 2 psi(1 + x a_j/pi)];
-
-    at n_t_i = 0 (x -> inf) the bracket is -2 log a_j. Where two poles
-    nearly coincide (see :func:`_fractions`) the integral is taken by
-    adaptive quadrature to 1e-8 (relative) instead; the error is then its
-    estimate, otherwise a round-off bound.
+    The same moment as :func:`integrate_variances` computes (see
+    :func:`_moment`): a sum over the drift's poles, or adaptive
+    quadrature where two of them nearly coincide.
 
     Raises
     ------
@@ -563,7 +542,7 @@ def position_variance(
     """
     classify(params).require_stable()
     modes = drift_modes(params)
-    return _position_variance(params, noise_model, modes.eigenvalues, _fractions(params, modes))
+    return _moment(params, noise_model, modes, _fractions(params, modes), 0, math.inf)
 
 
 def integrate_variances(
@@ -573,28 +552,14 @@ def integrate_variances(
 ) -> VarianceResult:
     """Mirror variances of the exact spectrum.
 
-    Routes:
-
-    * dq^2, both weights: :func:`position_variance`, a sum of residues
-      at the drift eigenvalues.
-    * dp^2, flat weight: the same residues (:func:`_momentum_variance`).
-    * dp^2, coth weight: w^2 S_q falls off only like 2/(Q |w|), so the
-      variance is cut off at ``omega_max`` by definition. It is a sum of
-      arctangents, logarithms and digamma functions at the same poles,
-      less a fixed Gauss-Legendre rule for the Bose tail beyond the
-      cutoff (:func:`_momentum_variance`).
-
-    Adaptive quadrature to 1e-8 (relative), on a mesh split at the
-    drift's poles, replaces a route where two poles nearly coincide (see
-    :func:`_fractions`) and, for the coth dp^2, where a pole has
-    |a_j| >= omega_max/2.
-
-    ``omega_max`` therefore affects only dp^2 under the coth weight (and,
-    where poles nearly coincide, where the flat dp^2 quadrature splits off
-    its tail). ``quadrature_error`` sums the errors of dq^2 and dp^2: a
-    round-off bound for a residue sum, plus 1e-12 of the Bose tail for the
-    coth dp^2; for a quadrature its error estimate, plus the one-decade
-    tail bound 2 ln(10)/(pi Q) for dp^2 under the coth weight.
+    Each variance is a sum over the drift's poles, or adaptive quadrature
+    to 1e-8 (relative) where two poles nearly coincide (see
+    :func:`_moment`). Under the coth weight w^2 S_q falls off only like
+    2/(Q |w|), so dp^2 is cut off at ``omega_max`` by definition; the
+    cutoff changes nothing else. ``quadrature_error`` sums the errors of
+    dq^2 and dp^2: a round-off bound for a sum (plus 1e-12 of the Bose
+    tail for the coth dp^2), a quadrature's error estimate (plus the
+    one-decade tail bound 2 ln(10)/(pi Q) for the coth dp^2).
 
     Raises
     ------
@@ -608,8 +573,8 @@ def integrate_variances(
     classify(params).require_stable()
     modes = drift_modes(params)
     fr = _fractions(params, modes)
-    dq2, err_q = _position_variance(params, noise_model, modes.eigenvalues, fr)
-    dp2, err_p = _momentum_variance(params, noise_model, modes.eigenvalues, fr, omega_max)
+    dq2, err_q = _moment(params, noise_model, modes, fr, 0, omega_max)
+    dp2, err_p = _moment(params, noise_model, modes, fr, 2, omega_max)
     return VarianceResult.from_variances(
         dq2, dp2,
         method=Method.EXACT_SPECTRUM,

@@ -611,6 +611,45 @@ def test_decayed_transient_is_the_steady_state(phi, capsys):
     assert last[1:5] == pytest.approx(np.diag(v_ss), rel=1e-12)
 
 
+def test_homodyne_with_both_rates_reads_no_closed_form(monkeypatch, capsys):
+    overrides = {**OPERATING_POINT, "homodyne.lo_rate": "1", "homodyne.demod_rate": "1000",
+                 "homodyne.n_outer": "16", "homodyne.n_inner": "8"}
+    assert main(argv_for("homodyne", overrides)) == 0
+    want = capsys.readouterr().out
+
+    def refuse(params):
+        raise AssertionError("closed-form rates read although homodyne.lo_rate is set")
+
+    monkeypatch.setattr("optocool.cli.effective_rates", refuse)
+    assert main(argv_for("homodyne", overrides)) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_homodyne_default_lo_rate_needs_a_positive_closed_form(capsys):
+    # stable, every drift mode decays, but the closed-form Gamma_eff/Gamma < 0
+    point = {"b": "0.5247", "phi": "-0.7915", "phi_nl": "0.5175", "q_factor": "3.459",
+             "n_t_i": "100"}
+    rc = main(argv_for("homodyne", point))
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    record = assert_one_json_record(err)
+    assert record["type"] == "InvalidRegime" and "homodyne.lo_rate" in record["message"]
+    assert main(argv_for("homodyne", {**point, "homodyne.lo_rate": "0.5"})) == 0
+
+
+def test_flat_bath_rows_do_not_read_the_cutoff(capsys):
+    # phi = 0: the cavity poles coincide and every moment is the quadrature,
+    # whose flat dp^2 used to split off its tail at omega_max
+    point = {"b": "1", "phi": "0", "phi_nl": "0.3", "q_factor": "1e4", "n_t_i": "10",
+             "noise_model": "markov_flat"}
+    outputs = []
+    for cutoff in ("3", "100"):
+        assert main(argv_for("variances", {**point, "tolerances.omega_max": cutoff})) == 0
+        outputs.append([row for row in capsys.readouterr().out.splitlines()
+                        if not row.startswith("#")])
+    assert outputs[0] == outputs[1]
+
+
 # Text for the fuzz property. Integer-valued text is capped so that no
 # example asks for a long sweep or a large grid; output_path is left out
 # because any text there names a file to write.

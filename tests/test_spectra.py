@@ -168,6 +168,15 @@ class TestNoiseSpectrum:
         with pytest.raises(Unstable):
             noise_spectrum(0.5, p)
 
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_high_q_resonance_is_not_a_real_axis_pole(self, model):
+        # decoupled (phi_nl = 0), so S_q(+-1) = T/|1 - w^2 - i w/Q|^2 = Q^2 T
+        # with T = 2 (2 n_t_i + 1)/Q under either bath; an absolute
+        # singularity test used to reject the resonance as a pole
+        p = NormalizedParams(b=1, phi=1, phi_nl=0, q_factor=1e14, n_t_i=1)
+        values = noise_spectrum(np.array([-1.0, 1.0]), p, model)
+        assert values == pytest.approx([6e14, 6e14], rel=1e-12)
+
 
 class TestIntegrateVariances:
     def test_bare_oscillator_thermal_equilibrium(self):
@@ -245,9 +254,13 @@ class TestIntegrateVariances:
             integrate_variances(p)
 
 
-def quad_oracle(p, model, power, rtol=1e-10):
-    """The adaptive quadrature the residue sums replaced, at a tight tolerance."""
-    return _quad_moment(p, drift_modes(p).eigenvalues, model, power, 100.0, rtol)[0]
+def quad_oracle(p, model, power, rtol=1e-10, omega_max=100.0):
+    """The adaptive quadrature the residue sums replaced, at a tight tolerance.
+
+    Only the coth dp^2 is cut off at ``omega_max``; the other moments run to infinity.
+    """
+    cutoff = omega_max if model is ThermalNoiseModel.QUANTUM_COTH and power == 2 else math.inf
+    return _quad_moment(p, drift_modes(p).eigenvalues, model, power, cutoff, rtol)[0]
 
 
 def rel(x, ref):
@@ -384,6 +397,18 @@ class TestResidueRoute:
         assert rel(res.dq2, quad_oracle(p, model, 0)) <= 1e-10
         if model is ThermalNoiseModel.MARKOV_FLAT:
             assert rel(res.dp2, quad_oracle(p, model, 2)) <= 1e-10
+
+    @pytest.mark.parametrize("omega_max", [3.0, 100.0, 200.0])
+    def test_coth_cutoff_where_poles_coincide(self, quad_calls, omega_max):
+        # at phi = 0 the coth dp^2 is the quadrature, cut off at omega_max
+        # itself, also above the split point of the convergent moments
+        p = NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=1e4, n_t_i=10)
+        assert _fractions(p, drift_modes(p)) is None
+        res = integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH, omega_max=omega_max)
+        assert omega_max in [b for _, b in quad_calls]
+        want = quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 2, rtol=1e-12,
+                           omega_max=omega_max)
+        assert rel(res.dp2, want) <= 1e-8
 
     @pytest.mark.parametrize("n_t_i", [0.0, 1e-12, 1.0, 1e3])
     def test_matsubara_sum_and_its_zero_temperature_limit(self, n_t_i):
