@@ -634,19 +634,20 @@ def _error_record(kind: str, exc: Exception) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="optocool",
+    description="Steady-state and dynamical radiation-pressure cooling curves.",
+)
+_PARSER.add_argument("mode", choices=MODES)
+_PARSER.add_argument("--config", help="flat key=value configuration file")
+_PARSER.add_argument("--out", help="output CSV path (default: config output_path or stdout)")
+_PARSER.add_argument(
+    "--set", action="append", metavar="KEY=VALUE", help="override a config key (repeatable)",
+)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="optocool",
-        description="Steady-state and dynamical radiation-pressure cooling curves.",
-    )
-    parser.add_argument("mode", choices=MODES)
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--out", help="output CSV path (default: config output_path or stdout)")
-    parser.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     text = ""
     if args.config:
@@ -658,7 +659,7 @@ def main(argv=None) -> int:
             return 2
 
     overrides = {}
-    for item in args.set:
+    for item in args.set or ():
         if "=" not in item:
             print(
                 _error_record("config", ParseError(f"--set needs KEY=VALUE, got {item!r}")),

@@ -381,6 +381,21 @@ class TestMain:
         rc = main(["variances", "--set", "b10"])
         assert rc == 2
 
+    def test_overrides_do_not_carry_over_between_calls(self, tmp_path, capsys):
+        # the parser is built once; each call's --set items are its own
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(MINIMAL)
+        assert main(["variances", "--config", str(cfg), "--set", "b=20"]) == 0
+        assert "# b = 20\n" in capsys.readouterr().out
+        assert main(["variances", "--config", str(cfg)]) == 0
+        assert "# b = 10\n" in capsys.readouterr().out
+
+    def test_unknown_mode_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["no_such_mode"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 OPERATING_POINT = {"b": "10", "phi": "10", "phi_nl": "0.1", "q_factor": "1e4", "n_t_i": "100"}
 
@@ -637,10 +652,12 @@ def test_homodyne_default_lo_rate_needs_a_positive_closed_form(capsys):
     assert main(argv_for("homodyne", {**point, "homodyne.lo_rate": "0.5"})) == 0
 
 
-def test_flat_bath_rows_do_not_read_the_cutoff(capsys):
-    # phi = 0: the cavity poles coincide and every moment is the quadrature,
-    # whose flat dp^2 used to split off its tail at omega_max
-    point = {"b": "1", "phi": "0", "phi_nl": "0.3", "q_factor": "1e4", "n_t_i": "10",
+@pytest.mark.parametrize("phi", ["1e-10", "0"])
+def test_flat_bath_rows_do_not_read_the_cutoff(phi, capsys):
+    # phi = 1e-10: the cavity poles nearly coincide and every moment is the
+    # quadrature, whose flat dp^2 used to split off its tail at omega_max;
+    # phi = 0: the cavity decouples and every moment is a sum over three poles
+    point = {"b": "1", "phi": phi, "phi_nl": "0.3", "q_factor": "1e4", "n_t_i": "10",
              "noise_model": "markov_flat"}
     outputs = []
     for cutoff in ("3", "100"):
@@ -648,6 +665,23 @@ def test_flat_bath_rows_do_not_read_the_cutoff(capsys):
         outputs.append([row for row in capsys.readouterr().out.splitlines()
                         if not row.startswith("#")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("noise_model", ["quantum_coth", "markov_flat"])
+def test_detuning_sweep_through_resonance_runs_no_quadrature(noise_model, monkeypatch, capsys):
+    # a sweep built like the benchmark's: its third row is phi = 0 up to round-off
+    quad_calls = []
+    monkeypatch.setattr("optocool.spectra.quad", lambda *a, **k: quad_calls.append(a))
+    star = optimal_detuning(2.0)
+    overrides = {"b": "2", "phi": repr(star), "phi_nl": "0.1", "q_factor": "3e4", "n_t_i": "100",
+                 "noise_model": noise_model, "sweep.variable": "phi",
+                 "sweep.start": repr(-0.25 * star), "sweep.stop": repr(2.0 * star),
+                 "sweep.points": "19"}
+    assert main(argv_for("variances", overrides)) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()
+            if not row.startswith("#")]
+    assert abs(float(rows[3][0])) < 1e-15 and rows[3][-1] == "true"
+    assert quad_calls == []
 
 
 # Text for the fuzz property. Integer-valued text is capped so that no

@@ -386,29 +386,87 @@ class TestResidueRoute:
         assert rel(res.dp2, lyap.dp2) <= 1e-10
 
     # the benchmark's degenerate sweep row: the cavity pair coincides at phi = 0
-    # and the closest poles separate like sqrt(phi)
+    # and the closest poles separate like sqrt(phi). Up to phi = 1e-15 the
+    # cavity is decoupled to within round-off (three poles); at 1e-12 and
+    # 1e-8 it is not, and the poles are not separated (quadrature)
     @pytest.mark.parametrize("phi", [0.0, 5.6e-17, 1e-15, 1e-12, 1e-8, 1e-6])
     @pytest.mark.parametrize("model", list(ThermalNoiseModel))
     def test_nearly_coincident_poles(self, phi, model):
         p = NormalizedParams(b=1.9206257319033062, phi=phi, phi_nl=0.09504903620523072,
                              q_factor=5562.406725036761, n_t_i=480.9521065078436)
-        assert (_fractions(p, drift_modes(p)) is None) == (phi <= 1e-8)
+        assert (_fractions(p, drift_modes(p)) is None) == (phi in (1e-12, 1e-8))
         res = integrate_variances(p, model)
         assert rel(res.dq2, quad_oracle(p, model, 0)) <= 1e-10
         if model is ThermalNoiseModel.MARKOV_FLAT:
             assert rel(res.dp2, quad_oracle(p, model, 2)) <= 1e-10
 
     @pytest.mark.parametrize("omega_max", [3.0, 100.0, 200.0])
-    def test_coth_cutoff_where_poles_coincide(self, quad_calls, omega_max):
-        # at phi = 0 the coth dp^2 is the quadrature, cut off at omega_max
-        # itself, also above the split point of the convergent moments
-        p = NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=1e4, n_t_i=10)
-        assert _fractions(p, drift_modes(p)) is None
+    @pytest.mark.parametrize("phi", [1e-10, 0.0])
+    def test_coth_cutoff_where_poles_coincide(self, quad_calls, phi, omega_max):
+        # at phi = 1e-10 the poles are not separated and the cavity is not
+        # decoupled: the coth dp^2 is the quadrature, cut off at omega_max
+        # itself, also above the split point of the convergent moments. At
+        # phi = 0 it is the three poles' sum, with the same cutoff
+        p = NormalizedParams(b=1, phi=phi, phi_nl=0.3, q_factor=1e4, n_t_i=10)
+        quadrature = phi != 0.0
+        assert (_fractions(p, drift_modes(p)) is None) == quadrature
         res = integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH, omega_max=omega_max)
-        assert omega_max in [b for _, b in quad_calls]
+        if quadrature:
+            assert omega_max in [b for _, b in quad_calls]
+        else:
+            assert quad_calls == []
         want = quad_oracle(p, ThermalNoiseModel.QUANTUM_COTH, 2, rtol=1e-12,
                            omega_max=omega_max)
-        assert rel(res.dp2, want) <= 1e-8
+        assert rel(res.dp2, want) <= (1e-8 if quadrature else 1e-10)
+
+    @settings(max_examples=60)
+    @given(p=stable_points.filter(lambda p: p.q_factor <= 1e5),
+           phi=st.sampled_from([0.0, 1e-16, -1e-16]))
+    def test_decoupled_cavity_runs_no_quadrature(self, p, phi):
+        # at phi ~ 0 both variances under both baths are sums over three poles
+        p = p.replace(phi=phi)
+        assume(classify(p).stable)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature where the cavity decouples")
+
+        for model in ThermalNoiseModel:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectra, "quad", refuse)
+                res = integrate_variances(p, model)
+            assert rel(res.dq2, quad_oracle(p, model, 0, rtol=1e-12)) <= 1e-10
+            assert rel(res.dp2, quad_oracle(p, model, 2, rtol=1e-12)) <= 1e-10
+
+    @pytest.mark.parametrize("q_factor, dq2", [
+        (1e6, 300001.1499999249889352642),
+        (1e7, 3000001.149999992388978067),
+    ])
+    def test_decoupled_cavity_at_high_q(self, q_factor, dq2):
+        # the references are 40-digit mpmath sums over the three poles;
+        # the quadrature is off by 5.4e-11 and 3.7e-10 here
+        p = NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=q_factor, n_t_i=0)
+        assert rel(integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT).dq2, dq2) <= 1e-13
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_decoupled_cavity_at_a_huge_occupancy(self, model):
+        # the cavity pole carries no thermal weight, so its K, not finite where
+        # z = x/(pi b) underflows, is not read; the quadrature overflows here
+        p = NormalizedParams(b=1e100, phi=0, phi_nl=0.3, q_factor=1e4, n_t_i=1e300)
+        assert rel(integrate_variances(p, model).dq2, 2e300) <= 1e-10
+
+    @pytest.mark.parametrize("p", [FIG2, DEEP.replace(phi=0.0)], ids=["fig2", "decoupled"])
+    def test_coth_variances_take_psi_once(self, monkeypatch, p):
+        # dq^2 and dp^2 share psi at the same poles
+        calls = []
+        digamma = spectra._digamma
+
+        def counted(z):
+            calls.append(z)
+            return digamma(z)
+
+        monkeypatch.setattr(spectra, "_digamma", counted)
+        integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("n_t_i", [0.0, 1e-12, 1.0, 1e3])
     def test_matsubara_sum_and_its_zero_temperature_limit(self, n_t_i):
