@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, sweeps, deterministic CSV.
 
 Configuration documents are flat key = value text: one key per line,
-``#`` comments, nested fields dot-separated (``sweep.variable = phi``).
+full-line ``#`` comments, nested fields dot-separated
+(``sweep.variable = phi``).
 Modes ``fig1``/``fig2``/``fig3`` are presets for the standard cooling
 curves (variances versus bandwidth, variances versus detuning, and the
 cooling transient with its output-field record); they never require SI
@@ -182,7 +183,7 @@ class ResultTable:
 
 
 def _parse_kv(text: str) -> dict:
-    """Syntax layer: flat key = value lines, '#' comments."""
+    """Syntax layer: flat key = value lines, full-line '#' comments."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

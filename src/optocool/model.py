@@ -40,6 +40,7 @@ __all__ = [
     "DriftModes",
     "POLE_SEPARATION_MIN",
     "thermal_occupancy",
+    "pole_separation",
     "solve_steady_state",
     "classify",
     "drift_matrix",
@@ -50,10 +51,10 @@ __all__ = [
 
 #: residual tolerance on the normalized steady-state cubic
 CUBIC_RESIDUAL_TOL = 1e-10
-#: relative separation of two drift eigenvalues at or below which the
-#: modes are not ``separated``: the variance integrals are then taken by
-#: adaptive quadrature rather than residues, and the propagator by expm
-#: rather than in the eigenbasis (the measurement behind it is in the
+#: relative separation of two poles at or below which a pole set is not
+#: separated (see :func:`pole_separation`): the variance integrals are
+#: then not taken by residues at those poles, and the propagator is expm
+#: rather than the eigenbasis (the measurement behind it is in the
 #: partial fractions of :mod:`optocool.spectra`)
 POLE_SEPARATION_MIN = 1e-4
 
@@ -254,18 +255,23 @@ def classify(params: NormalizedParams) -> StabilityReport:
     s = -i w. Its constant term a0 is the spring margin over b^2 and its
     other coefficients are positive, so by the Lienard-Chipart form of
     the Routh-Hurwitz test it is Hurwitz exactly when a0 > 0 and
-    a3 a2 a1 - a1^2 - a3^2 a0 > 0. Unlike the sign of the closed-form
-    Gamma_eff of :func:`~optocool.adiabatic.effective_rates` (a
-    resonance approximation) the test is exact.
+    a3 a2 a1 - a4 a1^2 - a3^2 a0 > 0 (a4 = 1). Unlike the sign of the
+    closed-form Gamma_eff of :func:`~optocool.adiabatic.effective_rates`
+    (a resonance approximation) the test is exact.
+    Unscaled, the determinant overflows below b of about 1e-62, so the
+    test reads t^2 p(s), t = min(1, b), and takes its determinant over t:
+    positive scales, which keep its sign, and none at b >= 1.
     """
     b, phi, q = params.b, params.phi, params.q_factor
     spring = _spring_margin(phi, params.phi_nl)
-    k, c = 1.0 / b, 1.0 / q
+    # t = min(1, b) and k = t/b; each a_i below is t^2 times p's (a3 also over t)
+    t, k = (b, 1.0) if b < 1.0 else (1.0, 1.0 / b)
+    c = 1.0 / q
     e = k * k * (1.0 + phi * phi)
-    a3 = 2.0 * k + c
-    a2 = 1.0 + e + 2.0 * k * c
-    a1 = 2.0 * k + c * e
-    hurwitz = a3 * a2 * a1 - a1 * a1 - a3 * a3 * k * k * spring
+    a3 = 2.0 * k + c * t
+    a2 = t * t + e + 2.0 * k * c * t
+    a1 = 2.0 * k * t + c * e
+    hurwitz = a3 * a2 * a1 - t * a1 * a1 - t * a3 * a3 * k * k * spring
 
     if not math.isfinite(hurwitz):
         reason = "not finite: the operating point overflows the stability test"
@@ -308,13 +314,23 @@ def drift_matrix(params: NormalizedParams) -> np.ndarray:
     )
 
 
+def pole_separation(poles) -> tuple[list, bool]:
+    """Each pole's gap to its nearest neighbour; True if all gap_j > POLE_SEPARATION_MIN |pole_j|.
+
+    The one separation test, of the drift's eigenvalues and of a decoupled cavity's poles.
+    """
+    gaps = [min([abs(z - poles[m]) for m in range(len(poles)) if m != j])
+            for j, z in enumerate(poles)]
+    return gaps, all(gap > POLE_SEPARATION_MIN * abs(z) for z, gap in zip(poles, gaps))
+
+
 class DriftModes(NamedTuple):
     """The eigen-decomposition A = S diag(lambda) S^-1 of the drift."""
 
     eigenvalues: list      # lambda_j (complex), polished by one Newton step
     vectors: np.ndarray    # S, the eigenvectors as columns
     gaps: list             # min_k |lambda_j - lambda_k| (before the polish)
-    separated: bool        # every gap_j > POLE_SEPARATION_MIN |lambda_j|
+    separated: bool        # the eigenvalues pass :func:`pole_separation`
     norm: float            # ||A|| (Frobenius), the scale of the eigen-solve's round-off
 
 
@@ -333,8 +349,7 @@ def drift_modes(params: NormalizedParams) -> DriftModes:
         raise InvalidParams(f"drift matrix overflows (||A|| = {norm})")
     lam, vectors = np.linalg.eig(drift)
     lam = lam.tolist()
-    gaps = [min([abs(x - lam[k]) for k in range(4) if k != j]) for j, x in enumerate(lam)]
-    separated = all(gap > POLE_SEPARATION_MIN * abs(x) for x, gap in zip(lam, gaps))
+    gaps, separated = pole_separation(lam)
     k, phik = 1.0 / params.b, params.phi / params.b
 
     # One Newton step on p(s) = M(s) C(s) - K with the bare mechanical and

@@ -38,6 +38,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +47,7 @@ from scipy.integrate import quad
 from scipy.special import psi
 
 from .errors import InvalidParams, QuadratureFailure, SingularResponse
-from .model import POLE_SEPARATION_MIN, DriftModes, NormalizedParams, classify, drift_modes
+from .model import DriftModes, NormalizedParams, classify, drift_modes, pole_separation
 
 __all__ = [
     "ThermalNoiseModel",
@@ -75,7 +76,7 @@ _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 #: stated relative error bound of the Bose tail rule (see :func:`_bose_tail`)
 _BOSE_TAIL_RTOL = 1e-12
 #: the largest relative change of S_q for which the cavity counts as
-#: decoupled (see :func:`_decoupled_fractions`)
+#: decoupled (see :func:`_fractions`)
 _DECOUPLED_MAX = 1e-9
 
 
@@ -333,7 +334,8 @@ class _Fractions(NamedTuple):
 
     |D|^2/|P|^2 = sum_j alpha_j/(u + a_j^2) and 4 phi_nl (1 + phi^2 +
     b^2 u)/|P|^2 = sum_j f_j/(u + a_j^2), with a_j = -lambda_j for the
-    drift eigenvalues lambda_j (Re a_j > 0): S_q has its upper-half-plane
+    drift eigenvalues lambda_j, or the three poles of a decoupled cavity
+    (Re a_j > 0; see :func:`_fractions`): S_q has its upper-half-plane
     poles at w = i a_j. ``roundoff[j]`` times the magnitude of pole j's
     term of a residue sum bounds that term's round-off error.
     """
@@ -345,103 +347,81 @@ class _Fractions(NamedTuple):
 
 
 def _fractions(params: NormalizedParams, modes: DriftModes) -> _Fractions | None:
-    """The spectrum's partial fractions at ``modes``, or None when two poles nearly coincide.
+    """The spectrum's pole table, its partial fractions; None where it cannot be used.
 
-    None also where they cannot be formed in floating point (a pole or a
-    difference of squared poles that underflows to zero).
+    It is the one builder, from one of two pole sets, each of which must
+    pass :func:`~optocool.model.pole_separation`. Each coefficient is a
+    numerator over prod_{m != j}(a_m^2 - a_j^2). Without a usable set, or
+    where a pole, a real part or a squared-pole difference underflows to
+    zero, the result is None and the moments are taken by quadrature.
 
-    |P(w)|^2 = b^4 prod_j (w^2 + lambda_j^2), where P is the spectrum's
-    denominator and lambda_j the drift eigenvalues, so each coefficient
-    is a numerator over b^4 prod_{k != j}(a_k^2 - a_j^2). Near a double
-    eigenvalue the coefficients grow like 1/separation and cancel. Near
-    exceptional points of the drift (150 of them, each approached from
-    both sides), the error of the flat dq^2 and dp^2 against 40-digit
-    residue sums reached 4.6e-10 at relative separations of the closest
-    pair in [1e-6, 1e-5), 4.8e-11 in [1e-5, 1e-4) and 1.1e-11 above
-    1e-4. Where the modes are not ``separated`` (below 1e-4, see
-    :func:`~optocool.model.drift_modes`) the four poles are not used:
-    where the cavity is decoupled to within round-off (phi = 0, whose
-    cavity pair is degenerate) the spectrum has three other poles
-    (:func:`_decoupled_fractions`), and elsewhere the quadrature is used.
+    - The drift's four eigenvalues, where ``modes.separated``
+      (|P(w)|^2 = b^4 prod_j (w^2 + lambda_j^2) for the spectrum's
+      denominator P). The numerators are prod_c (beta_c^2 - a_j^2) over the
+      bare cavity poles beta_c = k -+ i phi k (alpha_j) and
+      4 phi_nl k^2 (k^2 (1 + phi^2) - a_j^2) (f_j), k = 1/b. Near a double
+      eigenvalue the coefficients grow like 1/separation and cancel: near
+      150 exceptional points of the drift, each approached from both
+      sides, the flat dq^2 and dp^2 were off 40-digit residue sums by up
+      to 4.6e-10 at relative separations in [1e-6, 1e-5), 4.8e-11 in
+      [1e-5, 1e-4) and 1.1e-11 above 1e-4.
+    - Otherwise the three poles of a cavity decoupled to within round-off
+      (phi = 0, whose cavity pair is degenerate): the coupling
+      2 phi phi_nl vanishes, the pair drops out and S_q(w) =
+      [T(w) + 4 phi_nl k^2/(w^2 + k^2)]/|M(w)|^2, M(w) = 1 - w^2 - i w/Q,
+      with the mechanical pair a_1,2 = 1/(2Q) -+ i sqrt(1 - 1/(4Q^2)) and
+      a_3 = k. The numerators are k^2 - a_j^2 (alpha_j, zero at a_3) and
+      4 phi_nl k^2 (f_j). At phi = 0, |D| >= 1 on the real axis, so
+      dropping phi^2 from D and the coupling from the denominator changes
+      S_q pointwise by at most eps_phi = 4 phi^2 + 4 |phi| phi_nl /
+      min_w |M(w)| (relative, first order), and no moment, whose
+      integrand is >= 0, by more. They are used while eps_phi <= _DECOUPLED_MAX.
 
-    The round-off bound is first order, pole by pole: lambda_j carries an
-    error of order eps ||A||, set against its distance to the real axis
-    and to its nearest pole, with a margin of 10, so a pole without weight
-    adds nothing. Over 450 points (150 random, 300 beside exceptional
-    points) no residue sum's error against 40-digit sums passed 0.083 of it.
+    ``roundoff[j]`` is a first-order bound, pole by pole and with a margin
+    of 10, and each set keeps its own. A drift eigenvalue carries eig's
+    absolute error eps ||A||, set against its distance to the real axis
+    and to its nearest pole, so a pole without weight adds nothing: over
+    450 points (150 random, 300 beside exceptional points) no residue
+    sum's error against 40-digit sums passed 0.083 of it. A closed-form
+    pole carries a relative error eps, hence 10 eps (1 + |a_j|/gap_j) +
+    eps_phi: over 300 random points at phi = 0 (flat bath, Q from 1 to
+    1e7) no error against 40-digit sums passed 0.18 of it.
 
-    Four poles make numpy's per-call cost dominate, so everything after
-    the eigen-solve is plain complex arithmetic.
+    With so few poles numpy's per-call cost would dominate, so everything
+    after the eigen-solve is plain complex arithmetic.
     """
-    if not modes.separated:
-        return _decoupled_fractions(params)
-    k, phik = 1.0 / params.b, params.phi / params.b
-    a = [-z for z in modes.eigenvalues]
-
-    # |D|^2 / b^4 = prod_c (beta_c^2 + w^2) over the bare cavity poles
-    # beta_c = k -+ i phi k. It and the b^4-free denominator are taken in
-    # the same factored form, so that their common factors cancel to
-    # round-off where the cavity decouples.
-    beta = (complex(k, -phik), complex(k, phik))
-    den = [math.prod((a[m] - a[j]) * (a[m] + a[j]) for m in range(4) if m != j)
-           for j in range(4)]
-    cav2 = k * k + phik * phik
-    try:  # a squared-pole difference or a real part can underflow to zero
-        alpha = [math.prod((c - z) * (c + z) for c in beta) / d for z, d in zip(a, den)]
-        f = [4.0 * params.phi_nl * k * k * (cav2 - z * z) / d for z, d in zip(a, den)]
-        roundoff = [10.0 * _EPS * modes.norm * (1.0 / abs(z.real) + 1.0 / gap)
-                    for z, gap in zip(a, modes.gaps)]
+    k = 1.0 / params.b
+    back = 4.0 * params.phi_nl * k * k
+    try:  # a pole, a real part or a squared-pole difference can underflow to zero
+        if modes.separated:
+            phik = params.phi / params.b
+            a = [-z for z in modes.eigenvalues]
+            # |D|^2 / b^4 = prod_c (beta_c^2 + w^2) and the b^4-free
+            # denominator are taken in the same factored form, so that their
+            # common factors cancel to round-off where the cavity decouples.
+            cavity = (complex(k, -phik), complex(k, phik))
+            cav2 = k * k + phik * phik
+            backs = [back * (cav2 - z * z) for z in a]
+            bounds = [10.0 * _EPS * modes.norm * (1.0 / abs(z.real) + 1.0 / gap)
+                      for z, gap in zip(a, modes.gaps)]
+        else:
+            half, phi = 0.5 / params.q_factor, params.phi
+            # Q > 1, so the mechanical pair is complex and min_w |M(w)| = 2 half |Im a_1|
+            root = complex(0.0, math.sqrt(1.0 - half * half))
+            eps_phi = 4.0 * phi * phi + 4.0 * abs(phi) * params.phi_nl / (2.0 * half * root.imag)
+            a = [half - root, half + root, complex(k)]
+            gaps, separated = pole_separation(a)
+            if not (separated and eps_phi <= _DECOUPLED_MAX):
+                return None
+            cavity, backs = (k,), [back] * 3
+            bounds = [10.0 * _EPS * (1.0 + abs(z) / gap) + eps_phi for z, gap in zip(a, gaps)]
+        den = [math.prod((a[m] - a[j]) * (a[m] + a[j]) for m in range(len(a)) if m != j)
+               for j in range(len(a))]
+        alpha = [math.prod((c - z) * (c + z) for c in cavity) / d for z, d in zip(a, den)]
+        f = [n / d for n, d in zip(backs, den)]
     except ZeroDivisionError:
         return None
-    return _Fractions(a, alpha, f, roundoff)
-
-
-def _decoupled_fractions(params: NormalizedParams) -> _Fractions | None:
-    """The three poles' partial fractions where the cavity is decoupled, or None.
-
-    At phi = 0 the coupling 2 phi phi_nl vanishes, the degenerate cavity
-    pair drops out and
-
-        S_q(w) = [T(w) + 4 phi_nl k^2/(w^2 + k^2)] / |M(w)|^2,
-
-    k = 1/b, M(w) = 1 - w^2 - i w/Q, with the mechanical poles
-    a_1,2 = 1/(2Q) -+ i sqrt(1 - 1/(4Q^2)) and the
-    cavity's a_3 = k. The thermal part has alpha_j = 1/(a_m^2 - a_j^2)
-    over the mechanical pair and alpha_3 = 0; the back-action part has
-    f_j = 4 phi_nl k^2 / prod_{m != j}(a_m^2 - a_j^2).
-
-    At phi = 0, |D| >= 1 on the real axis, so dropping phi^2 from D and
-    2 phi phi_nl from the denominator changes S_q pointwise by at most
-    eps_phi = 4 phi^2 + 4 |phi| phi_nl / min_w |M(w)| (relative, to first
-    order), and every moment, whose integrand is >= 0, by no more. The
-    route is taken while eps_phi <= _DECOUPLED_MAX and the three poles
-    pass the separation test of :func:`~optocool.model.drift_modes`. The
-    closed-form poles carry a relative error of order eps, so pole j's
-    round-off factor is 10 eps (1 + |a_j|/gap_j), plus eps_phi. Over 300
-    random points at phi = 0 (flat bath, Q from 1 to 1e7) no error of the
-    sums against 40-digit ones passed 0.18 of that bound.
-    """
-    half, k, phi = 0.5 / params.q_factor, 1.0 / params.b, params.phi
-    # Q > 1, so the mechanical pair is complex and min_w |M(w)| = sqrt(1/Q^2 - 1/(4 Q^4))
-    m_min = 2.0 * half * math.sqrt(1.0 - half * half)
-    eps_phi = 4.0 * phi * phi + 4.0 * abs(phi) * params.phi_nl / m_min
-    if not eps_phi <= _DECOUPLED_MAX:
-        return None
-    root = complex(0.0, math.sqrt(1.0 - half * half))
-    a = [half - root, half + root, complex(k)]
-    gaps = [min(abs(a[m] - z) for m in range(3) if m != j) for j, z in enumerate(a)]
-    if not all(gap > POLE_SEPARATION_MIN * abs(z) for z, gap in zip(a, gaps)):
-        return None
-    den = [math.prod((a[m] - a[j]) * (a[m] + a[j]) for m in range(3) if m != j)
-           for j in range(3)]
-    try:
-        pair = (a[1] - a[0]) * (a[1] + a[0])
-        alpha = [1.0 / pair, -1.0 / pair, 0.0]
-        f = [4.0 * params.phi_nl * k * k / d for d in den]
-        roundoff = [10.0 * _EPS * (1.0 + abs(z) / gap) + eps_phi for z, gap in zip(a, gaps)]
-    except ZeroDivisionError:
-        return None
-    return _Fractions(a, alpha, f, roundoff)
+    return _Fractions(a, alpha, f, bounds)
 
 
 def _residue_sum(terms, roundoff):
@@ -596,6 +576,18 @@ def _moment(params, noise_model, modes, fr, bracket, power, omega_max):
     return value - tail, err + tail_err
 
 
+def _moments(params, noise_model):
+    """``moment(power, omega_max)``: :func:`_moment` after the setup both variances share.
+
+    That is the stability verdict (:class:`~optocool.errors.Unstable` if it
+    fails), the one eigen-solve, the pole table and the Bose bracket.
+    """
+    classify(params).require_stable()
+    modes = drift_modes(params)
+    fr = _fractions(params, modes)
+    return partial(_moment, params, noise_model, modes, fr, _bose_bracket(params, noise_model, fr))
+
+
 def position_variance(
     params: NormalizedParams,
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
@@ -613,11 +605,7 @@ def position_variance(
     QuadratureFailure
         If the quadrature misses its tolerance or the sum is not finite.
     """
-    classify(params).require_stable()
-    modes = drift_modes(params)
-    fr = _fractions(params, modes)
-    return _moment(params, noise_model, modes, fr, _bose_bracket(params, noise_model, fr),
-                   0, math.inf)
+    return _moments(params, noise_model)(0, math.inf)
 
 
 def integrate_variances(
@@ -646,15 +634,8 @@ def integrate_variances(
     """
     if not 2.0 < omega_max < math.inf:
         raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
-    classify(params).require_stable()
-    modes = drift_modes(params)
-    fr = _fractions(params, modes)
-    bracket = _bose_bracket(params, noise_model, fr)
-    dq2, err_q = _moment(params, noise_model, modes, fr, bracket, 0, omega_max)
-    dp2, err_p = _moment(params, noise_model, modes, fr, bracket, 2, omega_max)
-    return VarianceResult.from_variances(
-        dq2, dp2,
-        method=Method.EXACT_SPECTRUM,
-        noise_model=noise_model,
-        quadrature_error=err_q + err_p,
-    )
+    moment = _moments(params, noise_model)
+    dq2, err_q = moment(0, omega_max)
+    dp2, err_p = moment(2, omega_max)
+    return VarianceResult.from_variances(dq2, dp2, Method.EXACT_SPECTRUM, noise_model,
+                                         err_q + err_p)

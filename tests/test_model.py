@@ -19,6 +19,7 @@ from optocool import (
     solve_steady_state,
     thermal_occupancy,
 )
+from optocool.model import POLE_SEPARATION_MIN, pole_separation
 
 
 def si_params(**overrides):
@@ -207,6 +208,27 @@ class TestStabilityCheck:
         assert rep.spring_margin == pytest.approx(3.25)
         assert not rep.stable
         assert rep.reason.startswith("Routh-Hurwitz determinant")
+
+    @pytest.mark.parametrize("b", [1e-62, 1e-100, 1e-300])
+    def test_tiny_bandwidth_ratio_does_not_overflow(self, b):
+        # unscaled, the determinant grows like 2/(Q b^5) and overflowed here;
+        # behind its positive spring margin the blue-detuned point has a
+        # mode growing at Re s = 50 (p(s)'s roots taken to 700 digits)
+        assert classify(NormalizedParams(b=b, phi=0, phi_nl=0, q_factor=1e4, n_t_i=0)).stable
+        rep = classify(NormalizedParams(b=b, phi=-1.0, phi_nl=1e2 / b, q_factor=100, n_t_i=0))
+        assert rep.spring_margin > 0 and not rep.stable
+        assert rep.reason.startswith("Routh-Hurwitz determinant")
+
+
+class TestPoleSeparation:
+    def test_gaps_are_nearest_neighbour_distances(self):
+        gaps, separated = pole_separation([1j, -1j, 2.0 + 1j])
+        assert gaps == [2.0, 2.0, 2.0] and separated
+
+    def test_a_pair_closer_than_the_threshold_is_not_separated(self):
+        close = 1.0 + 0.5 * POLE_SEPARATION_MIN
+        assert not pole_separation([1.0, close, 5.0])[1]
+        assert pole_separation([1.0, 1.0 + 2.0 * POLE_SEPARATION_MIN, 5.0])[1]
 
 
 class TestNormalize:

@@ -468,6 +468,14 @@ class TestResidueRoute:
         integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_bare_oscillator_at_a_tiny_bandwidth_ratio(self, model):
+        # at phi = phi_nl = 0 S_q does not depend on b; classify's
+        # determinant used to overflow at b below about 1e-62
+        p = NormalizedParams(b=1, phi=0, phi_nl=0, q_factor=1e4, n_t_i=0)
+        ref, tiny = integrate_variances(p, model), integrate_variances(p.replace(b=1e-100), model)
+        assert abs(tiny.dq2 - ref.dq2) + abs(tiny.dp2 - ref.dp2) <= tiny.quadrature_error
+
     @pytest.mark.parametrize("n_t_i", [0.0, 1e-12, 1.0, 1e3])
     def test_matsubara_sum_and_its_zero_temperature_limit(self, n_t_i):
         # the psi form for n_t_i > 0, the log form at n_t_i = 0

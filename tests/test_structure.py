@@ -5,6 +5,9 @@
 * The drift has one eigen-solve: ``eig`` and ``eigvals`` are called only
   in :func:`optocool.model.drift_modes`. (``eigvalsh`` of the Hermitian
   V + iJ in ``physicality_defect`` is another operation and is exempt.)
+* The pole-separation test has one implementation: no module but
+  ``model`` reads ``POLE_SEPARATION_MIN``; the others call
+  :func:`optocool.model.pole_separation`.
 * The exact routes (``model``, ``spectra``, ``dynamics``) import nothing
   from the closed-form approximation in ``adiabatic``, and the stability
   verdict carries no closed-form quantity.
@@ -104,6 +107,32 @@ def test_eigen_solve_finder_sees_every_spelling():
         "def f(a):\n    return np.linalg.eigvals(a), eig(a), np.linalg.eigvalsh(a)\n"
     )
     assert eigen_solves(tree) == [("f", 4), ("f", 4)]
+
+
+def name_reads(tree, name):
+    """Line of every import, name or attribute read of ``name``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ImportFrom, ast.Import)):
+            found += [node.lineno for alias in node.names if alias.name.split(".")[-1] == name]
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_model_reads_the_separation_threshold(path):
+    assert name_reads(parse(path), "POLE_SEPARATION_MIN") == []
+
+
+def test_name_read_finder_sees_every_spelling():
+    tree = ast.parse(
+        "from .model import POLE_SEPARATION_MIN as T\nfrom . import model\n"
+        "x = model.POLE_SEPARATION_MIN\ny = POLE_SEPARATION_MIN\nz = pole_separation\n"
+    )
+    assert name_reads(tree, "POLE_SEPARATION_MIN") == [1, 3, 4]
 
 
 def package_modules(tree):
