@@ -610,16 +610,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_column(values) -> list[str]:
+    """``_fmt`` of each cell; a column of floats (np.float64 is one) in one pass."""
+    if all(isinstance(v, float) for v in values):
+        return ["%.12g" % v for v in values]
+    return [_fmt(v) for v in values]
+
+
 def emit_csv(table: ResultTable, path: str | None) -> None:
     """Write a result table as CSV with '#' metadata lines.
 
     Formatting is pinned (12 significant digits, fixed newline) so equal
     inputs produce byte-identical files; ``path=None`` writes to stdout.
+    Cells are formatted a column at a time.
     """
     lines = [f"# {k} = {v}" for k, v in table.metadata]
     lines.append(",".join(f"{name} [{unit}]" for name, unit in table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    columns = [_fmt_column(values) for values in zip(*table.rows)]
+    lines.extend(",".join(cells) for cells in zip(*columns))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

@@ -16,10 +16,12 @@ spectral route, plus vacuum input noise on the field.
 
 The drift is constant, so the transient is propagated exactly rather
 than integrated: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, with
-V_ss the Lyapunov steady state and e^{A tau} taken in the eigenbasis of
-:func:`~optocool.model.drift_modes` where its modes are separated, by
-``expm`` where they are not (the spectral route's quadrature test); see
-C. F. Van Loan, IEEE TAC 23(3), 1978. Exposed
+V_ss the Lyapunov steady state. Where the modes of
+:func:`~optocool.model.drift_modes` are separated, e^{A tau} = sum_k
+e^{lambda_k tau} P_k with the rank-one projectors P_k = S[:, k]
+S^-1[k, :] of its eigenbasis, one matrix product for a whole stack of
+lags; where they are not (the spectral route's quadrature test) it is
+``expm``; see C. F. Van Loan, IEEE TAC 23(3), 1978. Exposed
 timestamps are in units of 1/Gamma; the propagator's argument is in
 units of 1/Omega_m (tau = t * Q).
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -249,6 +252,15 @@ def output_variance_track(trajectory) -> np.ndarray:
     return 2.0 * (v[:, [2, 3], [2, 3]] - 1.0)
 
 
+@lru_cache(maxsize=8, typed=True)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``leggauss(n)``, built once per order."""
+    rule = leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
     """Gauss-Legendre nodes/weights on the triangle 0 <= t' <= t <= window.
 
@@ -258,8 +270,8 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
     """
     if not 0.0 < window < math.inf:
         raise InvalidParams(f"window must be finite and > 0, got {window}")
-    xo, wo = leggauss(n_outer)
-    xi, wi = leggauss(n_inner)
+    xo, wo = _gauss_legendre(n_outer)
+    xi, wi = _gauss_legendre(n_inner)
     t_out = 0.5 * window * (xo + 1.0)
     w_out = 0.5 * window * wo
     inner_t = np.outer(0.5 * t_out, xi + 1.0)
@@ -273,7 +285,14 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
 
 
 def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
-    """exp(A tau) for every tau: in the eigenbasis where the modes are separated."""
+    """exp(A tau) for every tau, shape (n, 4, 4).
+
+    Where the modes are separated it is sum_k e^{lambda_k tau} P_k, with
+    the rank-one projectors P_k = S[:, k] S^-1[k, :] of the eigenbasis, so
+    the whole stack is one (n, 4) by (4, 16) product; tau = 0 gives the
+    identity exactly, as expm does, not S S^-1 with its round-off.
+    Elsewhere it is ``expm`` of A tau.
+    """
     # e^z underflows to 0 below Re z of about -745; set it there, as exp
     # gives nan where tau |Im lam| overflows on top of the decay (and expm
     # where A tau overflows)
@@ -284,7 +303,10 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
         return out
     z = np.multiply.outer(taus, sys.modes.eigenvalues)  # (n, 4)
     phases = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
-    return np.einsum("ik,nk,kj->nij", sys.modes.vectors, phases, sys.inverse).real
+    projectors = (sys.modes.vectors.T[:, :, None] * sys.inverse[:, None, :]).reshape(4, 16)
+    out = (phases @ projectors).real.reshape(-1, 4, 4)
+    out[taus == 0.0] = np.eye(4)
+    return out
 
 
 def _physical(v: np.ndarray, tol: float) -> bool:
@@ -307,8 +329,9 @@ def _transient(
 ) -> np.ndarray:
     """V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau} at each t (1/Gamma units).
 
-    ``v0`` None is the thermal state. The stack is symmetrized and
-    checked for physicality within -1e-9 times the scale of v0.
+    ``v0`` None is the thermal state, and V(0) is v0 exactly. The stack
+    is symmetrized and checked for physicality within -1e-9 times the
+    scale of v0.
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
@@ -318,6 +341,7 @@ def _transient(
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below
         e = _propagators(sys, times * sys.params.q_factor)
         v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
+    v[times == 0.0] = v0.v  # where V_ss + (V0 - V_ss) would round
     v = 0.5 * (v + v.transpose(0, 2, 1))
 
     scale = max(1.0, float(np.max(np.abs(v0.v))))

@@ -455,8 +455,10 @@ def _bose_tail(params, x, omega_max):
     the Bose factor has fallen by e^-40, with 16 Gauss-Legendre nodes on
     each of ceil(width) equal panels (690 of them at n_t_i = 1e300). The
     integrand's singularities nearest to that strip are the Bose poles,
-    pi/2 off the real t axis, and the spectrum's poles, at least ln 2 left
-    of the first panel while every |a_j| < W/2 (_POLE_CUTOFF_FRACTION).
+    pi/2 off the real t axis, and the poles of |chi_eff|^2, at least ln 2
+    left of the first panel while every |a_j| with thermal weight is below
+    W/2 (_POLE_CUTOFF_FRACTION); a pole without it, the decoupled
+    cavity's, is not a pole of |chi_eff|^2.
     Against 30-digit mpmath quadratures of the tail, with a strongly
     coupled cavity pole moved from 0.3 W to 2 W (b from 1 to 1000), the
     rule was within 1.1e-15 (relative) up to 0.7 W, 3.6e-13 at 0.9 W and
@@ -537,8 +539,10 @@ def _moment(params, noise_model, modes, fr, bracket, power, omega_max):
     (:func:`_bose_bracket`).
 
     Where ``fr`` is None (nearly coincident poles of a coupled cavity, see
-    :func:`_fractions`) or a pole has |a_j| >= W/2 (the tail rule loses
-    its accuracy as a pole nears the cutoff) the moment is instead the
+    :func:`_fractions`) or a pole with thermal weight (alpha_j != 0) has
+    |a_j| >= W/2 (the tail rule loses its accuracy as such a pole nears
+    the cutoff; a pole without it, the decoupled cavity's, enters only
+    through the exact R) the moment is instead the
     adaptive quadrature to 1e-8 (relative) with the same W
     (:func:`_quad_moment`). The error is
     the round-off bound of the sum, plus 1e-12 of the Bose tail, or the
@@ -549,7 +553,8 @@ def _moment(params, noise_model, modes, fr, bracket, power, omega_max):
     """
     coth = noise_model is ThermalNoiseModel.QUANTUM_COTH
     cutoff = omega_max if coth and power == 2 else math.inf
-    if fr is None or max(map(abs, fr.a)) >= _POLE_CUTOFF_FRACTION * cutoff:
+    if fr is None or max((abs(aj) for aj, al in zip(fr.a, fr.alpha) if al),
+                         default=0.0) >= _POLE_CUTOFF_FRACTION * cutoff:
         return _quad_moment(params, modes.eigenvalues, noise_model, power, cutoff, _QUAD_RTOL)
     if not coth:  # m_j R(a_j) is 1/(2 a_j) or -a_j/2
         weight = _flat_weight(params)

@@ -221,6 +221,62 @@ class TestEmitCsv(object):
         assert lines[1] == "3.14159265359,true"
         assert lines[2] == ",false"
 
+    @staticmethod
+    def per_cell(table):
+        """The CSV text with every cell formatted on its own."""
+        def cell(v):
+            if v is None:
+                return ""
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            if isinstance(v, (float, np.floating)):
+                return f"{float(v):.12g}"
+            return str(v)
+
+        lines = [f"# {k} = {v}" for k, v in table.metadata]
+        lines.append(",".join(f"{name} [{unit}]" for name, unit in table.columns))
+        lines += [",".join(cell(v) for v in row) for row in table.rows]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("rows", [
+        [
+            (0.1, np.float64(-0.0), None, True, 3, "x_out", 1.0, None),
+            (math.pi, np.float64(5e-324), None, False, np.int64(-7), "y_out", 2, 1.5),
+            (-1e300, np.float64(math.nan), None, np.bool_(True), 0, "", np.float32(0.1), True),
+            (math.inf, np.float64(1 / 3), None, False, 10**20, "a,b", "s", np.float64(2.0)),
+        ],
+        [],
+    ], ids=["mixed", "no-rows"])
+    def test_column_formatting_matches_each_cell(self, tmp_path, rows):
+        # float columns (np.float64 among them) are formatted at once, every
+        # other column, the all-None one included, cell by cell
+        table = ResultTable(
+            columns=tuple((f"c{j}", "u") for j in range(8)), rows=rows,
+            metadata=[("mode", "test")],
+        )
+        path = tmp_path / "t.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == self.per_cell(table).encode()
+
+    @settings(max_examples=50)
+    @given(st.lists(st.one_of(
+        st.lists(st.floats(), min_size=3, max_size=3),
+        st.lists(st.floats().map(np.float64), min_size=3, max_size=3),
+        st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                           st.text(max_size=3)), min_size=3, max_size=3),
+    ), min_size=1, max_size=4))
+    def test_column_formatting_property(self, columns):
+        table = ResultTable(
+            columns=tuple((f"c{j}", "u") for j in range(len(columns))),
+            rows=list(zip(*columns)), metadata=[],
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            emit_csv(table, None)
+        assert out.getvalue() == self.per_cell(table)
+
     def test_repeat_emission_identical(self, tmp_path):
         cfg = parse_config(MINIMAL, mode="variances")
         table = run(cfg)

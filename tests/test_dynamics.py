@@ -231,6 +231,61 @@ class TestExactPropagation:
         dev = np.abs(stepped - direct) / np.maximum(np.abs(direct), 1.0)
         assert dev.max() <= 1e-9
 
+    @pytest.mark.parametrize("p", [FIG3, DEEP, bare()], ids=["fig3", "deep", "bare"])
+    def test_eigenbasis_starts_at_v0_exactly(self, p):
+        # e^{A 0} is the identity, not S S^-1 with its round-off, and V(0)
+        # is v0 itself, not V_ss + (v0 - V_ss)
+        sysm = build_system(p)
+        assert sysm.modes.separated
+        v0 = thermal_covariance(p)
+        traj = evolve_covariance(sysm, v0, t_end=0.01, n_samples=5)
+        assert np.array_equal(traj[0].v, v0.v)
+        assert np.all(output_variance_track(traj)[0] == 0.0)
+        t = traj[2].t
+        grid = two_time_correlations(sysm, v0, "x_out", [[0.0, 0.0], [t, t]])
+        assert grid.values[0] == 0.0
+        assert grid.values[1] == output_variance_track(traj)[2, 0]
+
+    @settings(max_examples=40)
+    @given(
+        sysm=stable_points(),
+        t=st.floats(0.0, 3.0),
+        s=st.floats(0.0, 3.0),
+    )
+    def test_eigenbasis_propagator_matches_expm(self, sysm, t, s):
+        # t and s in lifetimes of the slowest mode. expm's own error grows
+        # like eps ||A tau|| (scaling and squaring): against 50-digit mpmath
+        # the eigenbasis propagator was within 8e-13 where expm was off by
+        # 1.4e-10 at ||A tau|| = 6e4. Hence 1e-12 (relative to max|V|) per
+        # unit of ||A tau|| beyond 1; over 15000 draws the largest
+        # deviation was 3.4e-14 per unit
+        assume(sysm.modes.separated)
+        a, q = sysm.drift, sysm.params.q_factor
+        slowest = float(np.max(np.linalg.eigvals(a).real))
+        life = 1.0 / (2.0 * abs(slowest) * q)
+        t, s = t * life, s * life
+        v0 = thermal_covariance(sysm.params).v
+        v_ss = lyapunov_steady_state(sysm).v
+
+        got = evolve_covariance(sysm, t_end=max(t, life), t_eval=[t])[0].v
+        e = expm(a * t * q)
+        want = v_ss + e @ (v0 - v_ss) @ e.T
+        bound = 1e-12 * max(1.0, np.linalg.norm(a * t * q, 2))
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+        # the lag propagator of the two-time correlations, against the
+        # regression oracle of TestTwoTimeCorrelations
+        demod = sysm.params.phi * q / sysm.params.b
+        grid = two_time_correlations(sysm, None, "y_out", [[t, t + s]], demod_rate=demod)
+        c = 2.0 * ((got - np.eye(4)) @ expm(a.T * s * q))[2:, 2:]
+        u, w = (
+            np.array([math.cos(demod * x + 0.5 * math.pi), -math.sin(demod * x + 0.5 * math.pi)])
+            for x in (t, t + s)
+        )
+        want = u @ c @ w
+        bound = 1e-12 * max(1.0, np.linalg.norm(a * s * q, 2))
+        assert abs(grid.values[0] - want) <= bound * max(1.0, np.max(np.abs(got)))
+
 
 class TestPhysicalityCheck:
     def test_transient_leaving_physical_set_raises(self):
@@ -477,6 +532,19 @@ class TestHomodyne:
             demod_rate=0.0, params=FIG3, weights=weights,
         )
         assert homodyne_variance(grid, gam).dx_m2 == 1.0
+
+    def test_pairs_are_repeatable_and_leave_the_rule_intact(self):
+        # each Gauss-Legendre rule is built once per order and kept; what
+        # a call returns is the caller's to change
+        first = [a.copy() for a in matched_filter_pairs(0.01, 8, 4)]
+        times, weights = matched_filter_pairs(0.01, 8, 4)
+        times[:] = -1.0
+        weights *= 2.0
+        for got, want in zip(matched_filter_pairs(0.01, 8, 4), first):
+            assert np.array_equal(got, want)
+        for n in (4, 8):
+            for cached, fresh in zip(dynamics._gauss_legendre(n), np.polynomial.legendre.leggauss(n)):
+                assert np.array_equal(cached, fresh) and not cached.flags.writeable
 
     def test_needs_weights(self):
         pairs, _ = matched_filter_pairs(0.01, 8, 4)

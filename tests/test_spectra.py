@@ -476,6 +476,17 @@ class TestResidueRoute:
         ref, tiny = integrate_variances(p, model), integrate_variances(p.replace(b=1e-100), model)
         assert abs(tiny.dq2 - ref.dq2) + abs(tiny.dp2 - ref.dp2) <= tiny.quadrature_error
 
+    @pytest.mark.parametrize("b", [0.01, 1e-100])
+    def test_weightless_cavity_pole_beyond_the_cutoff_keeps_the_pole_sum(self, b):
+        # at phi = 0 the decoupled cavity pole 1/b carries no thermal weight,
+        # so it may lie past W/2 = 50 without sending the coth dp^2 to
+        # quadrature, which is off by 4e-13 here and bounds that by 1.5e-4.
+        # Reference: 40-digit mpmath quadrature of w^2 S_q on [0, 100]
+        p = NormalizedParams(b=b, phi=0, phi_nl=0, q_factor=1e4, n_t_i=0)
+        res = integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH)
+        assert rel(res.dp2, 1.000261333134364292305) <= 1e-14
+        assert res.quadrature_error <= 1e-13
+
     @pytest.mark.parametrize("n_t_i", [0.0, 1e-12, 1.0, 1e3])
     def test_matsubara_sum_and_its_zero_temperature_limit(self, n_t_i):
         # the psi form for n_t_i > 0, the log form at n_t_i = 0
