@@ -227,6 +227,8 @@ _GRID_RATIO = 2.0 ** 0.25
 #: most steps the optimizer takes beyond an edge of its detuning grid (a
 #: factor 16 past it)
 _EDGE_STEPS = 16
+#: the errors of a probe that the optimizer scores inf
+_SCORED_INF = (Unstable, QuadratureFailure, InvalidParams)
 
 
 def optimize_operating_point(
@@ -250,8 +252,12 @@ def optimize_operating_point(
     always ``integrate_variances`` (the exact spectrum), never the closed form;
     a point that is unstable or fails to integrate scores inf. With
     ``lock_phi_to_b`` the detuning is pinned to phi = b and only b is
-    scanned. ``b_range`` is the sequence of bandwidths b to scan, in
-    order (the CLI passes its ``sweep`` values of b, or b alone).
+    scanned. Each 9-point detuning grid, and with ``lock_phi_to_b`` the
+    whole list of b, is one call of ``integrate_variances`` on the
+    sequence of its points (one stacked computation); the edge steps and
+    Brent's probes each depend on the last, and are single calls.
+    ``b_range`` is the sequence of bandwidths b to scan, in order (the
+    CLI passes its ``sweep`` values of b, or b alone).
     Deterministic for a fixed grid; ties go to the earlier b of
     ``b_range``.
 
@@ -268,25 +274,42 @@ def optimize_operating_point(
     if not 2.0 < omega_max < math.inf:  # the objective would score every probe inf
         raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
 
+    def point(b, phi):
+        return NormalizedParams(b=b, phi=phi, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i)
+
     def objective(b, phi):
         try:
-            return integrate_variances(
-                NormalizedParams(
-                    b=b, phi=phi, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i,
-                ),
-                noise_model=noise_model,
-                omega_max=omega_max,
-            ).n_t_f
-        except (Unstable, QuadratureFailure, InvalidParams):
+            return integrate_variances(point(b, phi), noise_model=noise_model,
+                                       omega_max=omega_max).n_t_f
+        except _SCORED_INF:
             return math.inf
 
+    def objectives(pairs):
+        """The objective at each (b, phi) of ``pairs``, integrated as one stack."""
+        scores, points = [math.inf] * len(pairs), {}
+        for i, (b, phi) in enumerate(pairs):
+            try:
+                points[i] = point(b, phi)
+            except InvalidParams:
+                pass
+        results = integrate_variances(list(points.values()), noise_model=noise_model,
+                                      omega_max=omega_max)
+        for i, res in zip(points, results):
+            if isinstance(res, VarianceResult):
+                scores[i] = res.n_t_f
+            elif not isinstance(res, _SCORED_INF):
+                raise res
+        return scores
+
     best = (math.inf, math.inf, math.inf)  # (n_t_f, b, phi)
-    for b in b_grid:
+    locked = objectives([(b, b) for b in b_grid]) if lock_phi_to_b else None
+    for j, b in enumerate(b_grid):
         if lock_phi_to_b:
-            phi_best, val = b, objective(b, b)
+            phi_best, val = b, locked[j]
         else:
             phi_star = optimal_detuning(b)
-            probes = {phi: objective(b, phi) for phi in phi_star * np.geomspace(0.5, 2.0, 9)}
+            grid = phi_star * np.geomspace(0.5, 2.0, 9)
+            probes = dict(zip(grid, objectives([(b, phi) for phi in grid])))
             coarse = list(probes)
             i = int(np.argmin(list(probes.values())))
             if math.isinf(probes[coarse[i]]):

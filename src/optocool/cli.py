@@ -348,41 +348,72 @@ def _sweep_points(cfg: RunConfig):
             yield (float(value),), None
 
 
-def _sweep_table(columns: tuple, row):
-    """Table builder for a mode that evaluates each sweep point on its own.
+def _sweep_table(columns: tuple, rows):
+    """Table builder for a mode that evaluates a sweep's points together.
 
-    A row holds the sweep value (when there is a sweep), the fields of
-    ``row(cfg, params)`` and ``classify``'s verdict. An invalid point or
-    a row error leaves the fields empty; a short return is padded.
+    ``rows(cfg, points)`` takes the valid points of the sweep and returns,
+    for each, its fields and its stability verdict. A row holds the sweep
+    value (when there is a sweep), those fields and the verdict. An
+    invalid point or a row error leaves the fields empty; a short return
+    is padded.
     """
     def table(cfg: RunConfig):
         label = () if cfg.sweep is None else ((cfg.sweep.variable, "dimensionless"),)
-        rows = []
-        for prefix, params in _sweep_points(cfg):
-            body = ()
-            if params is not None:
-                try:
-                    body = row(cfg, params)
-                except _ROW_ERRORS:
-                    pass
-            stable = params is not None and classify(params).stable
-            rows.append(prefix + body + (None,) * (len(columns) - len(body)) + (stable,))
-        return label + columns + (("stable", "bool"),), rows
+        swept = list(_sweep_points(cfg))
+        built = iter(rows(cfg, [params for _, params in swept if params is not None]))
+        out = []
+        for prefix, params in swept:
+            body, stable = ((), False) if params is None else next(built)
+            out.append(prefix + body + (None,) * (len(columns) - len(body)) + (stable,))
+        return label + columns + (("stable", "bool"),), out
 
     return table
 
 
-def _variances_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
-    res = integrate_variances(params, cfg.noise_model, omega_max=cfg.omega_max)
-    return res.dq2, res.dp2, res.n_t_f, res.quadrature_error
+def _one_by_one(row):
+    """``rows`` of :func:`_sweep_table` for a mode that evaluates each point on its own."""
+    def rows(cfg: RunConfig, points: list) -> list:
+        out = []
+        for params in points:
+            try:
+                body = row(cfg, params)
+            except _ROW_ERRORS:
+                body = ()
+            out.append((body, classify(params).stable))
+        return out
+
+    return rows
 
 
-def _fig1_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
-    return _variances_row(cfg, params)[:3]
+def _settle(result, fields) -> tuple:
+    """``fields(result)`` of a point's result from a stack, or () for a row error.
+
+    An error in ``result`` is raised as the point alone would raise it,
+    so that a row error leaves the fields empty and any other ends the run.
+    """
+    try:
+        if isinstance(result, Exception):
+            raise result
+        return fields(result)
+    except _ROW_ERRORS:
+        return ()
 
 
-def _fig2_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
-    return position_variance(params, cfg.noise_model)[0], approx_variance(params).dq2
+def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
+    """The variances of the whole sweep in one stack; Unstable is the one unstable verdict."""
+    results = integrate_variances(points, cfg.noise_model, omega_max=cfg.omega_max)
+    return [(_settle(res, lambda r: (r.dq2, r.dp2, r.n_t_f, r.quadrature_error)[:width]),
+             not isinstance(res, Unstable)) for res in results]
+
+
+def _fig1_rows(cfg: RunConfig, points: list) -> list:
+    return _variances_rows(cfg, points, width=3)
+
+
+def _fig2_rows(cfg: RunConfig, points: list) -> list:
+    exact = position_variance(points, cfg.noise_model)
+    return [(_settle(res, lambda r: (r[0], approx_variance(params).dq2)),
+             not isinstance(res, Unstable)) for params, res in zip(points, exact)]
 
 
 def _adiabatic_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
@@ -549,19 +580,19 @@ MODES = {
     "steady": Mode(_steady_table, _reads("steady.*")),
     "spectrum": Mode(_spectrum_table, _reads("point", "noise_model", "spectrum.*")),
     "variances": Mode(
-        _sweep_table(_VARIANCES + (("quadrature_error", "dimensionless"),), _variances_row),
+        _sweep_table(_VARIANCES + (("quadrature_error", "dimensionless"),), _variances_rows),
         _reads("point", *_INTEGRATING),
     ),
     "adiabatic": Mode(_sweep_table((
         ("omega_eff_ratio", "dimensionless"), ("gamma_eff_ratio", "dimensionless"),
         ("q_eff", "dimensionless"), ("f", "dimensionless"), ("eta", "dimensionless"),
         ("dq2", "dimensionless"), ("n_t_f", "dimensionless"), ("adiabatic_ok", "bool"),
-    ), _adiabatic_row), _reads("point", *_SWEEPING)),
+    ), _one_by_one(_adiabatic_row)), _reads("point", *_SWEEPING)),
     "optimize": Mode(_optimize_table, _reads("point", *_INTEGRATING), ("b",)),
     "dynamics": Mode(_dynamics_table, _reads("point", "dynamics.*")),
     "homodyne": Mode(_homodyne_table, _reads("point", "homodyne.*")),
     "fig1": Mode(
-        _sweep_table(_VARIANCES, _fig1_row), _reads("normalized", *_INTEGRATING),
+        _sweep_table(_VARIANCES, _fig1_rows), _reads("normalized", *_INTEGRATING),
         noise="quantum_coth",
         preset={
             **_FIGURE_POINT, "b": "5", "phi": "5", "lock_phi_to_b": "true",
@@ -571,7 +602,7 @@ MODES = {
     ),
     "fig2": Mode(
         _sweep_table(
-            (("dq2_exact", "dimensionless"), ("dq2_adiabatic", "dimensionless")), _fig2_row,
+            (("dq2_exact", "dimensionless"), ("dq2_adiabatic", "dimensionless")), _fig2_rows,
         ),
         _reads("normalized", *_SWEEPING, "noise_model"), noise="quantum_coth",
         preset={

@@ -314,18 +314,32 @@ def drift_matrix(params: NormalizedParams) -> np.ndarray:
     )
 
 
-def pole_separation(poles) -> tuple[list, bool]:
+def pole_separation(poles) -> tuple:
     """Each pole's gap to its nearest neighbour; True if all gap_j > POLE_SEPARATION_MIN |pole_j|.
 
-    The one separation test, of the drift's eigenvalues and of a decoupled cavity's poles.
+    The one separation test, of the drift's eigenvalues and of a decoupled
+    cavity's poles. ``poles`` is one pole set (a sequence: gaps as a list,
+    a bool) or a stack of them (an (n, m) array: gaps as an (n, m) array,
+    one verdict per row).
     """
+    if isinstance(poles, np.ndarray):
+        m = poles.shape[1]
+        dist = np.abs(poles[:, :, None] - poles[:, None, :])
+        dist[:, range(m), range(m)] = np.inf
+        gaps = dist.min(axis=2)
+        return gaps, np.all(gaps > POLE_SEPARATION_MIN * np.abs(poles), axis=1)
     gaps = [min([abs(z - poles[m]) for m in range(len(poles)) if m != j])
             for j, z in enumerate(poles)]
     return gaps, all(gap > POLE_SEPARATION_MIN * abs(z) for z, gap in zip(poles, gaps))
 
 
 class DriftModes(NamedTuple):
-    """The eigen-decomposition A = S diag(lambda) S^-1 of the drift."""
+    """The eigen-decomposition A = S diag(lambda) S^-1 of the drift.
+
+    For a stack of points each field holds one row per point: arrays of
+    shape (n, 4) for ``eigenvalues`` and ``gaps``, (n,) for ``separated``
+    and ``norm``, and no ``vectors``.
+    """
 
     eigenvalues: list      # lambda_j (complex), polished by one Newton step
     vectors: np.ndarray    # S, the eigenvectors as columns
@@ -334,14 +348,49 @@ class DriftModes(NamedTuple):
     norm: float            # ||A|| (Frobenius), the scale of the eigen-solve's round-off
 
 
-def drift_modes(params: NormalizedParams) -> DriftModes:
+def _columns(points) -> np.ndarray:
+    """b, phi, phi_nl and Q of a sequence of points, one (n,) array each."""
+    return np.array([(p.b, p.phi, p.phi_nl, p.q_factor) for p in points],
+                    dtype=float).reshape(-1, 4).T
+
+
+def _drift_stack(columns) -> np.ndarray:
+    """The (n, 4, 4) stack of :func:`drift_matrix` at the points of ``columns``."""
+    b, phi, phi_nl, q = columns
+    drift = np.zeros((len(b), 4, 4))
+    with np.errstate(all="ignore"):  # as for one point, an entry may overflow to inf
+        g = np.sqrt(2.0 * phi_nl / b)
+        drift[:, 0, 1] = 1.0
+        drift[:, 1, 0], drift[:, 1, 1], drift[:, 1, 2] = -1.0, -1.0 / q, g
+        drift[:, 2, 2], drift[:, 2, 3] = -1.0 / b, phi / b
+        drift[:, 3, 0], drift[:, 3, 2], drift[:, 3, 3] = g, -phi / b, -1.0 / b
+    return drift
+
+
+def drift_modes(params) -> DriftModes:
     """The one eigen-solve of :func:`drift_matrix`, and its separation test.
 
     ``separated`` (read before the polish) picks residues or quadrature in
     :mod:`optocool.spectra` and the eigenbasis or ``expm`` in :mod:`optocool.dynamics`.
     An ||A|| past the float range (g or 1/b overflows, at points that
     :func:`classify` can call stable) raises :class:`~optocool.errors.InvalidParams`.
+
+    A sequence of points is solved as one stack, by ``eigvals``: the
+    residue sums read no eigenvectors. A row whose ||A|| is not finite
+    is left unsolved (nan eigenvalues, not separated) where one point
+    would raise.
     """
+    if not isinstance(params, NormalizedParams):
+        columns = _columns(params)
+        drift = _drift_stack(columns)
+        with np.errstate(over="ignore"):  # as np.linalg.norm, the squares may overflow
+            norm = np.sqrt(np.einsum("nij,nij->n", drift, drift))
+        unsolved = ~np.isfinite(norm)
+        drift[unsolved] = 0.0
+        lam = np.linalg.eigvals(drift).astype(complex)
+        lam[unsolved] = complex(math.nan, math.nan)
+        gaps, separated = pole_separation(lam)
+        return DriftModes(_polish(lam, columns, norm), None, gaps, separated, norm)
     drift = drift_matrix(params)
     with np.errstate(over="ignore"):  # finite entries past 1e154 overflow the norm
         norm = float(np.linalg.norm(drift))
@@ -371,6 +420,22 @@ def drift_modes(params: NormalizedParams) -> DriftModes:
         step = (lo * hi - coupling) / slope if abs(coupling) < 0.01 * norm * abs(slope) else 0.0
         polished.append(z - step if abs(step) < math.inf else z)
     return DriftModes(polished, vectors, gaps, separated, norm)
+
+
+def _polish(lam, columns, norm):
+    """The Newton step of :func:`drift_modes` on an (n, 4) stack of eigenvalues, with its gates."""
+    b, phi, phi_nl, q = columns
+    with np.errstate(all="ignore"):  # a gated or unsolved row keeps lambda
+        k, half = 1.0 / b, 0.5 / q
+        mech = (-half + 1j * np.sqrt(1.0 - half * half))[:, None]
+        cavity = (-k + 1j * (phi / b))[:, None]
+        d0, d1, d2, d3 = lam - mech, lam - mech.conj(), lam - cavity, lam - cavity.conj()
+        lo, hi = d0 * d1, d2 * d3
+        slope = lo * (d2 + d3) + hi * (d0 + d1)
+        coupling = (2.0 * phi * phi_nl * k * k)[:, None]
+        step = np.where(np.abs(coupling) < 0.01 * norm[:, None] * np.abs(slope),
+                        (lo * hi - coupling) / slope, 0.0)
+        return np.where(np.abs(step) < math.inf, lam - step, lam)
 
 
 def _cubic(u: float, phi_c: float, drive: float) -> float:

@@ -46,7 +46,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import psi
 
-from .errors import InvalidParams, QuadratureFailure, SingularResponse
+from .errors import InvalidParams, OptocoolError, QuadratureFailure, SingularResponse, Unstable
 from .model import DriftModes, NormalizedParams, classify, drift_modes, pole_separation
 
 __all__ = [
@@ -78,6 +78,8 @@ _BOSE_TAIL_RTOL = 1e-12
 #: the largest relative change of S_q for which the cavity counts as
 #: decoupled (see :func:`_fractions`)
 _DECOUPLED_MAX = 1e-9
+#: the diagonal of a stack of 4x4 pole-difference tables
+_DIAGONAL = np.arange(4)
 
 
 class ThermalNoiseModel(enum.Enum):
@@ -337,7 +339,8 @@ class _Fractions(NamedTuple):
     drift eigenvalues lambda_j, or the three poles of a decoupled cavity
     (Re a_j > 0; see :func:`_fractions`): S_q has its upper-half-plane
     poles at w = i a_j. ``roundoff[j]`` times the magnitude of pole j's
-    term of a residue sum bounds that term's round-off error.
+    term of a residue sum bounds that term's round-off error. A stack's
+    table (:func:`_stack_fractions`) holds (n, 4) arrays, one row per point.
     """
 
     a: list
@@ -387,8 +390,10 @@ def _fractions(params: NormalizedParams, modes: DriftModes) -> _Fractions | None
     eps_phi: over 300 random points at phi = 0 (flat bath, Q from 1 to
     1e7) no error against 40-digit sums passed 0.18 of it.
 
-    With so few poles numpy's per-call cost would dominate, so everything
-    after the eigen-solve is plain complex arithmetic.
+    This is the table of one point. Its arithmetic is plain Python
+    complex: numpy's fixed cost per call is larger than the work on four
+    poles. A sweep pays that cost once for all its points, and
+    :func:`_stack_fractions` builds their tables as (n, 4) arrays.
     """
     k = 1.0 / params.b
     back = 4.0 * params.phi_nl * k * k
@@ -424,6 +429,67 @@ def _fractions(params: NormalizedParams, modes: DriftModes) -> _Fractions | None
     return _Fractions(a, alpha, f, bounds)
 
 
+class _Stack(NamedTuple):
+    """The fields of a sequence of operating points, one (n,) array each."""
+
+    b: np.ndarray
+    phi: np.ndarray
+    phi_nl: np.ndarray
+    q_factor: np.ndarray
+    n_t_i: np.ndarray
+
+    @classmethod
+    def of(cls, points):
+        return cls(*np.array([(p.b, p.phi, p.phi_nl, p.q_factor, p.n_t_i) for p in points],
+                             dtype=float).reshape(-1, 5).T)
+
+
+def _stack_fractions(stack: _Stack, modes: DriftModes) -> tuple[_Fractions, np.ndarray]:
+    """:func:`_fractions` of each row of a stack, as (n, 4) arrays, and the rows where it holds.
+
+    The same two pole sets, numerators and round-off bounds, taken for all
+    rows at once from the stacked ``modes``. A row of the decoupled
+    cavity's three poles gets a fourth pole without weight (a = 1,
+    alpha = f = roundoff = 0), which adds exactly zero to every sum and
+    enters no denominator. A row is not ``ok`` where :func:`_fractions`
+    returns None: no usable pole set, an unsolved drift, or a zero real
+    part or denominator.
+    """
+    with np.errstate(all="ignore"):  # a row that is not ok goes back to the single call
+        k = 1.0 / stack.b
+        back = (4.0 * stack.phi_nl * k * k)[:, None]
+        phik = stack.phi / stack.b
+        a = -modes.eigenvalues
+        c1, c2 = (k - 1j * phik)[:, None], (k + 1j * phik)[:, None]
+        alpha = ((c1 - a) * (c1 + a)) * ((c2 - a) * (c2 + a))
+        f = back * ((k * k + phik * phik)[:, None] - a * a)
+        bounds = (10.0 * _EPS * modes.norm)[:, None] * (1.0 / np.abs(a.real) + 1.0 / modes.gaps)
+        ok = modes.separated & (a.real != 0.0).all(axis=1)
+        # prod_{m != j} (a_m - a_j)(a_m + a_j)
+        diff = (a[:, :, None] - a[:, None, :]) * (a[:, :, None] + a[:, None, :])
+        diff[:, _DIAGONAL, _DIAGONAL] = 1.0
+
+        dec = np.flatnonzero(~modes.separated & np.isfinite(modes.norm))
+        if dec.size:
+            half, phi, kd = 0.5 / stack.q_factor[dec], stack.phi[dec], k[dec, None]
+            im = np.sqrt(1.0 - half * half)
+            eps_phi = 4.0 * phi * phi + 4.0 * np.abs(phi) * stack.phi_nl[dec] / (2.0 * half * im)
+            three = np.stack([half - 1j * im, half + 1j * im, kd[:, 0] + 0j], axis=1)
+            gaps, separated = pole_separation(three)
+            ok[dec] = separated & (eps_phi <= _DECOUPLED_MAX)
+            a[dec] = np.column_stack([three, np.ones(len(dec))])
+            alpha[dec, :3], f[dec, :3] = (kd - three) * (kd + three), back[dec]
+            bounds[dec, :3] = 10.0 * _EPS * (1.0 + np.abs(three) / gaps) + eps_phi[:, None]
+            alpha[dec, 3] = f[dec, 3] = bounds[dec, 3] = 0.0
+            diff[dec] = (a[dec, :, None] - a[dec, None, :]) * (a[dec, :, None] + a[dec, None, :])
+            diff[dec[:, None], _DIAGONAL, _DIAGONAL] = 1.0
+            diff[dec, 3, :] = 1.0  # the padding pole is in no product
+        den = diff.prod(axis=1)
+        den[dec, 3] = 1.0
+        ok &= (den != 0.0).all(axis=1)
+        return _Fractions(a, alpha / den, f / den, bounds), ok
+
+
 def _residue_sum(terms, roundoff):
     value = sum(terms).real
     err = sum(r * abs(t) for r, t in zip(roundoff, terms))
@@ -445,8 +511,8 @@ def _digamma(z):
     return psi(z + 3.0) - 1.0 / z - 1.0 / (z + 1.0) - 1.0 / (z + 2.0)
 
 
-def _bose_tail(params, x, omega_max):
-    """(2/(pi Q)) int_W^inf 2w/(e^{2xw} - 1) w^2 |chi_eff(w)|^2 dw, and its error bound.
+def _bose_tail(points, x, omega_max):
+    """(2/(pi Q)) int_W^inf 2w/(e^{2xw} - 1) w^2 |chi_eff(w)|^2 dw at each point, and its bound.
 
     This is the Bose part of the coth weight in w^2 S_q beyond the cutoff
     W = omega_max (|D|^2/|P|^2 = |chi_eff|^2), summed over the poles
@@ -468,46 +534,65 @@ def _bose_tail(params, x, omega_max):
     w^2 |chi_eff|^2 is evaluated as 1/|(1 - w^2 - i w/Q - 2 phi phi_nl/D)/w|^2
     with D/w^2 = (1/w - i b)^2 + (phi/w)^2, so that nothing overflows
     where w^2 would: the last node is near 4e301 at n_t_i = 1e300.
+
+    ``points`` are operating points and ``x`` a list of their coth scales,
+    and the tails of all of them are one array expression (the panels a
+    point does not need are left out of its sum). Returns arrays of the
+    tails and their bounds, and the
+    :class:`~optocool.errors.QuadratureFailure` of each point whose tail
+    cannot be taken, by index.
     """
-    if x * omega_max > 400.0:  # the Bose factor is below e^-800 on the whole tail
-        return 0.0, 0.0
-    span = math.log1p(20.0 / (x * omega_max))
-    if math.isinf(span):  # 1/x overflows, at n_t_i above about 1e307
-        raise QuadratureFailure(f"Bose tail beyond the cutoff overflows (n_t_i={params.n_t_i})")
-    panels = math.ceil(span)  # span >= log1p(0.05) here
-    h = span / panels
-    b, phi = params.b, params.phi
+    tail, failed, rows, spans, live = np.zeros(len(points)), {}, [], [], []
+    for i, (p, xi) in enumerate(zip(points, x)):
+        if xi * omega_max > 400.0:  # the Bose factor is below e^-800 on the whole tail
+            continue
+        span = math.log1p(20.0 / (xi * omega_max))
+        if math.isinf(span):  # 1/x overflows, at n_t_i above about 1e307
+            failed[i] = QuadratureFailure(
+                f"Bose tail beyond the cutoff overflows (n_t_i={p.n_t_i})")
+        else:
+            rows.append(i)
+            spans.append(span)
+            live.append((p.b, p.phi, p.phi_nl, p.q_factor, xi))
+    if not rows:
+        return tail, tail, failed
+    # one point's plain floats broadcast faster than (1, 1, 1) arrays
+    b, phi, phi_nl, q, x = live[0] if len(live) == 1 else np.array(live).T[:, :, None, None]
+    panels = [math.ceil(span) for span in spans]  # span >= log1p(0.05) here
+    h = np.array([span / n for span, n in zip(spans, panels)])
+    nodes = np.arange(max(panels))[:, None] + _GL_NODES
     with np.errstate(all="ignore"):  # an overflow fails the finiteness test below
-        w = np.exp(math.log(omega_max) + h * (np.arange(panels)[:, None] + _GL_NODES)).ravel()
+        w = np.exp(math.log(omega_max) + h[:, None, None] * nodes)
         u = 1.0 / w
-        r = 1.0 / np.abs(u - w - 1j / params.q_factor - 2.0 * phi * params.phi_nl * u**3
+        r = 1.0 / np.abs(u - w - 1j / q - 2.0 * phi * phi_nl * u**3
                          / ((u - 1j * b) ** 2 + (phi * u) ** 2))
         s = 2.0 * x * w
         # the Bose factor times w^3 |chi_eff|^2, the integrand in dt = dw/w
         values = 2.0 * w * np.exp(-s) / -np.expm1(-s) * (w * r) * r
-    integral = h * float((values.reshape(panels, -1) @ _GL_WEIGHTS).sum())
-    tail = 2.0 / (math.pi * params.q_factor) * integral
-    if not math.isfinite(tail):  # a node past the largest float, n_t_i near 1e307
-        raise QuadratureFailure(f"Bose tail beyond the cutoff is not finite ({tail})")
-    return tail, _BOSE_TAIL_RTOL * tail
+        per_panel = values @ _GL_WEIGHTS
+        if min(panels) < len(nodes):
+            per_panel[np.arange(len(nodes)) >= np.array(panels)[:, None]] = 0.0
+        tail[rows] = 2.0 / (math.pi * np.ravel(q)) * (h * per_panel.sum(axis=1))
+    for i in rows:
+        if not math.isfinite(tail[i]):  # a node past the largest float, n_t_i near 1e307
+            failed[i] = QuadratureFailure(f"Bose tail beyond the cutoff is not finite ({tail[i]})")
+    return tail, _BOSE_TAIL_RTOL * tail, failed
 
 
-def _bose_bracket(params, noise_model, fr):
-    """log(x/pi) - 1/(2z) - psi(z), z = x a_j/pi, at each pole a_j (-log a_j at n_t_i = 0).
+def _bose_bracket(a, x):
+    """log(x/pi) - 1/(2z) - psi(z), z = x a/pi, at each pole a_j (-log a_j at n_t_i = 0).
 
     The part of the coth weight's K(a_j) (see :func:`_moment`) that does not
-    depend on the cutoff, which both coth moments share. None where no
-    coth moment is a residue sum (the flat weight, or ``fr`` None).
+    depend on the cutoff, which both coth moments share. ``a`` holds one
+    row of poles per point and ``x`` is the list of their coth scales.
     """
-    if noise_model is not ThermalNoiseModel.QUANTUM_COTH or fr is None:
-        return None
-    a = np.array(fr.a)
-    x = coth_scale(params.n_t_i)
     with np.errstate(all="ignore"):  # an overflow fails the finiteness test
-        if math.isinf(x):
-            return -np.log(a)
-        z = (x / math.pi) * a
-        return math.log(x / math.pi) - 0.5 / z - _digamma(z)
+        z = (np.array(x) / math.pi)[:, None] * a
+        out = np.array([math.log(v / math.pi) for v in x])[:, None] - 0.5 / z - _digamma(z)
+        cold = [math.isinf(v) for v in x]
+        if any(cold):
+            out[cold] = -np.log(a[cold])
+        return out
 
 
 def _moment(params, noise_model, modes, fr, bracket, power, omega_max):
@@ -577,8 +662,46 @@ def _moment(params, noise_model, modes, fr, bracket, power, omega_max):
     x = coth_scale(params.n_t_i)
     if math.isinf(cutoff) or math.isinf(x):
         return value, err
-    tail, tail_err = _bose_tail(params, x, cutoff)
-    return value - tail, err + tail_err
+    tail, tail_err, failed = _bose_tail([params], [x], cutoff)
+    if failed:
+        raise failed[0]
+    return value - float(tail[0]), err + float(tail_err[0])
+
+
+def _stack_moment(points, stack, noise_model, fr, bracket, x, power, omega_max):
+    """:func:`_moment` of each row of a stack from its table ``fr``: arrays value, err, ok.
+
+    The same sums over the poles, as (n, 4) array expressions. A row is
+    not ``ok`` where the single call would take the quadrature (a pole
+    with thermal weight at |a_j| >= W/2), or where its sum or Bose tail is
+    not finite.
+    """
+    coth = noise_model is ThermalNoiseModel.QUANTUM_COTH
+    cutoff = omega_max if coth and power == 2 else math.inf
+    a, weighted = fr.a, fr.alpha != 0.0
+    with np.errstate(all="ignore"):  # a row that is not ok goes back to the single call
+        ok = np.where(weighted, np.abs(a), 0.0).max(axis=1) < _POLE_CUTOFF_FRACTION * cutoff
+        if not coth:
+            weight = _flat_weight(stack)[:, None]
+            terms = (weight * fr.alpha + fr.f) * (0.5 / a if power == 0 else -0.5 * a)
+        else:
+            if math.isinf(cutoff):
+                r, k = 0.5 / a, bracket
+            else:
+                r = np.arctan(cutoff / a) / (math.pi * a)
+                k = 0.5 * (np.log(a + 1j * cutoff) + np.log(a - 1j * cutoff)) + bracket
+            scale = (2.0 / (math.pi * stack.q_factor))[:, None]
+            terms = np.where(weighted, scale * fr.alpha * k, 0.0) + fr.f * r
+            if power == 2:
+                terms = -a * a * terms
+        value = terms.sum(axis=1).real
+        err = (fr.roundoff * np.abs(terms)).sum(axis=1)
+        ok &= np.isfinite(value) & np.isfinite(err)
+    if coth and power == 2:
+        tail, tail_err, failed = _bose_tail(points, x, cutoff)
+        ok[list(failed)] = False
+        value, err = value - tail, err + tail_err
+    return value, err, ok
 
 
 def _moments(params, noise_model):
@@ -590,18 +713,90 @@ def _moments(params, noise_model):
     classify(params).require_stable()
     modes = drift_modes(params)
     fr = _fractions(params, modes)
-    return partial(_moment, params, noise_model, modes, fr, _bose_bracket(params, noise_model, fr))
+    bracket = None
+    if noise_model is ThermalNoiseModel.QUANTUM_COTH and fr is not None:
+        bracket = _bose_bracket(np.array([fr.a]), [coth_scale(params.n_t_i)])[0]
+    return partial(_moment, params, noise_model, modes, fr, bracket)
+
+
+#: the fewest points that take the stacked route. A stack's fixed cost is
+#: about 0.4 ms of numpy calls: one point costs 1.5-2.5 times as much
+#: stacked as alone, and under the flat bath two points still cost more
+_STACK_MIN = 3
+
+
+def _stack_moments(points, noise_model, omega_max, powers):
+    """The moments ``powers`` of each point (see :func:`_moment`), as one stack.
+
+    One ``classify`` per point, one stacked eigen-solve, then the pole
+    tables, the Bose bracket, the sums and the Bose tails of all points
+    as array expressions. Each entry is a list of (value, err), one per
+    power; the :class:`~optocool.errors.Unstable` of an unstable point;
+    or None where the single call decides: with fewer than _STACK_MIN
+    points, and at every point the stack does not finish (an unsolved
+    drift, no pole table, a quadrature, a sum or tail not finite).
+    """
+    out = [None] * len(points)
+    if len(points) < _STACK_MIN:
+        return out
+    live = []
+    for i, p in enumerate(points):
+        try:
+            classify(p).require_stable()
+            live.append(i)
+        except Unstable as exc:
+            out[i] = exc
+    if not live:
+        return out
+    rows = [points[i] for i in live]
+    stack = _Stack.of(rows)
+    fr, ok = _stack_fractions(stack, drift_modes(rows))
+    x = [coth_scale(p.n_t_i) for p in rows]
+    bracket = _bose_bracket(fr.a, x) if noise_model is ThermalNoiseModel.QUANTUM_COTH else None
+    moments = []
+    for power in powers:
+        value, err, fine = _stack_moment(rows, stack, noise_model, fr, bracket, x, power,
+                                         omega_max)
+        ok &= fine
+        moments.append((value.tolist(), err.tolist()))
+    for j, i in enumerate(live):
+        if ok[j]:
+            out[i] = [(value[j], err[j]) for value, err in moments]
+    return out
+
+
+def _each(points, stacked, single, build):
+    """Per point, ``build`` of its stacked moments, its error, or ``single(point)``'s outcome."""
+    out = []
+    for p, row in zip(points, stacked):
+        if row is None:
+            try:
+                row = single(p)
+            except OptocoolError as exc:
+                row = exc
+        elif not isinstance(row, OptocoolError):
+            row = build(row)
+        out.append(row)
+    return out
+
+
+def _result(noise_model, q, p) -> VarianceResult:
+    """The VarianceResult of the (value, err) pairs of dq^2 and dp^2."""
+    return VarianceResult.from_variances(q[0], p[0], Method.EXACT_SPECTRUM, noise_model,
+                                         q[1] + p[1])
 
 
 def position_variance(
-    params: NormalizedParams,
+    params,
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
-) -> tuple[float, float]:
+):
     """dq^2 = int dw/(2 pi) S_q(w) and a bound on its error, without dp^2.
 
     The same moment as :func:`integrate_variances` computes (see
     :func:`_moment`): a sum over the spectrum's poles, or adaptive
     quadrature where two drift poles nearly coincide and the cavity is coupled.
+    A sequence of points is taken as a stack, as by
+    :func:`integrate_variances`: one (dq2, err) pair or error per point.
 
     Raises
     ------
@@ -610,14 +805,18 @@ def position_variance(
     QuadratureFailure
         If the quadrature misses its tolerance or the sum is not finite.
     """
-    return _moments(params, noise_model)(0, math.inf)
+    if isinstance(params, NormalizedParams):
+        return _moments(params, noise_model)(0, math.inf)
+    points = list(params)
+    return _each(points, _stack_moments(points, noise_model, math.inf, (0,)),
+                 partial(position_variance, noise_model=noise_model), lambda m: m[0])
 
 
 def integrate_variances(
-    params: NormalizedParams,
+    params,
     noise_model: ThermalNoiseModel = ThermalNoiseModel.QUANTUM_COTH,
     omega_max: float = 100.0,
-) -> VarianceResult:
+):
     """Mirror variances of the exact spectrum.
 
     Each variance is a sum over the spectrum's poles, or adaptive
@@ -630,8 +829,21 @@ def integrate_variances(
     quadrature's error estimate (plus the one-decade tail bound
     2 ln(10)/(pi Q) for the coth dp^2).
 
+    ``params`` is one point, or a sequence of points (a sweep), which
+    returns a list with one entry per point: its VarianceResult, or the
+    :class:`~optocool.errors.OptocoolError` that the point alone would
+    raise. A sequence of two or more points is taken as one stack: one
+    ``classify`` per point, one stacked ``eigvals`` of their drifts, and
+    the pole tables, sums and Bose tails of all points as array
+    expressions. A point the stack does not finish (a quadrature, an
+    unsolved drift, a sum that is not finite) is handed to the single
+    call. A sequence of fewer than three points costs less as single
+    calls, and takes them.
+
     Raises
     ------
+    InvalidParams
+        If ``omega_max`` is not finite and > 2.
     Unstable
         If :func:`~optocool.model.classify` finds the point unstable.
     QuadratureFailure
@@ -639,8 +851,10 @@ def integrate_variances(
     """
     if not 2.0 < omega_max < math.inf:
         raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
+    if not isinstance(params, NormalizedParams):
+        points = list(params)
+        return _each(points, _stack_moments(points, noise_model, omega_max, (0, 2)),
+                     partial(integrate_variances, noise_model=noise_model, omega_max=omega_max),
+                     lambda m: _result(noise_model, *m))
     moment = _moments(params, noise_model)
-    dq2, err_q = moment(0, omega_max)
-    dp2, err_p = moment(2, omega_max)
-    return VarianceResult.from_variances(dq2, dp2, Method.EXACT_SPECTRUM, noise_model,
-                                         err_q + err_p)
+    return _result(noise_model, moment(0, omega_max), moment(2, omega_max))

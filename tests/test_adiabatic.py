@@ -11,6 +11,7 @@ from optocool import (
     InvalidRegime,
     NormalizedParams,
     OptimizationFailure,
+    OptocoolError,
     ThermalNoiseModel,
     Unstable,
     approx_variance,
@@ -23,6 +24,7 @@ from optocool import (
     optimize_operating_point,
     regime_validity,
 )
+from optocool import adiabatic
 from optocool.spectra import Method
 
 FIG2 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
@@ -296,6 +298,49 @@ class TestOptimizer:
     def test_infinite_cutoff_rejected(self):
         with pytest.raises(InvalidParams, match="omega_max"):
             optimize_operating_point([10.0], 0.1, 1e4, 100.0, omega_max=math.inf)
+
+    # the benchmark's two kinds of run (a 3-point b grid with phi free, a
+    # locked 15-point list), points where only a grid edge is stable, and
+    # a b that is not a valid point (an error, or with the lock a probe
+    # that scores inf)
+    @pytest.mark.parametrize("lock", [False, True])
+    @pytest.mark.parametrize("noise_model", list(ThermalNoiseModel))
+    @pytest.mark.parametrize("b_range, phi_nl, q_factor, n_t_i", [
+        ([2.0, 3.0, 4.0], 0.05, 3e4, 80.0),
+        (list(np.linspace(1.2, 14.3, 15)), 0.02, 1e4, 50.0),
+        ([0.5, 1.0], 1.5, 100, 20.0),
+        ([-1.0, 2.0], 0.05, 30, 0.0),
+    ])
+    def test_stacked_grids_equal_single_probes(self, monkeypatch, lock, noise_model,
+                                               b_range, phi_nl, q_factor, n_t_i):
+        # each detuning grid (and the locked list) is one stacked call; a
+        # loop of single calls in its place gives the same operating point
+        def single_probes(params, *args, **kwargs):
+            if isinstance(params, NormalizedParams):
+                return integrate_variances(params, *args, **kwargs)
+            out = []
+            for p in params:
+                try:
+                    out.append(integrate_variances(p, *args, **kwargs))
+                except OptocoolError as exc:
+                    out.append(exc)
+            return out
+
+        def run():
+            try:
+                return optimize_operating_point(b_range, phi_nl, q_factor, n_t_i,
+                                                noise_model=noise_model, lock_phi_to_b=lock)
+            except OptocoolError as exc:
+                return type(exc), str(exc)
+
+        stacked = run()
+        monkeypatch.setattr(adiabatic, "integrate_variances", single_probes)
+        single = run()
+        if not isinstance(single, adiabatic.OperatingPoint):
+            assert stacked == single
+            return
+        assert (stacked.b_opt, stacked.phi_opt) == (single.b_opt, single.phi_opt)
+        assert stacked.n_t_f_min == pytest.approx(single.n_t_f_min, rel=1e-13)
 
 
 # The paper's central claim: optimal self-cooling lies in the good-cavity

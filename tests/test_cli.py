@@ -168,6 +168,26 @@ class TestRun:
         bad = next(r for r in table.rows if r[0] == -12.0)
         assert all(v is None for v in bad[1:-1])
 
+    @pytest.mark.parametrize("mode", ["variances", "fig1", "fig2", "adiabatic"])
+    def test_each_row_is_classified_once(self, monkeypatch, mode):
+        # the integrating modes read each row's verdict from the stack's
+        # results; the adiabatic mode keeps its own classify call
+        from optocool import cli, model, spectra
+
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return model.classify(params)
+
+        for module in (cli, spectra):
+            monkeypatch.setattr(module, "classify", counted)
+        doc = "sweep.variable = phi\nsweep.start = -12\nsweep.stop = 12\nsweep.points = 7\n"
+        text = doc if mode.startswith("fig") else MINIMAL + doc
+        table = run(parse_config(text, mode=mode))
+        assert len(calls) == 7 == len(set(calls))
+        assert [row[-1] for row in table.rows] == [model.classify(p).stable for p in calls]
+
     def test_adiabatic_mode_columns(self):
         table = run(parse_config(MINIMAL, mode="adiabatic"))
         names = [c[0] for c in table.columns]

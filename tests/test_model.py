@@ -15,6 +15,7 @@ from optocool import (
     PhysicalParams,
     classify,
     denormalize,
+    drift_modes,
     normalize,
     solve_steady_state,
     thermal_occupancy,
@@ -229,6 +230,42 @@ class TestPoleSeparation:
         close = 1.0 + 0.5 * POLE_SEPARATION_MIN
         assert not pole_separation([1.0, close, 5.0])[1]
         assert pole_separation([1.0, 1.0 + 2.0 * POLE_SEPARATION_MIN, 5.0])[1]
+
+    def test_a_stack_is_tested_row_by_row(self):
+        rows = [[1j, -1j, 2.0 + 1j], [1.0, 1.0 + 0.5 * POLE_SEPARATION_MIN, 5.0]]
+        gaps, separated = pole_separation(np.array(rows))
+        for row, g, sep in zip(rows, gaps, separated):
+            want = pole_separation(row)
+            assert g.tolist() == want[0] and sep == want[1]
+
+
+class TestDriftModesStack:
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.floats(0.05, 50.0), phi=st.floats(-20.0, 20.0), phi_nl=st.floats(0.0, 2.0),
+           q=st.floats(1.5, 1e7))
+    def test_rows_match_one_point(self, b, phi, phi_nl, q):
+        points = [NormalizedParams(b=b, phi=x, phi_nl=phi_nl, q_factor=q, n_t_i=0)
+                  for x in (phi, 0.0, 1e-10, -phi)]
+        stack = drift_modes(points)
+        assert stack.vectors is None and stack.eigenvalues.shape == (4, 4)
+        for row, p in enumerate(points):
+            one = drift_modes(p)
+            assert stack.separated[row] == one.separated
+            assert stack.norm[row] == pytest.approx(one.norm, rel=1e-15)
+            scale = max(map(abs, one.eigenvalues))
+            for z in one.eigenvalues:
+                assert min(abs(stack.eigenvalues[row] - z)) <= 1e-13 * scale
+
+    def test_an_overflowing_row_is_left_unsolved(self):
+        huge = NormalizedParams(b=6.347468412528946e-64, phi=0, phi_nl=3.2474854227788175e250,
+                                q_factor=2.718398599618707e22, n_t_i=1)
+        ok = NormalizedParams(b=2, phi=1, phi_nl=0.1, q_factor=1e4, n_t_i=0)
+        stack = drift_modes([ok, huge])
+        with pytest.raises(InvalidParams, match="drift matrix overflows"):
+            drift_modes(huge)
+        assert not math.isfinite(stack.norm[1]) and not stack.separated[1]
+        assert np.isnan(stack.eigenvalues[1]).all()
+        assert stack.separated[0] and np.isfinite(stack.eigenvalues[0]).all()
 
 
 class TestNormalize:

@@ -541,3 +541,156 @@ class TestResidueRoute:
         assert rel(res.dq2, 0.769800375700806) <= 1e-13
         assert rel(res.dp2, 3.316610536182234) <= 1e-13
         assert res.quadrature_error <= 1e-13
+
+
+def scalar_rows(points, model, omega_max=100.0):
+    """integrate_variances point by point: each result or the error it raises."""
+    out = []
+    for p in points:
+        try:
+            out.append(integrate_variances(p, model, omega_max))
+        except Exception as exc:  # noqa: BLE001 - the error is the row's result
+            out.append(exc)
+    return out
+
+
+def same_row(got, want):
+    """A stacked row against the single call's: the same error class, or the same numbers."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        return
+    assert rel(got.dq2, want.dq2) <= 1e-13 and rel(got.dp2, want.dp2) <= 1e-13
+    # n_t_f = (dq2 + dp2 - 2)/4 cancels near the ground state, so its
+    # difference is taken against the variances it comes from
+    assert got.n_t_f == want.n_t_f or abs(got.n_t_f - want.n_t_f) <= 1e-13 * max(
+        abs(want.n_t_f), (want.dq2 + want.dp2) / 4)
+    assert abs(got.quadrature_error - want.quadrature_error) <= 1e-12 * want.quadrature_error
+    assert (got.method, got.noise_model) == (want.method, want.noise_model)
+
+
+def sweep_rows(base):
+    """A detuning sweep through phi = 0, with rows that leave the stack.
+
+    The sweep crosses to the heating side; the fixed rows are statically
+    unstable (spring margin 1 + phi^2 - 2 phi phi_nl < 0), nearly
+    coincident drift poles of a coupled cavity (quadrature), and a
+    strongly coupled cavity pole at 0.55 of the cutoff (the coth dp^2 by
+    quadrature).
+    """
+    star = optimal_detuning(base.b)
+    phis = [*np.linspace(-0.5 * star, 2.0 * star, 9), 0.0, 1e-16, -1e-16, 1e-10]
+    n = base.n_t_i
+    return [base.replace(phi=float(phi)) for phi in phis] + [
+        base.replace(phi=1.0, phi_nl=3.0),
+        NormalizedParams(b=1, phi=1e-10, phi_nl=0.3, q_factor=1e4, n_t_i=n),
+        NormalizedParams(b=10, phi=550.0, phi_nl=165.0, q_factor=1e4, n_t_i=n),
+    ]
+
+
+sweep_bases = st.builds(
+    NormalizedParams,
+    b=st.floats(0.3, 30.0),
+    phi=st.just(0.0),
+    phi_nl=st.floats(0.0, 1.0).map(lambda u: 0.3 * 1e-3 ** u),
+    q_factor=st.floats(2.0, 7.0).map(lambda e: 10.0**e),
+    n_t_i=st.one_of(st.just(0.0), st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+                    st.floats(300.0, 308.0).map(lambda e: 10.0**e)),
+)
+
+
+class TestStackedRoute:
+    """A sequence of points, integrated as one stack, against one call per point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=sweep_bases, omega_max=st.sampled_from([10.0, 100.0]))
+    def test_stacked_rows_equal_single_calls(self, base, omega_max):
+        points = sweep_rows(base)
+        for model in ThermalNoiseModel:
+            got = integrate_variances(points, model, omega_max)
+            want = scalar_rows(points, model, omega_max)
+            assert len(got) == len(points)
+            for g, w in zip(got, want):
+                same_row(g, w)
+            for p, g in zip(points, position_variance(points, model)):
+                try:
+                    w = position_variance(p, model)
+                except Exception as exc:  # noqa: BLE001
+                    assert type(g) is type(exc)
+                else:
+                    assert rel(g[0], w[0]) <= 1e-13
+                    assert abs(g[1] - w[1]) <= 1e-12 * w[1]
+
+    def test_the_sweep_leaves_the_stack_where_the_single_call_would(self, quad_calls):
+        # the stack runs the single call's quadratures, no more and no
+        # fewer, and an unstable row is the single call's Unstable
+        points = sweep_rows(FIG2)
+        got = integrate_variances(points, ThermalNoiseModel.QUANTUM_COTH)
+        assert isinstance(got[-3], Unstable) and str(got[-3]) == classify(points[-3]).reason
+        stacked = list(quad_calls)
+        assert stacked
+        quad_calls.clear()
+        scalar_rows(points, ThermalNoiseModel.QUANTUM_COTH)
+        assert quad_calls == stacked
+
+    def test_a_regular_sweep_is_one_stack(self, monkeypatch):
+        # no point of a cooling-side sweep goes back to the single call
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single call inside a regular sweep")
+
+        points = [FIG2.replace(phi=phi) for phi in np.linspace(5.0, 20.0, 7)]
+        want = scalar_rows(points, ThermalNoiseModel.QUANTUM_COTH)
+        monkeypatch.setattr(spectra, "_moments", refuse)
+        got = integrate_variances(points, ThermalNoiseModel.QUANTUM_COTH)
+        for g, w in zip(got, want):
+            same_row(g, w)
+
+    def test_fewer_than_three_points_take_the_single_call(self, monkeypatch):
+        calls = []
+        moments = spectra._moments
+
+        def counted(*args):
+            calls.append(args)
+            return moments(*args)
+
+        monkeypatch.setattr(spectra, "_moments", counted)
+        assert integrate_variances([]) == []
+        assert integrate_variances((FIG2, DEEP)) == [integrate_variances(FIG2),
+                                                     integrate_variances(DEEP)]
+        assert len(calls) == 4
+        integrate_variances([FIG2, DEEP, FIG2])
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("omega_max", [10.0, 100.0, 1e4])
+    def test_occupancy_sweep_with_tails_of_every_length(self, omega_max):
+        # the Bose tails of one stack span 1 to 700 panels, and none at n_t_i = 0
+        points = [FIG2.replace(n_t_i=float(n)) for n in np.geomspace(1e-3, 1e306, 25)]
+        points.append(FIG2.replace(n_t_i=0.0))
+        got = integrate_variances(points, ThermalNoiseModel.QUANTUM_COTH, omega_max)
+        for g, w in zip(got, scalar_rows(points, ThermalNoiseModel.QUANTUM_COTH, omega_max)):
+            same_row(g, w)
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_overflowing_drift_is_the_single_calls_error(self, model):
+        # g = sqrt(2 phi_nl/b) overflows at a point classify calls stable
+        huge = NormalizedParams(b=6.347468412528946e-64, phi=0, phi_nl=3.2474854227788175e250,
+                                q_factor=2.718398599618707e22, n_t_i=1)
+        got = integrate_variances([FIG2, huge, DEEP], model)
+        with pytest.raises(InvalidParams) as single:
+            integrate_variances(huge, model)
+        assert type(got[1]) is InvalidParams and str(got[1]) == str(single.value)
+        same_row(got[0], integrate_variances(FIG2, model))
+        same_row(got[2], integrate_variances(DEEP, model))
+
+    def test_occupancy_past_the_checked_range_is_the_single_calls_error(self):
+        points = [FIG2.replace(n_t_i=n) for n in (100.0, 1e307, 1.7e308)]
+        got = integrate_variances(points)
+        same_row(got[0], integrate_variances(points[0]))
+        for g, p in zip(got[1:], points[1:]):
+            with pytest.raises(QuadratureFailure) as single:
+                integrate_variances(p)
+            assert type(g) is QuadratureFailure and str(g) == str(single.value)
+
+    @pytest.mark.parametrize("cutoff", [2.0, math.inf, math.nan])
+    def test_bad_cutoff_rejects_the_whole_sequence(self, cutoff):
+        with pytest.raises(InvalidParams):
+            integrate_variances([FIG2, DEEP], omega_max=cutoff)
