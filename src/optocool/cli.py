@@ -23,6 +23,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, make_dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -406,10 +407,6 @@ def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
              not isinstance(res, Unstable)) for res in results]
 
 
-def _fig1_rows(cfg: RunConfig, points: list) -> list:
-    return _variances_rows(cfg, points, width=3)
-
-
 def _fig2_rows(cfg: RunConfig, points: list) -> list:
     exact = position_variance(points, cfg.noise_model)
     return [(_settle(res, lambda r: (r[0], approx_variance(params).dq2)),
@@ -592,7 +589,8 @@ MODES = {
     "dynamics": Mode(_dynamics_table, _reads("point", "dynamics.*")),
     "homodyne": Mode(_homodyne_table, _reads("point", "homodyne.*")),
     "fig1": Mode(
-        _sweep_table(_VARIANCES, _fig1_rows), _reads("normalized", *_INTEGRATING),
+        _sweep_table(_VARIANCES, partial(_variances_rows, width=3)),
+        _reads("normalized", *_INTEGRATING),
         noise="quantum_coth",
         preset={
             **_FIGURE_POINT, "b": "5", "phi": "5", "lock_phi_to_b": "true",

@@ -348,14 +348,8 @@ class DriftModes(NamedTuple):
     norm: float            # ||A|| (Frobenius), the scale of the eigen-solve's round-off
 
 
-def _columns(points) -> np.ndarray:
-    """b, phi, phi_nl and Q of a sequence of points, one (n,) array each."""
-    return np.array([(p.b, p.phi, p.phi_nl, p.q_factor) for p in points],
-                    dtype=float).reshape(-1, 4).T
-
-
 def _drift_stack(columns) -> np.ndarray:
-    """The (n, 4, 4) stack of :func:`drift_matrix` at the points of ``columns``."""
+    """The (n, 4, 4) stack of :func:`drift_matrix`; ``columns`` holds b, phi, phi_nl and Q."""
     b, phi, phi_nl, q = columns
     drift = np.zeros((len(b), 4, 4))
     with np.errstate(all="ignore"):  # as for one point, an entry may overflow to inf
@@ -381,7 +375,8 @@ def drift_modes(params) -> DriftModes:
     would raise.
     """
     if not isinstance(params, NormalizedParams):
-        columns = _columns(params)
+        columns = np.array([(p.b, p.phi, p.phi_nl, p.q_factor) for p in params],
+                           dtype=float).reshape(-1, 4).T
         drift = _drift_stack(columns)
         with np.errstate(over="ignore"):  # as np.linalg.norm, the squares may overflow
             norm = np.sqrt(np.einsum("nij,nij->n", drift, drift))

@@ -720,8 +720,9 @@ def _moments(params, noise_model):
 
 
 #: the fewest points that take the stacked route. A stack's fixed cost is
-#: about 0.4 ms of numpy calls: one point costs 1.5-2.5 times as much
-#: stacked as alone, and under the flat bath two points still cost more
+#: about 0.3 ms of numpy calls: one point costs 2-3 times as much stacked
+#: as alone, and from three points on a stack costs less (coth bath) or
+#: about the same (flat bath)
 _STACK_MIN = 3
 
 
