@@ -18,6 +18,7 @@ from optocool import (
     lyapunov_steady_state,
     optimal_detuning,
 )
+from optocool import cli, model, spectra
 from optocool.cli import (
     KEYS,
     MODES,
@@ -172,8 +173,6 @@ class TestRun:
     def test_each_row_is_classified_once(self, monkeypatch, mode):
         # the integrating modes read each row's verdict from the stack's
         # results; the adiabatic mode keeps its own classify call
-        from optocool import cli, model, spectra
-
         calls = []
 
         def counted(params):
