@@ -348,19 +348,6 @@ class DriftModes(NamedTuple):
     norm: float            # ||A|| (Frobenius), the scale of the eigen-solve's round-off
 
 
-def _drift_stack(columns) -> np.ndarray:
-    """The (n, 4, 4) stack of :func:`drift_matrix`; ``columns`` holds b, phi, phi_nl and Q."""
-    b, phi, phi_nl, q = columns
-    drift = np.zeros((len(b), 4, 4))
-    with np.errstate(all="ignore"):  # as for one point, an entry may overflow to inf
-        g = np.sqrt(2.0 * phi_nl / b)
-        drift[:, 0, 1] = 1.0
-        drift[:, 1, 0], drift[:, 1, 1], drift[:, 1, 2] = -1.0, -1.0 / q, g
-        drift[:, 2, 2], drift[:, 2, 3] = -1.0 / b, phi / b
-        drift[:, 3, 0], drift[:, 3, 2], drift[:, 3, 3] = g, -phi / b, -1.0 / b
-    return drift
-
-
 def drift_modes(params) -> DriftModes:
     """The one eigen-solve of :func:`drift_matrix`, and its separation test.
 
@@ -369,68 +356,62 @@ def drift_modes(params) -> DriftModes:
     An ||A|| past the float range (g or 1/b overflows, at points that
     :func:`classify` can call stable) raises :class:`~optocool.errors.InvalidParams`.
 
-    A sequence of points is solved as one stack, by ``eigvals``: the
-    residue sums read no eigenvectors. A row whose ||A|| is not finite
-    is left unsolved (nan eigenvalues, not separated) where one point
-    would raise.
+    A sequence of points is solved as one stack of their drifts, and its
+    eigenvectors are dropped. A row whose ||A|| is not finite is left
+    unsolved (nan eigenvalues, not separated) where one point would raise.
     """
-    if not isinstance(params, NormalizedParams):
-        columns = np.array([(p.b, p.phi, p.phi_nl, p.q_factor) for p in params],
-                           dtype=float).reshape(-1, 4).T
-        drift = _drift_stack(columns)
-        with np.errstate(over="ignore"):  # as np.linalg.norm, the squares may overflow
+    single = isinstance(params, NormalizedParams)
+    if single:
+        drift = drift_matrix(params)
+        with np.errstate(over="ignore"):  # finite entries past 1e154 overflow the norm
+            norm = float(np.linalg.norm(drift))
+        if not math.isfinite(norm):
+            raise InvalidParams(f"drift matrix overflows (||A|| = {norm})")
+    else:
+        points = list(params)
+        drift = np.array([drift_matrix(p) for p in points]).reshape(-1, 4, 4)
+        with np.errstate(over="ignore"):  # as for one point
             norm = np.sqrt(np.einsum("nij,nij->n", drift, drift))
         unsolved = ~np.isfinite(norm)
         drift[unsolved] = 0.0
-        lam = np.linalg.eigvals(drift).astype(complex)
-        lam[unsolved] = complex(math.nan, math.nan)
-        gaps, separated = pole_separation(lam)
-        return DriftModes(_polish(lam, columns, norm), None, gaps, separated, norm)
-    drift = drift_matrix(params)
-    with np.errstate(over="ignore"):  # finite entries past 1e154 overflow the norm
-        norm = float(np.linalg.norm(drift))
-    if not math.isfinite(norm):
-        raise InvalidParams(f"drift matrix overflows (||A|| = {norm})")
     lam, vectors = np.linalg.eig(drift)
-    lam = lam.tolist()
+    if single:
+        lam = lam.tolist()
+        gaps, separated = pole_separation(lam)
+        return DriftModes(_polish(lam, params, norm), vectors, gaps, separated, norm)
+    lam = lam.astype(complex)
+    lam[unsolved] = complex(math.nan, math.nan)
     gaps, separated = pole_separation(lam)
-    k, phik = 1.0 / params.b, params.phi / params.b
+    polished = [_polish(row, p, n) for row, p, n in zip(lam.tolist(), points, norm.tolist())]
+    return DriftModes(np.array(polished, dtype=complex).reshape(-1, 4), None, gaps, separated,
+                      norm)
 
-    # One Newton step on p(s) = M(s) C(s) - K with the bare mechanical and
-    # cavity roots factored out, so that a weakly coupled pole keeps its
-    # small real part to full relative precision (eig alone leaves it an
-    # absolute error of order eps ||A||, 1e-12 relative at Q = 1e4). The
-    # step's own round-off, eps K / |p'|, grows near exceptional points,
-    # so it is taken only where that stays below 1% of eig's, and only
-    # where it is finite (the products overflow at extreme detunings).
+
+def _polish(lam: list, params: NormalizedParams, norm: float) -> list:
+    """One Newton step on p(s) = M(s) C(s) - K from each eigenvalue of the drift.
+
+    With the bare mechanical and cavity roots factored out, a weakly
+    coupled pole keeps its small real part to full relative precision
+    (eig alone leaves it an absolute error of order eps ||A||, 1e-12
+    relative at Q = 1e4). The step's own round-off, eps K / |p'|, grows
+    near exceptional points, so it is taken only where that stays below
+    1% of eig's, and only where it is finite (the products overflow at
+    extreme detunings; an unsolved row's nan stays nan).
+    """
+    k, phik = 1.0 / params.b, params.phi / params.b
     half = 0.5 / params.q_factor
     mech = complex(-half, math.sqrt(1.0 - half * half))
-    bare = (mech, mech.conjugate(), complex(-k, phik), complex(-k, -phik))
+    mech_c, cavity, cavity_c = mech.conjugate(), complex(-k, phik), complex(-k, -phik)
     coupling = 2.0 * params.phi * params.phi_nl * k * k
+    size, gate = abs(coupling), 0.01 * norm
     polished = []
     for z in lam:
-        d0, d1, d2, d3 = (z - r for r in bare)
+        d0, d1, d2, d3 = z - mech, z - mech_c, z - cavity, z - cavity_c
         lo, hi = d0 * d1, d2 * d3
         slope = lo * (d2 + d3) + hi * (d0 + d1)
-        step = (lo * hi - coupling) / slope if abs(coupling) < 0.01 * norm * abs(slope) else 0.0
+        step = (lo * hi - coupling) / slope if size < gate * abs(slope) else 0.0
         polished.append(z - step if abs(step) < math.inf else z)
-    return DriftModes(polished, vectors, gaps, separated, norm)
-
-
-def _polish(lam, columns, norm):
-    """The Newton step of :func:`drift_modes` on an (n, 4) stack of eigenvalues, with its gates."""
-    b, phi, phi_nl, q = columns
-    with np.errstate(all="ignore"):  # a gated or unsolved row keeps lambda
-        k, half = 1.0 / b, 0.5 / q
-        mech = (-half + 1j * np.sqrt(1.0 - half * half))[:, None]
-        cavity = (-k + 1j * (phi / b))[:, None]
-        d0, d1, d2, d3 = lam - mech, lam - mech.conj(), lam - cavity, lam - cavity.conj()
-        lo, hi = d0 * d1, d2 * d3
-        slope = lo * (d2 + d3) + hi * (d0 + d1)
-        coupling = (2.0 * phi * phi_nl * k * k)[:, None]
-        step = np.where(np.abs(coupling) < 0.01 * norm[:, None] * np.abs(slope),
-                        (lo * hi - coupling) / slope, 0.0)
-        return np.where(np.abs(step) < math.inf, lam - step, lam)
+    return polished
 
 
 def _cubic(u: float, phi_c: float, drive: float) -> float:

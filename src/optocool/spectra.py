@@ -75,6 +75,9 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 #: stated relative error bound of the Bose tail rule (see :func:`_bose_tail`)
 _BOSE_TAIL_RTOL = 1e-12
+#: the most panels in one block of a stack's Bose tails (16 nodes each, see
+#: :func:`_bose_tail`): a block's complex temporaries stay near 256 kB
+_BOSE_TAIL_BLOCK = 1024
 #: the largest relative change of S_q for which the cavity counts as
 #: decoupled (see :func:`_fractions`)
 _DECOUPLED_MAX = 1e-9
@@ -535,48 +538,57 @@ def _bose_tail(points, x, omega_max):
     with D/w^2 = (1/w - i b)^2 + (phi/w)^2, so that nothing overflows
     where w^2 would: the last node is near 4e301 at n_t_i = 1e300.
 
-    ``points`` are operating points and ``x`` a list of their coth scales,
-    and the tails of all of them are one array expression (the panels a
-    point does not need are left out of its sum). Returns arrays of the
-    tails and their bounds, and the
-    :class:`~optocool.errors.QuadratureFailure` of each point whose tail
-    cannot be taken, by index.
+    ``points`` are operating points and ``x`` a list of their coth scales.
+    Their tails are array expressions over blocks of points, taken in
+    the order of their panel counts and cut where a block would pass
+    _BOSE_TAIL_BLOCK panels in all (the panels a point does not need are
+    left out of its sum), so that a long sweep of long tails stays small.
+    Returns one entry per point: its tail, whose bound is _BOSE_TAIL_RTOL
+    of it, or the :class:`~optocool.errors.QuadratureFailure` of a tail
+    that cannot be taken.
     """
-    tail, failed, rows, spans, live = np.zeros(len(points)), {}, [], [], []
+    out, rows = [0.0] * len(points), []
     for i, (p, xi) in enumerate(zip(points, x)):
         if xi * omega_max > 400.0:  # the Bose factor is below e^-800 on the whole tail
             continue
         span = math.log1p(20.0 / (xi * omega_max))
         if math.isinf(span):  # 1/x overflows, at n_t_i above about 1e307
-            failed[i] = QuadratureFailure(
-                f"Bose tail beyond the cutoff overflows (n_t_i={p.n_t_i})")
+            out[i] = QuadratureFailure(f"Bose tail beyond the cutoff overflows (n_t_i={p.n_t_i})")
+        else:  # span >= log1p(0.05) here
+            rows.append((math.ceil(span), span, i, (p.b, p.phi, p.phi_nl, p.q_factor, xi)))
+    rows.sort()
+    start = 0
+    while start < len(rows):
+        stop = start + 1
+        while stop < len(rows) and (stop + 1 - start) * rows[stop][0] <= _BOSE_TAIL_BLOCK:
+            stop += 1
+        panels, spans, index, live = zip(*rows[start:stop])
+        start = stop
+        h = [span / n for span, n in zip(spans, panels)]
+        if len(live) == 1:  # plain floats broadcast faster than (1, 1, 1) arrays
+            (b, phi, phi_nl, q, xb), grid = live[0], h[0]
         else:
-            rows.append(i)
-            spans.append(span)
-            live.append((p.b, p.phi, p.phi_nl, p.q_factor, xi))
-    if not rows:
-        return tail, tail, failed
-    # one point's plain floats broadcast faster than (1, 1, 1) arrays
-    b, phi, phi_nl, q, x = live[0] if len(live) == 1 else np.array(live).T[:, :, None, None]
-    panels = [math.ceil(span) for span in spans]  # span >= log1p(0.05) here
-    h = np.array([span / n for span, n in zip(spans, panels)])
-    nodes = np.arange(max(panels))[:, None] + _GL_NODES
-    with np.errstate(all="ignore"):  # an overflow fails the finiteness test below
-        w = np.exp(math.log(omega_max) + h[:, None, None] * nodes)
-        u = 1.0 / w
-        r = 1.0 / np.abs(u - w - 1j / q - 2.0 * phi * phi_nl * u**3
-                         / ((u - 1j * b) ** 2 + (phi * u) ** 2))
-        s = 2.0 * x * w
-        # the Bose factor times w^3 |chi_eff|^2, the integrand in dt = dw/w
-        values = 2.0 * w * np.exp(-s) / -np.expm1(-s) * (w * r) * r
-        per_panel = values @ _GL_WEIGHTS
-        if min(panels) < len(nodes):
-            per_panel[np.arange(len(nodes)) >= np.array(panels)[:, None]] = 0.0
-        tail[rows] = 2.0 / (math.pi * np.ravel(q)) * (h * per_panel.sum(axis=1))
-    for i in rows:
-        if not math.isfinite(tail[i]):  # a node past the largest float, n_t_i near 1e307
-            failed[i] = QuadratureFailure(f"Bose tail beyond the cutoff is not finite ({tail[i]})")
-    return tail, _BOSE_TAIL_RTOL * tail, failed
+            b, phi, phi_nl, q, xb = np.array(live).T[:, :, None, None]
+            grid = np.array(h)[:, None, None]
+        nodes = np.arange(panels[-1])[:, None] + _GL_NODES
+        with np.errstate(all="ignore"):  # an overflow fails the finiteness test below
+            w = np.exp(math.log(omega_max) + grid * nodes)
+            u = 1.0 / w
+            r = 1.0 / np.abs(u - w - 1j / q - 2.0 * phi * phi_nl * u**3
+                             / ((u - 1j * b) ** 2 + (phi * u) ** 2))
+            s = 2.0 * xb * w
+            # the Bose factor times w^3 |chi_eff|^2, the integrand in dt = dw/w
+            values = 2.0 * w * np.exp(-s) / -np.expm1(-s) * (w * r) * r
+            per_panel = values @ _GL_WEIGHTS
+            if panels[0] < panels[-1]:
+                per_panel[np.arange(panels[-1]) >= np.array(panels)[:, None]] = 0.0
+            sums = per_panel.reshape(len(live), -1).sum(axis=1).tolist()
+        for i, row, hi, total in zip(index, live, h, sums):
+            tail = 2.0 / (math.pi * row[3]) * (hi * total)
+            # not finite: a node past the largest float, n_t_i near 1e307
+            out[i] = tail if math.isfinite(tail) else QuadratureFailure(
+                f"Bose tail beyond the cutoff is not finite ({tail})")
+    return out
 
 
 def _bose_bracket(a, x):
@@ -586,11 +598,16 @@ def _bose_bracket(a, x):
     depend on the cutoff, which both coth moments share. ``a`` holds one
     row of poles per point and ``x`` is the list of their coth scales.
     """
+    if len(x) == 1:  # plain floats broadcast faster than (1, 1) arrays
+        scale, logs = x[0], math.log(x[0] / math.pi)
+    else:
+        scale = np.array(x)[:, None]
+        logs = np.array([math.log(v / math.pi) for v in x])[:, None]
     with np.errstate(all="ignore"):  # an overflow fails the finiteness test
-        z = (np.array(x) / math.pi)[:, None] * a
-        out = np.array([math.log(v / math.pi) for v in x])[:, None] - 0.5 / z - _digamma(z)
-        cold = [math.isinf(v) for v in x]
-        if any(cold):
+        z = (scale / math.pi) * a
+        out = logs - 0.5 / z - _digamma(z)
+        if math.inf in x:
+            cold = np.isinf(x)
             out[cold] = -np.log(a[cold])
         return out
 
@@ -662,10 +679,10 @@ def _moment(params, noise_model, modes, fr, bracket, power, omega_max):
     x = coth_scale(params.n_t_i)
     if math.isinf(cutoff) or math.isinf(x):
         return value, err
-    tail, tail_err, failed = _bose_tail([params], [x], cutoff)
-    if failed:
-        raise failed[0]
-    return value - float(tail[0]), err + float(tail_err[0])
+    tail = _bose_tail([params], [x], cutoff)[0]
+    if isinstance(tail, QuadratureFailure):
+        raise tail
+    return value - tail, err + _BOSE_TAIL_RTOL * tail
 
 
 def _stack_moment(points, stack, noise_model, fr, bracket, x, power, omega_max):
@@ -698,9 +715,11 @@ def _stack_moment(points, stack, noise_model, fr, bracket, x, power, omega_max):
         err = (fr.roundoff * np.abs(terms)).sum(axis=1)
         ok &= np.isfinite(value) & np.isfinite(err)
     if coth and power == 2:
-        tail, tail_err, failed = _bose_tail(points, x, cutoff)
-        ok[list(failed)] = False
-        value, err = value - tail, err + tail_err
+        tails = _bose_tail(points, x, cutoff)
+        failed = [isinstance(tail, QuadratureFailure) for tail in tails]
+        tail = np.array([0.0 if f else t for f, t in zip(failed, tails)])
+        ok &= np.logical_not(failed)
+        value, err = value - tail, err + _BOSE_TAIL_RTOL * tail
     return value, err, ok
 
 
@@ -833,13 +852,13 @@ def integrate_variances(
     ``params`` is one point, or a sequence of points (a sweep), which
     returns a list with one entry per point: its VarianceResult, or the
     :class:`~optocool.errors.OptocoolError` that the point alone would
-    raise. A sequence of two or more points is taken as one stack: one
-    ``classify`` per point, one stacked ``eigvals`` of their drifts, and
-    the pole tables, sums and Bose tails of all points as array
-    expressions. A point the stack does not finish (a quadrature, an
-    unsolved drift, a sum that is not finite) is handed to the single
-    call. A sequence of fewer than three points costs less as single
-    calls, and takes them.
+    raise. A sequence of three or more points (_STACK_MIN) is taken as
+    one stack: one ``classify`` per point, one eigen-solve of the stack
+    of their drifts, and the pole tables, sums and Bose tails of all
+    points as array expressions. A point the stack does not finish (a
+    quadrature, an unsolved drift, a sum that is not finite) is handed to
+    the single call. One or two points cost less as single calls, and
+    take them.
 
     Raises
     ------

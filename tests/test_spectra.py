@@ -1,6 +1,7 @@
 """Frequency-domain spectra and variance integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -668,6 +669,22 @@ class TestStackedRoute:
         got = integrate_variances(points, ThermalNoiseModel.QUANTUM_COTH, omega_max)
         for g, w in zip(got, scalar_rows(points, ThermalNoiseModel.QUANTUM_COTH, omega_max)):
             same_row(g, w)
+
+    def test_long_tails_of_a_long_sweep_stay_small(self):
+        # every row's Bose tail needs about 700 panels of 16 nodes at
+        # n_t_i = 1e306; taken all at once, 60 such rows held about 50 MB
+        # of temporaries, and one row alone holds about 0.2 MB
+        base = FIG2.replace(n_t_i=1e306)
+        points = [base.replace(phi=float(phi)) for phi in np.linspace(5.0, 20.0, 60)]
+        tracemalloc.start()
+        try:
+            got = integrate_variances(points, ThermalNoiseModel.QUANTUM_COTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        for i in (0, 59):
+            same_row(got[i], integrate_variances(points[i], ThermalNoiseModel.QUANTUM_COTH))
 
     @pytest.mark.parametrize("model", list(ThermalNoiseModel))
     def test_overflowing_drift_is_the_single_calls_error(self, model):

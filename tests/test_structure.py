@@ -2,9 +2,8 @@
 
 * No module of ``optocool`` imports or reads another module's private
   (``_``-prefixed) name.
-* The drift has one eigen-solve: ``eig`` (one point) and ``eigvals`` (a
-  stack of points) are called only in :func:`optocool.model.drift_modes`,
-  once each. (``eigvalsh`` of the Hermitian
+* The drift has one eigen-solve: ``eig`` and ``eigvals`` are called only
+  in :func:`optocool.model.drift_modes`. (``eigvalsh`` of the Hermitian
   V + iJ in ``physicality_defect`` is another operation and is exempt.)
 * The pole-separation test has one implementation: no module but
   ``model`` reads ``POLE_SEPARATION_MIN``; the others call
@@ -99,9 +98,7 @@ def eigen_solves(tree):
 def test_drift_modes_is_the_one_eigen_solve():
     calls = {path.name: eigen_solves(parse(path)) for path in MODULES}
     sites = [(name, scope) for name, found in calls.items() for scope, _ in found]
-    # two calls: a stack of points (eigvals; the residue sums read no
-    # eigenvectors) and one point (eig; the propagators read them)
-    assert sites == [("model.py", "drift_modes")] * 2, calls
+    assert sites == [("model.py", "drift_modes")], calls
 
 
 def test_eigen_solve_finder_sees_every_spelling():
