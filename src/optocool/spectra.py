@@ -738,10 +738,10 @@ def _moments(params, noise_model):
     return partial(_moment, params, noise_model, modes, fr, bracket)
 
 
-#: the fewest points that take the stacked route. A stack's fixed cost is
-#: about 0.3 ms of numpy calls: one point costs 2-3 times as much stacked
-#: as alone, and from three points on a stack costs less (coth bath) or
-#: about the same (flat bath)
+#: the fewest points that take the stacked route. A stack has a fixed cost
+#: in numpy calls: one point costs about twice as much stacked as alone,
+#: and from three points on a stack costs less (coth bath) or about the
+#: same (flat bath)
 _STACK_MIN = 3
 
 
