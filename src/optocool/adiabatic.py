@@ -252,10 +252,13 @@ def optimize_operating_point(
     always ``integrate_variances`` (the exact spectrum), never the closed form;
     a point that is unstable or fails to integrate scores inf. With
     ``lock_phi_to_b`` the detuning is pinned to phi = b and only b is
-    scanned. Each 9-point detuning grid, and with ``lock_phi_to_b`` the
-    whole list of b, is one call of ``integrate_variances`` on the
-    sequence of its points (one stacked computation); the edge steps and
-    Brent's probes each depend on the last, and are single calls.
+    scanned. Every probe goes through one scorer, which calls
+    ``integrate_variances`` on a sequence of points and decides which
+    errors score inf. Each 9-point detuning grid, and with
+    ``lock_phi_to_b`` the whole list of b, is one such call (one stacked
+    computation); the edge steps and Brent's probes each depend on the
+    last, and are calls of one point, which ``integrate_variances`` takes
+    as a single call.
     ``b_range`` is the sequence of bandwidths b to scan, in order (the
     CLI passes its ``sweep`` values of b, or b alone).
     Deterministic for a fixed grid; ties go to the earlier b of
@@ -264,28 +267,20 @@ def optimize_operating_point(
     Raises
     ------
     InvalidParams
-        If ``b_range`` is empty or ``omega_max`` is not finite and > 2.
+        If ``b_range`` is empty, or from ``integrate_variances`` if
+        ``omega_max`` is not finite and > 2.
     OptimizationFailure
         If every probed point is unstable or fails to integrate.
     """
     b_grid = [float(b) for b in b_range]
     if not b_grid:
         raise InvalidParams("empty b_range")
-    if not 2.0 < omega_max < math.inf:  # the objective would score every probe inf
-        raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
 
     def point(b, phi):
         return NormalizedParams(b=b, phi=phi, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i)
 
-    def objective(b, phi):
-        try:
-            return integrate_variances(point(b, phi), noise_model=noise_model,
-                                       omega_max=omega_max).n_t_f
-        except _SCORED_INF:
-            return math.inf
-
     def objectives(pairs):
-        """The objective at each (b, phi) of ``pairs``, integrated as one stack."""
+        """The objective at each (b, phi) of ``pairs``, from one ``integrate_variances`` call."""
         scores, points = [math.inf] * len(pairs), {}
         for i, (b, phi) in enumerate(pairs):
             try:
@@ -320,7 +315,7 @@ def optimize_operating_point(
                 edge, ratio = coarse[i], _GRID_RATIO if i else 1.0 / _GRID_RATIO
                 for _ in range(_EDGE_STEPS):
                     phi = edge * ratio
-                    probes[phi] = objective(b, phi)
+                    probes[phi] = objectives([(b, phi)])[0]
                     if not probes[phi] < probes[edge]:
                         break
                     edge = phi
@@ -332,7 +327,7 @@ def optimize_operating_point(
             # inf - inf = nan; it then falls back to a golden-section step
             with np.errstate(invalid="ignore"):
                 res = minimize_scalar(
-                    lambda phi: objective(b, phi),
+                    lambda phi: objectives([(b, phi)])[0],
                     bounds=(coarse[lo_i], coarse[hi_i]),
                     method="bounded",
                     options={"xatol": 1e-3 * phi_star},

@@ -640,10 +640,8 @@ def _fmt(value) -> str:
 
 
 def _fmt_column(values) -> list[str]:
-    """``_fmt`` of each cell; a column of floats (np.float64 is one) in one pass."""
-    if all(isinstance(v, float) for v in values):
-        return ["%.12g" % v for v in values]
-    return [_fmt(v) for v in values]
+    """``_fmt`` of each cell, in one pass: a float (np.float64 is one) formatted in place."""
+    return ["%.12g" % v if isinstance(v, float) else _fmt(v) for v in values]
 
 
 def emit_csv(table: ResultTable, path: str | None) -> None:

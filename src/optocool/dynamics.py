@@ -171,22 +171,25 @@ def physicality_defect(v: np.ndarray):
 def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     """Steady covariance from A V + V A^T + D = 0 (Bartels-Stewart solve).
 
-    The residual is verified below 1e-12 (relative to ||V||). Both norms
-    are taken after dividing by max|V|, so that the test still means
-    something where ||V||^2 overflows. The solve is linear in D, so it
-    runs on D / s with s the power of two at max|D|, which keeps a huge
-    diffusion inside the solver's range and changes no rounding.
+    The residual is verified below 1e-12 (relative to ||V||). It is
+    taken on U = V / max|V|, and both norms likewise, so that the test
+    still means something where ||V||^2 or A V overflows. The solve is
+    linear in D, so it runs on D / s with s the power of two at max|D|,
+    which keeps a huge diffusion inside the solver's range and changes no
+    rounding. V is symmetrized as V/2 + V^T/2, which is V + V^T halved
+    wherever that sum does not overflow (halving a normal float is exact).
     """
     a, d = sys.drift, sys.diffusion
     s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(d))))[1])
     with warnings.catch_warnings():  # a perturbed solve warns; the residual test decides
         warnings.simplefilter("ignore", RuntimeWarning)
         v = solve_continuous_lyapunov(a, -d / s) * s
-    v = 0.5 * (v + v.T)
+    v = 0.5 * v + 0.5 * v.T
     scale = np.max(np.abs(v))
     with np.errstate(all="ignore"):  # an overflow or a nan fails the test
-        resid = np.linalg.norm((a @ v + v @ a.T + d) / scale)
-        ok = resid <= 1e-12 * max(1.0 / scale, np.linalg.norm(v / scale))
+        u = v / scale
+        resid = np.linalg.norm(a @ u + u @ a.T + d / scale)
+        ok = resid <= 1e-12 * max(1.0 / scale, np.linalg.norm(u))
     if not ok:
         raise SolverFailure(f"steady-state residual {resid:.3e} * max|V| too large")
     return CovarianceState(t=math.inf, v=v)
@@ -341,8 +344,8 @@ def _transient(
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below
         e = _propagators(sys, times * sys.params.q_factor)
         v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
-    v[times == 0.0] = v0.v  # where V_ss + (V0 - V_ss) would round
-    v = 0.5 * (v + v.transpose(0, 2, 1))
+        v[times == 0.0] = v0.v  # where V_ss + (V0 - V_ss) would round
+        v = 0.5 * (v + v.transpose(0, 2, 1))
 
     scale = max(1.0, float(np.max(np.abs(v0.v))))
     tol = 1e-9 * scale

@@ -38,7 +38,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +104,9 @@ class VarianceResult:
     """Steady-state mirror variances with method provenance.
 
     ``n_t_f = (dq2 + dp2 - 2)/4`` symmetrizes position and momentum and
-    reduces to the usual occupancy when the two variances coincide.
+    reduces to the usual occupancy when the two variances coincide. Where
+    dq2 + dp2 overflows while both are finite it is taken as
+    dq2/4 + dp2/4 - 1/2, which stays finite.
     """
 
     dq2: float
@@ -117,10 +118,13 @@ class VarianceResult:
 
     @classmethod
     def from_variances(cls, dq2, dp2, method, noise_model, quadrature_error=0.0):
+        n_t_f = (dq2 + dp2 - 2.0) / 4.0
+        if not math.isfinite(n_t_f) and math.isfinite(dq2) and math.isfinite(dp2):
+            n_t_f = 0.25 * dq2 + 0.25 * dp2 - 0.5
         return cls(
             dq2=dq2,
             dp2=dp2,
-            n_t_f=(dq2 + dp2 - 2.0) / 4.0,
+            n_t_f=n_t_f,
             method=method,
             noise_model=noise_model,
             quadrature_error=quadrature_error,
@@ -393,10 +397,11 @@ def _fractions(params: NormalizedParams, modes: DriftModes) -> _Fractions | None
     eps_phi: over 300 random points at phi = 0 (flat bath, Q from 1 to
     1e7) no error against 40-digit sums passed 0.18 of it.
 
-    This is the table of one point. Its arithmetic is plain Python
-    complex: numpy's fixed cost per call is larger than the work on four
-    poles. A sweep pays that cost once for all its points, and
-    :func:`_stack_fractions` builds their tables as (n, 4) arrays.
+    This is the table of one point, and the only one with the decoupled
+    set. Its arithmetic is plain Python complex: numpy's fixed cost per
+    call is larger than the work on four poles. A sweep pays that cost
+    once for all its points, and :func:`_stack_fractions` builds the
+    drift-pole tables of its regular rows as (n, 4) arrays.
     """
     k = 1.0 / params.b
     back = 4.0 * params.phi_nl * k * k
@@ -448,15 +453,14 @@ class _Stack(NamedTuple):
 
 
 def _stack_fractions(stack: _Stack, modes: DriftModes) -> tuple[_Fractions, np.ndarray]:
-    """:func:`_fractions` of each row of a stack, as (n, 4) arrays, and the rows where it holds.
+    """:func:`_fractions` of each row of a stack, from its drift poles: (n, 4) arrays, and ok rows.
 
-    The same two pole sets, numerators and round-off bounds, taken for all
-    rows at once from the stacked ``modes``. A row of the decoupled
-    cavity's three poles gets a fourth pole without weight (a = 1,
-    alpha = f = roundoff = 0), which adds exactly zero to every sum and
-    enters no denominator. A row is not ``ok`` where :func:`_fractions`
-    returns None: no usable pole set, an unsolved drift, or a zero real
-    part or denominator.
+    The drift's pole set, its numerators and round-off bounds, taken for
+    all rows at once from the stacked ``modes``. A row is not ``ok`` where
+    its drift poles are not ``separated`` (an unsolved drift, nearly
+    coincident poles, or the decoupled cavity at phi ~ 0, whose three-pole
+    table the single call builds), or where a real part or a denominator
+    is zero.
     """
     with np.errstate(all="ignore"):  # a row that is not ok goes back to the single call
         k = 1.0 / stack.b
@@ -467,29 +471,11 @@ def _stack_fractions(stack: _Stack, modes: DriftModes) -> tuple[_Fractions, np.n
         alpha = ((c1 - a) * (c1 + a)) * ((c2 - a) * (c2 + a))
         f = back * ((k * k + phik * phik)[:, None] - a * a)
         bounds = (10.0 * _EPS * modes.norm)[:, None] * (1.0 / np.abs(a.real) + 1.0 / modes.gaps)
-        ok = modes.separated & (a.real != 0.0).all(axis=1)
         # prod_{m != j} (a_m - a_j)(a_m + a_j)
         diff = (a[:, :, None] - a[:, None, :]) * (a[:, :, None] + a[:, None, :])
         diff[:, _DIAGONAL, _DIAGONAL] = 1.0
-
-        dec = np.flatnonzero(~modes.separated & np.isfinite(modes.norm))
-        if dec.size:
-            half, phi, kd = 0.5 / stack.q_factor[dec], stack.phi[dec], k[dec, None]
-            im = np.sqrt(1.0 - half * half)
-            eps_phi = 4.0 * phi * phi + 4.0 * np.abs(phi) * stack.phi_nl[dec] / (2.0 * half * im)
-            three = np.stack([half - 1j * im, half + 1j * im, kd[:, 0] + 0j], axis=1)
-            gaps, separated = pole_separation(three)
-            ok[dec] = separated & (eps_phi <= _DECOUPLED_MAX)
-            a[dec] = np.column_stack([three, np.ones(len(dec))])
-            alpha[dec, :3], f[dec, :3] = (kd - three) * (kd + three), back[dec]
-            bounds[dec, :3] = 10.0 * _EPS * (1.0 + np.abs(three) / gaps) + eps_phi[:, None]
-            alpha[dec, 3] = f[dec, 3] = bounds[dec, 3] = 0.0
-            diff[dec] = (a[dec, :, None] - a[dec, None, :]) * (a[dec, :, None] + a[dec, None, :])
-            diff[dec[:, None], _DIAGONAL, _DIAGONAL] = 1.0
-            diff[dec, 3, :] = 1.0  # the padding pole is in no product
         den = diff.prod(axis=1)
-        den[dec, 3] = 1.0
-        ok &= (den != 0.0).all(axis=1)
+        ok = modes.separated & (a.real != 0.0).all(axis=1) & (den != 0.0).all(axis=1)
         return _Fractions(a, alpha / den, f / den, bounds), ok
 
 
@@ -689,15 +675,15 @@ def _stack_moment(points, stack, noise_model, fr, bracket, x, power, omega_max):
     """:func:`_moment` of each row of a stack from its table ``fr``: arrays value, err, ok.
 
     The same sums over the poles, as (n, 4) array expressions. A row is
-    not ``ok`` where the single call would take the quadrature (a pole
-    with thermal weight at |a_j| >= W/2), or where its sum or Bose tail is
-    not finite.
+    not ``ok`` where a pole has |a_j| >= W/2 (the single call then applies
+    its own thermal-weight rule and takes the quadrature where it must),
+    or where its sum or Bose tail is not finite.
     """
     coth = noise_model is ThermalNoiseModel.QUANTUM_COTH
     cutoff = omega_max if coth and power == 2 else math.inf
-    a, weighted = fr.a, fr.alpha != 0.0
+    a = fr.a
     with np.errstate(all="ignore"):  # a row that is not ok goes back to the single call
-        ok = np.where(weighted, np.abs(a), 0.0).max(axis=1) < _POLE_CUTOFF_FRACTION * cutoff
+        ok = np.abs(a).max(axis=1) < _POLE_CUTOFF_FRACTION * cutoff
         if not coth:
             weight = _flat_weight(stack)[:, None]
             terms = (weight * fr.alpha + fr.f) * (0.5 / a if power == 0 else -0.5 * a)
@@ -708,7 +694,7 @@ def _stack_moment(points, stack, noise_model, fr, bracket, x, power, omega_max):
                 r = np.arctan(cutoff / a) / (math.pi * a)
                 k = 0.5 * (np.log(a + 1j * cutoff) + np.log(a - 1j * cutoff)) + bracket
             scale = (2.0 / (math.pi * stack.q_factor))[:, None]
-            terms = np.where(weighted, scale * fr.alpha * k, 0.0) + fr.f * r
+            terms = scale * fr.alpha * k + fr.f * r
             if power == 2:
                 terms = -a * a * terms
         value = terms.sum(axis=1).real
@@ -723,50 +709,52 @@ def _stack_moment(points, stack, noise_model, fr, bracket, x, power, omega_max):
     return value, err, ok
 
 
-def _moments(params, noise_model):
-    """``moment(power, omega_max)``: :func:`_moment` after the setup both variances share.
+def _moments(params, noise_model, omega_max, powers):
+    """The moments ``powers`` of one stable point (see :func:`_moment`), as (value, err) pairs.
 
-    That is the stability verdict (:class:`~optocool.errors.Unstable` if it
-    fails), the one eigen-solve, the pole table and the Bose bracket.
+    The single call: one eigen-solve, the pole table (either pole set of
+    :func:`_fractions`) and the Bose bracket, shared by the moments. The
+    caller has passed the point through :func:`~optocool.model.classify`.
     """
-    classify(params).require_stable()
     modes = drift_modes(params)
     fr = _fractions(params, modes)
     bracket = None
     if noise_model is ThermalNoiseModel.QUANTUM_COTH and fr is not None:
         bracket = _bose_bracket(np.array([fr.a]), [coth_scale(params.n_t_i)])[0]
-    return partial(_moment, params, noise_model, modes, fr, bracket)
+    return [_moment(params, noise_model, modes, fr, bracket, power, omega_max)
+            for power in powers]
 
 
-#: the fewest points that take the stacked route. A stack has a fixed cost
-#: in numpy calls: one point costs about twice as much stacked as alone,
-#: and from three points on a stack costs less (coth bath) or about the
-#: same (flat bath)
+#: the fewest stable points that take the stacked route. A stack has a
+#: fixed cost in numpy calls: one point costs about twice as much stacked
+#: as alone, and from three points on a stack costs less (coth bath) or
+#: about the same (flat bath)
 _STACK_MIN = 3
 
 
 def _stack_moments(points, noise_model, omega_max, powers):
-    """The moments ``powers`` of each point (see :func:`_moment`), as one stack.
+    """The moments ``powers`` of each point (see :func:`_moment`), its stack where it has one.
 
-    One ``classify`` per point, one stacked eigen-solve, then the pole
-    tables, the Bose bracket, the sums and the Bose tails of all points
-    as array expressions. Each entry is a list of (value, err), one per
-    power; the :class:`~optocool.errors.Unstable` of an unstable point;
-    or None where the single call decides: with fewer than _STACK_MIN
-    points, and at every point the stack does not finish (an unsolved
-    drift, no pole table, a quadrature, a sum or tail not finite).
+    Every point is classified first, once. With at least _STACK_MIN stable
+    points, their regular rows are one stack: one stacked eigen-solve,
+    then the pole tables, the Bose bracket, the sums and the Bose tails as
+    array expressions. Each entry is a list of (value, err), one per
+    power; the :class:`~optocool.errors.Unstable` of an unstable point; or
+    None at a stable point that the single call (:func:`_moments`) takes:
+    every one with fewer than _STACK_MIN stable points, and otherwise each
+    row that is not regular (drift poles not separated, as at phi ~ 0; a
+    pole at or beyond W/2; a sum or Bose tail that is not finite).
     """
-    out = [None] * len(points)
-    if len(points) < _STACK_MIN:
-        return out
-    live = []
+    out, live = [], []
     for i, p in enumerate(points):
         try:
             classify(p).require_stable()
-            live.append(i)
         except Unstable as exc:
-            out[i] = exc
-    if not live:
+            out.append(exc)
+        else:
+            out.append(None)
+            live.append(i)
+    if len(live) < _STACK_MIN:
         return out
     rows = [points[i] for i in live]
     stack = _Stack.of(rows)
@@ -785,19 +773,29 @@ def _stack_moments(points, noise_model, omega_max, powers):
     return out
 
 
-def _each(points, stacked, single, build):
-    """Per point, ``build`` of its stacked moments, its error, or ``single(point)``'s outcome."""
+def _per_point(params, noise_model, omega_max, powers, build):
+    """``build`` of the moments ``powers`` of one point, or of each point of a sequence.
+
+    The one dispatch of both public integrals. A sequence gives one entry
+    per point: ``build`` of its moments, or the
+    :class:`~optocool.errors.OptocoolError` that the point alone raises.
+    One point gives its entry, or raises that error.
+    """
+    single = isinstance(params, NormalizedParams)
+    points = [params] if single else list(params)
     out = []
-    for p, row in zip(points, stacked):
+    for p, row in zip(points, _stack_moments(points, noise_model, omega_max, powers)):
         if row is None:
             try:
-                row = single(p)
+                row = _moments(p, noise_model, omega_max, powers)
             except OptocoolError as exc:
                 row = exc
-        elif not isinstance(row, OptocoolError):
-            row = build(row)
-        out.append(row)
-    return out
+        out.append(row if isinstance(row, OptocoolError) else build(row))
+    if not single:
+        return out
+    if isinstance(out[0], OptocoolError):
+        raise out[0]
+    return out[0]
 
 
 def _result(noise_model, q, p) -> VarianceResult:
@@ -815,8 +813,8 @@ def position_variance(
     The same moment as :func:`integrate_variances` computes (see
     :func:`_moment`): a sum over the spectrum's poles, or adaptive
     quadrature where two drift poles nearly coincide and the cavity is coupled.
-    A sequence of points is taken as a stack, as by
-    :func:`integrate_variances`: one (dq2, err) pair or error per point.
+    A sequence of points is dispatched as by :func:`integrate_variances`:
+    one (dq2, err) pair or error per point.
 
     Raises
     ------
@@ -825,11 +823,7 @@ def position_variance(
     QuadratureFailure
         If the quadrature misses its tolerance or the sum is not finite.
     """
-    if isinstance(params, NormalizedParams):
-        return _moments(params, noise_model)(0, math.inf)
-    points = list(params)
-    return _each(points, _stack_moments(points, noise_model, math.inf, (0,)),
-                 partial(position_variance, noise_model=noise_model), lambda m: m[0])
+    return _per_point(params, noise_model, math.inf, (0,), lambda m: m[0])
 
 
 def integrate_variances(
@@ -852,13 +846,15 @@ def integrate_variances(
     ``params`` is one point, or a sequence of points (a sweep), which
     returns a list with one entry per point: its VarianceResult, or the
     :class:`~optocool.errors.OptocoolError` that the point alone would
-    raise. A sequence of three or more points (_STACK_MIN) is taken as
-    one stack: one ``classify`` per point, one eigen-solve of the stack
-    of their drifts, and the pole tables, sums and Bose tails of all
-    points as array expressions. A point the stack does not finish (a
-    quadrature, an unsolved drift, a sum that is not finite) is handed to
-    the single call. One or two points cost less as single calls, and
-    take them.
+    raise. Each point is classified once. Where three or more of them are
+    stable (_STACK_MIN), their regular rows are one stack: one
+    eigen-solve of the stack of their drifts, and the pole tables, sums
+    and Bose tails of all of them as array expressions. Every other
+    stable point is a single call, which owns the phi ~ 0 three-pole
+    table, the quadrature and the typed errors: a point with drift poles
+    that are not separated, a pole at or beyond W/2, or a sum or tail
+    that is not finite, and every point where fewer than three are stable
+    (one or two points cost less as single calls).
 
     Raises
     ------
@@ -871,10 +867,4 @@ def integrate_variances(
     """
     if not 2.0 < omega_max < math.inf:
         raise InvalidParams(f"omega_max must be finite and > 2, got {omega_max}")
-    if not isinstance(params, NormalizedParams):
-        points = list(params)
-        return _each(points, _stack_moments(points, noise_model, omega_max, (0, 2)),
-                     partial(integrate_variances, noise_model=noise_model, omega_max=omega_max),
-                     lambda m: _result(noise_model, *m))
-    moment = _moments(params, noise_model)
-    return _result(noise_model, moment(0, omega_max), moment(2, omega_max))
+    return _per_point(params, noise_model, omega_max, (0, 2), lambda m: _result(noise_model, *m))

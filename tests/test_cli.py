@@ -685,6 +685,30 @@ def test_overflowing_drift_exits_3(capsys):
     assert assert_one_json_record(err)["type"] == "InvalidParams"
 
 
+# n_t_i near the float range: the steady variances are finite, near 1.1e308,
+# but dq2 + dp2 and V + V^T are not
+HUGE_OCCUPANCY = {"b": "18.018148102696706", "phi": "-9.00908471927914",
+                  "phi_nl": "0.01341490652415349", "q_factor": "3684.7184194676943",
+                  "n_t_i": "2.539974757085866e+307"}
+
+
+def test_huge_occupancy_prints_a_finite_occupancy(capsys):
+    rc = main(argv_for("variances", {**HUGE_OCCUPANCY, "noise_model": "markov_flat"}))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1].split(",")[:3] == [
+        "1.09589779954e+308", "1.09482770692e+308", "5.47681376614e+307"]
+
+
+@pytest.mark.parametrize("mode", ["dynamics", "homodyne"])
+def test_huge_occupancy_exits_3_with_one_record(mode, capsys):
+    # warnings are errors under pytest, so numpy's would surface as a raise
+    rc = main(argv_for(mode, HUGE_OCCUPANCY))
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert assert_one_json_record(err)["type"] == "InvalidParams"
+
+
 # phi = 0 and 1e-9: the modes are not separated and the propagator is expm
 @pytest.mark.parametrize("phi", ["10", "0", "1e-9"])
 def test_decayed_transient_is_the_steady_state(phi, capsys):

@@ -319,8 +319,7 @@ class TestPhysicalityCheck:
 
 
 class TestTransientInput:
-    # 1.7e308 is finite, but the propagation overflows it
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # 1.7e308 is finite, but the propagation overflows it, with no warning
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.7e308])
     def test_initial_covariance(self, bad):
         sysm = build_system(FIG3)
@@ -386,6 +385,17 @@ class TestLyapunov:
             assert abs(lyap.dq2 - spectral.dq2) / spectral.dq2 < 1e-6
             assert abs(lyap.dp2 - spectral.dp2) / spectral.dp2 < 1e-6
             assert lyap.method is Method.LYAPUNOV
+
+    def test_steady_state_near_the_float_range(self):
+        # max|V| is 1.0959e308: V + V^T and A V overflow, V itself does not
+        p = NormalizedParams(b=18.018148102696706, phi=-9.00908471927914,
+                             phi_nl=0.01341490652415349, q_factor=3684.7184194676943,
+                             n_t_i=2.539974757085866e307)
+        lyap = steady_variances(build_system(p))
+        spectral = integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT)
+        assert abs(lyap.dq2 - spectral.dq2) <= 1e-10 * spectral.dq2
+        assert abs(lyap.dp2 - spectral.dp2) <= 1e-10 * spectral.dp2
+        assert math.isfinite(lyap.n_t_f)
 
     def test_gauge_rotation_leaves_mirror_block(self):
         # rotating the field quadrature basis is the phase convention

@@ -34,6 +34,14 @@ from optocool.spectra import _fractions, _quad_moment, _scalar_spectrum_fn
 
 FIG2 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
 DEEP = NormalizedParams(b=10, phi=10, phi_nl=0.01, q_factor=1e5, n_t_i=100)
+# n_t_i near the float range: the flat variances are finite, near 1.1e308
+HUGE_OCCUPANCY = NormalizedParams(b=18.018148102696706, phi=-9.00908471927914,
+                                  phi_nl=0.01341490652415349, q_factor=3684.7184194676943,
+                                  n_t_i=2.539974757085866e307)
+# g = sqrt(2 phi_nl/b) overflows the drift at a point classify calls stable
+OVERFLOWING_DRIFT = NormalizedParams(b=6.347468412528946e-64, phi=0,
+                                     phi_nl=3.2474854227788175e250,
+                                     q_factor=2.718398599618707e22, n_t_i=1)
 
 
 def bare(q_factor, n_t_i):
@@ -237,6 +245,14 @@ class TestIntegrateVariances:
     def test_reported_error_small(self):
         res = integrate_variances(FIG2, ThermalNoiseModel.MARKOV_FLAT)
         assert res.quadrature_error < 1e-6
+
+    def test_occupancy_stays_finite_where_the_variance_sum_overflows(self):
+        # dq2 and dp2 are finite, near 1.1e308 each; their sum is not
+        res = integrate_variances(HUGE_OCCUPANCY, ThermalNoiseModel.MARKOV_FLAT)
+        assert math.isfinite(res.dq2) and math.isfinite(res.dp2)
+        assert math.isinf(res.dq2 + res.dp2)
+        assert res.n_t_f == 0.25 * res.dq2 + 0.25 * res.dp2 - 0.5
+        assert rel(res.n_t_f, 5.47681376614e307) <= 1e-11
 
     @pytest.mark.parametrize("cutoff", [1.5, math.inf, math.nan])
     def test_bad_cutoff_rejected(self, cutoff):
@@ -661,6 +677,51 @@ class TestStackedRoute:
         integrate_variances([FIG2, DEEP, FIG2])
         assert len(calls) == 4
 
+    def test_the_stack_counts_stable_points(self, monkeypatch):
+        # three points of which two are stable are two single calls
+        calls = []
+        moments = spectra._moments
+
+        def counted(*args):
+            calls.append(args[0])
+            return moments(*args)
+
+        monkeypatch.setattr(spectra, "_moments", counted)
+        got = integrate_variances([FIG2, FIG2.replace(phi=1.0, phi_nl=3.0), DEEP])
+        assert calls == [FIG2, DEEP]
+        assert isinstance(got[1], Unstable)
+        assert [got[0], got[2]] == [integrate_variances(FIG2), integrate_variances(DEEP)]
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_each_point_is_classified_once(self, monkeypatch, model):
+        # a stacked row, the phi = 0 twin, an unstable point, a quadrature
+        # row and an overflowing drift: the last two go back to the single
+        # call, which does not classify them again
+        points = [FIG2, FIG2.replace(phi=0.0), FIG2.replace(phi=1.0, phi_nl=3.0),
+                  NormalizedParams(b=1, phi=1e-10, phi_nl=0.3, q_factor=1e4, n_t_i=100),
+                  OVERFLOWING_DRIFT, DEEP]
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return classify(p)
+
+        monkeypatch.setattr(spectra, "classify", counted)
+        for integral in (integrate_variances, position_variance):
+            calls.clear()
+            got = integral(points, model)
+            assert [calls.count(p) for p in points] == [1] * len(points)
+            assert isinstance(got[2], Unstable) and isinstance(got[4], InvalidParams)
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_a_decoupled_row_of_a_stack_is_the_single_call(self, model):
+        points = [NormalizedParams(b=3, phi=float(phi), phi_nl=0.05, q_factor=1e4, n_t_i=100)
+                  for phi in np.linspace(-1.0, 3.0, 5)]
+        got = integrate_variances(points, model)
+        assert points[1].phi == 0.0
+        assert got[1] == integrate_variances(points[1], model)
+        assert position_variance(points, model)[1] == position_variance(points[1], model)
+
     @pytest.mark.parametrize("omega_max", [10.0, 100.0, 1e4])
     def test_occupancy_sweep_with_tails_of_every_length(self, omega_max):
         # the Bose tails of one stack span 1 to 700 panels, and none at n_t_i = 0
@@ -688,9 +749,7 @@ class TestStackedRoute:
 
     @pytest.mark.parametrize("model", list(ThermalNoiseModel))
     def test_overflowing_drift_is_the_single_calls_error(self, model):
-        # g = sqrt(2 phi_nl/b) overflows at a point classify calls stable
-        huge = NormalizedParams(b=6.347468412528946e-64, phi=0, phi_nl=3.2474854227788175e250,
-                                q_factor=2.718398599618707e22, n_t_i=1)
+        huge = OVERFLOWING_DRIFT
         got = integrate_variances([FIG2, huge, DEEP], model)
         with pytest.raises(InvalidParams) as single:
             integrate_variances(huge, model)
