@@ -24,6 +24,7 @@ from .dynamics import (
     CovarianceState,
     HomodyneResult,
     LinearSystem,
+    Trajectory,
     TwoTimeGrid,
     build_system,
     evolve_covariance,

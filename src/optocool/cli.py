@@ -471,10 +471,8 @@ def _dynamics_table(cfg: RunConfig):
         ("dx2", "dimensionless"), ("dy2", "dimensionless"),
         ("c_x", "kappa"), ("c_y", "kappa"), ("stable", "bool"),
     )
-    return columns, [
-        (s.t, s.v[0, 0], s.v[1, 1], s.v[2, 2], s.v[3, 3], track[i, 0], track[i, 1], True)
-        for i, s in enumerate(traj)
-    ]
+    diagonal = traj.v.diagonal(axis1=1, axis2=2).T.tolist()  # dq2, dp2, dx2, dy2
+    return columns, list(zip(traj.t.tolist(), *diagonal, *track.T.tolist(), [True] * len(traj)))
 
 
 def _default_lo_rate(params: NormalizedParams) -> float:

@@ -19,9 +19,14 @@ than integrated: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, with
 V_ss the Lyapunov steady state. Where the modes of
 :func:`~optocool.model.drift_modes` are separated, e^{A tau} = sum_k
 e^{lambda_k tau} P_k with the rank-one projectors P_k = S[:, k]
-S^-1[k, :] of its eigenbasis, one matrix product for a whole stack of
-lags; where they are not (the spectral route's quadrature test) it is
-``expm``; see C. F. Van Loan, IEEE TAC 23(3), 1978. Exposed
+S^-1[k, :] of its eigenbasis, so every propagator is a sum of modal
+exponentials (C. F. Van Loan, IEEE TAC 23(3), 1978) and no 4x4 matrix
+is formed per sample: V(t) - V_ss is a table of the products
+e^{(lambda_j + lambda_k) tau} times one fixed coefficient matrix, and a
+two-time correlation contracts its demodulation vectors with V(t)'s two
+field rows and with the lag phases times the projectors' field rows.
+Where the modes are not separated (the spectral route's quadrature
+test) the propagators are ``expm`` of A tau, one per sample. Exposed
 timestamps are in units of 1/Gamma; the propagator's argument is in
 units of 1/Omega_m (tau = t * Q).
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,6 +58,7 @@ __all__ = [
     "SYMPLECTIC_FORM",
     "LinearSystem",
     "CovarianceState",
+    "Trajectory",
     "TwoTimeGrid",
     "HomodyneResult",
     "build_system",
@@ -80,6 +87,15 @@ SYMPLECTIC_FORM.setflags(write=False)
 #: phase of the measured quadrature at t = 0 (``y_out`` lags ``x_out`` by pi/2)
 _QUAD_PHASE = {"x_out": 0.0, "y_out": 0.5 * math.pi}
 
+#: the basis of the ``expm`` propagators: the 16 unit 4x4 matrices
+_UNIT_BASIS = np.eye(16).reshape(16, 4, 4)
+_UNIT_BASIS.setflags(write=False)
+#: the 10 index pairs j <= k of a symmetric 4x4 matrix, and where each
+#: entry (j, k) of the matrix sits among them
+_PAIRS = np.triu_indices(4)
+_PAIR_OF = np.empty((4, 4), dtype=int)
+_PAIR_OF[_PAIRS] = _PAIR_OF[_PAIRS[::-1]] = np.arange(10)
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -101,7 +117,13 @@ class LinearSystem:
         p = self.params
         classify(p).require_stable()
         modes = drift_modes(p)
-        diffusion = np.diag([0.0, 2.0 * (2.0 * p.n_t_i + 1.0) / p.q_factor, 2.0 / p.b, 2.0 / p.b])
+        thermal = 2.0 * p.n_t_i + 1.0
+        if math.isinf(thermal):
+            raise InvalidParams(f"mirror diffusion overflows: 2 n_t_i + 1 is inf (n_t_i={p.n_t_i})")
+        # 2 ((2 n + 1)/Q), not 2 (2 n + 1)/Q, which overflows first; the
+        # factor 2 is exact, so the two agree wherever the latter is finite
+        # and normal
+        diffusion = np.diag([0.0, 2.0 * (thermal / p.q_factor), 2.0 / p.b, 2.0 / p.b])
         inverse = np.linalg.inv(modes.vectors) if modes.separated else None
         for name, value in (("drift", drift_matrix(p)), ("diffusion", diffusion),
                             ("modes", modes), ("inverse", inverse)):
@@ -116,6 +138,31 @@ class CovarianceState:
 
     t: float
     v: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """Sampled V(t): a read-only sequence of :class:`CovarianceState`.
+
+    It also holds the samples as read-only arrays: ``t``, shape (n,), in
+    1/Gamma units, and ``v``, shape (n, 4, 4). Indexing builds one state
+    (its ``v`` a view of the stack); a slice is a Trajectory.
+    """
+
+    t: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        self.t.setflags(write=False)
+        self.v.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory(self.t[index], self.v[index])
+        return CovarianceState(t=float(self.t[index]), v=self.v[index])
 
 
 @dataclass(frozen=True)
@@ -212,14 +259,16 @@ def evolve_covariance(
     *,
     n_samples: int = 201,
     t_eval=None,
-) -> list[CovarianceState]:
+) -> Trajectory:
     """Covariance V(t) solving dV/dt = A V + V A^T + D from v0 (1/Gamma units).
 
     Exact propagation V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau},
     tau = t * Q, at ``n_samples`` evenly spaced times on [0, t_end] or
     at the given ``t_eval`` (each within [0, t_end]). The cost does not
     depend on Q or on t_end. Default initial condition: thermal mirror,
-    vacuum field (cooling switched on at t = 0).
+    vacuum field (cooling switched on at t = 0). Returns a
+    :class:`Trajectory`: a sequence of states, with the ``t`` and ``v``
+    arrays.
 
     Raises
     ------
@@ -237,11 +286,10 @@ def evolve_covariance(
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, n_samples)
     else:
-        t_eval = np.asarray(t_eval, dtype=float)
+        t_eval = np.array(t_eval, dtype=float)  # a copy: the Trajectory makes it read-only
         if not np.all((t_eval >= 0) & (t_eval <= t_end)):
             raise InvalidParams(f"t_eval must lie within [0, {t_end}]")
-    v = _transient(sys, v0, t_eval)
-    return [CovarianceState(t=float(t), v=vt) for t, vt in zip(t_eval, v)]
+    return Trajectory(t_eval, _transient(sys, v0, t_eval))
 
 
 def output_variance_track(trajectory) -> np.ndarray:
@@ -249,9 +297,13 @@ def output_variance_track(trajectory) -> np.ndarray:
 
     Smooth part only: C_a(t,t)/kappa = 2 (V_aa(t) - 1), the shot-noise
     spike being excluded. Returns an (n, 2) array aligned with the
-    trajectory samples.
+    trajectory samples. A :class:`Trajectory` is read from its ``v``
+    stack; any other sequence of states is stacked first.
     """
-    v = np.array([state.v for state in trajectory]).reshape(-1, 4, 4)
+    if isinstance(trajectory, Trajectory):
+        v = trajectory.v
+    else:
+        v = np.array([state.v for state in trajectory]).reshape(-1, 4, 4)
     return 2.0 * (v[:, [2, 3], [2, 3]] - 1.0)
 
 
@@ -287,14 +339,14 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
     return times, weights
 
 
-def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
-    """exp(A tau) for every tau, shape (n, 4, 4).
+def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(A tau) for every tau, as coefficients c and a basis B.
 
-    Where the modes are separated it is sum_k e^{lambda_k tau} P_k, with
-    the rank-one projectors P_k = S[:, k] S^-1[k, :] of the eigenbasis, so
-    the whole stack is one (n, 4) by (4, 16) product; tau = 0 gives the
-    identity exactly, as expm does, not S S^-1 with its round-off.
-    Elsewhere it is ``expm`` of A tau.
+    exp(A tau_n) = sum_m c[m, n] B[m]. Where the modes are separated, c
+    is the (4, n) table of modal phases e^{lambda_k tau} and B the
+    rank-one projectors P_k = S[:, k] S^-1[k, :] of the eigenbasis, so no
+    4x4 matrix is formed per tau. Elsewhere c holds ``expm`` of A tau,
+    one flattened matrix per column, (16, n), and B the 16 unit matrices.
     """
     # e^z underflows to 0 below Re z of about -745; set it there, as exp
     # gives nan where tau |Im lam| overflows on top of the decay (and expm
@@ -303,28 +355,33 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> np.ndarray:
         live = max(z.real for z in sys.modes.eigenvalues) * taus > -800.0
         out = np.zeros((len(taus), 4, 4))
         out[live] = expm(np.multiply.outer(taus[live], sys.drift))
-        return out
-    z = np.multiply.outer(taus, sys.modes.eigenvalues)  # (n, 4)
+        return out.reshape(-1, 16).T, _UNIT_BASIS
+    z = np.multiply.outer(sys.modes.eigenvalues, taus)  # (4, n)
     phases = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
-    projectors = (sys.modes.vectors.T[:, :, None] * sys.inverse[:, None, :]).reshape(4, 16)
-    out = (phases @ projectors).real.reshape(-1, 4, 4)
-    out[taus == 0.0] = np.eye(4)
-    return out
+    return phases, sys.modes.vectors.T[:, :, None] * sys.inverse[:, None, :]
 
 
-def _physical(v: np.ndarray, tol: float) -> bool:
-    """True when every defect of the (..., 4, 4) stack ``v`` exceeds -tol.
+def _physical(v: np.ndarray, tol: float, scale: float = 1.0) -> bool:
+    """True when every defect of the (..., 4, 4) stack ``scale * v`` exceeds -tol.
 
-    V + iJ + tol I is positive definite exactly then, so one batched
-    Cholesky factorization decides it, far cheaper than the eigenvalues.
-    NaN input yields NaN factors rather than an error, hence the finiteness
-    test.
+    That is, when v + (iJ + tol I)/scale is positive definite: when every
+    pivot of its LDL^H factorization, unrolled over the stack, is > 0
+    (cheaper than a batched Cholesky call, let alone the eigenvalues). A
+    stack with a non-finite entry is not physical. With ``scale`` a power
+    of two the verdict is the one on ``scale * v`` itself, as every pivot
+    scales exactly.
     """
-    try:
-        chol = np.linalg.cholesky(v + (1j * SYMPLECTIC_FORM + tol * np.eye(4)))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(np.isfinite(chol)))
+    h = v + (1j * SYMPLECTIC_FORM + tol * np.eye(4)) / scale
+    low = [[h[..., i, j] for j in range(i + 1)] for i in range(4)]  # lower triangle
+    ok = np.isfinite(v).all(axis=(-2, -1))
+    with np.errstate(all="ignore"):  # a failed pivot leaves inf or nan behind it
+        for k in range(4):
+            ok &= low[k][k].real > 0.0
+            for i in range(k + 1, 4):
+                l_ik = low[i][k] / low[k][k].real
+                for j in range(k + 1, i + 1):
+                    low[i][j] = low[i][j] - l_ik * low[j][k].conj()
+    return bool(np.all(ok))
 
 
 def _transient(
@@ -332,26 +389,45 @@ def _transient(
 ) -> np.ndarray:
     """V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau} at each t (1/Gamma units).
 
-    ``v0`` None is the thermal state, and V(0) is v0 exactly. The stack
-    is symmetrized and checked for physicality within -1e-9 times the
-    scale of v0.
+    ``v0`` None is the thermal state, and V(0) is v0 (symmetrized)
+    exactly. Where the modes are separated, V - V_ss = sum_{j<=k}
+    e^{(lambda_j + lambda_k) tau} (P_j dV P_k^T + P_k dV P_j^T), halved
+    on j = k, with dV = V0 - V_ss: a (10, n) table of phase products times
+    one (10, 10) coefficient matrix, which gives the 10 distinct entries
+    of each V. The propagation runs in units of s, the power of two at
+    max(|V0|, |V_ss|), so that a covariance near the float range stays
+    inside it; a power of two changes no rounding. The stack is checked
+    for physicality within -1e-9 times the scale of v0.
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
     if not np.all(np.isfinite(v0.v)):
         raise InvalidParams("initial covariance v0 must be finite")
     v_ss = lyapunov_steady_state(sys).v
+    s = math.ldexp(1.0, math.frexp(max(np.max(np.abs(v0.v)), np.max(np.abs(v_ss))))[1] - 1)
+    u0 = 0.5 * (v0.v / s + v0.v.T / s)
+    u_ss = v_ss / s
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below
-        e = _propagators(sys, times * sys.params.q_factor)
-        v = v_ss + e @ (v0.v - v_ss) @ e.transpose(0, 2, 1)
-        v[times == 0.0] = v0.v  # where V_ss + (V0 - V_ss) would round
-        v = 0.5 * (v + v.transpose(0, 2, 1))
-
+        c, basis = _propagators(sys, times * sys.params.q_factor)
+        if sys.inverse is None:
+            e = c.T.reshape(-1, 4, 4)
+            u = u_ss + e @ (u0 - u_ss) @ e.transpose(0, 2, 1)
+            u = 0.5 * (u + u.transpose(0, 2, 1))
+        else:
+            j, k = _PAIRS
+            terms = basis[:, None] @ (u0 - u_ss) @ basis.transpose(0, 2, 1)  # [j, k]: P_j dV P_k^T
+            coef = np.where((j < k)[:, None, None], terms[j, k] + terms[k, j], terms[j, k])
+            # (n, 10): a row per sample, as BLAS then gives each sample
+            # the same bits whatever the stack it is part of
+            entries = ((c[j] * c[k]).T @ coef[:, j, k]).real
+            u = u_ss + entries[:, _PAIR_OF]
+        u[times == 0.0] = u0  # where V_ss + (V0 - V_ss) would round
+        v = u * s
     scale = max(1.0, float(np.max(np.abs(v0.v))))
+    if not np.all(np.isfinite(v)):
+        raise InvalidParams(f"covariance overflows in propagation (v0 scale {scale:.3g})")
     tol = 1e-9 * scale
-    if not _physical(v, tol):
-        if not np.all(np.isfinite(v)):
-            raise InvalidParams(f"covariance overflows in propagation (v0 scale {scale:.3g})")
+    if not _physical(u, tol, s):
         defects = physicality_defect(v)
         bad = np.flatnonzero(~(defects >= -tol))
         if bad.size:
@@ -389,7 +465,11 @@ def two_time_correlations(
     correlation of the co-rotating quadrature cos(theta) x_out -
     sin(theta) y_out, theta = demod_rate * t (+ pi/2 for ``y_out``):
     the frame in which a sideband-matched local oscillator measures.
-    At the default 0 this is the plain lab-frame quadrature.
+    At the default 0 this is the plain lab-frame quadrature. The
+    demodulation vectors are contracted first: the value is 2 r . q with
+    r = c(t)^T (V(t) - 1)_{f.} and q = exp(A^T (t'-t))_{.f} c(t'), f the
+    field rows, and q comes from the lag propagator's coefficients and
+    its basis's two field rows, with no 4x4 matrix per pair.
 
     Values are reported in kappa units; times in 1/Gamma units.
 
@@ -415,14 +495,20 @@ def two_time_correlations(
     t_early = pairs.min(axis=1)
     t_late = pairs.max(axis=1)
     v_t = _transient(sys, v0, t_early)
-    e_lag = _propagators(sys, (t_late - t_early) * sys.params.q_factor)
-    block = ((v_t - np.eye(4)) @ e_lag.transpose(0, 2, 1))[:, 2:, 2:]
-
     th_e = demod_rate * t_early + _QUAD_PHASE[quadrature]
     th_l = demod_rate * t_late + _QUAD_PHASE[quadrature]
     ce = np.column_stack([np.cos(th_e), -np.sin(th_e)])
     cl = np.column_stack([np.cos(th_l), -np.sin(th_l)])
-    values = 2.0 * np.einsum("ni,nij,nj->n", ce, block, cl)
+
+    r = ce[:, :1] * v_t[:, 2] + ce[:, 1:] * v_t[:, 3]  # (n, 4)
+    r[:, 2:] -= ce
+    lag = t_late - t_early
+    c, basis = _propagators(sys, lag * sys.params.q_factor)
+    q = ((c[:, None] * cl.T).reshape(2 * len(basis), -1).T @ basis[:, 2:].reshape(-1, 4)).real
+    zero = lag == 0.0  # exp(0) is the identity exactly
+    q[zero, :2] = 0.0
+    q[zero, 2:] = cl[zero]
+    values = 2.0 * np.einsum("nk,nk->n", r, q)
 
     return TwoTimeGrid(
         times=pairs,
@@ -464,8 +550,8 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
         )
 
     kappa_over_gamma = grid.params.q_factor / grid.params.b
-    c_vals = grid.values * kappa_over_gamma  # back to 1/Gamma-time rate units
     with np.errstate(all="ignore"):  # the finiteness test follows
+        c_vals = grid.values * kappa_over_gamma  # back to 1/Gamma-time rate units
         env = 2.0 * lo_rate * np.exp(-lo_rate * grid.times.sum(axis=1))
         integral = 2.0 * float(np.sum(grid.weights * env * c_vals))
     if not math.isfinite(integral):
@@ -473,7 +559,7 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
 
     c_max = float(np.max(np.abs(c_vals)))
     x = math.exp(-lo_rate * window)
-    tail = c_max * (2.0 / lo_rate) * (2.0 * x - x * x)
+    tail = c_max * ((2.0 / lo_rate) * (2.0 * x - x * x))  # c_max * 2/lo_rate may overflow
     if tail > 0.01 * abs(integral):
         raise WindowTooShort(
             f"truncation bound {tail:.3e} exceeds 1% of integral {integral:.3e}"

@@ -700,13 +700,61 @@ def test_huge_occupancy_prints_a_finite_occupancy(capsys):
         "1.09589779954e+308", "1.09482770692e+308", "5.47681376614e+307"]
 
 
-@pytest.mark.parametrize("mode", ["dynamics", "homodyne"])
-def test_huge_occupancy_exits_3_with_one_record(mode, capsys):
-    # warnings are errors under pytest, so numpy's would surface as a raise
-    rc = main(argv_for(mode, HUGE_OCCUPANCY))
+def csv_rows(out):
+    """The data rows of a CSV on stdout, as lists of cells."""
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("t_end", [None, "1e305"])
+def test_huge_occupancy_transient_is_finite(t_end, capsys):
+    # V0 (5.08e307 on the mirror diagonal) and V_ss (max 1.0959e308) are
+    # finite, and so is every V(t) propagated in their units; warnings are
+    # errors under pytest, so numpy's would surface as a raise
+    overrides = dict(HUGE_OCCUPANCY)
+    if t_end is not None:  # past t = 0 every sample is the steady state
+        overrides["dynamics.t_end"] = t_end
+    rc = main(argv_for("dynamics", overrides))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = csv_rows(out)
+    assert all(math.isfinite(float(x)) for row in rows for x in row[:7])
+    if t_end is not None:
+        v_ss = lyapunov_steady_state(build_system(parse_config("", "dynamics", overrides).params)).v
+        assert [float(x) for x in rows[-1][1:5]] == pytest.approx(np.diag(v_ss), rel=1e-11)
+
+
+@pytest.mark.parametrize("quadrature", ["x_out", "y_out"])
+def test_huge_occupancy_homodyne_is_finite(quadrature, capsys):
+    rc = main(argv_for("homodyne", {**HUGE_OCCUPANCY, "homodyne.quadrature": quadrature}))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert 1.0 < float(csv_rows(out)[0][0]) < math.inf
+
+
+# 2 n_t_i + 1 is finite, but 2 (2 n_t_i + 1) is not: the mirror diffusion
+# 2 ((2 n_t_i + 1)/Q) is, and so is every row
+@pytest.mark.parametrize("mode", ["dynamics", "variances"])
+def test_diffusion_near_the_float_range_is_finite(mode, capsys):
+    rc = main(argv_for(mode, {**OPERATING_POINT, "n_t_i": "5e307"}))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = csv_rows(out)
+    assert rows and all(math.isfinite(float(x)) for row in rows for x in row[:-1])
+
+
+def test_overflowing_diffusion_is_typed(capsys):
+    # 2 n_t_i + 1 is inf: one InvalidParams record, no traceback; under
+    # variances it is a row error, which leaves the row's fields empty
+    overrides = {**OPERATING_POINT, "n_t_i": "1e308"}
+    rc = main(argv_for("dynamics", overrides))
     out, err = capsys.readouterr()
     assert rc == 3 and out == ""
     assert assert_one_json_record(err)["type"] == "InvalidParams"
+    rc = main(argv_for("variances", overrides))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert csv_rows(out) == [["", "", "", "", "true"]]
 
 
 # phi = 0 and 1e-9: the modes are not separated and the propagator is expm

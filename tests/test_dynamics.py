@@ -11,6 +11,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from optocool import (
     CovarianceState,
+    Trajectory,
     GridMismatch,
     InvalidParams,
     NonPhysical,
@@ -71,6 +72,40 @@ def rk45_oracle(sysm, v0, t_eval):
     return sol.y.T.reshape(-1, 4, 4)
 
 
+def sandwich_oracle(sysm, v0, t_eval):
+    """V_ss + e (V0 - V_ss) e^T at each time, e = scipy's expm of A t Q.
+
+    One 4x4 propagator and one sandwich per sample, symmetrized: the
+    formula ``evolve_covariance`` takes as a sum over modal phases. Times
+    in 1/Gamma units.
+    """
+    v_ss = lyapunov_steady_state(sysm).v
+    out = []
+    for t in t_eval:
+        e = expm(sysm.drift * t * sysm.params.q_factor)
+        v = v_ss + e @ (v0 - v_ss) @ e.T
+        out.append(0.5 * (v + v.T))
+    return np.array(out)
+
+
+def lag_oracle(sysm, v_t, pairs, quadrature, demod_rate):
+    """The grid values from V(t) at each pair's earlier time, per pair matrices.
+
+    2 c(t)^T [(V(t) - 1) e^{A^T (t' - t)}]_ff c(t'), with the lag
+    propagator from scipy's expm and one batched contraction over the
+    field block: what ``two_time_correlations`` takes from the field rows
+    and the lag phases.
+    """
+    t_early, t_late = pairs.min(axis=1), pairs.max(axis=1)
+    lag = np.array([expm(sysm.drift.T * (b - a) * sysm.params.q_factor)
+                    for a, b in zip(t_early, t_late)]).reshape(-1, 4, 4)
+    block = ((v_t - np.eye(4)) @ lag)[:, 2:, 2:]
+    theta0 = 0.0 if quadrature == "x_out" else 0.5 * math.pi
+    ce, cl = (np.column_stack([np.cos(theta), -np.sin(theta)])
+              for theta in (demod_rate * t_early + theta0, demod_rate * t_late + theta0))
+    return 2.0 * np.einsum("ni,nij,nj->n", ce, block, cl)
+
+
 def assert_close_to_oracle(traj, want, rel):
     got = np.array([s.v for s in traj])
     dev = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
@@ -113,6 +148,22 @@ class TestBuildSystem:
         sysm = build_system(FIG3)
         want = np.diag([0.0, 2 * 201 / 1e4, 0.2, 0.2])
         assert np.allclose(sysm.diffusion, want)
+
+    @pytest.mark.parametrize("n_t_i", [0.0, 100.0, 1e300, 4e307, 8.9e307])
+    def test_diffusion_up_to_the_float_range(self, n_t_i):
+        # 2 ((2 n + 1)/Q): the same float as 2 (2 n + 1)/Q wherever that
+        # is finite, and finite wherever 2 n + 1 is
+        d = build_system(FIG3.replace(n_t_i=n_t_i)).diffusion[1, 1]
+        with np.errstate(over="ignore"):
+            old = 2.0 * (2.0 * n_t_i + 1.0) / FIG3.q_factor
+        assert math.isfinite(d)
+        assert d == old or math.isinf(old)
+
+    def test_overflowing_diffusion_raises(self):
+        with pytest.raises(InvalidParams, match="2 n_t_i \\+ 1"):
+            build_system(FIG3.replace(n_t_i=1e308))
+        with pytest.raises(InvalidParams, match="2 n_t_i \\+ 1"):
+            integrate_variances(FIG3.replace(n_t_i=1e308), ThermalNoiseModel.MARKOV_FLAT)
 
     def test_slowest_eigenvalue_matches_effective_damping(self):
         # valid whenever the adiabatic hierarchy holds
@@ -265,26 +316,131 @@ class TestExactPropagation:
         life = 1.0 / (2.0 * abs(slowest) * q)
         t, s = t * life, s * life
         v0 = thermal_covariance(sysm.params).v
-        v_ss = lyapunov_steady_state(sysm).v
 
         got = evolve_covariance(sysm, t_end=max(t, life), t_eval=[t])[0].v
-        e = expm(a * t * q)
-        want = v_ss + e @ (v0 - v_ss) @ e.T
+        want = sandwich_oracle(sysm, v0, [t])[0]
         bound = 1e-12 * max(1.0, np.linalg.norm(a * t * q, 2))
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
         # the lag propagator of the two-time correlations, against the
         # regression oracle of TestTwoTimeCorrelations
         demod = sysm.params.phi * q / sysm.params.b
-        grid = two_time_correlations(sysm, None, "y_out", [[t, t + s]], demod_rate=demod)
-        c = 2.0 * ((got - np.eye(4)) @ expm(a.T * s * q))[2:, 2:]
-        u, w = (
-            np.array([math.cos(demod * x + 0.5 * math.pi), -math.sin(demod * x + 0.5 * math.pi)])
-            for x in (t, t + s)
-        )
-        want = u @ c @ w
+        pairs = np.array([[t, t + s]])
+        grid = two_time_correlations(sysm, None, "y_out", pairs, demod_rate=demod)
+        want = lag_oracle(sysm, got[None], pairs, "y_out", demod)[0]
         bound = 1e-12 * max(1.0, np.linalg.norm(a * s * q, 2))
         assert abs(grid.values[0] - want) <= bound * max(1.0, np.max(np.abs(got)))
+
+
+class TestModalPropagation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sysm=stable_points(),
+        times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8),
+        lags=st.lists(st.floats(0.0, 3.0), min_size=8, max_size=8),
+        quadrature=st.sampled_from(["x_out", "y_out"]),
+        demodulate=st.booleans(),
+    )
+    def test_matches_the_per_sample_oracles(self, sysm, times, lags, quadrature, demodulate):
+        # a whole stack of samples and of pairs, against one expm and one
+        # sandwich (or one lag contraction) per sample. expm's own error
+        # grows like eps ||A tau|| (see the property above), hence 1e-12
+        # per unit of ||A tau|| beyond 1, relative to max|V|
+        assume(sysm.modes.separated)
+        a, q = sysm.drift, sysm.params.q_factor
+        slowest = float(np.max(np.linalg.eigvals(a).real))
+        life = 1.0 / (2.0 * abs(slowest) * q)
+        t = np.array(times) * life
+        v0 = thermal_covariance(sysm.params).v
+
+        traj = evolve_covariance(sysm, t_end=max(t.max(), life), t_eval=t)
+        want = sandwich_oracle(sysm, v0, t)
+        units = max(1.0, np.linalg.norm(a * t.max() * q, 2))
+        assert np.max(np.abs(traj.v - want)) <= 1e-12 * units * np.max(np.abs(want))
+
+        pairs = np.column_stack([t, t + np.array(lags[:len(t)]) * life])
+        demod = sysm.params.phi * q / sysm.params.b if demodulate else 0.0
+        grid = two_time_correlations(sysm, None, quadrature, pairs, demod_rate=demod)
+        want = lag_oracle(sysm, traj.v, pairs, quadrature, demod)
+        units = max(1.0, np.linalg.norm(a * np.ptp(pairs, axis=1).max() * q, 2))
+        scale = max(1.0, np.max(np.abs(traj.v)))
+        assert np.max(np.abs(grid.values - want)) <= 1e-12 * units * scale
+
+    def test_expm_branch_matches_the_oracles(self):
+        # phi = 0: the modes are not separated, the propagators come from
+        # expm and the grid contracts their field rows the same way
+        p = NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=1e4, n_t_i=10)
+        sysm = build_system(p)
+        assert sysm.inverse is None
+        t = np.linspace(0.0, 0.01, 9)
+        units = max(1.0, np.linalg.norm(sysm.drift * 0.01 * p.q_factor, 2))  # 100
+        traj = evolve_covariance(sysm, t_end=0.01, t_eval=t)
+        want = sandwich_oracle(sysm, thermal_covariance(p).v, t)
+        assert np.max(np.abs(traj.v - want)) <= 1e-12 * units * np.max(np.abs(want))
+        pairs = np.column_stack([t, t[::-1]])
+        for quadrature in ("x_out", "y_out"):
+            grid = two_time_correlations(sysm, None, quadrature, pairs, demod_rate=3.0)
+            v_t = evolve_covariance(sysm, t_end=0.01, t_eval=pairs.min(axis=1)).v
+            want = lag_oracle(sysm, v_t, pairs, quadrature, 3.0)
+            assert np.max(np.abs(grid.values - want)) <= 1e-12 * units * np.max(np.abs(v_t))
+
+
+class TestTrajectory:
+    def test_sequence_of_states_and_arrays(self):
+        sysm = build_system(FIG3)
+        traj = evolve_covariance(sysm, t_end=0.01, n_samples=11)
+        assert isinstance(traj, Trajectory) and len(traj) == 11
+        assert traj.t.shape == (11,) and traj.v.shape == (11, 4, 4)
+        states = list(traj)
+        assert all(isinstance(x, CovarianceState) for x in states)
+        assert np.array_equal(np.array([x.t for x in states]), traj.t)
+        assert np.array_equal(np.array([x.v for x in states]), traj.v)
+        assert traj[-1].t == 0.01 and np.array_equal(traj[-1].v, traj.v[10])
+        part = traj[::5]
+        assert isinstance(part, Trajectory) and np.array_equal(part.t, traj.t[::5])
+
+    def test_read_only(self):
+        t_eval = np.linspace(0.0, 0.01, 5)
+        traj = evolve_covariance(build_system(FIG3), t_end=0.01, t_eval=t_eval)
+        for a in (traj.t, traj.v, traj[2].v):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        t_eval[0] = 0.001  # the caller's times are copied, not frozen
+        assert traj.t[0] == 0.0
+
+    def test_track_reads_the_stack_or_the_states(self):
+        traj = evolve_covariance(build_system(FIG3), t_end=0.01, n_samples=21)
+        assert np.array_equal(output_variance_track(traj), output_variance_track(list(traj)))
+
+
+class TestHugeOccupancy:
+    #: V0 is 5.08e307 on the mirror diagonal and V_ss reaches 1.0959e308:
+    #: both are finite, though V0 - V_ss and V + V^T are not far from the
+    #: float range
+    P = NormalizedParams(b=18.018148102696706, phi=-9.00908471927914,
+                         phi_nl=0.01341490652415349, q_factor=3684.7184194676943,
+                         n_t_i=2.539974757085866e307)
+
+    def test_transient_propagates_in_range(self):
+        sysm = build_system(self.P)
+        v0, v_ss = thermal_covariance(self.P).v, lyapunov_steady_state(sysm).v
+        t = np.array([0.0, 1.0, 5.0, 20.0, 1e305])
+        traj = evolve_covariance(sysm, t_end=1e305, t_eval=t)
+        assert np.all(np.isfinite(traj.v))
+        assert np.array_equal(traj[0].v, v0)
+        assert np.array_equal(traj[-1].v, v_ss)  # every phase has underflowed
+        assert np.max(np.abs(traj.v)) <= 1.25 * 2.0 ** 1023
+        # the direct propagation from the same state, at a scale where
+        # nothing overflows, agrees to round-off
+        small = self.P.replace(n_t_i=self.P.n_t_i * 2.0 ** -900)
+        want = evolve_covariance(build_system(small), t_end=1e305, t_eval=t).v * 2.0 ** 900
+        assert np.max(np.abs(traj.v - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_grid_is_finite(self):
+        sysm = build_system(self.P)
+        pairs = np.array([[0.0, 0.0], [0.5, 2.0], [3.0, 3.0]])
+        grid = two_time_correlations(sysm, None, "x_out", pairs)
+        assert np.all(np.isfinite(grid.values))
 
 
 class TestPhysicalityCheck:
@@ -298,12 +454,13 @@ class TestPhysicalityCheck:
         with pytest.raises(NonPhysical, match=r"at t=\S+ \(1/Gamma\)"):
             two_time_correlations(build_system(NONCP), None, "x_out", pairs)
 
+    @pytest.mark.parametrize("seed", [11, 12, 13])
     @pytest.mark.parametrize("side", [-1.0, 1.0])
-    def test_cholesky_agrees_with_eigenvalues(self, side):
+    def test_pivots_agree_with_eigenvalues(self, side, seed):
         # a stack of random symmetric matrices shifted so that one defect
         # sits 0.1% of tol below (side -1) or above (side +1) -tol and the
         # rest well inside: V + cI shifts every eigenvalue of V + iJ by c
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         m = rng.normal(scale=10.0, size=(16, 4, 4))
         v = m + m.transpose(0, 2, 1)
         tol = 1e-9 * float(np.max(np.abs(v)))
@@ -312,15 +469,28 @@ class TestPhysicalityCheck:
         v += (target - physicality_defect(v))[:, None, None] * np.eye(4)
         assert _physical(v, tol) == (side > 0)
         assert _physical(v, tol) == bool(np.all(physicality_defect(v) >= -tol))
+        # the same test on V / s at the scale s, a power of two, as the
+        # propagation takes it: every pivot scales exactly
+        for s in (2.0 ** -40, 2.0 ** 40):
+            assert _physical(v / s, tol, s) == (side > 0)
 
-    def test_cholesky_rejects_nan(self):
-        v = np.stack([np.eye(4), np.full((4, 4), np.nan)])
-        assert not _physical(v, 1e-9)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (2, 0), (3, 1)])
+    def test_pivots_reject_a_non_finite_row(self, bad, entry):
+        # eigvalsh fails or gives nan there; either way the row is not physical
+        v = np.stack([np.eye(4) * 3.0] * 3)
+        v[1][entry] = v[1][entry[::-1]] = bad
+        with np.errstate(invalid="ignore"):
+            try:
+                verdict = bool(np.all(physicality_defect(v) >= -1e-9))
+            except np.linalg.LinAlgError:
+                verdict = False
+        assert not verdict and not _physical(v, 1e-9)
+        assert _physical(v[[0, 2]], 1e-9)
 
 
 class TestTransientInput:
-    # 1.7e308 is finite, but the propagation overflows it, with no warning
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.7e308])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_initial_covariance(self, bad):
         sysm = build_system(FIG3)
         v = thermal_covariance(FIG3).v.copy()
@@ -330,6 +500,31 @@ class TestTransientInput:
             evolve_covariance(sysm, v0, t_end=0.01, n_samples=11)
         with pytest.raises(InvalidParams):
             two_time_correlations(sysm, v0, "x_out", [[0.0, 0.001]])
+
+    def test_unphysical_initial_covariance_near_the_float_range(self):
+        # a q-p covariance of 1.7e308 is finite and propagates in range,
+        # but V0 + iJ has an eigenvalue near -1.7e308: no state starts there
+        sysm = build_system(FIG3)
+        v = thermal_covariance(FIG3).v.copy()
+        v[0, 1] = v[1, 0] = 1.7e308
+        v0 = CovarianceState(t=0.0, v=v)
+        with pytest.raises(NonPhysical, match="at t=0 "):
+            evolve_covariance(sysm, v0, t_end=0.01, n_samples=11)
+        with pytest.raises(NonPhysical, match="at t=0 "):
+            two_time_correlations(sysm, v0, "x_out", [[0.0, 0.001]])
+
+    def test_propagation_overflow(self):
+        # V_qq = V_pp = -V_qp = 1.7e308 is physical within tolerance; a
+        # quarter of a mechanical period later V_qq (1 + sin 2 theta) reaches
+        # 3.4e308, with no warning
+        sysm = build_system(FIG3)
+        v = thermal_covariance(FIG3).v.copy()
+        v[:2, :2] = [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]
+        v0 = CovarianceState(t=0.0, v=v)
+        with pytest.raises(InvalidParams, match="overflows in propagation"):
+            evolve_covariance(sysm, v0, t_end=0.01, n_samples=11)
+        with pytest.raises(InvalidParams, match="overflows in propagation"):
+            two_time_correlations(sysm, v0, "x_out", [[0.0, 0.001], [0.001, 0.002]])
 
     @pytest.mark.parametrize("t_eval", [[0.0, math.nan], [-0.001], [0.02]])
     def test_sample_times(self, t_eval):
