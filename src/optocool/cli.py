@@ -371,23 +371,8 @@ def _sweep_table(columns: tuple, rows):
     return table
 
 
-def _one_by_one(row):
-    """``rows`` of :func:`_sweep_table` for a mode that evaluates each point on its own."""
-    def rows(cfg: RunConfig, points: list) -> list:
-        out = []
-        for params in points:
-            try:
-                body = row(cfg, params)
-            except _ROW_ERRORS:
-                body = ()
-            out.append((body, classify(params).stable))
-        return out
-
-    return rows
-
-
 def _settle(result, fields) -> tuple:
-    """``fields(result)`` of a point's result from a stack, or () for a row error.
+    """``fields(result)`` of a point's result from a stack (or of the point), or () for a row error.
 
     An error in ``result`` is raised as the point alone would raise it,
     so that a row error leaves the fields empty and any other ends the run.
@@ -413,7 +398,12 @@ def _fig2_rows(cfg: RunConfig, points: list) -> list:
              not isinstance(res, Unstable)) for params, res in zip(points, exact)]
 
 
-def _adiabatic_row(cfg: RunConfig, params: NormalizedParams) -> tuple:
+def _adiabatic_rows(cfg: RunConfig, points: list) -> list:
+    """Each point on its own, by :func:`_adiabatic_row`; a row error leaves its fields empty."""
+    return [(_settle(params, _adiabatic_row), classify(params).stable) for params in points]
+
+
+def _adiabatic_row(params: NormalizedParams) -> tuple:
     """Effective rates, then the closed-form variance where the regime allows it."""
     rates = effective_rates(params)
     head = (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
@@ -582,7 +572,7 @@ MODES = {
         ("omega_eff_ratio", "dimensionless"), ("gamma_eff_ratio", "dimensionless"),
         ("q_eff", "dimensionless"), ("f", "dimensionless"), ("eta", "dimensionless"),
         ("dq2", "dimensionless"), ("n_t_f", "dimensionless"), ("adiabatic_ok", "bool"),
-    ), _one_by_one(_adiabatic_row)), _reads("point", *_SWEEPING)),
+    ), _adiabatic_rows), _reads("point", *_SWEEPING)),
     "optimize": Mode(_optimize_table, _reads("point", *_INTEGRATING), ("b",)),
     "dynamics": Mode(_dynamics_table, _reads("point", "dynamics.*")),
     "homodyne": Mode(_homodyne_table, _reads("point", "homodyne.*")),

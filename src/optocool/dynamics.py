@@ -16,17 +16,18 @@ spectral route, plus vacuum input noise on the field.
 
 The drift is constant, so the transient is propagated exactly rather
 than integrated: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, with
-V_ss the Lyapunov steady state. Where the modes of
-:func:`~optocool.model.drift_modes` are separated, e^{A tau} = sum_k
-e^{lambda_k tau} P_k with the rank-one projectors P_k = S[:, k]
-S^-1[k, :] of its eigenbasis, so every propagator is a sum of modal
-exponentials (C. F. Van Loan, IEEE TAC 23(3), 1978) and no 4x4 matrix
-is formed per sample: V(t) - V_ss is a table of the products
-e^{(lambda_j + lambda_k) tau} times one fixed coefficient matrix, and a
-two-time correlation contracts its demodulation vectors with V(t)'s two
-field rows and with the lag phases times the projectors' field rows.
-Where the modes are not separated (the spectral route's quadrature
-test) the propagators are ``expm`` of A tau, one per sample. Exposed
+V_ss the Lyapunov steady state. Every propagator is a sum over a fixed
+basis, e^{A tau} = sum_m c_m(tau) B_m. Where the modes of
+:func:`~optocool.model.drift_modes` are separated, c_m = e^{lambda_m tau}
+and B_m the rank-one projectors P_m = S[:, m] S^-1[m, :] of its
+eigenbasis, a sum of modal exponentials (C. F. Van Loan, IEEE TAC
+23(3), 1978) with no 4x4 matrix formed per sample. Where they are not
+(the spectral route's quadrature test), c holds ``expm`` of A tau, one
+per sample, and B the 16 unit matrices. Both bases are read by one
+formula: V(t) - V_ss is a table of the products c_m c_n, m <= n, times
+one fixed coefficient matrix, and a two-time correlation contracts its
+demodulation vectors with V(t)'s two field rows and with the lag
+coefficients times the basis's field rows. Exposed
 timestamps are in units of 1/Gamma; the propagator's argument is in
 units of 1/Omega_m (tau = t * Q).
 """
@@ -292,19 +293,15 @@ def evolve_covariance(
     return Trajectory(t_eval, _transient(sys, v0, t_eval))
 
 
-def output_variance_track(trajectory) -> np.ndarray:
+def output_variance_track(trajectory: Trajectory) -> np.ndarray:
     """Equal-time output-field correlations C_x(t,t), C_y(t,t) in kappa units.
 
     Smooth part only: C_a(t,t)/kappa = 2 (V_aa(t) - 1), the shot-noise
-    spike being excluded. Returns an (n, 2) array aligned with the
-    trajectory samples. A :class:`Trajectory` is read from its ``v``
-    stack; any other sequence of states is stacked first.
+    spike being excluded. Reads the ``v`` stack of a :class:`Trajectory`
+    from :func:`evolve_covariance` and returns an (n, 2) array aligned
+    with its samples.
     """
-    if isinstance(trajectory, Trajectory):
-        v = trajectory.v
-    else:
-        v = np.array([state.v for state in trajectory]).reshape(-1, 4, 4)
-    return 2.0 * (v[:, [2, 3], [2, 3]] - 1.0)
+    return 2.0 * (trajectory.v[:, [2, 3], [2, 3]] - 1.0)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -390,14 +387,17 @@ def _transient(
     """V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau} at each t (1/Gamma units).
 
     ``v0`` None is the thermal state, and V(0) is v0 (symmetrized)
-    exactly. Where the modes are separated, V - V_ss = sum_{j<=k}
-    e^{(lambda_j + lambda_k) tau} (P_j dV P_k^T + P_k dV P_j^T), halved
-    on j = k, with dV = V0 - V_ss: a (10, n) table of phase products times
-    one (10, 10) coefficient matrix, which gives the 10 distinct entries
-    of each V. The propagation runs in units of s, the power of two at
-    max(|V0|, |V_ss|), so that a covariance near the float range stays
-    inside it; a power of two changes no rounding. The stack is checked
-    for physicality within -1e-9 times the scale of v0.
+    exactly. With e^{A tau} = sum_m c_m B_m from :func:`_propagators`,
+    V - V_ss = sum_{m<=n} c_m c_n (B_m dV B_n^T + B_n dV B_m^T), halved
+    on m = n, with dV = V0 - V_ss: a table of coefficient products, one
+    row per sample, times one coefficient matrix, read at the 10 entries
+    j <= k, so every V is symmetric by construction. That is 10 basis
+    pairs for the 4 modal projectors and 136 for the 16 unit matrices of
+    ``expm`` (the sandwich written out). The propagation runs in units of
+    s, the power of two at max(|V0|, |V_ss|), so that a covariance near
+    the float range stays inside it; a power of two changes no rounding.
+    The stack is checked for physicality within -1e-9 times the scale of
+    v0.
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
@@ -409,18 +409,14 @@ def _transient(
     u_ss = v_ss / s
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below
         c, basis = _propagators(sys, times * sys.params.q_factor)
-        if sys.inverse is None:
-            e = c.T.reshape(-1, 4, 4)
-            u = u_ss + e @ (u0 - u_ss) @ e.transpose(0, 2, 1)
-            u = 0.5 * (u + u.transpose(0, 2, 1))
-        else:
-            j, k = _PAIRS
-            terms = basis[:, None] @ (u0 - u_ss) @ basis.transpose(0, 2, 1)  # [j, k]: P_j dV P_k^T
-            coef = np.where((j < k)[:, None, None], terms[j, k] + terms[k, j], terms[j, k])
-            # (n, 10): a row per sample, as BLAS then gives each sample
-            # the same bits whatever the stack it is part of
-            entries = ((c[j] * c[k]).T @ coef[:, j, k]).real
-            u = u_ss + entries[:, _PAIR_OF]
+        m, n = np.triu_indices(len(basis))  # the basis pairs m <= n
+        j, k = _PAIRS  # the entries j <= k
+        terms = basis[:, None] @ (u0 - u_ss) @ basis.transpose(0, 2, 1)  # [m, n]: B_m dV B_n^T
+        coef = np.where((m < n)[:, None, None], terms[m, n] + terms[n, m], terms[m, n])
+        # (samples, 10): a row per sample, as BLAS then gives each sample
+        # the same bits whatever the stack it is part of
+        entries = ((c[m] * c[n]).T @ coef[:, j, k]).real
+        u = u_ss + entries[:, _PAIR_OF]
         u[times == 0.0] = u0  # where V_ss + (V0 - V_ss) would round
         v = u * s
     scale = max(1.0, float(np.max(np.abs(v0.v))))
@@ -551,15 +547,17 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
 
     kappa_over_gamma = grid.params.q_factor / grid.params.b
     with np.errstate(all="ignore"):  # the finiteness test follows
-        c_vals = grid.values * kappa_over_gamma  # back to 1/Gamma-time rate units
         env = 2.0 * lo_rate * np.exp(-lo_rate * grid.times.sum(axis=1))
-        integral = 2.0 * float(np.sum(grid.weights * env * c_vals))
+        # kappa/Gamma takes the kernel back to 1/Gamma-time rate units; it
+        # scales the weights, not the kernel, which alone may overflow
+        integral = 2.0 * float(np.sum(grid.weights * env * kappa_over_gamma * grid.values))
     if not math.isfinite(integral):
         raise InvalidParams(f"matched-filter integral is not finite at lo_rate={lo_rate}")
 
-    c_max = float(np.max(np.abs(c_vals)))
     x = math.exp(-lo_rate * window)
-    tail = c_max * ((2.0 / lo_rate) * (2.0 * x - x * x))  # c_max * 2/lo_rate may overflow
+    # max|values| * kappa/Gamma may overflow where the bound does not
+    tail = float(np.max(np.abs(grid.values))) * (
+        kappa_over_gamma * ((2.0 / lo_rate) * (2.0 * x - x * x)))
     if tail > 0.01 * abs(integral):
         raise WindowTooShort(
             f"truncation bound {tail:.3e} exceeds 1% of integral {integral:.3e}"

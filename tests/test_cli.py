@@ -743,6 +743,15 @@ def test_diffusion_near_the_float_range_is_finite(mode, capsys):
     assert rows and all(math.isfinite(float(x)) for row in rows for x in row[:-1])
 
 
+def test_homodyne_kernel_near_the_float_range_is_finite(capsys):
+    # the grid values times kappa/Gamma overflow, but the weighted sum
+    # does not: the factor goes to the weights, not to the kernel
+    rc = main(argv_for("homodyne", {**OPERATING_POINT, "n_t_i": "5e307"}))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert float(csv_rows(out)[0][0]) == pytest.approx(3.23631562731e307, rel=1e-11)
+
+
 def test_overflowing_diffusion_is_typed(capsys):
     # 2 n_t_i + 1 is inf: one InvalidParams record, no traceback; under
     # variances it is a row error, which leaves the row's fields empty

@@ -76,8 +76,8 @@ def sandwich_oracle(sysm, v0, t_eval):
     """V_ss + e (V0 - V_ss) e^T at each time, e = scipy's expm of A t Q.
 
     One 4x4 propagator and one sandwich per sample, symmetrized: the
-    formula ``evolve_covariance`` takes as a sum over modal phases. Times
-    in 1/Gamma units.
+    formula ``evolve_covariance`` takes as a sum over pairs of its
+    propagator basis. Times in 1/Gamma units.
     """
     v_ss = lyapunov_steady_state(sysm).v
     out = []
@@ -354,6 +354,7 @@ class TestModalPropagation:
         v0 = thermal_covariance(sysm.params).v
 
         traj = evolve_covariance(sysm, t_end=max(t.max(), life), t_eval=t)
+        assert np.array_equal(traj.v, traj.v.transpose(0, 2, 1))
         want = sandwich_oracle(sysm, v0, t)
         units = max(1.0, np.linalg.norm(a * t.max() * q, 2))
         assert np.max(np.abs(traj.v - want)) <= 1e-12 * units * np.max(np.abs(want))
@@ -366,21 +367,28 @@ class TestModalPropagation:
         scale = max(1.0, np.max(np.abs(traj.v)))
         assert np.max(np.abs(grid.values - want)) <= 1e-12 * units * scale
 
-    def test_expm_branch_matches_the_oracles(self):
-        # phi = 0: the modes are not separated, the propagators come from
-        # expm and the grid contracts their field rows the same way
-        p = NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=1e4, n_t_i=10)
+    @pytest.mark.parametrize("p", [
+        NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=1e4, n_t_i=10),
+        NormalizedParams(b=10, phi=0, phi_nl=0.1, q_factor=1e2, n_t_i=30),  # Jordan block
+        NormalizedParams(b=10, phi=1e-9, phi_nl=0.1, q_factor=1e4, n_t_i=30),  # near-coincident
+    ], ids=["phi0", "jordan", "near_coincident"])
+    def test_expm_branch_matches_the_oracles(self, p):
+        # the modes are not separated, the propagators come from expm and
+        # the transient and the grid read their 16 coefficients the same
+        # way as the modal phases
         sysm = build_system(p)
         assert sysm.inverse is None
-        t = np.linspace(0.0, 0.01, 9)
-        units = max(1.0, np.linalg.norm(sysm.drift * 0.01 * p.q_factor, 2))  # 100
-        traj = evolve_covariance(sysm, t_end=0.01, t_eval=t)
+        t_end = 100.0 / p.q_factor  # tau = t Q up to 100
+        t = np.linspace(0.0, t_end, 9)
+        units = max(1.0, np.linalg.norm(sysm.drift * t_end * p.q_factor, 2))
+        traj = evolve_covariance(sysm, t_end=t_end, t_eval=t)
+        assert np.array_equal(traj.v, traj.v.transpose(0, 2, 1))
         want = sandwich_oracle(sysm, thermal_covariance(p).v, t)
         assert np.max(np.abs(traj.v - want)) <= 1e-12 * units * np.max(np.abs(want))
         pairs = np.column_stack([t, t[::-1]])
         for quadrature in ("x_out", "y_out"):
             grid = two_time_correlations(sysm, None, quadrature, pairs, demod_rate=3.0)
-            v_t = evolve_covariance(sysm, t_end=0.01, t_eval=pairs.min(axis=1)).v
+            v_t = evolve_covariance(sysm, t_end=t_end, t_eval=pairs.min(axis=1)).v
             want = lag_oracle(sysm, v_t, pairs, quadrature, 3.0)
             assert np.max(np.abs(grid.values - want)) <= 1e-12 * units * np.max(np.abs(v_t))
 
@@ -408,9 +416,10 @@ class TestTrajectory:
         t_eval[0] = 0.001  # the caller's times are copied, not frozen
         assert traj.t[0] == 0.0
 
-    def test_track_reads_the_stack_or_the_states(self):
+    def test_track_reads_the_field_diagonal_of_each_state(self):
         traj = evolve_covariance(build_system(FIG3), t_end=0.01, n_samples=21)
-        assert np.array_equal(output_variance_track(traj), output_variance_track(list(traj)))
+        want = [[2.0 * (x.v[2, 2] - 1.0), 2.0 * (x.v[3, 3] - 1.0)] for x in traj]
+        assert np.array_equal(output_variance_track(traj), np.array(want))
 
 
 class TestHugeOccupancy:
