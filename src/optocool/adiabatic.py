@@ -270,7 +270,7 @@ def optimize_operating_point(
         If ``b_range`` is empty, or from ``integrate_variances`` if
         ``omega_max`` is not finite and > 2.
     OptimizationFailure
-        If every probed point is unstable or fails to integrate.
+        If every probed point is unstable or fails to integrate (the last failure named).
     """
     b_grid = [float(b) for b in b_range]
     if not b_grid:
@@ -279,14 +279,17 @@ def optimize_operating_point(
     def point(b, phi):
         return NormalizedParams(b=b, phi=phi, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i)
 
+    failure = None  # the last error other than Unstable that scored inf
+
     def objectives(pairs):
         """The objective at each (b, phi) of ``pairs``, from one ``integrate_variances`` call."""
+        nonlocal failure
         scores, points = [math.inf] * len(pairs), {}
         for i, (b, phi) in enumerate(pairs):
             try:
                 points[i] = point(b, phi)
-            except InvalidParams:
-                pass
+            except InvalidParams as exc:
+                failure = exc
         results = integrate_variances(list(points.values()), noise_model=noise_model,
                                       omega_max=omega_max)
         for i, res in zip(points, results):
@@ -294,6 +297,8 @@ def optimize_operating_point(
                 scores[i] = res.n_t_f
             elif not isinstance(res, _SCORED_INF):
                 raise res
+            elif not isinstance(res, Unstable):
+                failure = res
         return scores
 
     best = (math.inf, math.inf, math.inf)  # (n_t_f, b, phi)
@@ -338,6 +343,9 @@ def optimize_operating_point(
         if val < best[0]:
             best = (val, b, phi_best)
 
+    if math.isinf(best[0]) and failure is not None:
+        raise OptimizationFailure("no probe in the search range could be scored (last error "
+                                  f"{type(failure).__name__}: {failure})") from failure
     if math.isinf(best[0]):
         raise OptimizationFailure("no stable operating point in the search range")
     return OperatingPoint(b_opt=best[1], phi_opt=best[2], n_t_f_min=best[0])

@@ -127,12 +127,10 @@ KEYS = {
     "spectrum.omega_points": Key(int, "omega_points", 801, (">=", 2)),
     "dynamics.t_end": Key(float, "t_end", None, (">", 0)),
     "dynamics.samples": Key(int, "samples", 401, (">=", 0)),
-    "homodyne.window": Key(float, "window", 12.0, (">", 0)),
     "homodyne.lo_rate": Key(float, "lo_rate", None, (">", 0)),
     "homodyne.demod_rate": Key(float, "demod_rate"),
     "homodyne.quadrature": Key(str, "homodyne_quadrature", "x_out", ("x_out", "y_out")),
-    "homodyne.n_outer": Key(int, "n_outer", 64, (">=", 1)),
-    "homodyne.n_inner": Key(int, "n_inner", 32, (">=", 1)),
+    "homodyne.n_outer": Key(int, "n_outer", 64, (">=", 2)),
     **{key: Key(float) for key in _PHYSICAL_KEYS},
 }
 
@@ -393,8 +391,10 @@ def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
 
 
 def _fig2_rows(cfg: RunConfig, points: list) -> list:
+    """The exact and the closed-form dq2, settled apart: either may be a row error alone."""
     exact = position_variance(points, cfg.noise_model)
-    return [(_settle(res, lambda r: (r[0], approx_variance(params).dq2)),
+    return [((_settle(res, lambda r: (r[0],)) or (None,))
+             + _settle(params, lambda p: (approx_variance(p).dq2,)),
              not isinstance(res, Unstable)) for params, res in zip(points, exact)]
 
 
@@ -476,6 +476,10 @@ def _default_lo_rate(params: NormalizedParams) -> float:
     return lo_rate
 
 
+#: the matched filter's window, in lifetimes 1/lo_rate of the local oscillator
+_FILTER_LIFETIMES = 12.0
+
+
 def _homodyne_table(cfg: RunConfig):
     params = cfg.params
     sys_ = build_system(params)
@@ -485,8 +489,8 @@ def _homodyne_table(cfg: RunConfig):
         if cfg.demod_rate is not None
         else params.phi * params.q_factor / params.b
     )
-    window = cfg.window / lo_rate  # 1/Gamma units
-    pairs, weights = matched_filter_pairs(window, cfg.n_outer, cfg.n_inner)
+    window = _FILTER_LIFETIMES / lo_rate  # 1/Gamma units
+    pairs, weights = matched_filter_pairs(window, cfg.n_outer, cfg.n_outer // 2)
     grid = two_time_correlations(
         sys_, None, cfg.homodyne_quadrature, pairs,
         demod_rate=demod, weights=weights,

@@ -118,13 +118,10 @@ class LinearSystem:
         p = self.params
         classify(p).require_stable()
         modes = drift_modes(p)
-        thermal = 2.0 * p.n_t_i + 1.0
-        if math.isinf(thermal):
-            raise InvalidParams(f"mirror diffusion overflows: 2 n_t_i + 1 is inf (n_t_i={p.n_t_i})")
         # 2 ((2 n + 1)/Q), not 2 (2 n + 1)/Q, which overflows first; the
         # factor 2 is exact, so the two agree wherever the latter is finite
         # and normal
-        diffusion = np.diag([0.0, 2.0 * (thermal / p.q_factor), 2.0 / p.b, 2.0 / p.b])
+        diffusion = np.diag([0.0, 2.0 * ((2.0 * p.n_t_i + 1.0) / p.q_factor), 2.0 / p.b, 2.0 / p.b])
         inverse = np.linalg.inv(modes.vectors) if modes.separated else None
         for name, value in (("drift", drift_matrix(p)), ("diffusion", diffusion),
                             ("modes", modes), ("inverse", inverse)):
@@ -358,15 +355,14 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.nd
     return phases, sys.modes.vectors.T[:, :, None] * sys.inverse[:, None, :]
 
 
-def _physical(v: np.ndarray, tol: float, scale: float = 1.0) -> bool:
-    """True when every defect of the (..., 4, 4) stack ``scale * v`` exceeds -tol.
+def _physical(v: np.ndarray, tol: float, scale: float = 1.0) -> np.ndarray:
+    """For each matrix of the (..., 4, 4) stack: every defect of ``scale * v`` exceeds -tol.
 
-    That is, when v + (iJ + tol I)/scale is positive definite: when every
-    pivot of its LDL^H factorization, unrolled over the stack, is > 0
-    (cheaper than a batched Cholesky call, let alone the eigenvalues). A
-    stack with a non-finite entry is not physical. With ``scale`` a power
-    of two the verdict is the one on ``scale * v`` itself, as every pivot
-    scales exactly.
+    That is, v + (iJ + tol I)/scale is positive definite: every pivot of
+    its LDL^H factorization, unrolled over the stack, is > 0 (cheaper than
+    a batched Cholesky call, let alone the eigenvalues). A matrix with a
+    non-finite entry is not physical. With ``scale`` a power of two the
+    verdict is the one on ``scale * v`` itself, as every pivot scales exactly.
     """
     h = v + (1j * SYMPLECTIC_FORM + tol * np.eye(4)) / scale
     low = [[h[..., i, j] for j in range(i + 1)] for i in range(4)]  # lower triangle
@@ -378,7 +374,7 @@ def _physical(v: np.ndarray, tol: float, scale: float = 1.0) -> bool:
                 l_ik = low[i][k] / low[k][k].real
                 for j in range(k + 1, i + 1):
                     low[i][j] = low[i][j] - l_ik * low[j][k].conj()
-    return bool(np.all(ok))
+    return ok
 
 
 def _transient(
@@ -396,8 +392,8 @@ def _transient(
     ``expm`` (the sandwich written out). The propagation runs in units of
     s, the power of two at max(|V0|, |V_ss|), so that a covariance near
     the float range stays inside it; a power of two changes no rounding.
-    The stack is checked for physicality within -1e-9 times the scale of
-    v0.
+    Each sample's physicality within -1e-9 times the scale of v0 is the
+    verdict of :func:`_physical` alone; the first that fails raises.
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
@@ -422,15 +418,12 @@ def _transient(
     scale = max(1.0, float(np.max(np.abs(v0.v))))
     if not np.all(np.isfinite(v)):
         raise InvalidParams(f"covariance overflows in propagation (v0 scale {scale:.3g})")
-    tol = 1e-9 * scale
-    if not _physical(u, tol, s):
-        defects = physicality_defect(v)
-        bad = np.flatnonzero(~(defects >= -tol))
-        if bad.size:
-            k = bad[0]
-            raise NonPhysical(
-                f"physicality defect {defects[k]:.3e} at t={times[k]:.6g} (1/Gamma)"
-            )
+    ok = _physical(u, 1e-9 * scale, s)
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first sample that fails
+        raise NonPhysical(
+            f"physicality defect {physicality_defect(v[k]):.3e} at t={times[k]:.6g} (1/Gamma)"
+        )
     return v
 
 

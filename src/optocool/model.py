@@ -175,7 +175,8 @@ class PhysicalParams:
 class NormalizedParams:
     """Dimensionless operating point (b, phi, phi_nl, Q, n_t_i).
 
-    Every field is stored as a float and must be finite. Stability is
+    Every field is stored as a float and must be finite, as must the mirror's
+    initial variance 2 n_t_i + 1 (n_t_i < 2^1023, about 8.988e307). Stability is
     *reported* by :func:`classify` rather than enforced at construction,
     so that unstable points can be represented, swept over and flagged.
     """
@@ -197,6 +198,8 @@ class NormalizedParams:
             else:
                 rules.append(rule)
         bad += _domain_problems(self, rules)
+        if not bad and 2.0 * self.n_t_i + 1.0 == math.inf:
+            bad.append(f"n_t_i must keep 2 n_t_i + 1 finite (n_t_i < 2**1023), got {self.n_t_i}")
         if bad:
             raise InvalidParams(*bad)
 

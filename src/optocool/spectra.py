@@ -172,15 +172,10 @@ def _flat_weight(params: NormalizedParams) -> float:
 
     Taken as 2 ((2 n_t_i + 1)/Q), which stays finite where 2 (2 n_t_i + 1)
     overflows; the factor 2 is exact, so it is the same float as
-    2 (2 n_t_i + 1)/Q wherever that is finite and normal. One point raises
-    InvalidParams where 2 n_t_i + 1 itself is inf; a stack (of arrays)
-    gives inf in that row, which its single call then raises.
+    2 (2 n_t_i + 1)/Q wherever that is finite and normal. ``params`` is
+    one point or a stack (of arrays).
     """
-    thermal = 2.0 * params.n_t_i + 1.0
-    if isinstance(thermal, float) and math.isinf(thermal):
-        raise InvalidParams(
-            f"flat thermal weight overflows: 2 n_t_i + 1 is inf (n_t_i={params.n_t_i})")
-    return 2.0 * (thermal / params.q_factor)
+    return 2.0 * ((2.0 * params.n_t_i + 1.0) / params.q_factor)
 
 
 def effective_susceptibility(omega, params: NormalizedParams):

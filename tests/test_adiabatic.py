@@ -12,6 +12,7 @@ from optocool import (
     NormalizedParams,
     OptimizationFailure,
     OptocoolError,
+    QuadratureFailure,
     ThermalNoiseModel,
     Unstable,
     approx_variance,
@@ -289,11 +290,22 @@ class TestOptimizer:
         assert opt.phi_opt == opt.b_opt
 
     def test_all_unstable_raises(self):
-        with pytest.raises(OptimizationFailure):
+        with pytest.raises(OptimizationFailure, match="no stable operating point"):
             optimize_operating_point(
                 [10.0], phi_nl=30.0, q_factor=1e4, n_t_i=100.0,
                 noise_model=ThermalNoiseModel.MARKOV_FLAT,
             )
+
+    # every probe is stable but fails (its coth Bose tail is not finite),
+    # or is no valid point (2 n_t_i + 1 overflows): the failure names why
+    @pytest.mark.parametrize("n_t_i, cause", [
+        (1e307, QuadratureFailure), (1e308, InvalidParams)])
+    def test_no_scored_probe_names_the_last_error(self, n_t_i, cause):
+        with pytest.raises(OptimizationFailure) as err:
+            optimize_operating_point([10.0], phi_nl=0.1, q_factor=1e4, n_t_i=n_t_i)
+        assert "no stable operating point" not in str(err.value)
+        assert f"{cause.__name__}: " in str(err.value)
+        assert type(err.value.__cause__) is cause
 
     def test_infinite_cutoff_rejected(self):
         with pytest.raises(InvalidParams, match="omega_max"):

@@ -16,6 +16,7 @@ from optocool import (
     ValidationError,
     build_system,
     lyapunov_steady_state,
+    matched_filter_pairs,
     optimal_detuning,
 )
 from optocool import cli, model, spectra
@@ -212,7 +213,7 @@ class TestRun:
         assert last[2] == pytest.approx(v_ss[1, 1], rel=1e-5)
 
     def test_homodyne_mode_row(self):
-        doc = MINIMAL + "homodyne.n_outer = 32\nhomodyne.n_inner = 16\n"
+        doc = MINIMAL + "homodyne.n_outer = 32\n"
         table = run(parse_config(doc, mode="homodyne"))
         row = table.rows[0]
         assert row[0] > 30.0
@@ -534,7 +535,7 @@ BASE = {
     "optimize": {**OPERATING_POINT, "noise_model": "markov_flat", "sweep.variable": "b",
                  "sweep.start": "9", "sweep.stop": "10", "sweep.points": "2"},
     "dynamics": {**OPERATING_POINT, "dynamics.samples": "9"},
-    "homodyne": {**OPERATING_POINT, "homodyne.n_outer": "16", "homodyne.n_inner": "8"},
+    "homodyne": {**OPERATING_POINT, "homodyne.n_outer": "16"},
     "fig1": {"sweep.points": "4"},
     "fig2": {"sweep.points": "5"},
     "fig3": {"dynamics.samples": "9"},
@@ -547,8 +548,8 @@ SAMPLE = {
     "steady.phi_c": "1", "steady.drive": "3",
     "spectrum.omega_start": "-1", "spectrum.omega_stop": "1", "spectrum.omega_points": "5",
     "dynamics.t_end": "0.01", "dynamics.samples": "5",
-    "homodyne.window": "10", "homodyne.lo_rate": "1", "homodyne.demod_rate": "0",
-    "homodyne.quadrature": "y_out", "homodyne.n_outer": "8", "homodyne.n_inner": "4",
+    "homodyne.lo_rate": "1", "homodyne.demod_rate": "0",
+    "homodyne.quadrature": "y_out", "homodyne.n_outer": "8",
 }
 
 # The key groups each mode reads, as the README's CLI table lists them;
@@ -585,7 +586,7 @@ def declared(mode):
 
 def test_declarations_and_samples():
     assert SAMPLE.keys() == KEYS.keys()
-    assert sum(len(declared(mode)) for mode in MODES) == 162
+    assert sum(len(declared(mode)) for mode in MODES) == 160
     for mode, entry in MODES.items():
         assert entry.preset.keys() <= declared(mode)
 
@@ -647,7 +648,7 @@ def test_table_reads_only_declared_settings(mode):
     ("dynamics", {"phi": "1.8014398509481988e16", "dynamics.samples": "3"}),
     ("fig3", {"dynamics.t_end": "1e305"}),
     ("homodyne", {"homodyne.lo_rate": "1e-300"}),
-    ("homodyne", {"homodyne.window": "1e308"}),
+    ("homodyne", {"homodyne.lo_rate": "1e-308"}),
     ("homodyne", {"homodyne.lo_rate": "1e308"}),
     ("optimize", {"b": "1e-300", "phi": "1"}),
     ("adiabatic", {"sweep.variable": "b", "sweep.start": "1.2e77", "sweep.stop": "10",
@@ -752,18 +753,46 @@ def test_homodyne_kernel_near_the_float_range_is_finite(capsys):
     assert float(csv_rows(out)[0][0]) == pytest.approx(3.23631562731e307, rel=1e-11)
 
 
-def test_overflowing_diffusion_is_typed(capsys):
-    # 2 n_t_i + 1 is inf: one InvalidParams record, no traceback; under
-    # variances it is a row error, which leaves the row's fields empty
-    overrides = {**OPERATING_POINT, "n_t_i": "1e308"}
-    rc = main(argv_for("dynamics", overrides))
+POINT_MODES = sorted(mode for mode, entry in MODES.items() if "n_t_i" in entry.reads)
+
+
+# 2 n_t_i + 1 overflows from n_t_i = 2**1023 (about 8.988e307) on: the
+# point is invalid at config time in every mode, as any other bad field is
+@pytest.mark.parametrize("n_t_i", ["8.99e307", "1e308", "1.7976931348623157e308"])
+@pytest.mark.parametrize("mode", POINT_MODES)
+def test_occupancy_past_the_float_range_is_a_config_error(mode, n_t_i, capsys):
+    rc = main(argv_for(mode, {**BASE[mode], "n_t_i": n_t_i}))
     out, err = capsys.readouterr()
-    assert rc == 3 and out == ""
-    assert assert_one_json_record(err)["type"] == "InvalidParams"
-    rc = main(argv_for("variances", overrides))
+    assert rc == 2 and out == ""
+    record = assert_one_json_record(err)
+    assert record["type"] == "ValidationError"
+    assert len(record["violations"]) == 1 and "n_t_i" in record["violations"][0]
+    assert "2 n_t_i + 1" in record["violations"][0]
+
+
+# just inside the range the point is valid: 9 samples of the transient
+# (on the default 401 one sample's V_qq, breathing in the dressed
+# potential, passes the float range: a typed overflow) and the flat
+# variances are finite
+@pytest.mark.parametrize("mode, overrides", [
+    ("dynamics", {"dynamics.samples": "9"}), ("variances", {"noise_model": "markov_flat"})])
+def test_occupancy_just_inside_the_float_range_is_finite(mode, overrides, capsys):
+    rc = main(argv_for(mode, {**OPERATING_POINT, "n_t_i": "8.98e307", **overrides}))
     out, err = capsys.readouterr()
     assert rc == 0 and err == ""
-    assert csv_rows(out) == [["", "", "", "", "true"]]
+    rows = csv_rows(out)
+    assert rows and all(math.isfinite(float(x)) for row in rows for x in row[:-1])
+
+
+def test_sweep_past_the_float_range_marks_rows_invalid(capsys):
+    rc = main(argv_for("variances", {
+        **OPERATING_POINT, "noise_model": "markov_flat", "sweep.variable": "n_t_i",
+        "sweep.start": "8e307", "sweep.stop": "1e308", "sweep.points": "3"}))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = csv_rows(out)
+    assert rows[0][-1] == "true" and all(math.isfinite(float(x)) for x in rows[0][:-1])
+    assert rows[1:] == [["9e+307", "", "", "", "", "false"], ["1e+308", "", "", "", "", "false"]]
 
 
 # phi = 0 and 1e-9: the modes are not separated and the propagator is expm
@@ -784,7 +813,7 @@ def test_decayed_transient_is_the_steady_state(phi, capsys):
 
 def test_homodyne_with_both_rates_reads_no_closed_form(monkeypatch, capsys):
     overrides = {**OPERATING_POINT, "homodyne.lo_rate": "1", "homodyne.demod_rate": "1000",
-                 "homodyne.n_outer": "16", "homodyne.n_inner": "8"}
+                 "homodyne.n_outer": "16"}
     assert main(argv_for("homodyne", overrides)) == 0
     want = capsys.readouterr().out
 
@@ -806,6 +835,60 @@ def test_homodyne_default_lo_rate_needs_a_positive_closed_form(capsys):
     record = assert_one_json_record(err)
     assert record["type"] == "InvalidRegime" and "homodyne.lo_rate" in record["message"]
     assert main(argv_for("homodyne", {**point, "homodyne.lo_rate": "0.5"})) == 0
+
+
+@pytest.mark.parametrize("key", ["homodyne.window", "homodyne.n_inner"])
+def test_homodyne_grid_keys_are_gone(key, capsys):
+    rc = main(argv_for("homodyne", {**BASE["homodyne"], key: "8"}))
+    assert rc == 2
+    record = assert_one_json_record(capsys.readouterr().err)
+    assert record["violations"] == [f"{key}: unknown key"]
+
+
+def test_homodyne_filter_is_twelve_lifetimes_on_a_two_to_one_grid(monkeypatch):
+    # the window and the inner order follow from lo_rate and n_outer
+    calls = []
+
+    def spy(window, n_outer, n_inner):
+        calls.append((window, n_outer, n_inner))
+        return matched_filter_pairs(window, n_outer, n_inner)
+
+    monkeypatch.setattr(cli, "matched_filter_pairs", spy)
+    run(parse_config("", "homodyne", {**BASE["homodyne"], "homodyne.lo_rate": "4"}))
+    assert calls == [(3.0, 16, 8)]
+    assert parse_config("", "homodyne", OPERATING_POINT).n_outer == 64
+    rc = main(argv_for("homodyne", {**OPERATING_POINT, "homodyne.n_outer": "1"}))
+    assert rc == 2
+
+
+# stable points where the closed form has Gamma_eff <= 0 (InvalidRegime)
+# keep their exact cell; the closed-form cell alone is empty
+def test_fig2_keeps_the_exact_cell_where_the_closed_form_is_undefined(capsys):
+    rc = main(argv_for("fig2", {"b": "0.5247", "phi_nl": "0.5175", "q_factor": "3.459",
+                                "n_t_i": "100", "sweep.start": "-0.85", "sweep.stop": "-0.75",
+                                "sweep.points": "3"}))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = csv_rows(out)
+    assert [len(row) for row in rows] == [4, 4, 4]
+    assert all(row[1] and float(row[1]) > 0.0 and row[3] == "true" for row in rows)
+    assert rows[0][2] and rows[1][2] == rows[2][2] == ""
+    exact = spectra.position_variance(
+        model.NormalizedParams(b=0.5247, phi=-0.8, phi_nl=0.5175, q_factor=3.459, n_t_i=100.0),
+        ThermalNoiseModel.QUANTUM_COTH)[0]
+    assert rows[1][1] == f"{exact:.12g}"
+
+
+def test_optimize_names_why_no_probe_was_scored(capsys):
+    # every probe is stable, but its coth Bose tail is not finite
+    rc = main(argv_for("optimize", {**OPERATING_POINT, "n_t_i": "1e307",
+                                    "noise_model": "quantum_coth"}))
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    record = assert_one_json_record(err)
+    assert record["type"] == "OptimizationFailure"
+    assert "QuadratureFailure" in record["message"]
+    assert "no stable operating point" not in record["message"]
 
 
 @pytest.mark.parametrize("phi", ["1e-10", "0"])

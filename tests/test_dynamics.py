@@ -1,6 +1,7 @@
 """Covariance dynamics, two-time correlations and homodyne readout."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,11 +160,12 @@ class TestBuildSystem:
         assert math.isfinite(d)
         assert d == old or math.isinf(old)
 
-    def test_overflowing_diffusion_raises(self):
+    @pytest.mark.parametrize("n_t_i", [8.99e307, 1e308, 1.7976931348623157e308])
+    def test_overflowing_diffusion_is_an_invalid_point(self, n_t_i):
+        # 2 n_t_i + 1 is inf: the point itself is rejected, before any
+        # system or integral is built from it
         with pytest.raises(InvalidParams, match="2 n_t_i \\+ 1"):
-            build_system(FIG3.replace(n_t_i=1e308))
-        with pytest.raises(InvalidParams, match="2 n_t_i \\+ 1"):
-            integrate_variances(FIG3.replace(n_t_i=1e308), ThermalNoiseModel.MARKOV_FLAT)
+            FIG3.replace(n_t_i=n_t_i)
 
     def test_slowest_eigenvalue_matches_effective_damping(self):
         # valid whenever the adiabatic hierarchy holds
@@ -463,6 +465,17 @@ class TestPhysicalityCheck:
         with pytest.raises(NonPhysical, match=r"at t=\S+ \(1/Gamma\)"):
             two_time_correlations(build_system(NONCP), None, "x_out", pairs)
 
+    def test_pivots_decide_alone(self, monkeypatch):
+        # the pivots' verdict on each sample is final: the first sample
+        # they fail raises, with its defect (here a physical one, > 0),
+        # and no eigenvalue test overrules it
+        traj = evolve_covariance(build_system(FIG3), t_end=0.01, n_samples=11)
+        monkeypatch.setattr(dynamics, "_physical", lambda u, tol, s: np.arange(len(u)) < 7)
+        defect = physicality_defect(traj.v[7])
+        message = f"defect {defect:.3e} at t={traj.t[7]:.6g} (1/Gamma)"
+        with pytest.raises(NonPhysical, match=re.escape(message)):
+            evolve_covariance(build_system(FIG3), t_end=0.01, n_samples=11)
+
     @pytest.mark.parametrize("seed", [11, 12, 13])
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_pivots_agree_with_eigenvalues(self, side, seed):
@@ -476,12 +489,13 @@ class TestPhysicalityCheck:
         target = rng.uniform(0.0, 5.0, 16)
         target[5] = -tol * (1.0 - side * 1e-3)
         v += (target - physicality_defect(v))[:, None, None] * np.eye(4)
-        assert _physical(v, tol) == (side > 0)
-        assert _physical(v, tol) == bool(np.all(physicality_defect(v) >= -tol))
+        want = np.arange(16) != 5 if side < 0 else np.full(16, True)
+        assert _physical(v, tol).tolist() == want.tolist()
+        assert _physical(v, tol).tolist() == (physicality_defect(v) >= -tol).tolist()
         # the same test on V / s at the scale s, a power of two, as the
         # propagation takes it: every pivot scales exactly
         for s in (2.0 ** -40, 2.0 ** 40):
-            assert _physical(v / s, tol, s) == (side > 0)
+            assert _physical(v / s, tol, s).tolist() == want.tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (2, 0), (3, 1)])
@@ -494,8 +508,8 @@ class TestPhysicalityCheck:
                 verdict = bool(np.all(physicality_defect(v) >= -1e-9))
             except np.linalg.LinAlgError:
                 verdict = False
-        assert not verdict and not _physical(v, 1e-9)
-        assert _physical(v[[0, 2]], 1e-9)
+        assert not verdict
+        assert _physical(v, 1e-9).tolist() == [True, False, True]
 
 
 class TestTransientInput:

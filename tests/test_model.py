@@ -95,6 +95,17 @@ class TestParamTypes:
             si_params(**{field: math.nan})
         assert err.value.problems == [f"{field} must be finite, got nan"]
 
+    def test_occupancy_keeps_its_variance_finite(self):
+        # the mirror's initial variance 2 n_t_i + 1 overflows from 2**1023 on
+        fields = dict(b=1.0, phi=1.0, phi_nl=0.1, q_factor=100.0)
+        edge = math.ldexp(1.0, 1023)
+        assert NormalizedParams(**fields, n_t_i=math.nextafter(edge, 0.0)).n_t_i < edge
+        for n_t_i in (edge, 1e308, 1.7976931348623157e308):
+            with pytest.raises(InvalidParams) as err:
+                NormalizedParams(**fields, n_t_i=n_t_i)
+            assert err.value.problems == [
+                f"n_t_i must keep 2 n_t_i + 1 finite (n_t_i < 2**1023), got {n_t_i}"]
+
     def test_normalized_stores_plain_floats(self):
         p = NormalizedParams(
             b=np.float64(10), phi=np.float32(2.5), phi_nl=0, q_factor=100, n_t_i=np.int64(1)
