@@ -28,6 +28,7 @@ from .dynamics import (
     TwoTimeGrid,
     build_system,
     evolve_covariance,
+    homodyne_readout,
     homodyne_variance,
     lyapunov_steady_state,
     matched_filter_pairs,

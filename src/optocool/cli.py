@@ -40,9 +40,12 @@ from .adiabatic import (
 from .dynamics import (
     build_system,
     evolve_covariance,
+    homodyne_readout,
+    output_variance_track,
+)
+from .dynamics import (  # noqa: F401  unused; perfbench/tracer.py wraps these names here
     homodyne_variance,
     matched_filter_pairs,
-    output_variance_track,
     two_time_correlations,
 )
 from .errors import (
@@ -384,10 +387,18 @@ def _settle(result, fields) -> tuple:
 
 
 def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
-    """The variances of the whole sweep in one stack; Unstable is the one unstable verdict."""
+    """The variances of the whole sweep in one stack.
+
+    Unstable is the one unstable verdict and leaves the row empty; any
+    other error at a point ends the run, as no empty row is marked stable.
+    """
     results = integrate_variances(points, cfg.noise_model, omega_max=cfg.omega_max)
-    return [(_settle(res, lambda r: (r.dq2, r.dp2, r.n_t_f, r.quadrature_error)[:width]),
-             not isinstance(res, Unstable)) for res in results]
+    for res in results:
+        if isinstance(res, Exception) and not isinstance(res, Unstable):
+            raise res
+    return [((), False) if isinstance(res, Unstable)
+            else ((res.dq2, res.dp2, res.n_t_f, res.quadrature_error)[:width], True)
+            for res in results]
 
 
 def _fig2_rows(cfg: RunConfig, points: list) -> list:
@@ -476,10 +487,6 @@ def _default_lo_rate(params: NormalizedParams) -> float:
     return lo_rate
 
 
-#: the matched filter's window, in lifetimes 1/lo_rate of the local oscillator
-_FILTER_LIFETIMES = 12.0
-
-
 def _homodyne_table(cfg: RunConfig):
     params = cfg.params
     sys_ = build_system(params)
@@ -489,13 +496,9 @@ def _homodyne_table(cfg: RunConfig):
         if cfg.demod_rate is not None
         else params.phi * params.q_factor / params.b
     )
-    window = _FILTER_LIFETIMES / lo_rate  # 1/Gamma units
-    pairs, weights = matched_filter_pairs(window, cfg.n_outer, cfg.n_outer // 2)
-    grid = two_time_correlations(
-        sys_, None, cfg.homodyne_quadrature, pairs,
-        demod_rate=demod, weights=weights,
+    res = homodyne_readout(
+        sys_, None, cfg.homodyne_quadrature, lo_rate, demod, n_outer=cfg.n_outer,
     )
-    res = homodyne_variance(grid, lo_rate)
     columns = (
         ("dx_m2", "shot"), ("lo_rate", "Gamma"), ("window", "1/lo_rate"),
         ("quadrature", "name"), ("demod_rate", "Gamma"), ("stable", "bool"),

@@ -27,7 +27,9 @@ per sample, and B the 16 unit matrices. Both bases are read by one
 formula: V(t) - V_ss is a table of the products c_m c_n, m <= n, times
 one fixed coefficient matrix, and a two-time correlation contracts its
 demodulation vectors with V(t)'s two field rows and with the lag
-coefficients times the basis's field rows. Exposed
+coefficients times the basis's field rows. On the matched filter's
+grid the lags are the early times mirrored, so the readout reads both
+from one table. Exposed
 timestamps are in units of 1/Gamma; the propagator's argument is in
 units of 1/Omega_m (tau = t * Q).
 """
@@ -72,6 +74,7 @@ __all__ = [
     "matched_filter_pairs",
     "two_time_correlations",
     "homodyne_variance",
+    "homodyne_readout",
 ]
 
 #: symplectic form J for [z_j, z_k] = 2i J_jk in the (dq, dp, dx, dy) basis
@@ -87,6 +90,9 @@ SYMPLECTIC_FORM.setflags(write=False)
 
 #: phase of the measured quadrature at t = 0 (``y_out`` lags ``x_out`` by pi/2)
 _QUAD_PHASE = {"x_out": 0.0, "y_out": 0.5 * math.pi}
+
+#: the matched filter's window, in lifetimes 1/lo_rate of the local oscillator
+_FILTER_LIFETIMES = 12.0
 
 #: the basis of the ``expm`` propagators: the 16 unit 4x4 matrices
 _UNIT_BASIS = np.eye(16).reshape(16, 4, 4)
@@ -287,7 +293,7 @@ def evolve_covariance(
         t_eval = np.array(t_eval, dtype=float)  # a copy: the Trajectory makes it read-only
         if not np.all((t_eval >= 0) & (t_eval <= t_end)):
             raise InvalidParams(f"t_eval must lie within [0, {t_end}]")
-    return Trajectory(t_eval, _transient(sys, v0, t_eval))
+    return Trajectory(t_eval, _transient(sys, v0, t_eval)[0][:, _PAIR_OF])
 
 
 def output_variance_track(trajectory: Trajectory) -> np.ndarray:
@@ -319,6 +325,8 @@ def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
     """
     if not 0.0 < window < math.inf:
         raise InvalidParams(f"window must be finite and > 0, got {window}")
+    if min(n_outer, n_inner) < 1:
+        raise InvalidParams(f"grid orders must be >= 1, got {n_outer} x {n_inner}")
     xo, wo = _gauss_legendre(n_outer)
     xi, wi = _gauss_legendre(n_inner)
     t_out = 0.5 * window * (xo + 1.0)
@@ -355,45 +363,53 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.nd
     return phases, sys.modes.vectors.T[:, :, None] * sys.inverse[:, None, :]
 
 
-def _physical(v: np.ndarray, tol: float, scale: float = 1.0) -> np.ndarray:
-    """For each matrix of the (..., 4, 4) stack: every defect of ``scale * v`` exceeds -tol.
+def _physical(u: np.ndarray, tol: float, scale: float = 1.0) -> np.ndarray:
+    """For each row of an (n, 10) table: every defect of ``scale * V`` exceeds -tol.
 
-    That is, v + (iJ + tol I)/scale is positive definite: every pivot of
-    its LDL^H factorization, unrolled over the stack, is > 0 (cheaper than
-    a batched Cholesky call, let alone the eigenvalues). A matrix with a
-    non-finite entry is not physical. With ``scale`` a power of two the
-    verdict is the one on ``scale * v`` itself, as every pivot scales exactly.
+    A row holds a symmetric V at its entries j <= k (``_PAIRS``). The
+    test is that V + (iJ + tol I)/scale is positive definite: every pivot
+    of its LDL^H factorization, unrolled over the rows, is > 0 (cheaper
+    than a batched Cholesky call, let alone the eigenvalues). Each entry
+    of the lower triangle is one complex column; no (n, 4, 4) stack is
+    formed. A row with a non-finite entry is not physical. With ``scale``
+    a power of two the verdict is the one on ``scale * V`` itself, as
+    every pivot scales exactly.
     """
-    h = v + (1j * SYMPLECTIC_FORM + tol * np.eye(4)) / scale
-    low = [[h[..., i, j] for j in range(i + 1)] for i in range(4)]  # lower triangle
-    ok = np.isfinite(v).all(axis=(-2, -1))
+    shift = (1j * SYMPLECTIC_FORM + tol * np.eye(4)) / scale
+    low = [[u[:, _PAIR_OF[i, j]] + shift[i, j] for j in range(i + 1)]
+           for i in range(4)]  # lower triangle, one column per entry
+    ok = np.isfinite(u).all(axis=1)
     with np.errstate(all="ignore"):  # a failed pivot leaves inf or nan behind it
         for k in range(4):
-            ok &= low[k][k].real > 0.0
+            pivot = low[k][k].real
+            ok &= pivot > 0.0
+            conj = {j: low[j][k].conj() for j in range(k + 1, 4)}
             for i in range(k + 1, 4):
-                l_ik = low[i][k] / low[k][k].real
+                l_ik = low[i][k] / pivot
                 for j in range(k + 1, i + 1):
-                    low[i][j] = low[i][j] - l_ik * low[j][k].conj()
+                    low[i][j] = low[i][j] - l_ik * conj[j]
     return ok
 
 
 def _transient(
     sys: LinearSystem, v0: CovarianceState | None, times: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau} at each t (1/Gamma units).
 
-    ``v0`` None is the thermal state, and V(0) is v0 (symmetrized)
-    exactly. With e^{A tau} = sum_m c_m B_m from :func:`_propagators`,
+    Returns the (n, 10) table of V's entries j <= k (``_PAIRS``), one row
+    per time, and the propagators c, B of :func:`_propagators` at those
+    times. ``v0`` None is the thermal state, and V(0) is v0 (symmetrized)
+    exactly. With e^{A tau} = sum_m c_m B_m,
     V - V_ss = sum_{m<=n} c_m c_n (B_m dV B_n^T + B_n dV B_m^T), halved
     on m = n, with dV = V0 - V_ss: a table of coefficient products, one
-    row per sample, times one coefficient matrix, read at the 10 entries
-    j <= k, so every V is symmetric by construction. That is 10 basis
-    pairs for the 4 modal projectors and 136 for the 16 unit matrices of
-    ``expm`` (the sandwich written out). The propagation runs in units of
-    s, the power of two at max(|V0|, |V_ss|), so that a covariance near
-    the float range stays inside it; a power of two changes no rounding.
-    Each sample's physicality within -1e-9 times the scale of v0 is the
-    verdict of :func:`_physical` alone; the first that fails raises.
+    row per sample, times one coefficient matrix read at the 10 entries
+    j <= k. That is 10 basis pairs for the 4 modal projectors and 136 for
+    the 16 unit matrices of ``expm`` (the sandwich written out). The
+    propagation runs in units of s, the power of two at max(|V0|, |V_ss|),
+    so that a covariance near the float range stays inside it; a power of
+    two changes no rounding. Each sample's physicality within -1e-9 times
+    the scale of v0 is the verdict of :func:`_physical` on the table
+    alone; the first sample that fails raises.
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
@@ -411,9 +427,8 @@ def _transient(
         coef = np.where((m < n)[:, None, None], terms[m, n] + terms[n, m], terms[m, n])
         # (samples, 10): a row per sample, as BLAS then gives each sample
         # the same bits whatever the stack it is part of
-        entries = ((c[m] * c[n]).T @ coef[:, j, k]).real
-        u = u_ss + entries[:, _PAIR_OF]
-        u[times == 0.0] = u0  # where V_ss + (V0 - V_ss) would round
+        u = u_ss[j, k] + ((c[m] * c[n]).T @ coef[:, j, k]).real
+        u[times == 0.0] = u0[j, k]  # where V_ss + (V0 - V_ss) would round
         v = u * s
     scale = max(1.0, float(np.max(np.abs(v0.v))))
     if not np.all(np.isfinite(v)):
@@ -422,9 +437,44 @@ def _transient(
     if not ok.all():
         k = int(np.argmin(ok))  # the first sample that fails
         raise NonPhysical(
-            f"physicality defect {physicality_defect(v[k]):.3e} at t={times[k]:.6g} (1/Gamma)"
+            f"physicality defect {physicality_defect(v[k, _PAIR_OF]):.3e} "
+            f"at t={times[k]:.6g} (1/Gamma)"
         )
-    return v
+    return v, c, basis
+
+
+def _quad_phase(quadrature: str) -> float:
+    """The demodulation phase at t = 0 of a quadrature name, or GridMismatch."""
+    if quadrature not in _QUAD_PHASE:
+        raise GridMismatch(f"unknown quadrature {quadrature!r}")
+    return _QUAD_PHASE[quadrature]
+
+
+def _demodulation(t: np.ndarray, phase: float, demod_rate: float) -> np.ndarray:
+    """The (n, 2) vectors (cos theta, -sin theta), theta = demod_rate t + phase."""
+    theta = demod_rate * t + phase
+    return np.column_stack([np.cos(theta), -np.sin(theta)])
+
+
+def _field_correlations(v_t, ce, cl, c_lag, basis, lag):
+    """2 r . q at each pair: the smooth output correlation in kappa units.
+
+    ``v_t`` is the (n, 10) table of V at the earlier times, ``ce`` and
+    ``cl`` the demodulation vectors at the earlier and the later times,
+    and ``c_lag`` the coefficients of the lag propagator in ``basis`` at
+    the lags ``lag`` (1/Gamma units, read only where they are 0). The
+    demodulation vectors are contracted first: r = ce^T (V(t) - 1)_{f.}
+    and q = exp(A^T (t'-t))_{.f} cl, f the field rows, so q comes from the
+    lag coefficients and the basis's two field rows with no 4x4 matrix
+    per pair.
+    """
+    r = ce[:, :1] * v_t[:, _PAIR_OF[2]] + ce[:, 1:] * v_t[:, _PAIR_OF[3]]  # (n, 4)
+    r[:, 2:] -= ce
+    q = ((c_lag[:, None] * cl.T).reshape(2 * len(basis), -1).T @ basis[:, 2:].reshape(-1, 4)).real
+    zero = lag == 0.0  # exp(0) is the identity exactly
+    q[zero, :2] = 0.0
+    q[zero, 2:] = cl[zero]
+    return 2.0 * np.einsum("nk,nk->n", r, q)
 
 
 def two_time_correlations(
@@ -473,8 +523,7 @@ def two_time_correlations(
     NonPhysical
         If V(t) at some pair violates V + iJ >= 0 beyond tolerance.
     """
-    if quadrature not in _QUAD_PHASE:
-        raise GridMismatch(f"unknown quadrature {quadrature!r}")
+    phase = _quad_phase(quadrature)
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GridMismatch(f"pairs must be (n, 2), got shape {pairs.shape}")
@@ -483,21 +532,12 @@ def two_time_correlations(
 
     t_early = pairs.min(axis=1)
     t_late = pairs.max(axis=1)
-    v_t = _transient(sys, v0, t_early)
-    th_e = demod_rate * t_early + _QUAD_PHASE[quadrature]
-    th_l = demod_rate * t_late + _QUAD_PHASE[quadrature]
-    ce = np.column_stack([np.cos(th_e), -np.sin(th_e)])
-    cl = np.column_stack([np.cos(th_l), -np.sin(th_l)])
-
-    r = ce[:, :1] * v_t[:, 2] + ce[:, 1:] * v_t[:, 3]  # (n, 4)
-    r[:, 2:] -= ce
+    v_t, *_ = _transient(sys, v0, t_early)
     lag = t_late - t_early
     c, basis = _propagators(sys, lag * sys.params.q_factor)
-    q = ((c[:, None] * cl.T).reshape(2 * len(basis), -1).T @ basis[:, 2:].reshape(-1, 4)).real
-    zero = lag == 0.0  # exp(0) is the identity exactly
-    q[zero, :2] = 0.0
-    q[zero, 2:] = cl[zero]
-    values = 2.0 * np.einsum("nk,nk->n", r, q)
+    values = _field_correlations(
+        v_t, _demodulation(t_early, phase, demod_rate),
+        _demodulation(t_late, phase, demod_rate), c, basis, lag)
 
     return TwoTimeGrid(
         times=pairs,
@@ -530,26 +570,93 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
         raise GridMismatch("homodyne integration needs a grid built with weights")
     if not len(grid.values):
         raise GridMismatch("homodyne integration needs a grid with at least one pair")
+    _require_rate(lo_rate)
+    return _filter_sum(grid.times, grid.weights, grid.values, grid.params, lo_rate)
+
+
+def homodyne_readout(
+    sys: LinearSystem,
+    v0: CovarianceState | None,
+    quadrature: str,
+    lo_rate: float,
+    demod_rate: float = 0.0,
+    *,
+    n_outer: int = 64,
+) -> HomodyneResult:
+    """Matched-filter readout of an output quadrature over the cooling transient.
+
+    The value of :func:`homodyne_variance` on the grid of
+    :func:`two_time_correlations` over ``matched_filter_pairs(12 /
+    lo_rate, n_outer, n_outer // 2)``: the triangle t' <= t of a window of
+    12 filter lifetimes, ``n_outer`` outer nodes and half as many inner
+    ones. ``v0``, ``quadrature`` and ``demod_rate`` are those of
+    :func:`two_time_correlations`, ``lo_rate`` that of
+    :func:`homodyne_variance`, and the errors are theirs.
+
+    It takes one propagator table, at the early times
+    t'_ij = t_i (1 + x_j) / 2. The Gauss-Legendre nodes are antisymmetric,
+    x_{n-1-j} = -x_j, so the lag t_i - t'_ij is the early time
+    t'_{i,n-1-j}, and the lag coefficients are that table with each outer
+    row's inner columns reversed.
+
+    Raises
+    ------
+    GridMismatch
+        For an unknown quadrature, or a measured variance <= 0.
+    InvalidParams
+        If lo_rate is not finite and > 0, the window 12/lo_rate or the
+        integral is not finite, n_outer < 2, or v0 is not finite or
+        overflows in propagation.
+    NonPhysical
+        If V(t) at an early time violates V + iJ >= 0 beyond tolerance.
+    WindowTooShort
+        If the filter mass outside the window could shift the integral
+        by more than 1%.
+    """
+    phase = _quad_phase(quadrature)
+    _require_rate(lo_rate)
+    n_inner = n_outer // 2
+    pairs, weights = matched_filter_pairs(_FILTER_LIFETIMES / lo_rate, n_outer, n_inner)
+    t_late, t_early = pairs[:, 0], pairs[:, 1]
+    v_t, c, basis = _transient(sys, v0, t_early)
+    mirror = np.arange(len(pairs)).reshape(n_outer, n_inner)[:, ::-1].ravel()
+    # t is constant along each outer row
+    cl = np.repeat(_demodulation(t_late[::n_inner], phase, demod_rate), n_inner, axis=0)
+    values = _field_correlations(
+        v_t, _demodulation(t_early, phase, demod_rate), cl, c[:, mirror], basis, t_early[mirror])
+    return _filter_sum(pairs, weights, values, sys.params, lo_rate)
+
+
+def _require_rate(lo_rate: float) -> None:
     if not 0.0 < lo_rate < math.inf:
         raise InvalidParams(f"lo_rate must be finite and > 0, got {lo_rate}")
-    window = float(grid.times.max())
+
+
+def _filter_sum(times, weights, values, params, lo_rate) -> HomodyneResult:
+    """1 + the filter-weighted sum of the grid ``values`` over the (t, t') ``times``.
+
+    The window is the latest time; it must reach 5/lo_rate, the sum must
+    be finite, the filter mass past the window must bound a shift of at
+    most 1%, and the variance must come out > 0.
+    """
+    window = float(times.max())
     if window < 5.0 / lo_rate:
         raise WindowTooShort(
             f"window {window:.3g} shorter than 5/lo_rate = {5.0 / lo_rate:.3g}"
         )
 
-    kappa_over_gamma = grid.params.q_factor / grid.params.b
+    kappa_over_gamma = params.q_factor / params.b
     with np.errstate(all="ignore"):  # the finiteness test follows
-        env = 2.0 * lo_rate * np.exp(-lo_rate * grid.times.sum(axis=1))
+        env = 2.0 * lo_rate * np.exp(-lo_rate * times.sum(axis=1))
         # kappa/Gamma takes the kernel back to 1/Gamma-time rate units; it
         # scales the weights, not the kernel, which alone may overflow
-        integral = 2.0 * float(np.sum(grid.weights * env * kappa_over_gamma * grid.values))
+        integral = 2.0 * float(np.sum(weights * env * kappa_over_gamma * values))
     if not math.isfinite(integral):
         raise InvalidParams(f"matched-filter integral is not finite at lo_rate={lo_rate}")
 
     x = math.exp(-lo_rate * window)
     # max|values| * kappa/Gamma may overflow where the bound does not
-    tail = float(np.max(np.abs(grid.values))) * (
+    tail = float(np.max(np.abs(values))) * (
         kappa_over_gamma * ((2.0 / lo_rate) * (2.0 * x - x * x)))
     if tail > 0.01 * abs(integral):
         raise WindowTooShort(

@@ -19,7 +19,7 @@ from optocool import (
     matched_filter_pairs,
     optimal_detuning,
 )
-from optocool import cli, model, spectra
+from optocool import cli, dynamics, model, spectra
 from optocool.cli import (
     KEYS,
     MODES,
@@ -672,15 +672,11 @@ OVERFLOWING_DRIFT = {"b": "6.347468412528946e-64", "phi": "0",
                      "q_factor": "2.718398599618707e+22", "n_t_i": "1"}
 
 
-def test_overflowing_drift_is_a_row_error(capsys):
-    rc = main(argv_for("variances", OVERFLOWING_DRIFT))
-    out, err = capsys.readouterr()
-    assert rc == 0 and err == ""
-    assert [row for row in out.splitlines() if not row.startswith("#")][1:] == [",,,,true"]
-
-
-def test_overflowing_drift_exits_3(capsys):
-    rc = main(argv_for("dynamics", OVERFLOWING_DRIFT))
+# a stable point whose variances cannot be taken is no empty row marked
+# stable: ``variances`` ends the run with the error, as ``dynamics`` does
+@pytest.mark.parametrize("mode", ["variances", "dynamics"])
+def test_overflowing_drift_exits_3(mode, capsys):
+    rc = main(argv_for(mode, OVERFLOWING_DRIFT))
     out, err = capsys.readouterr()
     assert rc == 3 and out == ""
     assert assert_one_json_record(err)["type"] == "InvalidParams"
@@ -853,7 +849,7 @@ def test_homodyne_filter_is_twelve_lifetimes_on_a_two_to_one_grid(monkeypatch):
         calls.append((window, n_outer, n_inner))
         return matched_filter_pairs(window, n_outer, n_inner)
 
-    monkeypatch.setattr(cli, "matched_filter_pairs", spy)
+    monkeypatch.setattr(dynamics, "matched_filter_pairs", spy)
     run(parse_config("", "homodyne", {**BASE["homodyne"], "homodyne.lo_rate": "4"}))
     assert calls == [(3.0, 16, 8)]
     assert parse_config("", "homodyne", OPERATING_POINT).n_outer == 64
@@ -889,6 +885,30 @@ def test_optimize_names_why_no_probe_was_scored(capsys):
     assert record["type"] == "OptimizationFailure"
     assert "QuadratureFailure" in record["message"]
     assert "no stable operating point" not in record["message"]
+
+
+@pytest.mark.parametrize("mode, point", [
+    ("variances", {**OPERATING_POINT, "n_t_i": "1e307", "noise_model": "quantum_coth"}),
+    ("fig1", {"n_t_i": "1e307", "sweep.points": "2"}),
+], ids=["variances", "fig1"])
+def test_stable_point_without_variances_ends_the_run(mode, point, capsys):
+    # the coth Bose tail is not finite at n_t_i = 1e307: no empty row is
+    # marked stable, the run exits 3 with the typed record
+    rc = main(argv_for(mode, point))
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert assert_one_json_record(err)["type"] == "QuadratureFailure"
+
+
+def test_adiabatic_keeps_its_empty_closed_form_cells(capsys):
+    # a stable point outside the closed form's regime: its rates and an
+    # empty closed-form tail, marked stable
+    rc = main(argv_for("adiabatic", {**OPERATING_POINT, "b": "0.5247", "phi": "-0.8",
+                                     "phi_nl": "0.5175", "q_factor": "3.459"}))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    (row,) = csv_rows(out)
+    assert all(row[:3]) and row[3:8] == [""] * 5 and row[-1] == "true"
 
 
 @pytest.mark.parametrize("phi", ["1e-10", "0"])

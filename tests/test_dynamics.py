@@ -24,6 +24,7 @@ from optocool import (
     build_system,
     effective_rates,
     evolve_covariance,
+    homodyne_readout,
     homodyne_variance,
     integrate_variances,
     lyapunov_steady_state,
@@ -476,6 +477,12 @@ class TestPhysicalityCheck:
         with pytest.raises(NonPhysical, match=re.escape(message)):
             evolve_covariance(build_system(FIG3), t_end=0.01, n_samples=11)
 
+    @staticmethod
+    def entries(v):
+        """The (n, 10) table of a symmetric stack's entries j <= k, as ``_transient`` keeps V."""
+        j, k = np.triu_indices(4)
+        return v[:, j, k]
+
     @pytest.mark.parametrize("seed", [11, 12, 13])
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_pivots_agree_with_eigenvalues(self, side, seed):
@@ -490,12 +497,13 @@ class TestPhysicalityCheck:
         target[5] = -tol * (1.0 - side * 1e-3)
         v += (target - physicality_defect(v))[:, None, None] * np.eye(4)
         want = np.arange(16) != 5 if side < 0 else np.full(16, True)
-        assert _physical(v, tol).tolist() == want.tolist()
-        assert _physical(v, tol).tolist() == (physicality_defect(v) >= -tol).tolist()
+        table = self.entries(v)
+        assert _physical(table, tol).tolist() == want.tolist()
+        assert _physical(table, tol).tolist() == (physicality_defect(v) >= -tol).tolist()
         # the same test on V / s at the scale s, a power of two, as the
         # propagation takes it: every pivot scales exactly
         for s in (2.0 ** -40, 2.0 ** 40):
-            assert _physical(v / s, tol, s).tolist() == want.tolist()
+            assert _physical(table / s, tol, s).tolist() == want.tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (2, 0), (3, 1)])
@@ -509,7 +517,7 @@ class TestPhysicalityCheck:
             except np.linalg.LinAlgError:
                 verdict = False
         assert not verdict
-        assert _physical(v, 1e-9).tolist() == [True, False, True]
+        assert _physical(self.entries(v), 1e-9).tolist() == [True, False, True]
 
 
 class TestTransientInput:
@@ -838,3 +846,118 @@ class TestHomodyne:
             np.sum(weights * env * lab.values * FIG3.q_factor / FIG3.b)
         )
         assert abs(lab_excess) < 0.05 * (res.dx_m2 - 1)
+
+
+def grid_readout(sysm, v0, quadrature, lo_rate, demod_rate=0.0, n_outer=64):
+    """The readout the general route takes: pairs, correlations, filter sum."""
+    pairs, weights = matched_filter_pairs(12.0 / lo_rate, n_outer, n_outer // 2)
+    grid = two_time_correlations(sysm, v0, quadrature, pairs,
+                                 demod_rate=demod_rate, weights=weights)
+    return homodyne_variance(grid, lo_rate)
+
+
+def outcome(route, *args, **kwargs):
+    """A route's HomodyneResult, or the type and message of its error."""
+    try:
+        return route(*args, **kwargs)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+class TestHomodyneReadout:
+    """``homodyne_readout`` against the general two-time route it shortcuts."""
+
+    @staticmethod
+    def assert_same(got, want, rel=1e-12):
+        # relative to the shot noise where the reading is squeezed below it
+        if isinstance(want, tuple):  # an error: the same type and message
+            assert got == want
+        else:
+            assert abs(got.dx_m2 - want.dx_m2) <= rel * max(1.0, abs(want.dx_m2))
+            assert (got.lo_rate, got.window) == (want.lo_rate, want.window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sysm=stable_points(),
+        quadrature=st.sampled_from(["x_out", "y_out"]),
+        demodulate=st.booleans(),
+        n_outer=st.sampled_from([8, 16, 64]),
+        lo_lifetimes=st.floats(0.2, 5.0),
+    )
+    def test_matches_the_grid_route(self, sysm, quadrature, demodulate, n_outer, lo_lifetimes):
+        # the grid route's lag t - t' carries an absolute rounding of up to
+        # eps t, so its lag propagators an error of eps ||A tau|| over the
+        # window; the mirrored lags round once. Past 1e-12 the two agree to
+        # that bound (at Q = 1e2 every example is within 1e-13)
+        assume(sysm.modes.separated)
+        p = sysm.params
+        slowest = -max(z.real for z in sysm.modes.eigenvalues) * p.q_factor  # Gamma units
+        assume(slowest > 0.0)
+        lo = lo_lifetimes * slowest
+        demod = p.phi * p.q_factor / p.b if demodulate else 0.0
+        want = outcome(grid_readout, sysm, None, quadrature, lo, demod, n_outer)
+        got = outcome(homodyne_readout, sysm, None, quadrature, lo, demod, n_outer=n_outer)
+        tau = 12.0 / lo * p.q_factor
+        rounding = np.finfo(float).eps * np.linalg.norm(sysm.drift * tau, 2)
+        self.assert_same(got, want, rel=max(1e-12, 4.0 * rounding))
+
+    @pytest.mark.parametrize("p, lo, demod", [
+        (NormalizedParams(b=10, phi=1e-9, phi_nl=0.1, q_factor=1e4, n_t_i=30), 1.0, 3.0),
+        (NormalizedParams(b=10, phi=0, phi_nl=0.1, q_factor=1e2, n_t_i=30), 1.0, 0.0),
+        (NormalizedParams(b=10, phi=0, phi_nl=0.1, q_factor=1e2, n_t_i=30), 1.0, 3.0),
+    ], ids=["near_coincident", "jordan", "jordan_demodulated"])
+    @pytest.mark.parametrize("quadrature", ["x_out", "y_out"])
+    def test_expm_branch_matches_the_grid_route(self, p, lo, demod, quadrature):
+        # the demodulated y_out readout at the near-coincident point is
+        # negative on the grid, a GridMismatch on both routes
+        sysm = build_system(p)
+        assert sysm.inverse is None
+        self.assert_same(outcome(homodyne_readout, sysm, None, quadrature, lo, demod),
+                         outcome(grid_readout, sysm, None, quadrature, lo, demod))
+
+    def test_near_coincident_point_prints_its_value(self):
+        p = NormalizedParams(b=10, phi=1e-9, phi_nl=0.1, q_factor=1e4, n_t_i=30)
+        res = homodyne_readout(build_system(p), None, "x_out", 1.0, 3.0)
+        assert f"{res.dx_m2:.12g}" == "121.578264242"
+
+    @pytest.mark.parametrize("p, lo, demod, error, message", [
+        # the lab frame: the grid cannot follow the rotation at Omega_m
+        (FIG3.replace(phi_nl=0.01), None, 0.0, GridMismatch, "measured variance -0.624 "),
+        (FIG3, 1e-308, None, InvalidParams, "window must be finite"),
+        (NONCP, None, None, NonPhysical, "physicality defect -1.004e-09 at t=5.42217e-06 "),
+        (FIG3.replace(n_t_i=5e307), None, None, None, None),
+    ], ids=["lab_frame", "window_overflow", "non_physical", "huge_occupancy"])
+    def test_errors_are_the_grid_routes(self, p, lo, demod, error, message):
+        sysm = build_system(p)
+        lo = effective_rates(p).gamma_eff_ratio if lo is None else lo
+        demod = p.phi * p.q_factor / p.b if demod is None else demod
+        got = outcome(homodyne_readout, sysm, None, "x_out", lo, demod)
+        self.assert_same(got, outcome(grid_readout, sysm, None, "x_out", lo, demod))
+        if error is None:
+            assert math.isfinite(got.dx_m2)
+        else:
+            assert got[0] is error and message in got[1]
+
+    @pytest.mark.parametrize("quadrature, lo, n_outer, error, message", [
+        ("z_out", 998.5, 64, GridMismatch, "unknown quadrature"),
+        ("x_out", 0.0, 64, InvalidParams, "lo_rate must be finite"),
+        ("x_out", math.nan, 64, InvalidParams, "lo_rate must be finite"),
+        ("x_out", 998.5, 1, InvalidParams, "orders must be >= 1"),
+    ])
+    def test_invalid_arguments(self, quadrature, lo, n_outer, error, message):
+        with pytest.raises(error, match=message):
+            homodyne_readout(build_system(FIG3), None, quadrature, lo, n_outer=n_outer)
+
+    def test_one_propagator_table(self, monkeypatch):
+        # the lags are the early times mirrored within each outer row, so
+        # one table serves both; the rule's nodes are exactly antisymmetric
+        for n in range(1, 129):
+            x, _ = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(x, -x[::-1])
+        calls = []
+        propagators = dynamics._propagators
+        monkeypatch.setattr(dynamics, "_propagators",
+                            lambda sysm, taus: calls.append(len(taus)) or propagators(sysm, taus))
+        homodyne_readout(build_system(FIG3), None, "y_out", 998.5, 1e4)
+        assert calls == [64 * 32]
+
