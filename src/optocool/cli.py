@@ -55,8 +55,6 @@ from .errors import (
     NoStableBranch,
     OptocoolError,
     ParseError,
-    QuadratureFailure,
-    SingularResponse,
     SolverFailure,
     Unstable,
     ValidationError,
@@ -88,12 +86,6 @@ _PHYSICAL_KEYS = {
         "delta_c", "drive_intensity", "temperature",
     )
 }
-
-_ROW_ERRORS = (
-    Unstable, QuadratureFailure, SingularResponse, InvalidParams,
-    ImaginaryFrequency, InvalidRegime, NoStableBranch,
-)
-
 
 class Key(NamedTuple):
     """One config key: how its text is read, where it lands, what it may hold.
@@ -133,7 +125,6 @@ KEYS = {
     "homodyne.lo_rate": Key(float, "lo_rate", None, (">", 0)),
     "homodyne.demod_rate": Key(float, "demod_rate"),
     "homodyne.quadrature": Key(str, "homodyne_quadrature", "x_out", ("x_out", "y_out")),
-    "homodyne.n_outer": Key(int, "n_outer", 64, (">=", 2)),
     **{key: Key(float) for key in _PHYSICAL_KEYS},
 }
 
@@ -356,8 +347,7 @@ def _sweep_table(columns: tuple, rows):
     ``rows(cfg, points)`` takes the valid points of the sweep and returns,
     for each, its fields and its stability verdict. A row holds the sweep
     value (when there is a sweep), those fields and the verdict. An
-    invalid point or a row error leaves the fields empty; a short return
-    is padded.
+    invalid point leaves the fields empty; a short return is padded.
     """
     def table(cfg: RunConfig):
         label = () if cfg.sweep is None else ((cfg.sweep.variable, "dimensionless"),)
@@ -372,55 +362,55 @@ def _sweep_table(columns: tuple, rows):
     return table
 
 
-def _settle(result, fields) -> tuple:
-    """``fields(result)`` of a point's result from a stack (or of the point), or () for a row error.
-
-    An error in ``result`` is raised as the point alone would raise it,
-    so that a row error leaves the fields empty and any other ends the run.
-    """
-    try:
-        if isinstance(result, Exception):
-            raise result
-        return fields(result)
-    except _ROW_ERRORS:
-        return ()
-
-
-def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
-    """The variances of the whole sweep in one stack.
+def _exact_rows(points: list, results: list, fields) -> list:
+    """A row per point of a stack: ``fields(params, result)`` and True, or () and False.
 
     Unstable is the one unstable verdict and leaves the row empty; any
     other error at a point ends the run, as no empty row is marked stable.
     """
-    results = integrate_variances(points, cfg.noise_model, omega_max=cfg.omega_max)
     for res in results:
         if isinstance(res, Exception) and not isinstance(res, Unstable):
             raise res
-    return [((), False) if isinstance(res, Unstable)
-            else ((res.dq2, res.dp2, res.n_t_f, res.quadrature_error)[:width], True)
-            for res in results]
+    return [((), False) if isinstance(res, Unstable) else (fields(params, res), True)
+            for params, res in zip(points, results)]
+
+
+def _closed_form(fn, params: NormalizedParams):
+    """``fn(params)``, or None where the closed form is undefined at the point."""
+    try:
+        return fn(params)
+    except (Unstable, ImaginaryFrequency, InvalidRegime, InvalidParams):
+        return None
+
+
+def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
+    """The variances of the whole sweep in one stack."""
+    results = integrate_variances(points, cfg.noise_model, omega_max=cfg.omega_max)
+    return _exact_rows(points, results, lambda _, res: (
+        res.dq2, res.dp2, res.n_t_f, res.quadrature_error)[:width])
 
 
 def _fig2_rows(cfg: RunConfig, points: list) -> list:
-    """The exact and the closed-form dq2, settled apart: either may be a row error alone."""
-    exact = position_variance(points, cfg.noise_model)
-    return [((_settle(res, lambda r: (r[0],)) or (None,))
-             + _settle(params, lambda p: (approx_variance(p).dq2,)),
-             not isinstance(res, Unstable)) for params, res in zip(points, exact)]
+    """The exact dq2 of the sweep in one stack, and the closed-form dq2 where it is defined."""
+    def fields(params, res):
+        var = _closed_form(approx_variance, params)
+        return res[0], None if var is None else var.dq2
+
+    return _exact_rows(points, position_variance(points, cfg.noise_model), fields)
 
 
 def _adiabatic_rows(cfg: RunConfig, points: list) -> list:
-    """Each point on its own, by :func:`_adiabatic_row`; a row error leaves its fields empty."""
-    return [(_settle(params, _adiabatic_row), classify(params).stable) for params in points]
+    """Each point on its own, by :func:`_adiabatic_row`; empty where the closed form is undefined."""
+    return [(_closed_form(_adiabatic_row, params) or (), classify(params).stable)
+            for params in points]
 
 
 def _adiabatic_row(params: NormalizedParams) -> tuple:
     """Effective rates, then the closed-form variance where the regime allows it."""
     rates = effective_rates(params)
     head = (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
-    try:
-        var = approx_variance(params)
-    except (Unstable, InvalidRegime, InvalidParams):
+    var = _closed_form(approx_variance, params)
+    if var is None:
         return head
     if params.phi > 0:
         dec = decompose(params)
@@ -496,9 +486,7 @@ def _homodyne_table(cfg: RunConfig):
         if cfg.demod_rate is not None
         else params.phi * params.q_factor / params.b
     )
-    res = homodyne_readout(
-        sys_, None, cfg.homodyne_quadrature, lo_rate, demod, n_outer=cfg.n_outer,
-    )
+    res = homodyne_readout(sys_, None, cfg.homodyne_quadrature, lo_rate, demod)
     columns = (
         ("dx_m2", "shot"), ("lo_rate", "Gamma"), ("window", "1/lo_rate"),
         ("quadrature", "name"), ("demod_rate", "Gamma"), ("stable", "bool"),

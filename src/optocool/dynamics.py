@@ -37,6 +37,7 @@ units of 1/Omega_m (tau = t * Q).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -93,6 +94,8 @@ _QUAD_PHASE = {"x_out": 0.0, "y_out": 0.5 * math.pi}
 
 #: the matched filter's window, in lifetimes 1/lo_rate of the local oscillator
 _FILTER_LIFETIMES = 12.0
+#: the order of its grid: 64 outer Gauss-Legendre nodes, 32 inner ones
+_FILTER_ORDER = 64
 
 #: the basis of the ``expm`` propagators: the 16 unit 4x4 matrices
 _UNIT_BASIS = np.eye(16).reshape(16, 4, 4)
@@ -316,17 +319,24 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def matched_filter_pairs(window: float, n_outer: int = 64, n_inner: int = 32):
+def matched_filter_pairs(window: float, n_outer: int = 64):
     """Gauss-Legendre nodes/weights on the triangle 0 <= t' <= t <= window.
 
     The correlation kernel is smooth on each causal ordering but kinked
     across the diagonal, so the square is integrated as twice the lower
-    triangle. Times are in the same units as the trajectory (1/Gamma).
+    triangle: ``n_outer`` nodes in t, an integer >= 2, and n_outer // 2
+    in t' under each. Times are in the same units as the trajectory
+    (1/Gamma).
     """
     if not 0.0 < window < math.inf:
         raise InvalidParams(f"window must be finite and > 0, got {window}")
-    if min(n_outer, n_inner) < 1:
-        raise InvalidParams(f"grid orders must be >= 1, got {n_outer} x {n_inner}")
+    try:
+        order = operator.index(n_outer)
+    except TypeError:
+        order = 0
+    if order < 2:
+        raise InvalidParams(f"grid order must be an integer >= 2, got {n_outer!r}")
+    n_outer, n_inner = order, order // 2
     xo, wo = _gauss_legendre(n_outer)
     xi, wi = _gauss_legendre(n_inner)
     t_out = 0.5 * window * (xo + 1.0)
@@ -580,18 +590,15 @@ def homodyne_readout(
     quadrature: str,
     lo_rate: float,
     demod_rate: float = 0.0,
-    *,
-    n_outer: int = 64,
 ) -> HomodyneResult:
     """Matched-filter readout of an output quadrature over the cooling transient.
 
     The value of :func:`homodyne_variance` on the grid of
     :func:`two_time_correlations` over ``matched_filter_pairs(12 /
-    lo_rate, n_outer, n_outer // 2)``: the triangle t' <= t of a window of
-    12 filter lifetimes, ``n_outer`` outer nodes and half as many inner
-    ones. ``v0``, ``quadrature`` and ``demod_rate`` are those of
-    :func:`two_time_correlations`, ``lo_rate`` that of
-    :func:`homodyne_variance`, and the errors are theirs.
+    lo_rate)``: the triangle t' <= t of a window of 12 filter lifetimes,
+    64 outer nodes and 32 inner ones. ``v0``, ``quadrature`` and
+    ``demod_rate`` are those of :func:`two_time_correlations`, ``lo_rate``
+    that of :func:`homodyne_variance`, and the errors are theirs.
 
     It takes one propagator table, at the early times
     t'_ij = t_i (1 + x_j) / 2. The Gauss-Legendre nodes are antisymmetric,
@@ -605,8 +612,8 @@ def homodyne_readout(
         For an unknown quadrature, or a measured variance <= 0.
     InvalidParams
         If lo_rate is not finite and > 0, the window 12/lo_rate or the
-        integral is not finite, n_outer < 2, or v0 is not finite or
-        overflows in propagation.
+        integral is not finite, or v0 is not finite or overflows in
+        propagation.
     NonPhysical
         If V(t) at an early time violates V + iJ >= 0 beyond tolerance.
     WindowTooShort
@@ -615,11 +622,11 @@ def homodyne_readout(
     """
     phase = _quad_phase(quadrature)
     _require_rate(lo_rate)
-    n_inner = n_outer // 2
-    pairs, weights = matched_filter_pairs(_FILTER_LIFETIMES / lo_rate, n_outer, n_inner)
+    n_inner = _FILTER_ORDER // 2
+    pairs, weights = matched_filter_pairs(_FILTER_LIFETIMES / lo_rate, _FILTER_ORDER)
     t_late, t_early = pairs[:, 0], pairs[:, 1]
     v_t, c, basis = _transient(sys, v0, t_early)
-    mirror = np.arange(len(pairs)).reshape(n_outer, n_inner)[:, ::-1].ravel()
+    mirror = np.arange(len(pairs)).reshape(-1, n_inner)[:, ::-1].ravel()
     # t is constant along each outer row
     cl = np.repeat(_demodulation(t_late[::n_inner], phase, demod_rate), n_inner, axis=0)
     values = _field_correlations(

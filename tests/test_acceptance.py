@@ -222,7 +222,7 @@ def test_criterion_7_homodyne():
     # (a) analytic two-exponential kernel against the closed-form integral
     gam = 998.5
     window = 16.0 / gam
-    pairs, weights = matched_filter_pairs(window, 64, 32)
+    pairs, weights = matched_filter_pairs(window)
     c1, c2 = 2.4, 0.9
     t, tp = pairs[:, 0], pairs[:, 1]
     kern = c1 * gam * np.exp(-gam * (t + tp)) + c2 * gam * np.exp(
@@ -259,7 +259,7 @@ def test_criterion_7_homodyne():
     sysm = build_system(p)
     lo = effective_rates(p).gamma_eff_ratio / 2.0
     win = 12.0 / lo
-    pairs, weights = matched_filter_pairs(win, 64, 32)
+    pairs, weights = matched_filter_pairs(win)
     demod = p.phi * p.q_factor / p.b
     sim = two_time_correlations(
         sysm, None, "x_out", pairs, demod_rate=demod, weights=weights

@@ -730,7 +730,7 @@ class TestHomodyne:
         # the matched filter to exactly 1 + c1/2 + c2
         gam = 998.5
         window = 16.0 / gam
-        pairs, weights = matched_filter_pairs(window, 64, 32)
+        pairs, weights = matched_filter_pairs(window)
         c1, c2 = 3.7, 1.3
         t, tp = pairs[:, 0], pairs[:, 1]
         kern = c1 * gam * np.exp(-gam * (t + tp)) + c2 * gam * np.exp(
@@ -748,7 +748,7 @@ class TestHomodyne:
         # a kernel whose matched-filter integral is below -1 would read as
         # a negative variance; no physical state gives one
         gam = 998.5
-        pairs, weights = matched_filter_pairs(16.0 / gam, 64, 32)
+        pairs, weights = matched_filter_pairs(16.0 / gam)
         t, tp = pairs[:, 0], pairs[:, 1]
         kern = -3.0 * gam * np.exp(-gam * (t + tp)) - 0.5 * gam * np.exp(
             -gam * np.abs(t - tp)
@@ -762,28 +762,44 @@ class TestHomodyne:
 
     def test_zero_kernel_is_shot_noise(self):
         gam = 100.0
-        pairs, weights = matched_filter_pairs(10.0 / gam, 24, 12)
+        pairs, weights = matched_filter_pairs(10.0 / gam, 24)
         grid = TwoTimeGrid(
             times=pairs, values=np.zeros(len(pairs)), quadrature="x_out",
             demod_rate=0.0, params=FIG3, weights=weights,
         )
         assert homodyne_variance(grid, gam).dx_m2 == 1.0
 
+    @pytest.mark.parametrize("order", [64.0, "64", 1, 0, -3, True, None],
+                             ids=["float", "text", "one", "zero", "negative", "bool", "none"])
+    def test_grid_order_is_an_integer_of_at_least_two(self, order):
+        with pytest.raises(InvalidParams, match="grid order must be an integer >= 2"):
+            matched_filter_pairs(0.01, order)
+
+    @pytest.mark.parametrize("order", [2, 7, np.int64(64)], ids=["two", "odd", "numpy"])
+    def test_grid_is_the_order_by_half_the_order(self, order):
+        # the triangle's area, window^2 / 2, is integrated exactly
+        times, weights = matched_filter_pairs(0.01, order)
+        n = int(order)
+        assert times.shape == (n * (n // 2), 2) and weights.shape == (n * (n // 2),)
+        assert weights.sum() == pytest.approx(0.5e-4, rel=1e-13)
+        for got, want in zip(matched_filter_pairs(0.01, n), (times, weights)):
+            assert np.array_equal(got, want)
+
     def test_pairs_are_repeatable_and_leave_the_rule_intact(self):
         # each Gauss-Legendre rule is built once per order and kept; what
         # a call returns is the caller's to change
-        first = [a.copy() for a in matched_filter_pairs(0.01, 8, 4)]
-        times, weights = matched_filter_pairs(0.01, 8, 4)
+        first = [a.copy() for a in matched_filter_pairs(0.01, 8)]
+        times, weights = matched_filter_pairs(0.01, 8)
         times[:] = -1.0
         weights *= 2.0
-        for got, want in zip(matched_filter_pairs(0.01, 8, 4), first):
+        for got, want in zip(matched_filter_pairs(0.01, 8), first):
             assert np.array_equal(got, want)
         for n in (4, 8):
             for cached, fresh in zip(dynamics._gauss_legendre(n), np.polynomial.legendre.leggauss(n)):
                 assert np.array_equal(cached, fresh) and not cached.flags.writeable
 
     def test_needs_weights(self):
-        pairs, _ = matched_filter_pairs(0.01, 8, 4)
+        pairs, _ = matched_filter_pairs(0.01, 8)
         grid = TwoTimeGrid(
             times=pairs, values=np.zeros(len(pairs)), quadrature="x_out",
             demod_rate=0.0, params=FIG3, weights=None,
@@ -802,7 +818,7 @@ class TestHomodyne:
     def test_window_too_short(self):
         gam = 998.5
         window = 5.05 / gam
-        pairs, weights = matched_filter_pairs(window, 32, 16)
+        pairs, weights = matched_filter_pairs(window, 32)
         # flat kernel: the filter mass left outside a barely-legal window
         # exceeds 1% of the integral
         kern = np.full(len(pairs), gam)
@@ -816,7 +832,7 @@ class TestHomodyne:
 
     def test_short_precondition(self):
         gam = 998.5
-        pairs, weights = matched_filter_pairs(2.0 / gam, 8, 4)
+        pairs, weights = matched_filter_pairs(2.0 / gam, 8)
         grid = TwoTimeGrid(
             times=pairs, values=np.zeros(len(pairs)), quadrature="x_out",
             demod_rate=0.0, params=FIG3, weights=weights,
@@ -832,7 +848,7 @@ class TestHomodyne:
         rates = effective_rates(FIG3)
         lo = rates.gamma_eff_ratio
         window = 12.0 / lo
-        pairs, weights = matched_filter_pairs(window, 64, 32)
+        pairs, weights = matched_filter_pairs(window)
         demod = FIG3.phi * FIG3.q_factor / FIG3.b
         grid = two_time_correlations(
             sysm, None, "x_out", pairs, demod_rate=demod, weights=weights
@@ -850,7 +866,7 @@ class TestHomodyne:
 
 def grid_readout(sysm, v0, quadrature, lo_rate, demod_rate=0.0, n_outer=64):
     """The readout the general route takes: pairs, correlations, filter sum."""
-    pairs, weights = matched_filter_pairs(12.0 / lo_rate, n_outer, n_outer // 2)
+    pairs, weights = matched_filter_pairs(12.0 / lo_rate, n_outer)
     grid = two_time_correlations(sysm, v0, quadrature, pairs,
                                  demod_rate=demod_rate, weights=weights)
     return homodyne_variance(grid, lo_rate)
@@ -881,10 +897,9 @@ class TestHomodyneReadout:
         sysm=stable_points(),
         quadrature=st.sampled_from(["x_out", "y_out"]),
         demodulate=st.booleans(),
-        n_outer=st.sampled_from([8, 16, 64]),
         lo_lifetimes=st.floats(0.2, 5.0),
     )
-    def test_matches_the_grid_route(self, sysm, quadrature, demodulate, n_outer, lo_lifetimes):
+    def test_matches_the_grid_route(self, sysm, quadrature, demodulate, lo_lifetimes):
         # the grid route's lag t - t' carries an absolute rounding of up to
         # eps t, so its lag propagators an error of eps ||A tau|| over the
         # window; the mirrored lags round once. Past 1e-12 the two agree to
@@ -895,8 +910,8 @@ class TestHomodyneReadout:
         assume(slowest > 0.0)
         lo = lo_lifetimes * slowest
         demod = p.phi * p.q_factor / p.b if demodulate else 0.0
-        want = outcome(grid_readout, sysm, None, quadrature, lo, demod, n_outer)
-        got = outcome(homodyne_readout, sysm, None, quadrature, lo, demod, n_outer=n_outer)
+        want = outcome(grid_readout, sysm, None, quadrature, lo, demod)
+        got = outcome(homodyne_readout, sysm, None, quadrature, lo, demod)
         tau = 12.0 / lo * p.q_factor
         rounding = np.finfo(float).eps * np.linalg.norm(sysm.drift * tau, 2)
         self.assert_same(got, want, rel=max(1e-12, 4.0 * rounding))
@@ -938,15 +953,18 @@ class TestHomodyneReadout:
         else:
             assert got[0] is error and message in got[1]
 
-    @pytest.mark.parametrize("quadrature, lo, n_outer, error, message", [
-        ("z_out", 998.5, 64, GridMismatch, "unknown quadrature"),
-        ("x_out", 0.0, 64, InvalidParams, "lo_rate must be finite"),
-        ("x_out", math.nan, 64, InvalidParams, "lo_rate must be finite"),
-        ("x_out", 998.5, 1, InvalidParams, "orders must be >= 1"),
+    @pytest.mark.parametrize("quadrature, lo, error, message", [
+        ("z_out", 998.5, GridMismatch, "unknown quadrature"),
+        ("x_out", 0.0, InvalidParams, "lo_rate must be finite"),
+        ("x_out", math.nan, InvalidParams, "lo_rate must be finite"),
     ])
-    def test_invalid_arguments(self, quadrature, lo, n_outer, error, message):
+    def test_invalid_arguments(self, quadrature, lo, error, message):
         with pytest.raises(error, match=message):
-            homodyne_readout(build_system(FIG3), None, quadrature, lo, n_outer=n_outer)
+            homodyne_readout(build_system(FIG3), None, quadrature, lo)
+
+    def test_takes_no_grid_order(self):
+        with pytest.raises(TypeError):
+            homodyne_readout(build_system(FIG3), None, "x_out", 998.5, n_outer=64)
 
     def test_one_propagator_table(self, monkeypatch):
         # the lags are the early times mirrored within each outer row, so
