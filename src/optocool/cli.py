@@ -121,7 +121,7 @@ KEYS = {
     "spectrum.omega_stop": Key(float, "omega_stop", 2.0),
     "spectrum.omega_points": Key(int, "omega_points", 801, (">=", 2)),
     "dynamics.t_end": Key(float, "t_end", None, (">", 0)),
-    "dynamics.samples": Key(int, "samples", 401, (">=", 0)),
+    "dynamics.samples": Key(int, "samples", 401, (">=", 2)),
     "homodyne.lo_rate": Key(float, "lo_rate", None, (">", 0)),
     "homodyne.demod_rate": Key(float, "demod_rate"),
     "homodyne.quadrature": Key(str, "homodyne_quadrature", "x_out", ("x_out", "y_out")),
@@ -412,11 +412,8 @@ def _adiabatic_row(params: NormalizedParams) -> tuple:
     var = _closed_form(approx_variance, params)
     if var is None:
         return head
-    if params.phi > 0:
-        dec = decompose(params)
-        f_eta = (dec.f, dec.eta)
-    else:
-        f_eta = (None, None)
+    dec = _closed_form(decompose, params)
+    f_eta = (None, None) if dec is None else (dec.f, dec.eta)
     return head + f_eta + (var.dq2, var.n_t_f, regime_validity(params).adiabatic_ok)
 
 
@@ -439,23 +436,8 @@ def _spectrum_table(cfg: RunConfig):
     return columns, [(float(w), float(v), True) for w, v in zip(grid, s)]
 
 
-def _default_t_end(sys_) -> float:
-    """20 lifetimes of the slowest drift mode, in 1/Gamma units.
-
-    The covariance relaxes at twice the slowest eigenvalue's decay rate;
-    this holds outside the adiabatic regime too, where the closed-form
-    Gamma_eff would end the window before relaxation.
-    """
-    slowest = max(z.real for z in sys_.modes.eigenvalues)
-    if not slowest < 0.0:  # classify found it stable; its decay is below round-off
-        raise SolverFailure(f"the slowest drift mode does not decay in floating point ({slowest})")
-    return 20.0 / (2.0 * abs(slowest) * sys_.params.q_factor)
-
-
 def _dynamics_table(cfg: RunConfig):
-    sys_ = build_system(cfg.params)
-    t_end = cfg.t_end if cfg.t_end is not None else _default_t_end(sys_)
-    traj = evolve_covariance(sys_, t_end=t_end, n_samples=cfg.samples)
+    traj = evolve_covariance(build_system(cfg.params), t_end=cfg.t_end, n_samples=cfg.samples)
     track = output_variance_track(traj)
     columns = (
         ("t", "1/Gamma"), ("dq2", "dimensionless"), ("dp2", "dimensionless"),
@@ -478,20 +460,15 @@ def _default_lo_rate(params: NormalizedParams) -> float:
 
 
 def _homodyne_table(cfg: RunConfig):
-    params = cfg.params
-    sys_ = build_system(params)
-    lo_rate = cfg.lo_rate if cfg.lo_rate is not None else _default_lo_rate(params)
-    demod = (
-        cfg.demod_rate
-        if cfg.demod_rate is not None
-        else params.phi * params.q_factor / params.b
-    )
-    res = homodyne_readout(sys_, None, cfg.homodyne_quadrature, lo_rate, demod)
+    sys_ = build_system(cfg.params)
+    lo_rate = cfg.lo_rate if cfg.lo_rate is not None else _default_lo_rate(cfg.params)
+    res = homodyne_readout(sys_, None, cfg.homodyne_quadrature, lo_rate, cfg.demod_rate)
     columns = (
         ("dx_m2", "shot"), ("lo_rate", "Gamma"), ("window", "1/lo_rate"),
         ("quadrature", "name"), ("demod_rate", "Gamma"), ("stable", "bool"),
     )
-    return columns, [(res.dx_m2, res.lo_rate, res.window, cfg.homodyne_quadrature, demod, True)]
+    return columns, [(res.dx_m2, res.lo_rate, res.window, cfg.homodyne_quadrature,
+                      res.demod_rate, True)]
 
 
 def _optimize_table(cfg: RunConfig):

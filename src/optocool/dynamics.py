@@ -194,11 +194,12 @@ class TwoTimeGrid:
 
 @dataclass(frozen=True)
 class HomodyneResult:
-    """Measured quadrature variance (shot noise = 1)."""
+    """Measured quadrature variance (shot noise = 1), and the rates it was read at."""
 
     dx_m2: float
-    lo_rate: float  # units of Gamma
-    window: float   # units of 1/lo_rate
+    lo_rate: float     # units of Gamma
+    window: float      # units of 1/lo_rate
+    demod_rate: float  # units of Gamma
 
 
 def build_system(params: NormalizedParams) -> LinearSystem:
@@ -262,7 +263,7 @@ def steady_variances(sys: LinearSystem) -> VarianceResult:
 def evolve_covariance(
     sys: LinearSystem,
     v0: CovarianceState | None = None,
-    t_end: float = 1.0,
+    t_end: float | None = None,
     *,
     n_samples: int = 201,
     t_eval=None,
@@ -271,31 +272,48 @@ def evolve_covariance(
 
     Exact propagation V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau},
     tau = t * Q, at ``n_samples`` evenly spaced times on [0, t_end] or
-    at the given ``t_eval`` (each within [0, t_end]). The cost does not
-    depend on Q or on t_end. Default initial condition: thermal mirror,
+    at the given ``t_eval`` (finite, >= 0, and <= t_end where given).
+    ``t_end`` None is the settle window ln(max(1, max|V0|) / 1e-12) /
+    (2 |Re lambda_slow| Q), in which V - V_ss, decaying as
+    e^{2 Re lambda_slow tau}, shrinks by 1e-12 / max(1, max|V0|). The
+    cost does not depend on Q or on t_end. Default v0: thermal mirror,
     vacuum field (cooling switched on at t = 0). Returns a
-    :class:`Trajectory`: a sequence of states, with the ``t`` and ``v``
-    arrays.
+    :class:`Trajectory` of states, with the ``t`` and ``v`` arrays.
 
     Raises
     ------
     InvalidParams
         If v0 has a non-finite entry or one so large that the propagation
-        overflows, or a ``t_eval`` time lies outside [0, t_end].
+        overflows, t_end (given or settled) is not finite and > 0, or a
+        ``t_eval`` time is not finite, >= 0 and <= t_end.
     NonPhysical
         If a sample violates V + iJ >= 0 beyond -1e-9 times the scale
         of v0. Besides a propagator failure this can be the model: the
         flat mirror bath is not completely positive, so a mirror that
         starts near its ground state at low Q leaves the physical set.
+    SolverFailure
+        If the settle window is asked for and the slowest drift mode does
+        not decay in floating point.
     """
-    if not 0.0 < t_end < math.inf:
+    if v0 is None:
+        v0 = thermal_covariance(sys.params)
+    if t_end is None and t_eval is None:
+        slowest = max(z.real for z in sys.modes.eigenvalues)
+        if not slowest < 0.0:  # classify found it stable; its decay is below round-off
+            raise SolverFailure(f"the slowest drift mode does not decay in floating point ({slowest})")
+        # max(1, max|V0|) over the finite entries (a non-finite v0 fails in
+        # _transient); a difference of logs, as max|V0| / 1e-12 can overflow
+        scale = np.max(np.abs(v0.v), initial=1.0, where=np.isfinite(v0.v))
+        t_end = (math.log(scale) - math.log(1e-12)) / (2.0 * -slowest * sys.params.q_factor)
+    if t_end is not None and not 0.0 < t_end < math.inf:
         raise InvalidParams(f"t_end must be finite and > 0, got {t_end}")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, n_samples)
     else:
         t_eval = np.array(t_eval, dtype=float)  # a copy: the Trajectory makes it read-only
-        if not np.all((t_eval >= 0) & (t_eval <= t_end)):
-            raise InvalidParams(f"t_eval must lie within [0, {t_end}]")
+        limit = math.inf if t_end is None else t_end
+        if not np.all((t_eval >= 0) & (t_eval < math.inf) & (t_eval <= limit)):
+            raise InvalidParams(f"t_eval must be finite and lie within [0, {limit}]")
     return Trajectory(t_eval, _transient(sys, v0, t_eval)[0][:, _PAIR_OF])
 
 
@@ -319,7 +337,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def matched_filter_pairs(window: float, n_outer: int = 64):
+def matched_filter_pairs(window: float, n_outer: int = _FILTER_ORDER):
     """Gauss-Legendre nodes/weights on the triangle 0 <= t' <= t <= window.
 
     The correlation kernel is smooth on each causal ordering but kinked
@@ -565,7 +583,7 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     dx_m^2 = 1 + int int E(t) E(t') C(t, t') dt dt' with the unit-norm
     exponential filter E(t) = sqrt(2 lo_rate) exp(-lo_rate t); the
     leading 1 is the shot noise of the excluded delta term. ``lo_rate``
-    is in Gamma units, matching the grid's time units.
+    is in Gamma units, matching the grid's time units; ``demod_rate`` is the grid's.
 
     Raises
     ------
@@ -581,7 +599,7 @@ def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
     if not len(grid.values):
         raise GridMismatch("homodyne integration needs a grid with at least one pair")
     _require_rate(lo_rate)
-    return _filter_sum(grid.times, grid.weights, grid.values, grid.params, lo_rate)
+    return _filter_sum(grid.times, grid.weights, grid.values, grid.params, lo_rate, grid.demod_rate)
 
 
 def homodyne_readout(
@@ -589,7 +607,7 @@ def homodyne_readout(
     v0: CovarianceState | None,
     quadrature: str,
     lo_rate: float,
-    demod_rate: float = 0.0,
+    demod_rate: float | None = None,
 ) -> HomodyneResult:
     """Matched-filter readout of an output quadrature over the cooling transient.
 
@@ -599,6 +617,8 @@ def homodyne_readout(
     64 outer nodes and 32 inner ones. ``v0``, ``quadrature`` and
     ``demod_rate`` are those of :func:`two_time_correlations`, ``lo_rate``
     that of :func:`homodyne_variance`, and the errors are theirs.
+    ``demod_rate`` None is the cavity detuning phi Q / b (an oscillator at
+    the cavity line), and the result reports the rate used.
 
     It takes one propagator table, at the early times
     t'_ij = t_i (1 + x_j) / 2. The Gauss-Legendre nodes are antisymmetric,
@@ -622,6 +642,8 @@ def homodyne_readout(
     """
     phase = _quad_phase(quadrature)
     _require_rate(lo_rate)
+    if demod_rate is None:
+        demod_rate = sys.params.phi * sys.params.q_factor / sys.params.b
     n_inner = _FILTER_ORDER // 2
     pairs, weights = matched_filter_pairs(_FILTER_LIFETIMES / lo_rate, _FILTER_ORDER)
     t_late, t_early = pairs[:, 0], pairs[:, 1]
@@ -631,7 +653,7 @@ def homodyne_readout(
     cl = np.repeat(_demodulation(t_late[::n_inner], phase, demod_rate), n_inner, axis=0)
     values = _field_correlations(
         v_t, _demodulation(t_early, phase, demod_rate), cl, c[:, mirror], basis, t_early[mirror])
-    return _filter_sum(pairs, weights, values, sys.params, lo_rate)
+    return _filter_sum(pairs, weights, values, sys.params, lo_rate, demod_rate)
 
 
 def _require_rate(lo_rate: float) -> None:
@@ -639,7 +661,7 @@ def _require_rate(lo_rate: float) -> None:
         raise InvalidParams(f"lo_rate must be finite and > 0, got {lo_rate}")
 
 
-def _filter_sum(times, weights, values, params, lo_rate) -> HomodyneResult:
+def _filter_sum(times, weights, values, params, lo_rate, demod_rate) -> HomodyneResult:
     """1 + the filter-weighted sum of the grid ``values`` over the (t, t') ``times``.
 
     The window is the latest time; it must reach 5/lo_rate, the sum must
@@ -675,5 +697,5 @@ def _filter_sum(times, weights, values, params, lo_rate) -> HomodyneResult:
             "the grid does not resolve the correlation"
         )
     return HomodyneResult(
-        dx_m2=1.0 + integral, lo_rate=lo_rate, window=window * lo_rate
+        dx_m2=1.0 + integral, lo_rate=lo_rate, window=window * lo_rate, demod_rate=demod_rate
     )

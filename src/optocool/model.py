@@ -21,7 +21,6 @@ Quadratures are normalized so the vacuum variance is 1 ([q, p] = 2i).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -204,7 +203,7 @@ class NormalizedParams:
             raise InvalidParams(*bad)
 
     def replace(self, **kwargs) -> "NormalizedParams":
-        return dataclasses.replace(self, **kwargs)
+        return NormalizedParams(**{**vars(self), **kwargs})
 
 
 @dataclass(frozen=True)

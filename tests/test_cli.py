@@ -8,13 +8,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optocool import (
+    NonPhysical,
+    NormalizedParams,
     ParseError,
     ValidationError,
     build_system,
+    classify,
+    evolve_covariance,
     lyapunov_steady_state,
     matched_filter_pairs,
     optimal_detuning,
@@ -39,6 +43,21 @@ phi_nl = 0.1
 q_factor = 1e4
 n_t_i = 100
 """
+
+
+@st.composite
+def settling_points(draw):
+    """Stable points with b in 0.05-50, phi = 0 among them, Q in 2-1e7, n_t_i in 0-1e12."""
+    b = draw(st.floats(0.05, 50.0))
+    point = NormalizedParams(
+        b=b,
+        phi=draw(st.just(0.0) | st.floats(-1.0, 3.0).map(lambda r: r * b)),
+        phi_nl=draw(st.floats(0.0, 1.0)),
+        q_factor=10.0 ** draw(st.floats(math.log10(2.0), 7.0)),
+        n_t_i=draw(st.just(0.0) | st.floats(0.0, 12.0).map(lambda e: 10.0 ** e)),
+    )
+    assume(classify(point).stable)
+    return point
 
 
 class TestParseConfig:
@@ -201,22 +220,30 @@ class TestRun:
         assert [r[0] for r in table.rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
         assert table.rows[1][1] == pytest.approx(table.rows[3][1], rel=1e-12)
 
-    def test_default_dynamics_window_reaches_steady_state(self):
-        # outside the adiabatic regime the closed-form Gamma_eff
-        # overstates the relaxation rate; the default window must still
-        # cover the slowest drift mode
-        doc = MINIMAL.replace("phi_nl = 0.1", "phi_nl = 0.3")
-        cfg = parse_config(doc, mode="dynamics")
-        last = run(cfg).rows[-1]
-        v_ss = lyapunov_steady_state(build_system(cfg.params)).v
-        assert last[1] == pytest.approx(v_ss[0, 0], rel=1e-5)
-        assert last[2] == pytest.approx(v_ss[1, 1], rel=1e-5)
+    @settings(max_examples=60, deadline=None)
+    @given(point=settling_points())
+    def test_default_dynamics_window_reaches_steady_state(self, point):
+        # the window is evolve_covariance's own (t_end None), outside the
+        # adiabatic regime too, where the closed-form Gamma_eff overstates
+        # the relaxation rate; the CLI passes it through unchanged
+        sysm = build_system(point)
+        try:
+            last = evolve_covariance(sysm)[-1].v
+            cli_last = evolve_covariance(sysm, n_samples=401)[-1].v  # the CLI's sample count
+        except NonPhysical:  # the flat bath is not completely positive
+            assume(False)
+        v_ss = lyapunov_steady_state(sysm).v
+        assert np.max(np.abs(last - v_ss)) <= 1e-10 * np.max(np.abs(v_ss))
+        fields = {f.name: repr(getattr(point, f.name)) for f in dataclasses.fields(point)}
+        row = run(parse_config("", "dynamics", fields)).rows[-1]
+        assert row[1:5] == tuple(np.diag(cli_last))
 
     def test_homodyne_mode_row(self):
         table = run(parse_config(MINIMAL, mode="homodyne"))
         row = table.rows[0]
         assert row[0] > 30.0
         assert row[3] == "x_out"
+        assert row[4] == 10.0 * 1e4 / 10.0  # the cavity detuning phi Q / b
 
 
 class TestEmitCsv(object):
@@ -443,6 +470,18 @@ class TestMain:
         record = assert_one_json_record(capsys.readouterr().err)
         assert record["violations"] == ["spectrum.omega_points: mode 'variances' does not read it"]
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_samples_bound_is_two(self, samples, capsys):
+        # like sweep.points and spectrum.omega_points: 0 printed a header
+        # and no rows, 1 the t = 0 row alone
+        rc = main(argv_for("dynamics", {"b": "3", "phi": "3", "phi_nl": "0.05",
+                                        "q_factor": "1e4", "n_t_i": "100",
+                                        "dynamics.t_end": "1", "dynamics.samples": samples}))
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        record = assert_one_json_record(err)
+        assert record["violations"] == [f"dynamics.samples: must be >= 2, got {samples}"]
+
     def test_unresolved_lab_frame_homodyne_exits_3(self, capsys):
         # the grid cannot follow the rotation at Omega_m without
         # demodulation; it used to print dx_m2 = -0.624
@@ -500,7 +539,7 @@ class TestNonFiniteInput:
             ("homodyne", {"homodyne.demod_rate": "nan"}),
             ("spectrum", {"spectrum.omega_start": "nan"}),
             ("variances", {"tolerances.omega_max": "inf"}),
-            ("dynamics", {"dynamics.samples": "-3"}),
+            ("dynamics", {"dynamics.samples": "1"}),
             ("homodyne", {"homodyne.demod_rate": "inf"}),
         ],
     )
@@ -804,6 +843,19 @@ def test_decayed_transient_is_the_steady_state(phi, capsys):
     v_ss = lyapunov_steady_state(build_system(cfg.params)).v
     last = run(cfg).rows[-1]
     assert last[1:5] == pytest.approx(np.diag(v_ss), rel=1e-12)
+
+
+def test_default_window_settles_a_slow_high_q_transient(capsys):
+    # twenty lifetimes of the slowest drift mode, the window the CLI used
+    # to set, ended with dq2 = 25189.7338609, 0.27% above the steady state
+    point = {"b": "0.6513789801989002", "phi": "0.36696036045309516",
+             "phi_nl": "0.3861953860011457", "q_factor": "6731911.244041609",
+             "n_t_i": "11867144866.396795"}
+    assert main(argv_for("dynamics", {**point, "dynamics.samples": "3"})) == 0
+    last = csv_rows(capsys.readouterr().out)[-1]
+    assert last[1] == "25120.2475439"
+    v_ss = lyapunov_steady_state(build_system(NormalizedParams(**point))).v
+    assert abs(float(last[1]) - v_ss[0, 0]) <= 1e-10 * v_ss[0, 0]
 
 
 def test_homodyne_with_both_rates_reads_no_closed_form(monkeypatch, capsys):

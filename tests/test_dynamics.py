@@ -1,5 +1,6 @@
 """Covariance dynamics, two-time correlations and homodyne readout."""
 
+import dataclasses
 import math
 import re
 
@@ -14,6 +15,7 @@ from optocool import (
     CovarianceState,
     Trajectory,
     GridMismatch,
+    HomodyneResult,
     InvalidParams,
     NonPhysical,
     NormalizedParams,
@@ -35,7 +37,7 @@ from optocool import (
     thermal_covariance,
     two_time_correlations,
 )
-from optocool import dynamics
+from optocool import cli, dynamics
 from optocool.dynamics import _physical
 from optocool.spectra import Method, ThermalNoiseModel
 
@@ -218,6 +220,29 @@ class TestEvolve:
         assert dq2[-1] == pytest.approx(
             lyapunov_steady_state(sysm).v[0, 0], rel=1e-5
         )
+
+
+    def test_default_window_at_huge_occupancy(self):
+        # max|V0| / 1e-12 overflows at n_t_i = 1e300; the window is a
+        # difference of logs and stays finite
+        sysm = build_system(FIG3.replace(n_t_i=1e300))
+        traj = evolve_covariance(sysm)
+        v_ss = lyapunov_steady_state(sysm).v
+        assert 0.0 < traj.t[-1] < 1.0
+        assert np.max(np.abs(traj[-1].v - v_ss)) <= 1e-10 * np.max(np.abs(v_ss))
+
+    def test_default_window_needs_a_decaying_mode(self):
+        sysm = build_system(FIG3)
+        # a drift whose slowest mode rounds to no decay (classify has passed)
+        object.__setattr__(sysm, "modes", sysm.modes._replace(eigenvalues=[-1.0, 0.0j, -1.0, -1.0]))
+        with pytest.raises(SolverFailure, match="does not decay"):
+            evolve_covariance(sysm)
+
+    def test_sample_times_need_no_window(self):
+        # with t_eval alone no window is computed: any finite time >= 0
+        sysm = build_system(FIG3)
+        traj = evolve_covariance(sysm, t_eval=[0.0, 1e3])
+        assert traj[-1].v == pytest.approx(lyapunov_steady_state(sysm).v, rel=1e-12)
 
 
 class TestExactPropagation:
@@ -529,6 +554,8 @@ class TestTransientInput:
         v0 = CovarianceState(t=0.0, v=v)
         with pytest.raises(InvalidParams):
             evolve_covariance(sysm, v0, t_end=0.01, n_samples=11)
+        with pytest.raises(InvalidParams, match="v0 must be finite"):
+            evolve_covariance(sysm, v0)  # the default window
         with pytest.raises(InvalidParams):
             two_time_correlations(sysm, v0, "x_out", [[0.0, 0.001]])
 
@@ -557,10 +584,13 @@ class TestTransientInput:
         with pytest.raises(InvalidParams, match="overflows in propagation"):
             two_time_correlations(sysm, v0, "x_out", [[0.0, 0.001], [0.001, 0.002]])
 
-    @pytest.mark.parametrize("t_eval", [[0.0, math.nan], [-0.001], [0.02]])
-    def test_sample_times(self, t_eval):
-        with pytest.raises(InvalidParams):
-            evolve_covariance(build_system(FIG3), t_end=0.01, t_eval=t_eval)
+    @pytest.mark.parametrize("t_end, t_eval", [
+        (0.01, [0.0, math.nan]), (0.01, [-0.001]), (0.01, [0.02]),
+        (None, [0.0, math.nan]), (None, [-0.001]), (None, [math.inf]),
+    ])
+    def test_sample_times(self, t_end, t_eval):
+        with pytest.raises(InvalidParams, match="t_eval must be finite"):
+            evolve_covariance(build_system(FIG3), t_end=t_end, t_eval=t_eval)
 
 
 class TestLyapunov:
@@ -890,7 +920,8 @@ class TestHomodyneReadout:
             assert got == want
         else:
             assert abs(got.dx_m2 - want.dx_m2) <= rel * max(1.0, abs(want.dx_m2))
-            assert (got.lo_rate, got.window) == (want.lo_rate, want.window)
+            assert (got.lo_rate, got.window, got.demod_rate) == \
+                (want.lo_rate, want.window, want.demod_rate)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -929,6 +960,36 @@ class TestHomodyneReadout:
         assert sysm.inverse is None
         self.assert_same(outcome(homodyne_readout, sysm, None, quadrature, lo, demod),
                          outcome(grid_readout, sysm, None, quadrature, lo, demod))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sysm=stable_points(),
+        quadrature=st.sampled_from(["x_out", "y_out"]),
+        lo_lifetimes=st.floats(0.2, 5.0),
+    )
+    def test_cli_row_is_the_library_default(self, sysm, quadrature, lo_lifetimes):
+        # the homodyne mode leaves the demodulation to homodyne_readout
+        p = sysm.params
+        slowest = -max(z.real for z in sysm.modes.eigenvalues) * p.q_factor  # Gamma units
+        assume(slowest > 0.0)
+        lo = lo_lifetimes * slowest
+        fields = {f.name: repr(getattr(p, f.name)) for f in dataclasses.fields(p)}
+        cfg = cli.parse_config("", "homodyne", {
+            **fields, "homodyne.lo_rate": repr(lo), "homodyne.quadrature": quadrature})
+        got = outcome(lambda: cli.run(cfg).rows[0])
+        want = outcome(homodyne_readout, sysm, None, quadrature, lo)
+        if isinstance(want, HomodyneResult):
+            want = (want.dx_m2, want.lo_rate, want.window, quadrature, want.demod_rate, True)
+        assert got == want
+
+    @pytest.mark.parametrize("phi_nl, printed", [(0.1, "65.7254025206"), (0.01, "154.885114501")])
+    def test_default_demodulation_is_the_cavity_detuning(self, phi_nl, printed):
+        # in the lab frame (the old default, 0) the readout at the fig3
+        # point raised WindowTooShort, and at phi_nl = 0.01 GridMismatch
+        p = FIG3.replace(phi_nl=phi_nl)
+        res = homodyne_readout(build_system(p), None, "x_out", effective_rates(p).gamma_eff_ratio)
+        assert f"{res.dx_m2:.12g}" == printed
+        assert res.demod_rate == 1e4 and f"{res.window:.12g}" == "11.9958302504"
 
     def test_near_coincident_point_prints_its_value(self):
         p = NormalizedParams(b=10, phi=1e-9, phi_nl=0.1, q_factor=1e4, n_t_i=30)
