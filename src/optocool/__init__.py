@@ -25,18 +25,15 @@ from .dynamics import (
     HomodyneResult,
     LinearSystem,
     Trajectory,
-    TwoTimeGrid,
     build_system,
     evolve_covariance,
     homodyne_readout,
-    homodyne_variance,
     lyapunov_steady_state,
     matched_filter_pairs,
     output_variance_track,
     physicality_defect,
     steady_variances,
     thermal_covariance,
-    two_time_correlations,
 )
 from .errors import (
     GridMismatch,

@@ -168,7 +168,9 @@ def decompose(params: NormalizedParams) -> CoolingDecomposition:
 
     Defined on the cooling side (phi > 0) only, where the radiation
     term (1 + b^2 + phi^2)/(2 phi b) is a positive variance bounded
-    below by 1.
+    below by 1: else :class:`~optocool.errors.InvalidRegime`. Where the
+    split is not finite (phi b underflows), it raises
+    :class:`~optocool.errors.InvalidParams`.
     """
     if params.phi <= 0:
         raise InvalidRegime(f"decomposition requires phi > 0, got {params.phi}")
@@ -177,13 +179,16 @@ def decompose(params: NormalizedParams) -> CoolingDecomposition:
     strength = f * params.phi_nl * params.q_factor
     eta = strength / (1.0 + strength)
     dq2_thermal = 1.0 + 2.0 * params.n_t_i
-    dq2_radiation = (1.0 + b * b + phi * phi) / (2.0 * phi * b)
+    dq2_radiation = (1.0 + b * b + phi * phi) / (2.0 * phi * b) if phi * b > 0.0 else math.inf
+    dq2 = (1.0 - eta) * dq2_thermal + eta * dq2_radiation
+    if not math.isfinite(dq2):
+        raise InvalidParams(f"closed-form decomposition is not finite ({dq2})")
     return CoolingDecomposition(
         f=f,
         eta=eta,
         dq2_thermal=dq2_thermal,
         dq2_radiation=dq2_radiation,
-        dq2=(1.0 - eta) * dq2_thermal + eta * dq2_radiation,
+        dq2=dq2,
     )
 
 
@@ -328,9 +333,10 @@ def optimize_operating_point(
             vals = [probes[phi] for phi in coarse]
             i = int(np.argmin(vals))
             lo_i, hi_i = max(i - 1, 0), min(i + 1, len(coarse) - 1)
-            # an unstable probe scores inf, so Brent's parabolic step can be
-            # inf - inf = nan; it then falls back to a golden-section step
-            with np.errstate(invalid="ignore"):
+            # an unstable probe scores inf, and scores near the float range
+            # overflow, so Brent's parabolic step can be inf or inf - inf =
+            # nan; it then falls back to a golden-section step
+            with np.errstate(invalid="ignore", over="ignore"):
                 res = minimize_scalar(
                     lambda phi: objectives([(b, phi)])[0],
                     bounds=(coarse[lo_i], coarse[hi_i]),

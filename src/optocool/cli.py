@@ -43,11 +43,7 @@ from .dynamics import (
     homodyne_readout,
     output_variance_track,
 )
-from .dynamics import (  # noqa: F401  unused; perfbench/tracer.py wraps these names here
-    homodyne_variance,
-    matched_filter_pairs,
-    two_time_correlations,
-)
+from .dynamics import matched_filter_pairs  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .errors import (
     ImaginaryFrequency,
     InvalidParams,
@@ -74,7 +70,7 @@ from .spectra import (
 )
 
 # unused; perfbench/tracer.py wraps these names in this module
-_effective_peak = _static_margins = _spectrum_values = None
+_effective_peak = _static_margins = _spectrum_values = homodyne_variance = two_time_correlations = None
 
 SWEEPABLE = ("b", "phi", "phi_nl", "q_factor", "n_t_i")
 # config key -> field of SweepSpec / PhysicalParams

@@ -25,23 +25,24 @@ eigenbasis, a sum of modal exponentials (C. F. Van Loan, IEEE TAC
 (the spectral route's quadrature test), c holds ``expm`` of A tau, one
 per sample, and B the 16 unit matrices. Both bases are read by one
 formula: V(t) - V_ss is a table of the products c_m c_n, m <= n, times
-one fixed coefficient matrix, and a two-time correlation contracts its
+one fixed coefficient matrix.
+
+The output field is read by one route, :func:`homodyne_readout`: the
+matched filter over the two-time correlations of the reflected field on
+a fixed Gauss-Legendre triangle. Each correlation contracts its
 demodulation vectors with V(t)'s two field rows and with the lag
-coefficients times the basis's field rows. On the matched filter's
-grid the lags are the early times mirrored, so the readout reads both
-from one table. Exposed
-timestamps are in units of 1/Gamma; the propagator's argument is in
-units of 1/Omega_m (tau = t * Q).
+coefficients times the basis's field rows. On that triangle the lags
+are the early times mirrored, so the readout reads both from one
+table. Exposed timestamps are in units of 1/Gamma; the propagator's
+argument is in units of 1/Omega_m (tau = t * Q).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -63,7 +64,6 @@ __all__ = [
     "LinearSystem",
     "CovarianceState",
     "Trajectory",
-    "TwoTimeGrid",
     "HomodyneResult",
     "build_system",
     "thermal_covariance",
@@ -73,8 +73,6 @@ __all__ = [
     "evolve_covariance",
     "output_variance_track",
     "matched_filter_pairs",
-    "two_time_correlations",
-    "homodyne_variance",
     "homodyne_readout",
 ]
 
@@ -94,8 +92,10 @@ _QUAD_PHASE = {"x_out": 0.0, "y_out": 0.5 * math.pi}
 
 #: the matched filter's window, in lifetimes 1/lo_rate of the local oscillator
 _FILTER_LIFETIMES = 12.0
-#: the order of its grid: 64 outer Gauss-Legendre nodes, 32 inner ones
-_FILTER_ORDER = 64
+#: its grid's Gauss-Legendre rules, built once: 64 outer nodes, 32 inner ones
+_OUTER_RULE, _INNER_RULE = leggauss(64), leggauss(32)
+for _a in (*_OUTER_RULE, *_INNER_RULE):
+    _a.setflags(write=False)
 
 #: the basis of the ``expm`` propagators: the 16 unit 4x4 matrices
 _UNIT_BASIS = np.eye(16).reshape(16, 4, 4)
@@ -112,9 +112,11 @@ class LinearSystem:
     """Drift/diffusion pair of the linearized dynamics, rates in Omega_m units.
 
     Derived once from ``params``, which :func:`~optocool.model.classify`
-    must find stable (else :class:`~optocool.errors.Unstable`): the
-    drift, the diffusion, the drift's ``modes`` and, where they are
-    separated, their ``inverse`` S^-1 (None where propagators use expm).
+    must find stable (else :class:`~optocool.errors.Unstable`) and whose
+    mirror diffusion must be finite (else
+    :class:`~optocool.errors.InvalidParams`): the drift, the diffusion,
+    the drift's ``modes`` and, where they are separated, their
+    ``inverse`` S^-1 (None where propagators use expm).
     """
 
     params: NormalizedParams
@@ -131,6 +133,8 @@ class LinearSystem:
         # factor 2 is exact, so the two agree wherever the latter is finite
         # and normal
         diffusion = np.diag([0.0, 2.0 * ((2.0 * p.n_t_i + 1.0) / p.q_factor), 2.0 / p.b, 2.0 / p.b])
+        if diffusion[1, 1] == math.inf:  # Q near 1 with 2 n_t_i + 1 near the float range
+            raise InvalidParams(f"mirror diffusion overflows at n_t_i={p.n_t_i}, Q={p.q_factor}")
         inverse = np.linalg.inv(modes.vectors) if modes.separated else None
         for name, value in (("drift", drift_matrix(p)), ("diffusion", diffusion),
                             ("modes", modes), ("inverse", inverse)):
@@ -173,28 +177,12 @@ class Trajectory(Sequence):
 
 
 @dataclass(frozen=True)
-class TwoTimeGrid:
-    """Sampled smooth part of an output-quadrature correlation.
-
-    ``times`` holds (t, t') pairs in 1/Gamma units; ``values`` the
-    symmetrized correlation divided by kappa, with the shot-noise delta
-    spike excluded by construction. ``demod_rate`` is the local
-    oscillator rotation rate in Gamma units (0 means the lab-frame
-    quadrature). ``weights``, when present, are the quadrature weights
-    of the lower-triangle scheme that generated the pairs.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    quadrature: str
-    demod_rate: float
-    params: NormalizedParams
-    weights: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class HomodyneResult:
-    """Measured quadrature variance (shot noise = 1), and the rates it was read at."""
+    """Measured quadrature variance (shot noise = 1), and the rates it was read at.
+
+    ``window`` is the last outer node of the filter's grid, in units of
+    1/lo_rate: 11.9958302504 inside the 12/lo_rate window it integrates.
+    """
 
     dx_m2: float
     lo_rate: float     # units of Gamma
@@ -203,7 +191,8 @@ class HomodyneResult:
 
 
 def build_system(params: NormalizedParams) -> LinearSystem:
-    """``LinearSystem(params)``, or :class:`~optocool.errors.Unstable`."""
+    """``LinearSystem(params)``, or its :class:`~optocool.errors.Unstable` or
+    :class:`~optocool.errors.InvalidParams`."""
     return LinearSystem(params)
 
 
@@ -229,13 +218,13 @@ def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     The residual is verified below 1e-12 (relative to ||V||). It is
     taken on U = V / max|V|, and both norms likewise, so that the test
     still means something where ||V||^2 or A V overflows. The solve is
-    linear in D, so it runs on D / s with s the power of two at max|D|,
+    linear in D, so it runs on D / s with s the power of two at or below max|D|,
     which keeps a huge diffusion inside the solver's range and changes no
     rounding. V is symmetrized as V/2 + V^T/2, which is V + V^T halved
     wherever that sum does not overflow (halving a normal float is exact).
     """
     a, d = sys.drift, sys.diffusion
-    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(d))))[1])
+    s = math.ldexp(0.5, math.frexp(float(np.max(np.abs(d))))[1])  # 2^1024 would overflow
     with warnings.catch_warnings():  # a perturbed solve warns; the residual test decides
         warnings.simplefilter("ignore", RuntimeWarning)
         v = solve_continuous_lyapunov(a, -d / s) * s
@@ -323,40 +312,28 @@ def output_variance_track(trajectory: Trajectory) -> np.ndarray:
     Smooth part only: C_a(t,t)/kappa = 2 (V_aa(t) - 1), the shot-noise
     spike being excluded. Reads the ``v`` stack of a :class:`Trajectory`
     from :func:`evolve_covariance` and returns an (n, 2) array aligned
-    with its samples.
+    with its samples, or :class:`~optocool.errors.InvalidParams` where a
+    field variance is so large that 2 (V_aa - 1) overflows.
     """
-    return 2.0 * (trajectory.v[:, [2, 3], [2, 3]] - 1.0)
+    with np.errstate(over="ignore"):  # the finiteness test follows
+        track = 2.0 * (trajectory.v[:, [2, 3], [2, 3]] - 1.0)
+    if not np.all(np.isfinite(track)):
+        raise InvalidParams("output correlation 2 (V_aa - 1) overflows")
+    return track
 
 
-@lru_cache(maxsize=8, typed=True)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``leggauss(n)``, built once per order."""
-    rule = leggauss(n)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-def matched_filter_pairs(window: float, n_outer: int = _FILTER_ORDER):
+def matched_filter_pairs(window: float):
     """Gauss-Legendre nodes/weights on the triangle 0 <= t' <= t <= window.
 
     The correlation kernel is smooth on each causal ordering but kinked
     across the diagonal, so the square is integrated as twice the lower
-    triangle: ``n_outer`` nodes in t, an integer >= 2, and n_outer // 2
-    in t' under each. Times are in the same units as the trajectory
-    (1/Gamma).
+    triangle: 64 nodes in t and 32 in t' under each, as (t, t') rows of
+    ``times``. Times are in the same units as the trajectory (1/Gamma).
     """
     if not 0.0 < window < math.inf:
         raise InvalidParams(f"window must be finite and > 0, got {window}")
-    try:
-        order = operator.index(n_outer)
-    except TypeError:
-        order = 0
-    if order < 2:
-        raise InvalidParams(f"grid order must be an integer >= 2, got {n_outer!r}")
-    n_outer, n_inner = order, order // 2
-    xo, wo = _gauss_legendre(n_outer)
-    xi, wi = _gauss_legendre(n_inner)
+    (xo, wo), (xi, wi) = _OUTER_RULE, _INNER_RULE
+    n_inner = len(xi)
     t_out = 0.5 * window * (xo + 1.0)
     w_out = 0.5 * window * wo
     inner_t = np.outer(0.5 * t_out, xi + 1.0)
@@ -471,27 +448,19 @@ def _transient(
     return v, c, basis
 
 
-def _quad_phase(quadrature: str) -> float:
-    """The demodulation phase at t = 0 of a quadrature name, or GridMismatch."""
-    if quadrature not in _QUAD_PHASE:
-        raise GridMismatch(f"unknown quadrature {quadrature!r}")
-    return _QUAD_PHASE[quadrature]
-
-
 def _demodulation(t: np.ndarray, phase: float, demod_rate: float) -> np.ndarray:
     """The (n, 2) vectors (cos theta, -sin theta), theta = demod_rate t + phase."""
     theta = demod_rate * t + phase
     return np.column_stack([np.cos(theta), -np.sin(theta)])
 
 
-def _field_correlations(v_t, ce, cl, c_lag, basis, lag):
+def _field_correlations(v_t, ce, cl, c_lag, basis):
     """2 r . q at each pair: the smooth output correlation in kappa units.
 
     ``v_t`` is the (n, 10) table of V at the earlier times, ``ce`` and
     ``cl`` the demodulation vectors at the earlier and the later times,
-    and ``c_lag`` the coefficients of the lag propagator in ``basis`` at
-    the lags ``lag`` (1/Gamma units, read only where they are 0). The
-    demodulation vectors are contracted first: r = ce^T (V(t) - 1)_{f.}
+    and ``c_lag`` the coefficients of the lag propagator in ``basis``.
+    The demodulation vectors are contracted first: r = ce^T (V(t) - 1)_{f.}
     and q = exp(A^T (t'-t))_{.f} cl, f the field rows, so q comes from the
     lag coefficients and the basis's two field rows with no 4x4 matrix
     per pair.
@@ -499,107 +468,7 @@ def _field_correlations(v_t, ce, cl, c_lag, basis, lag):
     r = ce[:, :1] * v_t[:, _PAIR_OF[2]] + ce[:, 1:] * v_t[:, _PAIR_OF[3]]  # (n, 4)
     r[:, 2:] -= ce
     q = ((c_lag[:, None] * cl.T).reshape(2 * len(basis), -1).T @ basis[:, 2:].reshape(-1, 4)).real
-    zero = lag == 0.0  # exp(0) is the identity exactly
-    q[zero, :2] = 0.0
-    q[zero, 2:] = cl[zero]
     return 2.0 * np.einsum("nk,nk->n", r, q)
-
-
-def two_time_correlations(
-    sys: LinearSystem,
-    v0: CovarianceState | None,
-    quadrature: str,
-    pairs,
-    *,
-    demod_rate: float = 0.0,
-    weights=None,
-) -> TwoTimeGrid:
-    """Smooth symmetrized correlation of an output quadrature on (t, t') pairs.
-
-    The system starts from ``v0`` at t = 0 (None: thermal mirror, vacuum
-    field, as in :func:`evolve_covariance`). For t' >= t the
-    intracavity correlation follows the regression rule
-    <z(t) z^T(t')>_sym = V(t) exp(A^T (t'-t)); composing it with the
-    input-output relation a_out = sqrt(2 kappa) a - a_in cancels the
-    input cross terms into
-
-        C(t, t') = 2 kappa [(V(t) - 1) exp(A^T (t'-t))]  (field block),
-
-    whose shot-noise delta has been dropped. V(t) at each pair's earlier
-    time is propagated exactly from v0 and checked for physicality.
-
-    With ``demod_rate`` = Delta/Gamma the stored scalar is the
-    correlation of the co-rotating quadrature cos(theta) x_out -
-    sin(theta) y_out, theta = demod_rate * t (+ pi/2 for ``y_out``):
-    the frame in which a sideband-matched local oscillator measures.
-    At the default 0 this is the plain lab-frame quadrature. The
-    demodulation vectors are contracted first: the value is 2 r . q with
-    r = c(t)^T (V(t) - 1)_{f.} and q = exp(A^T (t'-t))_{.f} c(t'), f the
-    field rows, and q comes from the lag propagator's coefficients and
-    its basis's two field rows, with no 4x4 matrix per pair.
-
-    Values are reported in kappa units; times in 1/Gamma units.
-
-    Raises
-    ------
-    GridMismatch
-        For an unknown quadrature, or pairs that are not an (n, 2) array
-        of finite times >= 0.
-    InvalidParams
-        If v0 has a non-finite entry or one so large that the propagation
-        overflows.
-    NonPhysical
-        If V(t) at some pair violates V + iJ >= 0 beyond tolerance.
-    """
-    phase = _quad_phase(quadrature)
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise GridMismatch(f"pairs must be (n, 2), got shape {pairs.shape}")
-    if not np.all((pairs >= 0) & (pairs < math.inf)):
-        raise GridMismatch("two-time correlations need finite t, t' >= 0")
-
-    t_early = pairs.min(axis=1)
-    t_late = pairs.max(axis=1)
-    v_t, *_ = _transient(sys, v0, t_early)
-    lag = t_late - t_early
-    c, basis = _propagators(sys, lag * sys.params.q_factor)
-    values = _field_correlations(
-        v_t, _demodulation(t_early, phase, demod_rate),
-        _demodulation(t_late, phase, demod_rate), c, basis, lag)
-
-    return TwoTimeGrid(
-        times=pairs,
-        values=values,
-        quadrature=quadrature,
-        demod_rate=demod_rate,
-        params=sys.params,
-        weights=None if weights is None else np.asarray(weights, dtype=float),
-    )
-
-
-def homodyne_variance(grid: TwoTimeGrid, lo_rate: float) -> HomodyneResult:
-    """Variance measured with a temporally matched local oscillator.
-
-    dx_m^2 = 1 + int int E(t) E(t') C(t, t') dt dt' with the unit-norm
-    exponential filter E(t) = sqrt(2 lo_rate) exp(-lo_rate t); the
-    leading 1 is the shot noise of the excluded delta term. ``lo_rate``
-    is in Gamma units, matching the grid's time units; ``demod_rate`` is the grid's.
-
-    Raises
-    ------
-    GridMismatch
-        If the grid carries no quadrature weights or no pairs, or if the
-        measured variance comes out <= 0 (the grid misses the correlation).
-    WindowTooShort
-        If the filter mass outside the window could shift the integral
-        by more than 1%.
-    """
-    if grid.weights is None:
-        raise GridMismatch("homodyne integration needs a grid built with weights")
-    if not len(grid.values):
-        raise GridMismatch("homodyne integration needs a grid with at least one pair")
-    _require_rate(lo_rate)
-    return _filter_sum(grid.times, grid.weights, grid.values, grid.params, lo_rate, grid.demod_rate)
 
 
 def homodyne_readout(
@@ -611,69 +480,73 @@ def homodyne_readout(
 ) -> HomodyneResult:
     """Matched-filter readout of an output quadrature over the cooling transient.
 
-    The value of :func:`homodyne_variance` on the grid of
-    :func:`two_time_correlations` over ``matched_filter_pairs(12 /
-    lo_rate)``: the triangle t' <= t of a window of 12 filter lifetimes,
-    64 outer nodes and 32 inner ones. ``v0``, ``quadrature`` and
-    ``demod_rate`` are those of :func:`two_time_correlations`, ``lo_rate``
-    that of :func:`homodyne_variance`, and the errors are theirs.
-    ``demod_rate`` None is the cavity detuning phi Q / b (an oscillator at
-    the cavity line), and the result reports the rate used.
+    dx_m^2 = 1 + int int E(t) E(t') C(t, t') dt dt' with the unit-norm
+    exponential filter E(t) = sqrt(2 lo_rate) exp(-lo_rate t), lo_rate in
+    Gamma units; the leading 1 is the shot noise of the excluded delta
+    term. The system starts from ``v0`` at t = 0 (None: thermal mirror,
+    vacuum field, as in :func:`evolve_covariance`). For t' <= t the
+    regression rule <z(t') z^T(t)>_sym = V(t') exp(A^T (t-t')) composed
+    with the input-output relation a_out = sqrt(2 kappa) a - a_in gives
+    the smooth correlation
 
-    It takes one propagator table, at the early times
-    t'_ij = t_i (1 + x_j) / 2. The Gauss-Legendre nodes are antisymmetric,
-    x_{n-1-j} = -x_j, so the lag t_i - t'_ij is the early time
-    t'_{i,n-1-j}, and the lag coefficients are that table with each outer
-    row's inner columns reversed.
+        C(t', t) = 2 kappa [(V(t') - 1) exp(A^T (t-t'))]  (field block),
+
+    read along the quadrature cos(theta) x_out - sin(theta) y_out,
+    theta = demod_rate * t (+ pi/2 for ``y_out``): the frame of a local
+    oscillator rotating at ``demod_rate`` (Gamma units; 0 is the lab
+    frame). ``demod_rate`` None is the cavity detuning phi Q / b (an
+    oscillator at the cavity line), and the result reports the rate used.
+
+    The integral is twice the triangle t' <= t of ``matched_filter_pairs(12
+    / lo_rate)``: a window of 12 filter lifetimes, 64 outer nodes and 32
+    inner ones. It takes one propagator table, at the early times
+    t'_ij = t_i (1 + x_j) / 2, each > 0. The Gauss-Legendre nodes are
+    antisymmetric, x_{n-1-j} = -x_j, so the lag t_i - t'_ij is the early
+    time t'_{i,n-1-j}, and the lag coefficients are that table with each
+    outer row's inner columns reversed.
 
     Raises
     ------
     GridMismatch
-        For an unknown quadrature, or a measured variance <= 0.
+        For an unknown quadrature, or a measured variance <= 0 (the grid
+        does not resolve the correlation).
     InvalidParams
-        If lo_rate is not finite and > 0, the window 12/lo_rate or the
-        integral is not finite, or v0 is not finite or overflows in
-        propagation.
+        If lo_rate is not finite and > 0, the window 12/lo_rate, its
+        quadrature weights or the integral are not finite, or v0 is not
+        finite or overflows in propagation.
     NonPhysical
         If V(t) at an early time violates V + iJ >= 0 beyond tolerance.
     WindowTooShort
         If the filter mass outside the window could shift the integral
         by more than 1%.
     """
-    phase = _quad_phase(quadrature)
-    _require_rate(lo_rate)
+    if quadrature not in _QUAD_PHASE:
+        raise GridMismatch(f"unknown quadrature {quadrature!r}")
+    phase = _QUAD_PHASE[quadrature]
+    if not 0.0 < lo_rate < math.inf:
+        raise InvalidParams(f"lo_rate must be finite and > 0, got {lo_rate}")
     if demod_rate is None:
         demod_rate = sys.params.phi * sys.params.q_factor / sys.params.b
-    n_inner = _FILTER_ORDER // 2
-    pairs, weights = matched_filter_pairs(_FILTER_LIFETIMES / lo_rate, _FILTER_ORDER)
+    pairs, weights = matched_filter_pairs(_FILTER_LIFETIMES / lo_rate)
+    n_inner = len(_INNER_RULE[0])
     t_late, t_early = pairs[:, 0], pairs[:, 1]
     v_t, c, basis = _transient(sys, v0, t_early)
     mirror = np.arange(len(pairs)).reshape(-1, n_inner)[:, ::-1].ravel()
     # t is constant along each outer row
     cl = np.repeat(_demodulation(t_late[::n_inner], phase, demod_rate), n_inner, axis=0)
     values = _field_correlations(
-        v_t, _demodulation(t_early, phase, demod_rate), cl, c[:, mirror], basis, t_early[mirror])
+        v_t, _demodulation(t_early, phase, demod_rate), cl, c[:, mirror], basis)
     return _filter_sum(pairs, weights, values, sys.params, lo_rate, demod_rate)
-
-
-def _require_rate(lo_rate: float) -> None:
-    if not 0.0 < lo_rate < math.inf:
-        raise InvalidParams(f"lo_rate must be finite and > 0, got {lo_rate}")
 
 
 def _filter_sum(times, weights, values, params, lo_rate, demod_rate) -> HomodyneResult:
     """1 + the filter-weighted sum of the grid ``values`` over the (t, t') ``times``.
 
-    The window is the latest time; it must reach 5/lo_rate, the sum must
-    be finite, the filter mass past the window must bound a shift of at
-    most 1%, and the variance must come out > 0.
+    The window is the latest time. The sum must be finite, the filter
+    mass past the window must bound a shift of at most 1%, and the
+    variance must come out > 0.
     """
     window = float(times.max())
-    if window < 5.0 / lo_rate:
-        raise WindowTooShort(
-            f"window {window:.3g} shorter than 5/lo_rate = {5.0 / lo_rate:.3g}"
-        )
-
     kappa_over_gamma = params.q_factor / params.b
     with np.errstate(all="ignore"):  # the finiteness test follows
         env = 2.0 * lo_rate * np.exp(-lo_rate * times.sum(axis=1))

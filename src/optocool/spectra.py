@@ -791,12 +791,12 @@ def _per_point(params, noise_model, omega_max, powers, build):
     points = [params] if single else list(params)
     out = []
     for p, row in zip(points, _stack_moments(points, noise_model, omega_max, powers)):
-        if row is None:
-            try:
+        try:
+            if row is None:
                 row = _moments(p, noise_model, omega_max, powers)
-            except OptocoolError as exc:
-                row = exc
-        out.append(row if isinstance(row, OptocoolError) else build(row))
+            out.append(row if isinstance(row, OptocoolError) else build(row))
+        except OptocoolError as exc:
+            out.append(exc)
     if not single:
         return out
     if isinstance(out[0], OptocoolError):
@@ -805,7 +805,10 @@ def _per_point(params, noise_model, omega_max, powers, build):
 
 
 def _result(noise_model, q, p) -> VarianceResult:
-    """The VarianceResult of the (value, err) pairs of dq^2 and dp^2."""
+    """The VarianceResult of the (value, err) pairs of dq^2 and dp^2, or
+    QuadratureFailure where the sum of their error bounds overflows."""
+    if not math.isfinite(q[1] + p[1]):
+        raise QuadratureFailure(f"error bound {q[1]:.3e} + {p[1]:.3e} is not finite")
     return VarianceResult.from_variances(q[0], p[0], Method.EXACT_SPECTRUM, noise_model,
                                          q[1] + p[1])
 

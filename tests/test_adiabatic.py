@@ -387,3 +387,12 @@ def test_optimal_cooling_is_in_the_good_cavity_regime(q_factor, phi_nl, n_t_i, n
     p = NormalizedParams(b=opt.b_opt, phi=opt.phi_opt, phi_nl=phi_nl, q_factor=q_factor,
                          n_t_i=n_t_i)
     assert mechanical_damping(p) < 1.0 / opt.b_opt  # Gamma_m < kappa
+
+
+def test_decomposition_where_phi_b_underflows():
+    # 2 phi b is 0 in floating point: the radiation term is not finite, and
+    # the split is an InvalidParams (the adiabatic mode leaves f and eta empty)
+    p = NormalizedParams(b=4.31755093934738e-77, phi=5.017380291514038e-278, phi_nl=0.0,
+                         q_factor=1.0000000000009095, n_t_i=97.03118027279464)
+    with pytest.raises(InvalidParams, match="decomposition is not finite"):
+        decompose(p)

@@ -895,13 +895,14 @@ def test_homodyne_filter_is_twelve_lifetimes_on_a_two_to_one_grid(monkeypatch):
     # the window follows from lo_rate; the grid is 64 x 32 whatever the point
     calls = []
 
-    def spy(window, n_outer):
-        calls.append((window, n_outer))
-        return matched_filter_pairs(window, n_outer)
+    def spy(*args):
+        pairs, weights = matched_filter_pairs(*args)
+        calls.append((args, len(pairs)))
+        return pairs, weights
 
     monkeypatch.setattr(dynamics, "matched_filter_pairs", spy)
     run(parse_config("", "homodyne", {**BASE["homodyne"], "homodyne.lo_rate": "500"}))
-    assert calls == [(12.0 / 500.0, 64)]
+    assert calls == [((12.0 / 500.0,), 64 * 32)]
 
 
 # stable points where the closed form has Gamma_eff <= 0 (InvalidRegime)
@@ -1064,13 +1065,109 @@ def assert_clean_exit(mode, overrides):
                 assert math.isfinite(float(cell)), (name, row)
 
 
-@settings(max_examples=200)
+def log_uniform(lo, hi):
+    """Floats spread evenly in log between lo and hi (both > 0)."""
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def signed(strategy):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), strategy).map(lambda x: x[0] * x[1])
+
+
+# Strata of each coordinate that reach its valid extremes, so that the
+# ends of the domain are not rare: b from 1e-100 to 1e6, Q from just
+# above 1 to 1e14, n_t_i up to 8.988e307 (2 n_t_i + 1 must stay finite).
+B_STRATA = st.one_of(st.sampled_from([1e-100, 1e6]), log_uniform(1e-100, 1e-3),
+                     log_uniform(1e-3, 1e3), log_uniform(1e3, 1e6))
+Q_STRATA = st.one_of(st.sampled_from([1.0 + 2.0 ** -40, 1e14]),
+                     log_uniform(1.0 + 2.0 ** -40, 1e4), log_uniform(1e4, 1e14))
+N_STRATA = st.one_of(st.sampled_from([0.0, 8.988e307]), log_uniform(1e-3, 1e3),
+                     log_uniform(1e3, 8.988e307))
+
+
+@st.composite
+def extreme_overrides(draw, mode):
+    """A point of stratified extremes for ``mode``, as ``--set`` overrides.
+
+    phi is 0, near 0, a multiple of b, or near an edge of the spring
+    margin 1 + phi^2 - 2 phi phi_nl: a root phi_nl +- sqrt(phi_nl^2 - 1),
+    which needs phi_nl >= 1. A swept coordinate takes the drawn value at
+    both ends of its sweep. ``steady`` reads no point: its detuning and
+    drive take strata of their own.
+    """
+    if mode == "steady":
+        phi_c = st.one_of(st.just(0.0), signed(log_uniform(1e-300, 1e-3)),
+                          signed(log_uniform(1e-3, 1e3)), signed(log_uniform(1e3, 1e150)))
+        drive = st.one_of(st.just(0.0), log_uniform(1e-300, 1e300))
+        return {"steady.phi_c": repr(draw(phi_c)), "steady.drive": repr(draw(drive))}
+    b = draw(B_STRATA)
+    kind = draw(st.sampled_from(["zero", "near_zero", "multiple", "spring_edge"]))
+    if kind == "spring_edge":
+        phi_nl = draw(st.floats(1.0, 10.0))
+        root = phi_nl + draw(signed(st.just(math.sqrt(phi_nl * phi_nl - 1.0))))
+        phi = root * (1.0 + draw(signed(log_uniform(1e-12, 1e-2))))
+    else:
+        phi_nl = draw(st.one_of(st.just(0.0), log_uniform(1e-6, 10.0)))
+        phi = draw({"zero": st.just(0.0), "near_zero": signed(log_uniform(1e-300, 1e-6)),
+                    "multiple": st.floats(-1.0, 3.0).map(lambda r: r * b)}[kind])
+    point = {"b": b, "phi": phi, "phi_nl": phi_nl, "q_factor": draw(Q_STRATA),
+             "n_t_i": draw(N_STRATA)}
+    overrides = {key: repr(value) for key, value in point.items()}
+    swept = {**MODES[mode].preset, **BASE[mode]}.get("sweep.variable")
+    if swept:
+        value = overrides[swept]
+        overrides.update({"sweep.start": value, "sweep.stop": value, "sweep.points": "2"})
+    return overrides
+
+
+@settings(max_examples=400)
 @given(data=st.data())
 def test_any_input_exits_cleanly(data):
+    # hostile text on up to three keys, or a point of stratified extremes
     mode = data.draw(st.sampled_from(sorted(MODES)))
     keys = sorted(MODES[mode].reads - {"output_path"})
-    overrides = data.draw(st.dictionaries(st.sampled_from(keys), FUZZ_TEXT, max_size=3))
+    overrides = data.draw(st.one_of(
+        st.dictionaries(st.sampled_from(keys), FUZZ_TEXT, max_size=3),
+        extreme_overrides(mode),
+    ))
     assert_clean_exit(mode, {**BASE[mode], **overrides})
+
+
+#: points of stratified extremes that once broke the output contract: a
+#: raw ValueError or OverflowError of the Lyapunov solve, a RuntimeWarning
+#: on stderr, an inf cell, a raw ZeroDivisionError
+EXTREME_POINTS = {
+    "dynamics_diffusion_overflow": ("dynamics", {
+        "b": "1.0", "phi": "0.6440621913805864", "phi_nl": "0.0",
+        "q_factor": "1.0000000000009095", "n_t_i": "8.988e+307"}),
+    "dynamics_top_binade_diffusion": ("dynamics", {
+        "b": "1e-100", "phi": "0.0", "phi_nl": "0.0", "q_factor": "2.718281828459045",
+        "n_t_i": "8.988e+307"}),
+    "dynamics_track_overflow": ("dynamics", {
+        "b": "1000000.0", "phi": "0.12616082231132736", "phi_nl": "4.0",
+        "q_factor": "1096.6331584284585", "n_t_i": "8.988e+307"}),
+    "homodyne_diffusion_overflow": ("homodyne", {
+        "b": "15.007742229618701", "phi": "33.10977297208286", "phi_nl": "3.3614075305938247",
+        "q_factor": "1.000000000001", "n_t_i": "8.988e+307"}),
+    "optimize_brent_overflow": ("optimize", {
+        "b": "1000000.0", "phi": "0.0", "phi_nl": "0.25843661577979227",
+        "q_factor": "191929586.39032808", "n_t_i": "8.988e+307", "sweep.start": "1000000.0",
+        "sweep.stop": "1000000.0", "sweep.points": "2"}),
+    "variances_error_bound_overflow": ("variances", {
+        "b": "15829.245451346016", "phi": "77.77649811531171", "phi_nl": "0.0",
+        "q_factor": "100000000000000.0", "n_t_i": "8.988e+307", "sweep.start": "77.77649811531171",
+        "sweep.stop": "77.77649811531171", "sweep.points": "2"}),
+    "adiabatic_decomposition_underflow": ("adiabatic", {
+        "b": "4.31755093934738e-77", "phi": "5.017380291514038e-278", "phi_nl": "0.0",
+        "q_factor": "1.0000000000009095", "n_t_i": "97.03118027279464",
+        "sweep.start": "4.31755093934738e-77", "sweep.stop": "4.31755093934738e-77",
+        "sweep.points": "2"}),
+}
+
+
+@pytest.mark.parametrize("mode, point", EXTREME_POINTS.values(), ids=EXTREME_POINTS)
+def test_extreme_points_exit_cleanly(mode, point):
+    assert_clean_exit(mode, {**BASE[mode], **point})
 
 
 @pytest.mark.parametrize("point", FIG2_WITHOUT_EXACT.values(), ids=FIG2_WITHOUT_EXACT)

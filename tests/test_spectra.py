@@ -771,3 +771,17 @@ class TestStackedRoute:
     def test_bad_cutoff_rejects_the_whole_sequence(self, cutoff):
         with pytest.raises(InvalidParams):
             integrate_variances([FIG2, DEEP], omega_max=cutoff)
+
+
+def test_error_bound_that_overflows_is_a_quadrature_failure():
+    # a decoupled mirror at the top of the float range: dq2 = dp2 = 2 n_t_i + 1
+    # = 1.7976e308, each with a finite round-off bound of 1.13e308, whose
+    # sum overflows. The point raises; in a sweep its entry is the error
+    p = NormalizedParams(b=15829.245451346016, phi=77.77649811531171, phi_nl=0.0,
+                         q_factor=1e14, n_t_i=8.988e307)
+    with pytest.raises(QuadratureFailure, match="error bound .* is not finite"):
+        integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT)
+    fine = p.replace(n_t_i=100.0)
+    first, second = integrate_variances([p, fine], ThermalNoiseModel.MARKOV_FLAT)
+    assert isinstance(first, QuadratureFailure)
+    assert second == integrate_variances(fine, ThermalNoiseModel.MARKOV_FLAT)

@@ -11,17 +11,22 @@
 * The exact routes (``model``, ``spectra``, ``dynamics``) import nothing
   from the closed-form approximation in ``adiabatic``, and the stability
   verdict carries no closed-form quantity.
+* ``cli`` binds a module-level name to ``None`` only as a placeholder
+  that ``perfbench/tracer.py`` patches in ``optocool.cli``, and never
+  reads it, so a placeholder leaves with its patch.
 """
 
 import ast
 import dataclasses
+import runpy
 from pathlib import Path
 
 import pytest
 
 from optocool import StabilityReport
 
-PACKAGE = Path(__file__).parents[1] / "src" / "optocool"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "optocool"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -170,3 +175,32 @@ def test_module_finder_sees_every_spelling():
 def test_stability_report_is_the_verdict_alone():
     names = [f.name for f in dataclasses.fields(StabilityReport)]
     assert names == ["stable", "reason", "spring_margin"]
+
+
+def none_placeholders(tree):
+    """Each module-level name bound to ``None``, and the lines that read any of them."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant) \
+                and node.value.value is None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names]
+    return names, sorted(reads)
+
+
+def test_cli_placeholders_are_tracer_patches_it_never_reads():
+    patches = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["PATCHES"]
+    patched = {attr for module, attr, *_ in patches if module == "optocool.cli"}
+    names, reads = none_placeholders(parse(PACKAGE / "cli.py"))
+    assert names <= patched, names - patched
+    assert reads == []
+
+
+def test_placeholder_finder_sees_every_spelling():
+    tree = ast.parse(
+        "a = b = None\nc: object = None\nd = 0\ndef f(e=None):\n    g = None\n    return a(c)\n"
+        "class K:\n    h = None\n"
+    )
+    assert none_placeholders(tree) == ({"a", "b", "c"}, [6, 6])
