@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ImaginaryFrequency,
@@ -333,6 +332,8 @@ def optimize_operating_point(
             vals = [probes[phi] for phi in coarse]
             i = int(np.argmin(vals))
             lo_i, hi_i = max(i - 1, 0), min(i + 1, len(coarse) - 1)
+            from scipy.optimize import minimize_scalar
+
             # an unstable probe scores inf, and scores near the float range
             # overflow, so Brent's parabolic step can be inf or inf - inf =
             # nan; it then falls back to a golden-section step

@@ -35,6 +35,9 @@ coefficients times the basis's field rows. On that triangle the lags
 are the early times mirrored, so the readout reads both from one
 table. Exposed timestamps are in units of 1/Gamma; the propagator's
 argument is in units of 1/Omega_m (tau = t * Q).
+
+The module imports numpy alone. scipy.linalg (the Lyapunov solve and
+``expm``) is imported by the functions that call it, on first use.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/tracer.py wraps it
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     GridMismatch,
@@ -75,6 +76,9 @@ __all__ = [
     "matched_filter_pairs",
     "homodyne_readout",
 ]
+
+# unused; perfbench/tracer.py wraps this name in this module
+solve_ivp = None
 
 #: symplectic form J for [z_j, z_k] = 2i J_jk in the (dq, dp, dx, dy) basis
 SYMPLECTIC_FORM = np.array(
@@ -223,6 +227,8 @@ def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     rounding. V is symmetrized as V/2 + V^T/2, which is V + V^T halved
     wherever that sum does not overflow (halving a normal float is exact).
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     a, d = sys.drift, sys.diffusion
     s = math.ldexp(0.5, math.frexp(float(np.max(np.abs(d))))[1])  # 2^1024 would overflow
     with warnings.catch_warnings():  # a perturbed solve warns; the residual test decides
@@ -359,6 +365,8 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.nd
     # gives nan where tau |Im lam| overflows on top of the decay (and expm
     # where A tau overflows)
     if sys.inverse is None:
+        from scipy.linalg import expm
+
         live = max(z.real for z in sys.modes.eigenvalues) * taus > -800.0
         out = np.zeros((len(taus), 4, 4))
         out[live] = expm(np.multiply.outer(taus[live], sys.drift))

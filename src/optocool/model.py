@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import constants
 
 from .errors import InvalidParams, NoStableBranch, SolverFailure, Unstable
 
@@ -48,6 +47,11 @@ __all__ = [
     "denormalize",
 ]
 
+#: exact SI (2019) values of hbar [J s], the Boltzmann constant [J/K] and
+#: the speed of light [m/s], equal to scipy.constants.hbar, .k and .c
+HBAR = 6.62607015e-34 / (2 * math.pi)
+K_B = 1.380649e-23
+C_LIGHT = 299792458.0
 #: residual tolerance on the normalized steady-state cubic
 CUBIC_RESIDUAL_TOL = 1e-10
 #: relative separation of two poles at or below which a pole set is not
@@ -106,7 +110,7 @@ def thermal_occupancy(temperature: float, omega_m: float) -> float:
         raise InvalidParams(f"temperature must be >= 0, got {temperature}")
     if temperature == 0:
         return 0.0
-    x = constants.hbar * omega_m / (constants.k * temperature)
+    x = HBAR * omega_m / (K_B * temperature)
     if x > 700.0:  # expm1 would overflow; occupancy ~ exp(-x)
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -159,9 +163,7 @@ class PhysicalParams:
     @property
     def coupling_constant(self) -> float:
         """Optomechanical coupling G = (omega_c / L) sqrt(hbar / (M Omega_m))."""
-        return (self.omega_c / self.cavity_length) * math.sqrt(
-            constants.hbar / (self.mass * self.omega_m)
-        )
+        return (self.omega_c / self.cavity_length) * math.sqrt(HBAR / (self.mass * self.omega_m))
 
     @property
     def drive_strength(self) -> float:
@@ -530,7 +532,7 @@ def denormalize(
     omega_m: float = 2 * math.pi * 1.0e7,
     mass: float = 1.0e-12,
     cavity_length: float = 1.0e-3,
-    omega_c: float = 2 * math.pi * constants.c / 1.064e-6,
+    omega_c: float = 2 * math.pi * C_LIGHT / 1.064e-6,
 ) -> PhysicalParams:
     """Reconstruct one SI realization of a normalized operating point.
 
@@ -543,13 +545,11 @@ def denormalize(
     gamma = omega_m / n.q_factor
     delta_nl = n.phi_nl * kappa
     delta = n.phi * kappa
-    g = (omega_c / cavity_length) * math.sqrt(constants.hbar / (mass * omega_m))
+    g = (omega_c / cavity_length) * math.sqrt(HBAR / (mass * omega_m))
     a_sq = delta_nl * omega_m / (g * g)
     a_in_sq = a_sq * (kappa**2 + delta**2) / (2.0 * kappa)
     if n.n_t_i > 0:
-        temperature = constants.hbar * omega_m / (
-            constants.k * math.log1p(1.0 / n.n_t_i)
-        )
+        temperature = HBAR * omega_m / (K_B * math.log1p(1.0 / n.n_t_i))
     else:
         temperature = 0.0
     return PhysicalParams(

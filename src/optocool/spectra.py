@@ -30,6 +30,10 @@ eigenvalues, or, where the cavity is decoupled to within round-off
 relative tolerance of 1e-8 and with the same cutoff, is left only where
 the drift's poles nearly coincide and the cavity is not decoupled, or a
 pole is not well inside the cutoff.
+
+The module imports numpy alone. scipy.special (the digamma function of
+the coth sums) and scipy.integrate (the quadrature fallback) are
+imported by the functions that call them, on first use.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.special import psi
 
 from .errors import InvalidParams, OptocoolError, QuadratureFailure, SingularResponse, Unstable
 from .model import DriftModes, NormalizedParams, classify, drift_modes, pole_separation
@@ -284,6 +286,18 @@ def noise_spectrum(
     return values[0] if w.ndim == 0 else np.array(values).reshape(w.shape)
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call.
+
+    Only the quadrature fallback integrates, and the import takes about
+    half a second. :func:`_checked_quad` looks the name up here, so a
+    wrapper set on ``spectra.quad`` sees every call.
+    """
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
 def _checked_quad(f, a, b, rtol, points=None):
     try:
         res = quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=400, points=points,
@@ -503,6 +517,8 @@ def _digamma(z):
     2e-15 of mpmath (absolute, or relative where |psi| > 1), against
     5e-15 for psi(z) itself.
     """
+    from scipy.special import psi
+
     return psi(z + 3.0) - 1.0 / z - 1.0 / (z + 1.0) - 1.0 / (z + 2.0)
 
 

@@ -20,7 +20,7 @@ from optocool import (
     solve_steady_state,
     thermal_occupancy,
 )
-from optocool.model import POLE_SEPARATION_MIN, pole_separation
+from optocool.model import C_LIGHT, HBAR, K_B, POLE_SEPARATION_MIN, pole_separation
 
 
 def si_params(**overrides):
@@ -37,6 +37,19 @@ def si_params(**overrides):
     )
     base.update(overrides)
     return PhysicalParams(**base)
+
+
+class TestConstants:
+    def test_si_constants_equal_scipy_values(self):
+        assert (HBAR, K_B, C_LIGHT) == (constants.hbar, constants.k, constants.c)
+
+    def test_si_conversions_are_bitwise_those_of_scipy_constants(self):
+        p = si_params()
+        assert p.coupling_constant == (p.omega_c / p.cavity_length) * math.sqrt(
+            constants.hbar / (p.mass * p.omega_m))
+        x = constants.hbar * p.omega_m / (constants.k * p.temperature)
+        assert thermal_occupancy(p.temperature, p.omega_m) == 1.0 / math.expm1(x)
+        assert denormalize(normalize(p)).omega_c == 2 * math.pi * constants.c / 1.064e-6
 
 
 class TestThermalOccupancy:

@@ -11,9 +11,12 @@
 * The exact routes (``model``, ``spectra``, ``dynamics``) import nothing
   from the closed-form approximation in ``adiabatic``, and the stability
   verdict carries no closed-form quantity.
-* ``cli`` binds a module-level name to ``None`` only as a placeholder
-  that ``perfbench/tracer.py`` patches in ``optocool.cli``, and never
-  reads it, so a placeholder leaves with its patch.
+* A module binds a module-level name to ``None`` only as a placeholder
+  that ``perfbench/tracer.py`` patches in that module, and never reads
+  it, so a placeholder leaves with its patch.
+* No module imports scipy at import time: every scipy import sits in a
+  function, and each scipy name is imported at one site, so that
+  ``import optocool`` loads numpy alone.
 """
 
 import ast
@@ -190,10 +193,12 @@ def none_placeholders(tree):
     return names, sorted(reads)
 
 
-def test_cli_placeholders_are_tracer_patches_it_never_reads():
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_placeholders_are_tracer_patches_the_module_never_reads(path):
+    module = "optocool" if path.stem == "__init__" else f"optocool.{path.stem}"
     patches = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["PATCHES"]
-    patched = {attr for module, attr, *_ in patches if module == "optocool.cli"}
-    names, reads = none_placeholders(parse(PACKAGE / "cli.py"))
+    patched = {attr for name, attr, *_ in patches if name == module}
+    names, reads = none_placeholders(parse(path))
     assert names <= patched, names - patched
     assert reads == []
 
@@ -204,3 +209,52 @@ def test_placeholder_finder_sees_every_spelling():
         "class K:\n    h = None\n"
     )
     assert none_placeholders(tree) == ({"a", "b", "c"}, [6, 6])
+
+
+def scipy_imports(tree):
+    """(enclosing function, imported name) of every scipy import.
+
+    The function is None for an import that runs with the module, a
+    class body's included; ``from scipy.linalg import expm`` imports
+    ``scipy.linalg.expm``.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+                found.extend((scope, n) for n in names if n.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                if (child.module or "").split(".")[0] == "scipy":
+                    found.extend((scope, f"{child.module}.{a.name}") for a in child.names)
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_is_imported_in_functions_once_per_name():
+    sites = [(path.name, scope, name) for path in MODULES
+             for scope, name in scipy_imports(parse(path))]
+    assert [site for site in sites if site[1] is None] == []
+    names = [name for *_, name in sites]
+    assert sorted(names) == sorted(set(names)), sites
+
+
+def test_scipy_import_finder_sees_every_spelling():
+    tree = ast.parse(
+        "import scipy\nimport numpy, scipy.linalg as sl\nfrom scipy import constants\n"
+        "from .spectra import quad\nif True:\n    from scipy.special import psi\n"
+        "class K:\n    from scipy.optimize import brentq\n"
+        "    def f(self):\n        from scipy.linalg import expm, eig\n"
+        "def g():\n    def h():\n        import scipy.integrate\n"
+    )
+    assert scipy_imports(tree) == [
+        (None, "scipy"), (None, "scipy.linalg"), (None, "scipy.constants"),
+        (None, "scipy.special.psi"), (None, "scipy.optimize.brentq"),
+        ("f", "scipy.linalg.expm"), ("f", "scipy.linalg.eig"), ("h", "scipy.integrate"),
+    ]
