@@ -10,14 +10,21 @@ input. Identical config and package version produce byte-identical CSV.
 
 Invocation::
 
-    optocool <mode> [--config FILE] [--out FILE] [--set key=value ...]
+    optocool <mode> [--config FILE] [--out FILE] [--set KEY=VALUE]...
 
-Exit codes: 0 success, 2 config error, 3 runtime error.
+Each flag also takes the ``--flag=value`` form (the only one for a
+value that starts with ``-``) and is spelled out in full (no
+abbreviations). Without a mode token the config's ``mode`` key
+names the mode. ``-h``/``--help`` prints the usage line and the modes.
+
+Exit codes: 0 success, 2 config error, 3 runtime error. An argv error
+(an unknown flag, a flag without a value, a stray argument, an unknown
+or missing mode) is a config error: exit 2 and one JSON record on
+stderr, like every other error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import operator
@@ -428,8 +435,8 @@ def _spectrum_table(cfg: RunConfig):
     try:
         s = noise_spectrum(grid, cfg.params, cfg.noise_model)
     except Unstable:
-        return columns, [(float(w), None, False) for w in grid]
-    return columns, [(float(w), float(v), True) for w, v in zip(grid, s)]
+        return columns, [(w, None, False) for w in grid.tolist()]
+    return columns, [(w, v, True) for w, v in zip(grid.tolist(), s.tolist())]
 
 
 def _dynamics_table(cfg: RunConfig):
@@ -626,23 +633,65 @@ def _error_record(kind: str, exc: Exception) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-_PARSER = argparse.ArgumentParser(
-    prog="optocool",
-    description="Steady-state and dynamical radiation-pressure cooling curves.",
-)
-_PARSER.add_argument("mode", choices=MODES)
-_PARSER.add_argument("--config", help="flat key=value configuration file")
-_PARSER.add_argument("--out", help="output CSV path (default: config output_path or stdout)")
-_PARSER.add_argument(
-    "--set", action="append", metavar="KEY=VALUE", help="override a config key (repeatable)",
-)
+USAGE = "usage: optocool <mode> [--config FILE] [--out FILE] [--set KEY=VALUE]..."
+
+
+class _Argv(NamedTuple):
+    mode: str | None
+    config: str | None
+    out: str | None
+    overrides: dict
+    help: bool
+
+
+def _parse_argv(argv: list) -> _Argv:
+    """Read ``<mode> [--config FILE] [--out FILE] [--set KEY=VALUE]...``.
+
+    The first token is the mode unless it starts with ``-``; whether the
+    mode exists is for :func:`parse_config` to decide. A flag takes the
+    next token or its ``--flag=value`` suffix; a repeated ``--config``
+    or ``--out`` keeps its last value. Raises :class:`ParseError` on an
+    unknown flag, a flag without a value, a stray positional or a
+    ``--set`` item without ``=``.
+    """
+    mode = argv[0] if argv and not argv[0].startswith("-") else None
+    paths, overrides = {"--config": None, "--out": None}, {}
+    tokens = iter(argv if mode is None else argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _Argv(mode, None, None, {}, True)
+        flag, eq, value = token.partition("=")
+        if flag != "--set" and flag not in paths:
+            if token.startswith("-"):
+                raise ParseError(f"unknown option {flag!r}")
+            raise ParseError(f"unexpected argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                raise ParseError(f"{flag} needs a value")
+        if flag in paths:
+            paths[flag] = value
+        elif "=" not in value:
+            raise ParseError(f"--set needs KEY=VALUE, got {value!r}")
+        else:
+            key, _, value = value.partition("=")
+            overrides[key.strip()] = value.strip()
+    return _Argv(mode, paths["--config"], paths["--out"], overrides, False)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    except ParseError as exc:
+        print(_error_record("config", exc), file=sys.stderr)
+        return 2
+    if args.help:
+        print(USAGE)
+        print("modes: " + ", ".join(MODES))
+        return 0
 
     text = ""
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -650,19 +699,8 @@ def main(argv=None) -> int:
             print(_error_record("config", exc), file=sys.stderr)
             return 2
 
-    overrides = {}
-    for item in args.set or ():
-        if "=" not in item:
-            print(
-                _error_record("config", ParseError(f"--set needs KEY=VALUE, got {item!r}")),
-                file=sys.stderr,
-            )
-            return 2
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-
     try:
-        cfg = parse_config(text, mode=args.mode, overrides=overrides)
+        cfg = parse_config(text, mode=args.mode, overrides=args.overrides)
     except (ParseError, ValidationError) as exc:
         print(_error_record("config", exc), file=sys.stderr)
         return 2

@@ -19,17 +19,20 @@ wings. The flat model is what a white-noise (Lyapunov) time-domain
 treatment assumes, which makes it the reference for cross-method
 checks; the coth model is the physical default.
 
-S_q is written once, as the plain-Python closure of
-:func:`_scalar_spectrum_fn`: :func:`noise_spectrum` maps it over its
-frequencies and the adaptive quadratures integrate it. Every variance,
-dq^2 or dp^2 under either weight, is one sum over the spectrum's poles
-(:func:`_moment`), cut off at W = omega_max for the coth dp^2 alone,
-whose integrand falls off only like 1/|w|. The poles are the drift
-eigenvalues, or, where the cavity is decoupled to within round-off
-(phi ~ 0), the mechanical pair and 1/b. Adaptive quadrature, to a fixed
-relative tolerance of 1e-8 and with the same cutoff, is left only where
-the drift's poles nearly coincide and the cavity is not decoupled, or a
-pole is not well inside the cutoff.
+S_q is written twice, in the same operation order: as the plain-Python
+closure of :func:`_scalar_spectrum_fn`, which the adaptive quadratures
+integrate one node at a time (a numpy call costs about 10 us per node),
+and as the array expression of :func:`noise_spectrum`, which the tests
+check against the closure.
+
+Every variance, dq^2 or dp^2 under either weight, is one sum over the
+spectrum's poles (:func:`_moment`), cut off at W = omega_max for the
+coth dp^2 alone, whose integrand falls off only like 1/|w|. The poles
+are the drift eigenvalues, or, where the cavity is decoupled to within
+round-off (phi ~ 0), the mechanical pair and 1/b. Adaptive quadrature,
+to a fixed relative tolerance of 1e-8 and with the same cutoff, is left
+only where the drift's poles nearly coincide and the cavity is not
+decoupled, or a pole is not well inside the cutoff.
 
 The module imports numpy alone. scipy.special (the digamma function of
 the coth sums) and scipy.integrate (the quadrature fallback) are
@@ -265,25 +268,54 @@ def noise_spectrum(
 ):
     """Symmetrized position-fluctuation spectrum S_q at ``omega``.
 
-    A scalar frequency gives a float, an array of them an array.
+    A scalar frequency gives a float, an array of them an array. The
+    whole array is evaluated at once, with the formula and operation
+    order of the scalar closure :func:`_scalar_spectrum_fn` (the
+    quadratures' integrand): the complex products are written out in
+    real arithmetic as Python's complex type forms them. Only numpy's
+    ``tanh`` in the coth weight differs from ``math.tanh``, so the two
+    agree to a few ulps.
 
     Raises
     ------
     Unstable
         If :func:`~optocool.model.classify` finds the point unstable.
     SingularResponse
-        If the spectrum's denominator vanishes or its value overflows.
+        At the first frequency where the spectrum's denominator vanishes
+        or its value overflows, with the closure's message.
     """
     classify(params).require_stable()
-    s_q = _scalar_spectrum_fn(params, noise_model)
+    b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
     w = np.asarray(omega, dtype=float)
-    values = []
-    for x in w.ravel().tolist():
-        try:
-            values.append(s_q(x))
-        except OverflowError:
-            raise SingularResponse(f"spectrum overflows at omega={x}") from None
-    return values[0] if w.ndim == 0 else np.array(values).reshape(w.shape)
+    with np.errstate(all="ignore"):  # a zero or overflow shows as a non-finite value
+        d = _cavity_response(w, b, phi)
+        dr, di = d.real, d.imag
+        # d (1 - w^2 - i w/Q) - 2 phi phi_nl
+        mr, mi = 1.0 - w * w, -(w / q)
+        er = dr * mr - di * mi - 2.0 * phi * phi_nl
+        ei = dr * mi + di * mr
+        denom2 = er * er + ei * ei
+        value = (_thermal_weight(w, params, noise_model) * (dr * dr + di * di)
+                 + 4.0 * phi_nl * (1.0 + phi * phi + (b * w) ** 2)) / denom2
+    bad = _first_nonfinite(value, w)
+    if bad is None:
+        return float(value) if w.ndim == 0 else value
+    # a zero denominator makes the value inf or nan; equal frequencies give equal values
+    if np.any(denom2[w == bad] == 0.0):
+        raise SingularResponse(f"spectrum denominator vanishes at omega={bad}")
+    raise SingularResponse(f"spectrum overflows at omega={bad}")
+
+
+def _thermal_weight(w, params: NormalizedParams, noise_model: ThermalNoiseModel):
+    """T(w) of :func:`_scalar_spectrum_fn` over an array of frequencies."""
+    if noise_model is ThermalNoiseModel.MARKOV_FLAT:
+        return _flat_weight(params)
+    q = params.q_factor
+    x = coth_scale(params.n_t_i)
+    if math.isinf(x):
+        return 2.0 * np.abs(w) / q
+    xw = x * w
+    return np.where(xw == 0.0, 2.0 / (x * q), 2.0 * w / (q * np.tanh(xw)))
 
 
 def quad(*args, **kwargs):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from optocool import cli, dynamics, model, spectra
 from optocool.cli import (
     KEYS,
     MODES,
+    USAGE,
     ResultTable,
     emit_csv,
     main,
@@ -504,11 +506,56 @@ class TestMain:
         assert main(["variances", "--config", str(cfg)]) == 0
         assert "# b = 10\n" in capsys.readouterr().out
 
-    def test_unknown_mode_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["no_such_mode"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        [], ["no_such_mode"], ["fig1", "--bogus"], ["fig1", "--out"], ["fig1", "--set"],
+        ["fig1", "stray"], ["fig1", "--conf", "x.conf"], ["fig1", "--out", "--set", "b=5"],
+    ])
+    def test_malformed_argv_is_one_config_record(self, argv, capsys):
+        # an argv error is a config error: main returns 2, prints nothing
+        # on stdout and one JSON record on stderr, and raises nothing
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert assert_one_json_record(err)["error"] == "config"
+
+    def test_flag_equals_value_form(self, tmp_path):
+        cfg, out = tmp_path / "run.conf", tmp_path / "out.csv"
+        cfg.write_text(MINIMAL)
+        assert main(["variances", f"--config={cfg}", f"--out={out}", "--set=b=20"]) == 0
+        assert "# b = 20\n" in out.read_text()
+
+    def test_mode_from_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(MINIMAL + "mode = variances\n")
+        assert main(["--config", str(cfg)]) == 0
+        assert "# mode = variances\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage_and_modes(self, flag, capsys):
+        assert main([flag]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [USAGE, "modes: " + ", ".join(MODES)] and err == ""
+
+    @settings(max_examples=150)
+    @given(argv=st.lists(st.sampled_from([
+        "steady", "no_such_mode", "", "-", "--", "=", "--config", "--out", "--set", "--set=",
+        "--set=steady.drive=1", "steady.phi_c=2", "--out=result.csv", "--conf", "-h",
+    ]), max_size=6))
+    def test_any_argv_returns_an_exit_code(self, argv, tmp_path_factory):
+        # main never raises on argv: 0 with output, or 2/3 with one JSON record
+        cwd = os.getcwd()
+        os.chdir(tmp_path_factory.mktemp("argv"))
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+        if rc == 0:
+            assert err.getvalue() == ""
+        else:
+            assert rc in (2, 3) and out.getvalue() == ""
+            assert "error" in assert_one_json_record(err.getvalue())
 
 
 OPERATING_POINT = {"b": "10", "phi": "10", "phi_nl": "0.1", "q_factor": "1e4", "n_t_i": "100"}

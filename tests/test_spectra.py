@@ -315,6 +315,70 @@ def quad_calls(monkeypatch):
     return calls
 
 
+def closure_spectrum(grid, p, model):
+    """S_q by the quadratures' scalar closure, one frequency at a time.
+
+    The oracle of noise_spectrum's array expression: it stops at the
+    first frequency where the closure raises, with the closure's
+    message, its OverflowError typed as SingularResponse.
+    """
+    s_q = _scalar_spectrum_fn(p, model)
+    values = []
+    for w in grid.tolist():
+        try:
+            values.append(s_q(w))
+        except OverflowError:
+            raise SingularResponse(f"spectrum overflows at omega={w}") from None
+    return values
+
+
+def spectrum_outcome(fn, grid, p, model):
+    """The values ``fn`` gives on the grid, or the message it raises."""
+    try:
+        return list(fn(np.array(grid), p, model))
+    except SingularResponse as exc:
+        return str(exc)
+
+
+# the smallest subnormal: x w underflows to 0 for every coth scale x < 1/2
+TINY = 5e-324
+# stable, with a denominator that underflows to 0 at w = 1 (|1/Q|^2 < 1e-323)
+VANISHING = NormalizedParams(b=1e-150, phi=0, phi_nl=0, q_factor=1e162, n_t_i=1)
+
+
+class TestArraySpectrum:
+    @settings(max_examples=80)
+    @given(
+        p=stable_points,
+        n=st.one_of(st.just(0.0), st.floats(0.0, 6.0).map(lambda e: 10.0**e)),
+        ws=st.lists(st.one_of(st.floats(-50.0, 50.0), st.floats(-1.7e308, 1.7e308)),
+                    max_size=20),
+    )
+    def test_matches_the_scalar_closure(self, p, n, ws):
+        p = p.replace(n_t_i=n)
+        assume(classify(p).stable)
+        x = coth_scale(n)
+        assert math.isinf(x) or x * TINY == 0.0  # the grid reaches the x w == 0 branch
+        grid = [0.0, TINY, -TINY, 1.0, *ws]
+        for model in ThermalNoiseModel:
+            want = spectrum_outcome(closure_spectrum, grid, p, model)
+            got = spectrum_outcome(noise_spectrum, grid, p, model)
+            if isinstance(want, str):  # the same message at the same frequency
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    @pytest.mark.parametrize("p, grid, message", [
+        (VANISHING, [0.5, 1.0, 1e300], "spectrum denominator vanishes at omega=1.0"),
+        (VANISHING, [0.5, 1e300, 1.0], "spectrum overflows at omega=1e+300"),
+        (FIG2, [0.5, -1.7e308, 1e300], "spectrum overflows at omega=-1.7e+308"),
+    ])
+    def test_first_failing_frequency_names_the_error(self, p, grid, message, model):
+        assert spectrum_outcome(closure_spectrum, grid, p, model) == message
+        assert spectrum_outcome(noise_spectrum, grid, p, model) == message
+
+
 class TestResidueRoute:
     @settings(max_examples=60)
     @given(p=stable_points)
