@@ -50,7 +50,6 @@ from .dynamics import (
     homodyne_readout,
     output_variance_track,
 )
-from .dynamics import matched_filter_pairs  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .errors import (
     ImaginaryFrequency,
     InvalidParams,
@@ -77,7 +76,8 @@ from .spectra import (
 )
 
 # unused; perfbench/tracer.py wraps these names in this module
-_effective_peak = _static_margins = _spectrum_values = homodyne_variance = two_time_correlations = None
+_effective_peak = _static_margins = _spectrum_values = None
+homodyne_variance = matched_filter_pairs = two_time_correlations = None
 
 SWEEPABLE = ("b", "phi", "phi_nl", "q_factor", "n_t_i")
 # config key -> field of SweepSpec / PhysicalParams
@@ -152,9 +152,13 @@ class SweepSpec:
 
 
 def _grid(start: float, stop: float, points: int, spacing: str = "linear") -> np.ndarray:
-    """``points`` values from start to stop; InvalidParams where the span overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test follows
-        grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, points)
+    """``points`` values from start to stop; InvalidParams where the span
+    overflows or numpy cannot allocate the points."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test follows
+            grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, points)
+    except (ValueError, MemoryError) as exc:  # past numpy's largest array, or the memory
+        raise InvalidParams(f"cannot build a grid of {points} points ({exc})") from None
     if not np.all(np.isfinite(grid)):
         raise InvalidParams(f"the grid from {start} to {stop} overflows")
     return grid

@@ -279,8 +279,10 @@ def evolve_covariance(
     ------
     InvalidParams
         If v0 has a non-finite entry or one so large that the propagation
-        overflows, t_end (given or settled) is not finite and > 0, or a
-        ``t_eval`` time is not finite, >= 0 and <= t_end.
+        overflows, t_end (given or settled) is not finite and > 0, a
+        ``t_eval`` time is not finite, >= 0 and <= t_end, or numpy cannot
+        lay out ``n_samples`` times (a negative count, or one past its
+        largest array or the memory).
     NonPhysical
         If a sample violates V + iJ >= 0 beyond -1e-9 times the scale
         of v0. Besides a propagator failure this can be the model: the
@@ -303,7 +305,10 @@ def evolve_covariance(
     if t_end is not None and not 0.0 < t_end < math.inf:
         raise InvalidParams(f"t_end must be finite and > 0, got {t_end}")
     if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, n_samples)
+        try:
+            t_eval = np.linspace(0.0, t_end, n_samples)
+        except (ValueError, MemoryError) as exc:
+            raise InvalidParams(f"cannot build a grid of {n_samples} samples ({exc})") from None
     else:
         t_eval = np.array(t_eval, dtype=float)  # a copy: the Trajectory makes it read-only
         limit = math.inf if t_end is None else t_end

@@ -19,11 +19,9 @@ wings. The flat model is what a white-noise (Lyapunov) time-domain
 treatment assumes, which makes it the reference for cross-method
 checks; the coth model is the physical default.
 
-S_q is written twice, in the same operation order: as the plain-Python
-closure of :func:`_scalar_spectrum_fn`, which the adaptive quadratures
-integrate one node at a time (a numpy call costs about 10 us per node),
-and as the array expression of :func:`noise_spectrum`, which the tests
-check against the closure.
+S_q is written once, in :func:`_spectrum`: on a Python float for the
+adaptive quadratures, which integrate one node at a time without a
+numpy call, and on an array for :func:`noise_spectrum`.
 
 Every variance, dq^2 or dp^2 under either weight, is one sum over the
 spectrum's poles (:func:`_moment`), cut off at W = omega_max for the
@@ -146,7 +144,9 @@ def coth_scale(n_t_i: float) -> float:
 
 
 def _cavity_response(w, b, phi):
-    return (1.0 - 1j * b * w) ** 2 + phi * phi
+    # d * d, not d ** 2: a Python complex ** raises where it overflows
+    d = 1.0 - 1j * b * w
+    return d * d + phi * phi
 
 
 def _first_nonfinite(values, w):
@@ -210,55 +210,43 @@ def effective_susceptibility(omega, params: NormalizedParams):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def _scalar_spectrum_fn(params: NormalizedParams, noise_model: ThermalNoiseModel):
-    """S_q(w) as a plain-Python closure, cheap enough for adaptive quadrature.
+def _spectrum(w, params: NormalizedParams, noise_model: ThermalNoiseModel):
+    """S_q(w) and |P(w)|^2, P(w) = D(w) (1 - w^2 - i w/Q) - 2 phi phi_nl: the one formula of S_q.
 
-    The thermal weight T(w) is even in w, with the w = 0 coth limit built
-    in. The closure raises :class:`SingularResponse` where the
-    denominator is zero in floating point (every caller has passed
-    :func:`~optocool.model.classify`, and a stable point has no zero on
-    the real axis, however high its Q) and OverflowError where the value
-    is not finite (a nan integrand can crash QUADPACK's breakpoint
-    routine), as a float ``**`` that overflows does too.
+    ``w`` is a Python float (the quadratures' node, with no numpy call)
+    or an array. P's complex products are written out in real
+    arithmetic as Python's complex type forms them, so a float and an
+    array give the same value but for the ``tanh`` of the coth weight
+    (``math.tanh`` on a float, numpy's on an array). On an array, under
+    ``np.errstate``, a zero |P|^2 or an overflow gives inf or nan; on a
+    float a zero |P|^2 raises ZeroDivisionError, and a (b w)^2 that
+    overflows raises OverflowError.
     """
     b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
-    phi2 = phi * phi
-    two_cross = 2.0 * phi * phi_nl
-    four_nl = 4.0 * phi_nl
+    d = _cavity_response(w, b, phi)
+    dr, di = d.real, d.imag
+    # d (1 - w^2 - i w/Q) - 2 phi phi_nl
+    mr, mi = 1.0 - w * w, -(w / q)
+    er = dr * mr - di * mi - 2.0 * phi * phi_nl
+    ei = dr * mi + di * mr
+    denom2 = er * er + ei * ei
+    value = (_thermal_weight(w, params, noise_model) * (dr * dr + di * di)
+             + 4.0 * phi_nl * (1.0 + phi * phi + (b * w) ** 2)) / denom2
+    return value, denom2
+
+
+def _thermal_weight(w, params: NormalizedParams, noise_model: ThermalNoiseModel):
+    """T(w) at a float or an array of frequencies: even in w, with the w = 0 coth limit built in."""
     if noise_model is ThermalNoiseModel.MARKOV_FLAT:
-        flat = _flat_weight(params)
-
-        def thermal(w):
-            return flat
-
-    else:
-        x = coth_scale(params.n_t_i)
-        if math.isinf(x):  # zero-temperature bath: coth(x w) -> sign(w)
-
-            def thermal(w):
-                return 2.0 * abs(w) / q
-
-        else:
-
-            def thermal(w):
-                if x * w == 0.0:  # also where x w underflows (huge n_t_i)
-                    return 2.0 / (x * q)
-                return 2.0 * w / (q * math.tanh(x * w))
-
-    def s_q(w):
-        d = 1.0 - 1j * b * w
-        d = d * d + phi2
-        denom = d * (1.0 - w * w - 1j * w / q) - two_cross
-        dabs2 = d.real * d.real + d.imag * d.imag
-        denom2 = denom.real * denom.real + denom.imag * denom.imag
-        if denom2 == 0.0:
-            raise SingularResponse(f"spectrum denominator vanishes at omega={w}")
-        value = (thermal(w) * dabs2 + four_nl * (1.0 + phi2 + (b * w) ** 2)) / denom2
-        if not math.isfinite(value):
-            raise OverflowError(f"spectrum overflows at omega={w}")
-        return value
-
-    return s_q
+        return _flat_weight(params)
+    q = params.q_factor
+    x = coth_scale(params.n_t_i)
+    if math.isinf(x):  # zero-temperature bath: coth(x w) -> sign(w)
+        return 2.0 * abs(w) / q
+    xw = x * w
+    if isinstance(w, float):  # also where x w underflows (huge n_t_i)
+        return 2.0 / (x * q) if xw == 0.0 else 2.0 * w / (q * math.tanh(xw))
+    return np.where(xw == 0.0, 2.0 / (x * q), 2.0 * w / (q * np.tanh(xw)))
 
 
 def noise_spectrum(
@@ -269,12 +257,8 @@ def noise_spectrum(
     """Symmetrized position-fluctuation spectrum S_q at ``omega``.
 
     A scalar frequency gives a float, an array of them an array. The
-    whole array is evaluated at once, with the formula and operation
-    order of the scalar closure :func:`_scalar_spectrum_fn` (the
-    quadratures' integrand): the complex products are written out in
-    real arithmetic as Python's complex type forms them. Only numpy's
-    ``tanh`` in the coth weight differs from ``math.tanh``, so the two
-    agree to a few ulps.
+    whole array is one evaluation of :func:`_spectrum`, the kernel that
+    the quadratures evaluate on one float at a time.
 
     Raises
     ------
@@ -282,21 +266,12 @@ def noise_spectrum(
         If :func:`~optocool.model.classify` finds the point unstable.
     SingularResponse
         At the first frequency where the spectrum's denominator vanishes
-        or its value overflows, with the closure's message.
+        or its value overflows.
     """
     classify(params).require_stable()
-    b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
     w = np.asarray(omega, dtype=float)
     with np.errstate(all="ignore"):  # a zero or overflow shows as a non-finite value
-        d = _cavity_response(w, b, phi)
-        dr, di = d.real, d.imag
-        # d (1 - w^2 - i w/Q) - 2 phi phi_nl
-        mr, mi = 1.0 - w * w, -(w / q)
-        er = dr * mr - di * mi - 2.0 * phi * phi_nl
-        ei = dr * mi + di * mr
-        denom2 = er * er + ei * ei
-        value = (_thermal_weight(w, params, noise_model) * (dr * dr + di * di)
-                 + 4.0 * phi_nl * (1.0 + phi * phi + (b * w) ** 2)) / denom2
+        value, denom2 = _spectrum(w, params, noise_model)
     bad = _first_nonfinite(value, w)
     if bad is None:
         return float(value) if w.ndim == 0 else value
@@ -306,16 +281,23 @@ def noise_spectrum(
     raise SingularResponse(f"spectrum overflows at omega={bad}")
 
 
-def _thermal_weight(w, params: NormalizedParams, noise_model: ThermalNoiseModel):
-    """T(w) of :func:`_scalar_spectrum_fn` over an array of frequencies."""
-    if noise_model is ThermalNoiseModel.MARKOV_FLAT:
-        return _flat_weight(params)
-    q = params.q_factor
-    x = coth_scale(params.n_t_i)
-    if math.isinf(x):
-        return 2.0 * np.abs(w) / q
-    xw = x * w
-    return np.where(xw == 0.0, 2.0 / (x * q), 2.0 * w / (q * np.tanh(xw)))
+def _float_spectrum(w: float, params: NormalizedParams, noise_model: ThermalNoiseModel) -> float:
+    """S_q at one float frequency, the quadratures' integrand: :func:`_spectrum` with typed errors.
+
+    Raises :class:`SingularResponse` where the denominator is zero in
+    floating point (every caller has passed
+    :func:`~optocool.model.classify`, and a stable point has no zero on
+    the real axis, however high its Q) and OverflowError where the value
+    is not finite (a nan integrand can crash QUADPACK's breakpoint
+    routine), as a float ``**`` that overflows does too.
+    """
+    try:
+        value = _spectrum(w, params, noise_model)[0]
+    except ZeroDivisionError:
+        raise SingularResponse(f"spectrum denominator vanishes at omega={w}") from None
+    if not math.isfinite(value):
+        raise OverflowError(f"spectrum overflows at omega={w}")
+    return value
 
 
 def quad(*args, **kwargs):
@@ -375,12 +357,9 @@ def _quad_moment(params, poles, noise_model, power, cutoff, rtol):
         seeds += [peak] + [peak + side * w for w in widths for side in (-1.0, 1.0)]
     points = sorted({p for p in seeds if 0.0 < p < upper})
 
-    s_q = _scalar_spectrum_fn(params, noise_model)
-    if power == 0:
-        f = s_q
-    else:
-        def f(w):
-            return w * w * s_q(w)
+    def f(w):
+        value = _float_spectrum(w, params, noise_model)
+        return w * w * value if power else value
 
     value, err = _checked_quad(f, 0.0, upper, rtol, points=points)
     if math.isinf(cutoff):

@@ -1180,10 +1180,19 @@ def test_any_input_exits_cleanly(data):
     assert_clean_exit(mode, {**BASE[mode], **overrides})
 
 
+#: a count past numpy's largest array, which numpy rejects before it allocates
+HUGE_COUNT = "100000000000000000000"
+#: each count that sizes an array, by mode
+COUNTS = {"spectrum": "spectrum.omega_points", "variances": "sweep.points",
+          "dynamics": "dynamics.samples"}
+
 #: points of stratified extremes that once broke the output contract: a
 #: raw ValueError or OverflowError of the Lyapunov solve, a RuntimeWarning
-#: on stderr, an inf cell, a raw ZeroDivisionError
+#: on stderr, an inf cell, a raw ZeroDivisionError, a raw ValueError of
+#: numpy's size limit
 EXTREME_POINTS = {
+    **{f"{mode}_count_past_the_largest_array": (mode, {key: HUGE_COUNT})
+       for mode, key in COUNTS.items()},
     "dynamics_diffusion_overflow": ("dynamics", {
         "b": "1.0", "phi": "0.6440621913805864", "phi_nl": "0.0",
         "q_factor": "1.0000000000009095", "n_t_i": "8.988e+307"}),
@@ -1220,3 +1229,31 @@ def test_extreme_points_exit_cleanly(mode, point):
 @pytest.mark.parametrize("point", FIG2_WITHOUT_EXACT.values(), ids=FIG2_WITHOUT_EXACT)
 def test_fig2_without_the_exact_variance_exits_cleanly(point):
     assert_clean_exit("fig2", point)
+
+
+@pytest.mark.parametrize("mode, key", COUNTS.items())
+def test_count_past_the_largest_array_is_typed(mode, key, capsys):
+    rc = main(argv_for(mode, {**BASE[mode], key: HUGE_COUNT}))
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    record = assert_one_json_record(err)
+    assert record["type"] == "InvalidParams"
+    assert HUGE_COUNT in record["message"] and "Maximum allowed size" in record["message"]
+
+
+@pytest.mark.parametrize("mode, key", COUNTS.items())
+def test_count_past_the_memory_is_typed(mode, key, monkeypatch, capsys):
+    # a count numpy accepts but cannot allocate; no real allocation is tried
+    linspace = np.linspace
+
+    def short_of_memory(start, stop, num, *args, **kwargs):
+        if num > 1000:
+            raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", short_of_memory)
+    rc = main(argv_for(mode, {**BASE[mode], key: "1000000000000"}))
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    record = assert_one_json_record(err)
+    assert record["type"] == "InvalidParams" and "Unable to allocate" in record["message"]

@@ -30,10 +30,22 @@ from optocool import (
     steady_variances,
 )
 from optocool import spectra
-from optocool.spectra import _fractions, _quad_moment, _scalar_spectrum_fn
+from optocool.spectra import _float_spectrum, _fractions, _quad_moment
 
 FIG2 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
 DEEP = NormalizedParams(b=10, phi=10, phi_nl=0.01, q_factor=1e5, n_t_i=100)
+# the benchmark's degenerate sweep row, whose drift poles nearly coincide at phi ~ 0
+COINCIDENT = NormalizedParams(b=1.9206257319033062, phi=0.0, phi_nl=0.09504903620523072,
+                              q_factor=5562.406725036761, n_t_i=480.9521065078436)
+# poles that coincide at phi = 0; at phi = 1e-10 the coth dp^2 is a quadrature
+CUTOFF_COINCIDENT = NormalizedParams(b=1, phi=1e-10, phi_nl=0.3, q_factor=1e4, n_t_i=10)
+# the points of both that take the quadrature fallback, with their bath and cutoff
+QUADRATURE_POINTS = {
+    **{f"coincident-{phi}-{model.value}": (COINCIDENT.replace(phi=phi), model, 100.0)
+       for phi in (1e-12, 1e-8) for model in ThermalNoiseModel},
+    **{f"cutoff-{omega_max}": (CUTOFF_COINCIDENT, ThermalNoiseModel.QUANTUM_COTH, omega_max)
+       for omega_max in (3.0, 100.0, 200.0)},
+}
 # n_t_i near the float range: the flat variances are finite, near 1.1e308
 HUGE_OCCUPANCY = NormalizedParams(b=18.018148102696706, phi=-9.00908471927914,
                                   phi_nl=0.01341490652415349, q_factor=3684.7184194676943,
@@ -46,6 +58,56 @@ OVERFLOWING_DRIFT = NormalizedParams(b=6.347468412528946e-64, phi=0,
 
 def bare(q_factor, n_t_i):
     return NormalizedParams(b=10, phi=5, phi_nl=0.0, q_factor=q_factor, n_t_i=n_t_i)
+
+
+def scalar_spectrum_oracle(params, noise_model):
+    """S_q(w) as a plain-Python closure: the oracle of the program's spectrum kernel.
+
+    It shares no arithmetic with ``spectra``: Python's complex type forms
+    the products, and the flat weight is written out. The thermal weight
+    T(w) is even in w, with the w = 0 coth limit built in. The closure
+    raises SingularResponse where the denominator is zero in floating
+    point and OverflowError where the value is not finite, as a float
+    ``**`` that overflows does too.
+    """
+    b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
+    phi2 = phi * phi
+    two_cross = 2.0 * phi * phi_nl
+    four_nl = 4.0 * phi_nl
+    if noise_model is ThermalNoiseModel.MARKOV_FLAT:
+        flat = 2.0 * ((2.0 * params.n_t_i + 1.0) / q)
+
+        def thermal(w):
+            return flat
+
+    else:
+        x = coth_scale(params.n_t_i)
+        if math.isinf(x):  # zero-temperature bath: coth(x w) -> sign(w)
+
+            def thermal(w):
+                return 2.0 * abs(w) / q
+
+        else:
+
+            def thermal(w):
+                if x * w == 0.0:  # also where x w underflows (huge n_t_i)
+                    return 2.0 / (x * q)
+                return 2.0 * w / (q * math.tanh(x * w))
+
+    def s_q(w):
+        d = 1.0 - 1j * b * w
+        d = d * d + phi2
+        denom = d * (1.0 - w * w - 1j * w / q) - two_cross
+        dabs2 = d.real * d.real + d.imag * d.imag
+        denom2 = denom.real * denom.real + denom.imag * denom.imag
+        if denom2 == 0.0:
+            raise SingularResponse(f"spectrum denominator vanishes at omega={w}")
+        value = (thermal(w) * dabs2 + four_nl * (1.0 + phi2 + (b * w) ** 2)) / denom2
+        if not math.isfinite(value):
+            raise OverflowError(f"spectrum overflows at omega={w}")
+        return value
+
+    return s_q
 
 
 class TestCothScale:
@@ -137,13 +199,13 @@ class TestNoiseSpectrum:
             assert np.all(noise_spectrum(w, p, model) >= 0)
 
     def test_coth_zero_frequency_limit(self):
-        s = _scalar_spectrum_fn(FIG2, ThermalNoiseModel.QUANTUM_COTH)
-        assert s(0.0) == pytest.approx(s(1e-9), rel=1e-6)
+        s = noise_spectrum(np.array([0.0, 1e-9]), FIG2, ThermalNoiseModel.QUANTUM_COTH)
+        assert s[0] == pytest.approx(s[1], rel=1e-6)
 
     def test_zero_temperature_weight(self):
         p = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=0.0)
-        s = _scalar_spectrum_fn(p, ThermalNoiseModel.QUANTUM_COTH)
-        assert s(0.5) > 0 and s(0.0) >= 0
+        s = noise_spectrum(np.array([0.5, 0.0]), p, ThermalNoiseModel.QUANTUM_COTH)
+        assert s[0] > 0 and s[1] >= 0
 
     def test_peak_tracks_effective_frequency_when_adiabatic(self):
         rates = effective_rates(DEEP)
@@ -196,7 +258,7 @@ class TestIntegrateVariances:
             assert res.n_t_f == pytest.approx(n, rel=1e-6, abs=1e-7)
 
     def test_two_sided_integral_matches_doubled_half(self):
-        s = _scalar_spectrum_fn(FIG2, ThermalNoiseModel.MARKOV_FLAT)
+        s = scalar_spectrum_oracle(FIG2, ThermalNoiseModel.MARKOV_FLAT)
         rates = effective_rates(FIG2)
         pts = [rates.omega_eff_ratio, 1.0, FIG2.phi / FIG2.b]
         two_sided, _ = quad(
@@ -315,14 +377,37 @@ def quad_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def quad_nodes(monkeypatch):
+    """(power, w, value) of each node QUADPACK evaluates, in the moment of w^power S_q."""
+    nodes, powers = [], []
+    quad_moment = spectra._quad_moment
+
+    def moment(params, poles, noise_model, power, cutoff, rtol):
+        powers.append(power)
+        return quad_moment(params, poles, noise_model, power, cutoff, rtol)
+
+    def recorded(f, a, b, **kwargs):
+        def node(w):
+            value = f(w)
+            nodes.append((powers[-1], w, value))
+            return value
+
+        return quad(node, a, b, **kwargs)
+
+    monkeypatch.setattr(spectra, "_quad_moment", moment)
+    monkeypatch.setattr(spectra, "quad", recorded)
+    return nodes
+
+
 def closure_spectrum(grid, p, model):
-    """S_q by the quadratures' scalar closure, one frequency at a time.
+    """S_q by the oracle's scalar closure, one frequency at a time.
 
     The oracle of noise_spectrum's array expression: it stops at the
     first frequency where the closure raises, with the closure's
     message, its OverflowError typed as SingularResponse.
     """
-    s_q = _scalar_spectrum_fn(p, model)
+    s_q = scalar_spectrum_oracle(p, model)
     values = []
     for w in grid.tolist():
         try:
@@ -338,6 +423,14 @@ def spectrum_outcome(fn, grid, p, model):
         return list(fn(np.array(grid), p, model))
     except SingularResponse as exc:
         return str(exc)
+
+
+def float_outcome(fn, w):
+    """``fn(w)`` as the hex of its bits, or the type and message of what it raises."""
+    try:
+        return fn(w).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 # the smallest subnormal: x w underflows to 0 for every coth scale x < 1/2
@@ -367,6 +460,32 @@ class TestArraySpectrum:
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
+
+    @settings(max_examples=80)
+    @given(
+        p=stable_points,
+        ws=st.lists(st.one_of(st.floats(-50.0, 50.0), st.floats(-1.7e308, 1.7e308)),
+                    max_size=20),
+    )
+    def test_float_integrand_is_the_oracle_bit_for_bit(self, p, ws):
+        # the quadratures' integrand: the oracle's float, or its exception and message
+        assume(classify(p).stable)
+        for model in ThermalNoiseModel:
+            s_q = scalar_spectrum_oracle(p, model)
+            for w in [0.0, TINY, -TINY, *ws]:
+                want = float_outcome(s_q, w)
+                assert float_outcome(lambda w: _float_spectrum(w, p, model), w) == want
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    @pytest.mark.parametrize("p, w, raised", [
+        (VANISHING, 1.0, SingularResponse),   # the denominator vanishes
+        (VANISHING, 1e300, OverflowError),    # the value is nan
+        (FIG2, 1e200, OverflowError),         # (b w)^2 overflows
+    ])
+    def test_float_integrand_raises_what_the_oracle_raises(self, p, w, raised, model):
+        want = float_outcome(scalar_spectrum_oracle(p, model), w)
+        assert want[0] is raised
+        assert float_outcome(lambda w: _float_spectrum(w, p, model), w) == want
 
     @pytest.mark.parametrize("model", list(ThermalNoiseModel))
     @pytest.mark.parametrize("p, grid, message", [
@@ -474,13 +593,22 @@ class TestResidueRoute:
     @pytest.mark.parametrize("phi", [0.0, 5.6e-17, 1e-15, 1e-12, 1e-8, 1e-6])
     @pytest.mark.parametrize("model", list(ThermalNoiseModel))
     def test_nearly_coincident_poles(self, phi, model):
-        p = NormalizedParams(b=1.9206257319033062, phi=phi, phi_nl=0.09504903620523072,
-                             q_factor=5562.406725036761, n_t_i=480.9521065078436)
+        p = COINCIDENT.replace(phi=phi)
         assert (_fractions(p, drift_modes(p)) is None) == (phi in (1e-12, 1e-8))
         res = integrate_variances(p, model)
         assert rel(res.dq2, quad_oracle(p, model, 0)) <= 1e-10
         if model is ThermalNoiseModel.MARKOV_FLAT:
             assert rel(res.dp2, quad_oracle(p, model, 2)) <= 1e-10
+
+    @pytest.mark.parametrize("p, model, omega_max", QUADRATURE_POINTS.values(),
+                             ids=QUADRATURE_POINTS)
+    def test_the_quadrature_integrates_the_oracle(self, quad_nodes, p, model, omega_max):
+        # at each node of both moments: the oracle's S_q, times w^2 for dp^2
+        integrate_variances(p, model, omega_max=omega_max)
+        assert {power for power, _, _ in quad_nodes} == {0, 2}
+        s_q = scalar_spectrum_oracle(p, model)
+        for power, w, value in quad_nodes:
+            assert value == (w * w * s_q(w) if power else s_q(w)), (power, w)
 
     @pytest.mark.parametrize("omega_max", [3.0, 100.0, 200.0])
     @pytest.mark.parametrize("phi", [1e-10, 0.0])
@@ -489,7 +617,7 @@ class TestResidueRoute:
         # decoupled: the coth dp^2 is the quadrature, cut off at omega_max
         # itself, also above the split point of the convergent moments. At
         # phi = 0 it is the three poles' sum, with the same cutoff
-        p = NormalizedParams(b=1, phi=phi, phi_nl=0.3, q_factor=1e4, n_t_i=10)
+        p = CUTOFF_COINCIDENT.replace(phi=phi)
         quadrature = phi != 0.0
         assert (_fractions(p, drift_modes(p)) is None) == quadrature
         res = integrate_variances(p, ThermalNoiseModel.QUANTUM_COTH, omega_max=omega_max)
