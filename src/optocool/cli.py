@@ -606,6 +606,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+#: the cell types a column may hold to be formatted by one ``%.12g`` template
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
 def _fmt_column(values) -> list[str]:
     """``_fmt`` of each cell, in one pass: a float (np.float64 is one) formatted in place."""
     return ["%.12g" % v if isinstance(v, float) else _fmt(v) for v in values]
@@ -616,12 +620,22 @@ def emit_csv(table: ResultTable, path: str | None) -> None:
 
     Formatting is pinned (12 significant digits, fixed newline) so equal
     inputs produce byte-identical files; ``path=None`` writes to stdout.
-    Cells are formatted a column at a time.
+    The data block is one ``%`` template per row: ``%.12g`` for a column
+    whose cells are all float or np.float64, ``%s`` over
+    :func:`_fmt_column`'s strings for any other (which formats a float
+    cell the same way).
     """
     lines = [f"# {k} = {v}" for k, v in table.metadata]
     lines.append(",".join(f"{name} [{unit}]" for name, unit in table.columns))
-    columns = [_fmt_column(values) for values in zip(*table.rows)]
-    lines.extend(",".join(cells) for cells in zip(*columns))
+    formats, columns = [], []
+    for values in zip(*table.rows):
+        if _FLOAT_TYPES.issuperset(map(type, values)):
+            formats.append("%.12g")
+            columns.append(values)
+        else:
+            formats.append("%s")
+            columns.append(_fmt_column(values))
+    lines.extend(map(",".join(formats).__mod__, zip(*columns)))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

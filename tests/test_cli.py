@@ -295,14 +295,24 @@ class TestEmitCsv(object):
             (-1e300, np.float64(math.nan), None, np.bool_(True), 0, "", np.float32(0.1), True),
             (math.inf, np.float64(1 / 3), None, False, 10**20, "a,b", "s", np.float64(2.0)),
         ],
+        [
+            # all-float columns of the special values, a float column with a
+            # None, and a str column that holds the template's "%"
+            (-0.0, np.float64(math.inf), 1.5, None, True, 7, "x", np.float64(-0.0)),
+            (math.nan, np.float64(-math.inf), None, None, False, -1, "%s", np.float64(math.nan)),
+            (math.inf, np.float64(5e-324), 2.5, None, True, np.int64(0), "%.12g%%", -math.inf),
+            (-math.inf, np.float64(-0.0), math.nan, None, False, 10**20, "", 1e300),
+        ],
+        [(np.float64(-0.0),)],
+        [(None,), (True,), (3,), ("s",), (2.5,)],
         [],
-    ], ids=["mixed", "no-rows"])
+    ], ids=["mixed", "float-specials", "one-cell", "one-mixed-column", "no-rows"])
     def test_column_formatting_matches_each_cell(self, tmp_path, rows):
         # float columns (np.float64 among them) are formatted at once, every
         # other column, the all-None one included, cell by cell
         table = ResultTable(
-            columns=tuple((f"c{j}", "u") for j in range(8)), rows=rows,
-            metadata=[("mode", "test")],
+            columns=tuple((f"c{j}", "u") for j in range(len(rows[0]) if rows else 8)),
+            rows=rows, metadata=[("mode", "test")],
         )
         path = tmp_path / "t.csv"
         emit_csv(table, str(path))

@@ -369,6 +369,22 @@ class TestModalPropagation:
         units = max(1.0, np.linalg.norm(a * t.max() * q, 2))
         assert np.max(np.abs(traj.v - want)) <= 1e-12 * units * np.max(np.abs(want))
 
+    @settings(max_examples=60, deadline=None)
+    @given(sysm=stable_points(), taus=st.lists(st.floats(0.0, 1e7), min_size=1, max_size=8))
+    @example(sysm=build_system(FIG3), taus=[0.0, 1.0, 3e5, 1e7])
+    def test_conjugate_pairs_give_the_exponential_of_every_mode(self, sysm, taus):
+        # where the eigenvalues come in exact conjugate pairs two rows are
+        # exponentials and two their conjugates; each equals e^{lambda tau}
+        # (0 past the underflow), a signed zero aside
+        assume(sysm.modes.separated)
+        lam = sysm.modes.eigenvalues
+        z = np.multiply.outer(lam, taus)
+        want = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
+        c, _ = dynamics._propagators(sysm, np.array(taus))
+        assert np.array_equal(c, want)
+        if sysm.params == FIG3:
+            assert lam[1] == lam[0].conjugate() and lam[3] == lam[2].conjugate()
+
     @pytest.mark.parametrize("p", [
         NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=1e4, n_t_i=10),
         NormalizedParams(b=10, phi=0, phi_nl=0.1, q_factor=1e2, n_t_i=30),  # Jordan block
@@ -584,6 +600,18 @@ class TestTransientInput:
         with pytest.raises(InvalidParams, match="t_eval must be finite"):
             evolve_covariance(build_system(FIG3), t_end=t_end, t_eval=t_eval)
 
+    @pytest.mark.parametrize("n_samples", [True, False, 2.5, 2.0, "3", None, 1, 0, -5])
+    def test_sample_count(self, n_samples):
+        # as the CLI's dynamics.samples >= 2: once 2.5 raised a raw
+        # TypeError, 0 gave an empty Trajectory and True one sample
+        for t_end in (0.01, None):
+            with pytest.raises(InvalidParams, match="n_samples must be an integer >= 2"):
+                evolve_covariance(build_system(FIG3), t_end=t_end, n_samples=n_samples)
+
+    def test_numpy_integer_sample_count(self):
+        traj = evolve_covariance(build_system(FIG3), t_end=0.01, n_samples=np.int64(2))
+        assert list(traj.t) == [0.0, 0.01]
+
 
 class TestLyapunov:
     def test_decoupled_thermal(self):
@@ -604,15 +632,32 @@ class TestLyapunov:
 
     def test_residual_check_survives_overflowing_norm(self, monkeypatch):
         # at n_t_i = 1e200 ||V||^2 overflows; an unscaled test then lets
-        # through any V, here one 1e-6 off
+        # through any V, here one 1e-6 off. The modes are separated, so the
+        # modal solve runs first: perturbed, it falls back to Bartels-Stewart,
+        # and with that perturbed too the solve fails
         sysm = build_system(FIG3.replace(n_t_i=1e200))
-        lyapunov_steady_state(sysm)
+        assert sysm.inverse is not None
+        exact = lyapunov_steady_state(sysm).v
+        modal = dynamics._modal_lyapunov
+        monkeypatch.setattr(dynamics, "_modal_lyapunov",
+                            lambda s, d: modal(s, d) * (1.0 + 1e-6))
+        fallback = lyapunov_steady_state(sysm).v
+        assert np.max(np.abs(fallback - exact)) <= 1e-12 * np.max(np.abs(exact))
         monkeypatch.setattr(
             "scipy.linalg.solve_continuous_lyapunov",
             lambda a, q: solve_continuous_lyapunov(a, q) * (1.0 + 1e-6),
         )
         with pytest.raises(SolverFailure):
             lyapunov_steady_state(sysm)
+
+    def test_modal_residual_picks_the_fallback(self):
+        # the modes count as separated, yet the modal residual is 3.7e-11 of
+        # ||V||: the state is the Bartels-Stewart solve, bit for bit (D / 2
+        # is the solve's power-of-two scaling here, max|D| = 2)
+        sysm = build_system(NormalizedParams(b=1, phi=1e-7, phi_nl=1, q_factor=10, n_t_i=0))
+        assert sysm.inverse is not None
+        v = solve_continuous_lyapunov(sysm.drift, -sysm.diffusion / 2.0) * 2.0
+        assert lyapunov_steady_state(sysm).v.tobytes() == (0.5 * v + 0.5 * v.T).tobytes()
 
     def test_huge_diffusion_scales_linearly(self):
         # the solve runs on D scaled by a power of two; unscaled, scipy

@@ -2,10 +2,11 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
@@ -62,6 +63,9 @@ UNSTABLE = {
         b=9.284, phi=-14.52, phi_nl=3.206, q_factor=6.639, n_t_i=100
     ),
 }
+
+# a non-degenerate point at high Q where Bartels-Stewart loses digits
+HIGH_Q = NormalizedParams(b=0.342, phi=-0.0133, phi_nl=3.35e-4, q_factor=2.02e5, n_t_i=33.4)
 
 ROUTES = {
     "noise_spectrum": lambda p: noise_spectrum(0.5, p),
@@ -182,17 +186,40 @@ def test_spectrum_and_lyapunov_agree_at_stable_points(b, ratio, phi_nl, q_factor
     assert exact.dp2 == pytest.approx(v[1, 1], rel=rel)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="Bartels-Stewart loses digits at high Q")
 def test_lyapunov_holds_residue_accuracy_at_high_q():
-    # non-degenerate (the modes are separated), yet the Bartels-Stewart
-    # steady state is 1.7e-9 off the residue sums, which 40-digit mpmath
-    # sums confirm to 1e-15. A modal Lyapunov solve in the drift's
-    # eigenbasis is expected to close the gap
-    p = NormalizedParams(b=0.342, phi=-0.0133, phi_nl=3.35e-4, q_factor=2.02e5, n_t_i=33.4)
+    # non-degenerate (the modes are separated): the Bartels-Stewart steady
+    # state is 1.7e-9 off the residue sums here, which 40-digit mpmath sums
+    # confirm to 1e-15; the modal solve in the drift's eigenbasis is 2.2e-15 off
+    p = HIGH_Q
     if not (classify(p).stable and drift_modes(p).separated):
         pytest.fail("the point must be stable with separated modes")
     exact = integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT)
     lyap = steady_variances(build_system(p))
     assert lyap.dq2 == pytest.approx(exact.dq2, rel=1e-10)
     assert lyap.dp2 == pytest.approx(exact.dp2, rel=1e-10)
+
+
+@settings(max_examples=60)
+@given(
+    b=st.floats(0.2, 20.0),
+    ratio=st.one_of(st.floats(-2.0, 3.0), st.floats(-0.01, 0.01)),
+    phi_nl=st.floats(-5.0, 0.0).map(lambda x: 10.0 ** x),
+    q_factor=st.floats(1.0, 7.0).map(lambda x: 10.0 ** x),
+    n_t_i=st.floats(0.0, 1000.0),
+)
+@example(b=HIGH_Q.b, ratio=HIGH_Q.phi / HIGH_Q.b, phi_nl=HIGH_Q.phi_nl,
+         q_factor=HIGH_Q.q_factor, n_t_i=HIGH_Q.n_t_i)
+@example(b=1.5033520837759462, ratio=-0.01257797402231339 / 1.5033520837759462, phi_nl=2.8120925404891844e-05,
+         q_factor=3810816.629324309, n_t_i=172.61994611296694)
+def test_modal_lyapunov_holds_residue_accuracy_up_to_q_1e7(b, ratio, phi_nl, q_factor, n_t_i):
+    p = NormalizedParams(b=b, phi=b * ratio, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i)
+    assume(classify(p).stable and drift_modes(p).separated)
+    with mock.patch("optocool.dynamics._bartels_stewart", side_effect=AssertionError("fallback")):
+        v = lyapunov_steady_state(build_system(p)).v
+    # Bartels-Stewart itself loses digits as Q grows: up to 4.2e-9 of max|V|
+    # near Q = 4e6 (the second example)
+    oracle = solve_continuous_lyapunov(drift(p), -diffusion(p))
+    assert np.max(np.abs(v - oracle)) <= 1e-7 * np.max(np.abs(v))
+    exact = integrate_variances(p, ThermalNoiseModel.MARKOV_FLAT)
+    assert exact.dq2 == pytest.approx(v[0, 0], rel=1e-10)
+    assert exact.dp2 == pytest.approx(v[1, 1], rel=1e-10)

@@ -2,9 +2,11 @@
 
 Every CLI run is a fresh interpreter, and scipy's subpackages take most
 of a second to import. Each is imported by the one function that calls
-it, so the closed-form modes and the flat-bath variances run without
-scipy at all. Both checks run in a fresh interpreter, since this test
-session has scipy loaded already.
+it, so the closed-form modes, the flat-bath variances and the transient
+modes where the drift's modes are separated (the eigenbasis, not
+``expm`` or the Bartels-Stewart fallback) run without scipy at all.
+Both checks run in a fresh interpreter, since this test session has
+scipy loaded already.
 """
 
 import json
@@ -31,6 +33,9 @@ NUMPY_ONLY_RUNS = [
     ["spectrum", *POINT, "--set", "spectrum.omega_points=9"],
     ["variances", *POINT, "--set", "noise_model=markov_flat", "--set", "sweep.variable=phi",
      *SWEEP],
+    ["dynamics", *POINT],
+    ["fig3"],
+    ["homodyne", *POINT],
 ]
 
 
