@@ -14,22 +14,12 @@ by white noise with diffusion diag(0, 2(2 n_t_i + 1)/Q, 2/b, 2/b): a
 flat Markovian mirror bath, matching the flat thermal weight of the
 spectral route, plus vacuum input noise on the field.
 
-The drift is constant, so the transient is propagated exactly rather
-than integrated: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, with
-V_ss the Lyapunov steady state. Where the modes of
-:func:`~optocool.model.drift_modes` are separated, A = S diag(lambda)
-S^-1 and everything runs in that eigenbasis. V_ss = S W S^T takes one
-division per entry, W_ij = -(S^-1 D S^-T)_ij / (lambda_i + lambda_j),
-and every propagator is a sum of modal exponentials, e^{A tau} = sum_m
-c_m(tau) B_m with c_m = e^{lambda_m tau} and B_m the rank-one
-projectors P_m = S[:, m] S^-1[m, :] (C. F. Van Loan, IEEE TAC 23(3),
-1978), with no 4x4 matrix formed per sample. Where the modes are not
-separated (the spectral route's quadrature test), or the modal steady
-state misses its residual test, V_ss is the Bartels-Stewart solve; where
-they are not separated, c holds ``expm`` of A tau, one per sample, and B
-the 16 unit matrices. Both bases are read by one formula: V(t) - V_ss
-is a table of the products c_m c_n, m <= n, times one fixed coefficient
-matrix.
+The transient is propagated exactly: V(t) = V_ss + e^{A tau} (V0 - V_ss)
+e^{A^T tau}, V_ss the Lyapunov steady state. Both read one basis at every
+stable point, Jordan blocks and exceptional points included (Moler & Van
+Loan, SIAM Rev. 45, 3, 2003): e^{A tau} = sum_m c_m(tau) B_m, B the Newton
+basis of each cluster of eigenvalues (:func:`_basis`) and c_m the divided
+difference of e^{z tau} over its nodes; no 4x4 matrix is formed per sample.
 
 The output field is read by one route, :func:`homodyne_readout`: the
 matched filter over the two-time correlations of the reflected field on
@@ -38,17 +28,13 @@ demodulation vectors with V(t)'s two field rows and with the lag
 coefficients times the basis's field rows. On that triangle the lags
 are the early times mirrored, so the readout reads both from one
 table. Exposed timestamps are in units of 1/Gamma; the propagator's
-argument is in units of 1/Omega_m (tau = t * Q).
-
-The module imports numpy alone, and a transient at separated modes
-runs on numpy alone. scipy.linalg (the Bartels-Stewart solve and
-``expm``) is imported by the functions that call it, on first use.
+argument is in units of 1/Omega_m (tau = t * Q). The module runs on numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -106,35 +92,31 @@ _OUTER_RULE, _INNER_RULE = leggauss(64), leggauss(32)
 for _a in (*_OUTER_RULE, *_INNER_RULE):
     _a.setflags(write=False)
 
-#: the basis of the ``expm`` propagators: the 16 unit 4x4 matrices
-_UNIT_BASIS = np.eye(16).reshape(16, 4, 4)
-_UNIT_BASIS.setflags(write=False)
-#: the 10 index pairs j <= k of a symmetric 4x4 matrix, and where each
-#: entry (j, k) of the matrix sits among them
+#: the 10 index pairs j <= k of a symmetric 4x4 matrix (and the basis
+#: pairs m <= n), and where each entry (j, k) of the matrix sits among them
 _PAIRS = np.triu_indices(4)
 _PAIR_OF = np.empty((4, 4), dtype=int)
 _PAIR_OF[_PAIRS] = _PAIR_OF[_PAIRS[::-1]] = np.arange(10)
-#: the basis pairs m <= n of the modal (4) and the ``expm`` (16) bases
-_BASIS_PAIRS = {4: _PAIRS, 16: np.triu_indices(16)}
+#: eigenvalues closer than this times ||A|| share a cluster of the propagator basis
+_CLUSTER_GAP = 1e-2
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """Drift/diffusion pair of the linearized dynamics, rates in Omega_m units.
 
-    Derived once from ``params``, which :func:`~optocool.model.classify`
-    must find stable (else :class:`~optocool.errors.Unstable`) and whose
-    mirror diffusion must be finite (else
-    :class:`~optocool.errors.InvalidParams`): the drift, the diffusion,
-    the drift's ``modes`` and, where they are separated, their
-    ``inverse`` S^-1 (None where propagators use expm).
+    Derived once from ``params``, which :func:`~optocool.model.classify` must
+    find stable (else :class:`~optocool.errors.Unstable`) and whose mirror
+    diffusion must be finite (else :class:`~optocool.errors.InvalidParams`).
     """
 
     params: NormalizedParams
     drift: np.ndarray = field(init=False, repr=False, compare=False)
     diffusion: np.ndarray = field(init=False, repr=False, compare=False)
     modes: DriftModes = field(init=False, repr=False, compare=False)
-    inverse: np.ndarray | None = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    clusters: tuple = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.params
@@ -146,12 +128,56 @@ class LinearSystem:
         diffusion = np.diag([0.0, 2.0 * ((2.0 * p.n_t_i + 1.0) / p.q_factor), 2.0 / p.b, 2.0 / p.b])
         if diffusion[1, 1] == math.inf:  # Q near 1 with 2 n_t_i + 1 near the float range
             raise InvalidParams(f"mirror diffusion overflows at n_t_i={p.n_t_i}, Q={p.q_factor}")
-        inverse = np.linalg.inv(modes.vectors) if modes.separated else None
-        for name, value in (("drift", drift_matrix(p)), ("diffusion", diffusion),
-                            ("modes", modes), ("inverse", inverse)):
+        drift = drift_matrix(p)
+        for name, value in (("drift", drift), ("diffusion", diffusion), ("modes", modes),
+                            *zip(("nodes", "clusters", "basis"), _basis(drift, modes))):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+
+def _basis(a: np.ndarray, modes: DriftModes) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The nodes, the (start, stop, twin) of each cluster among them, and the basis B.
+
+    Eigenvalues within ``_CLUSTER_GAP`` ||A|| share a cluster (single
+    linkage); a twin is the start of the earlier cluster of conjugate nodes.
+    B holds each cluster's P_C, (A - z_0) P_C, ...: P_C = X_C W_C, X_C the
+    null space of prod_C (A - z) / ||A||^k (one batched SVD; a twin's is the
+    conjugate) and W_C its rows of W = X^-1, so that the P_C sum to I.
+    """
+    lam, norm = modes.eigenvalues, modes.norm
+    label = [0, 1, 2, 3]  # the first index of each eigenvalue's cluster
+    for i in range(1, 4):
+        for j in range(i):
+            if abs(lam[i] - lam[j]) <= _CLUSTER_GAP * norm:
+                label = [min(label[i], label[j]) if x in (label[i], label[j]) else x for x in label]
+    nodes = [complex(lam[i]) for i in sorted(range(4), key=label.__getitem__)]  # stable sort
+    clusters, starts, start = [], {}, 0  # starts: each cluster's first index, by its nodes
+    for size in map(label.count, sorted(set(label))):
+        group = tuple(nodes[start:start + size])
+        clusters.append((start, start + size, starts.get(tuple(map(complex.conjugate, group)))))
+        starts.setdefault(group, start)
+        start += size
+    own = [(s, e) for s, e, twin in clusters if twin is None]
+    nodes, x = np.array(nodes), np.empty((4, 4), dtype=complex)
+    factors = (a - np.multiply.outer(nodes, np.eye(4))) / norm  # (A - z) / ||A||
+    with np.errstate(all="ignore"):
+        try:
+            right = np.linalg.svd([functools.reduce(np.matmul, factors[s:e]) for s, e in own])[2]
+            for (s, e), vh in zip(own, right):  # X: each cluster's null space, in its columns
+                x[:, s:e] = vh[4 + s - e:].conj().T
+            for s, e, twin in clusters:
+                if twin is not None:
+                    x[:, s:e] = x[:, twin:twin + e - s].conj()
+            w = np.linalg.inv(x)  # its rows span the left null spaces
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"no propagator basis: {exc}") from None
+        basis = np.empty((4, 4, 4), dtype=complex)
+        for s, e, _ in clusters:  # twins too, as W's rows are conjugates only to round-off
+            basis[s] = x[:, s:e] @ w[s:e]
+            for m in range(s + 1, e):
+                basis[m] = a @ basis[m - 1] - nodes[m - 1] * basis[m - 1]
+    return nodes, tuple(clusters), basis
 
 
 @dataclass(frozen=True)
@@ -224,60 +250,50 @@ def physicality_defect(v: np.ndarray):
 
 
 def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
-    """Steady covariance from A V + V A^T + D = 0.
+    """Steady covariance from A V + V A^T + D = 0, in the propagator basis (:func:`_steady`).
 
-    Where the modes are separated (``sys.inverse`` is not None) the
-    solve runs in the drift's eigenbasis (:func:`_modal_lyapunov`);
-    elsewhere, or where that solve's residual misses the test below, it
-    is the Bartels-Stewart solve of scipy.linalg. The modal solve keeps
-    the polished eigenvalues' small real parts, which set V at high Q:
-    at b=0.342, phi=-0.0133, phi_nl=3.35e-4, Q=2.02e5, n_t_i=33.4 it
-    meets the residue sums to 2.2e-15, where Bartels-Stewart is 1.7e-9
-    off.
-
-    The residual is verified below 1e-12 (relative to ||V||). It is
-    taken on U = V / max|V|, and both norms likewise, so that the test
-    still means something where ||V||^2 or A V overflows. The solve is
-    linear in D, so it runs on D / s with s the power of two at or below max|D|,
-    which keeps a huge diffusion inside the solver's range and changes no
-    rounding. V is symmetrized as V/2 + V^T/2, which is V + V^T halved
-    wherever that sum does not overflow (halving a normal float is exact).
+    The residual is verified below 1e-12 (relative to ||V||) on V over the
+    power of two at or below max|V|, which keeps ||V||^2 and A V finite,
+    else :class:`~optocool.errors.SolverFailure`. Where ||A|| is large (small
+    b) V is accurate before its residual is small: twice at most, V gains
+    the solution for its residual. The solve runs on D over the power of
+    two at or below max|D|; V is symmetrized as V/2 + V^T/2.
     """
     a, d = sys.drift, sys.diffusion
-    s = math.ldexp(0.5, math.frexp(float(np.max(np.abs(d))))[1])  # 2^1024 would overflow
-    solves = (_bartels_stewart,) if sys.inverse is None else (_modal_lyapunov, _bartels_stewart)
-    for solve in solves:
-        with np.errstate(all="ignore"):  # an overflow or a nan fails the test
-            v = solve(sys, d / s) * s
+    s = math.ldexp(0.5, math.frexp(max(d.diagonal().tolist()))[1])  # 2^1024 would overflow
+    with np.errstate(all="ignore"):  # an overflow or a nan fails the test
+        v = _steady(sys, d / s) * s
+        for refined in range(3):
             v = 0.5 * v + 0.5 * v.T
-            scale = np.max(np.abs(v))
+            scale = math.ldexp(0.5, math.frexp(float(np.max(np.abs(v))))[1])  # U = V exactly
             u = v / scale
-            resid = np.linalg.norm(a @ u + u @ a.T + d / scale)
-            ok = resid <= 1e-12 * max(1.0 / scale, np.linalg.norm(u))
-        if ok:
-            return CovarianceState(t=math.inf, v=v)
+            r = a @ u + u @ a.T + d / scale
+            resid = np.linalg.norm(r)
+            if resid <= 1e-12 * max(1.0 / scale, np.linalg.norm(u)):
+                return CovarianceState(t=math.inf, v=v)
+            if refined < 2:
+                v = v + _steady(sys, r) * scale
     raise SolverFailure(f"steady-state residual {resid:.3e} * max|V| too large")
 
 
-def _modal_lyapunov(sys: LinearSystem, d: np.ndarray) -> np.ndarray:
-    """V = S W S^T with W_ij = -(S^-1 d S^-T)_ij / (lambda_i + lambda_j).
+def _steady(sys: LinearSystem, r: np.ndarray) -> np.ndarray:
+    """X with A X + X A^T + r = 0: sum_mn I_mn B_m r B_n^T, I_mn the integral of c_m c_n.
 
-    A = S diag(lambda) S^-1 turns A V + V A^T + d = 0 into one division
-    per entry of W; the real part of S W S^T is V.
+    I_mn is -1/(x + y) divided over the nodes of B_m and B_n; the Leibniz
+    rule makes it a recursion that divides by eigenvalue sums alone. -X is
+    its adjoint W_mn = (B_m r B_n^T - W_{m+1,n} - W_{m,n+1}) / (z_m + z_n)
+    summed over first nodes, a modal solve where each cluster is one node.
     """
-    vectors, inverse = sys.modes.vectors, sys.inverse
-    lam = np.array(sys.modes.eigenvalues)
-    w = (inverse @ d @ inverse.T) / -np.add.outer(lam, lam)
-    return (vectors @ w @ vectors.T).real
-
-
-def _bartels_stewart(sys: LinearSystem, d: np.ndarray) -> np.ndarray:
-    """V solving A V + V A^T + d = 0 by scipy's Bartels-Stewart solve."""
-    from scipy.linalg import solve_continuous_lyapunov
-
-    with warnings.catch_warnings():  # a perturbed solve warns; the residual test decides
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return solve_continuous_lyapunov(sys.drift, -d)
+    heads = np.bincount([start for start, _, _ in sys.clusters], minlength=4) * 1.0  # first nodes
+    sandwich = ((sys.basis @ r).reshape(16, 4) @ sys.basis.reshape(16, 4).T).reshape(
+        4, 4, 4, 4)  # [m, i, n, k]: (B_m r B_n^T)_ik
+    sums = np.add.outer(sys.nodes, sys.nodes)[:, None, :, None]
+    w = sandwich / sums
+    for _ in range(8 - 2 * len(sys.clusters)):  # a level each: >= 2 (largest size - 1)
+        shift = np.diag(1.0 - heads[1:], k=1)  # m -> m + 1 within a cluster
+        w = (sandwich - np.einsum("mp,pinj->minj", shift, w)
+             - np.einsum("np,mipj->minj", shift, w)) / sums
+    return -np.einsum("m,minj,n->ij", heads, w, heads).real
 
 
 def steady_variances(sys: LinearSystem) -> VarianceResult:
@@ -397,35 +413,49 @@ def matched_filter_pairs(window: float):
 
 
 def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(A tau) for every tau, as coefficients c and a basis B.
+    """exp(A tau) for every tau, as coefficients c and the basis B.
 
-    exp(A tau_n) = sum_m c[m, n] B[m]. Where the modes are separated, c
-    is the (4, n) table of modal phases e^{lambda_k tau} and B the
-    rank-one projectors P_k = S[:, k] S^-1[k, :] of the eigenbasis, so no
-    4x4 matrix is formed per tau. Elsewhere c holds ``expm`` of A tau,
-    one flattened matrix per column, (16, n), and B the 16 unit matrices.
+    exp(A tau_n) = sum_m c[m, n] B[m], c[m] = e^{z tau} at a cluster's first
+    node; 0 wherever Re z tau < -800 at each node (e^z underflows near -745,
+    and times tau or a huge tau |Im z| gives nan). A twin's are conjugates.
     """
-    # e^z underflows to 0 below Re z of about -745; set it there, as exp
-    # gives nan where tau |Im lam| overflows on top of the decay (and expm
-    # where A tau overflows)
-    if sys.inverse is None:
-        from scipy.linalg import expm
+    nodes, c = sys.nodes, np.empty((4, len(taus)), dtype=complex)
+    first = [s for s, e, twin in sys.clusters if twin is None]
+    z = np.multiply.outer(nodes[first], taus)
+    c[first] = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
+    for s, e, twin in sys.clusters:
+        for m in range(s + 1, e if twin is None else s):
+            live = max(nodes[s:m + 1].real) * taus > -800.0
+            c[m] = np.where(live, _divided_exp(nodes[s:m + 1], taus), 0.0)
+        if twin is not None:
+            c[s:e] = c[twin:twin + e - s].conj()
+    return c, sys.basis
 
-        live = max(z.real for z in sys.modes.eigenvalues) * taus > -800.0
-        out = np.zeros((len(taus), 4, 4))
-        out[live] = expm(np.multiply.outer(taus[live], sys.drift))
-        return out.reshape(-1, 16).T, _UNIT_BASIS
-    basis = sys.modes.vectors.T[:, :, None] * sys.inverse[:, None, :]
-    lam = sys.modes.eigenvalues
-    # where the eigenvalues come in exact conjugate pairs (the polish keeps
-    # them so), e^{conj z} is conj(e^z) bit for bit: two rows of exponentials
-    # give all four
-    paired = lam[1] == lam[0].conjugate() and lam[3] == lam[2].conjugate()
-    z = np.multiply.outer(lam[::2] if paired else lam, taus)
-    phases = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
-    if paired:
-        phases = np.stack([phases[0], phases[0].conj(), phases[1], phases[1].conj()])
-    return phases, basis
+
+def _divided_exp(nodes: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The divided difference of z -> e^{z tau} over ``nodes`` at each tau.
+
+    Accurate at coincident nodes (McCurdy, Ng & Parlett, Math. Comp. 43, 501,
+    1984): expm1 for two nodes, and for more the Taylor series about their
+    mean where spread * tau <= 1, else the recursion over the farthest pair.
+    """
+    k = len(nodes)
+    if k == 2:
+        a, b = sorted(nodes, key=lambda z: -z.real)
+        return np.exp(a * taus) * (-np.expm1((b - a) * taus) / (a - b) if a != b else taus)
+    gaps = np.abs(np.subtract.outer(nodes, nodes))
+    i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+    far = (_divided_exp(np.delete(nodes, i), taus)
+           - _divided_exp(np.delete(nodes, j), taus)) / (nodes[j] - nodes[i])
+    # e^{mu tau} tau^(k-1) sum_n h_n(u) / (n + k - 1)!, u = (z - mu) tau and
+    # h_n the complete homogeneous polynomials of u, over its prefixes
+    u = np.multiply.outer(nodes - nodes.mean(), taus)
+    h, total = np.ones_like(u), 0.0
+    for n in range(20):  # 1/20! < eps / 100
+        total = total + h[-1] / math.factorial(n + k - 1)
+        h = np.cumsum(u * h, axis=0)  # h_n(u_1..u_r) = h_n(u_1..u_r-1) + u_r h_n-1(u_1..u_r)
+    near = np.exp(nodes.mean() * taus) * taus ** (k - 1) * total
+    return np.where(gaps[i, j] * taus <= 1.0, near, far)
 
 
 def _physical(u: np.ndarray, tol: float, scale: float = 1.0) -> np.ndarray:
@@ -461,20 +491,11 @@ def _transient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau} at each t (1/Gamma units).
 
-    Returns the (n, 10) table of V's entries j <= k (``_PAIRS``), one row
-    per time, and the propagators c, B of :func:`_propagators` at those
-    times. ``v0`` None is the thermal state, and V(0) is v0 (symmetrized)
-    exactly. With e^{A tau} = sum_m c_m B_m,
-    V - V_ss = sum_{m<=n} c_m c_n (B_m dV B_n^T + B_n dV B_m^T), halved
-    on m = n, with dV = V0 - V_ss: a table of coefficient products, one
-    row per sample, times one coefficient matrix read at the 10 entries
-    j <= k. That is 10 basis pairs for the 4 modal projectors and 136 for
-    the 16 unit matrices of ``expm`` (the sandwich written out). The
-    propagation runs in units of s, the power of two at max(|V0|, |V_ss|),
-    so that a covariance near the float range stays inside it; a power of
-    two changes no rounding. Each sample's physicality within -1e-9 times
-    the scale of v0 is the verdict of :func:`_physical` on the table
-    alone; the first sample that fails raises.
+    Returns the (n, 10) table of V's entries j <= k (``_PAIRS``) and the
+    propagators c, B there; ``v0`` None is the thermal state, V(0) is v0, and
+    V - V_ss = sum_{m<=n} c_m c_n (B_m dV B_n^T + B_n dV B_m^T), dV = V0 - V_ss
+    (halved on m = n), in units of the power of two at max(|V0|, |V_ss|). The
+    first sample :func:`_physical` finds off the physical set raises.
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
@@ -484,10 +505,9 @@ def _transient(
     s = math.ldexp(1.0, math.frexp(max(np.max(np.abs(v0.v)), np.max(np.abs(v_ss))))[1] - 1)
     u0 = 0.5 * (v0.v / s + v0.v.T / s)
     u_ss = v_ss / s
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below
+    with np.errstate(all="ignore"):  # the finiteness test below
         c, basis = _propagators(sys, times * sys.params.q_factor)
-        m, n = _BASIS_PAIRS[len(basis)]
-        j, k = _PAIRS  # the entries j <= k
+        (m, n), (j, k) = _PAIRS, _PAIRS  # the basis pairs m <= n, the entries j <= k
         terms = basis[:, None] @ (u0 - u_ss) @ basis.transpose(0, 2, 1)  # [m, n]: B_m dV B_n^T
         coef = np.where((m < n)[:, None, None], terms[m, n] + terms[n, m], terms[m, n])
         # (samples, 10): a row per sample, as BLAS then gives each sample

@@ -56,9 +56,8 @@ C_LIGHT = 299792458.0
 CUBIC_RESIDUAL_TOL = 1e-10
 #: relative separation of two poles at or below which a pole set is not
 #: separated (see :func:`pole_separation`): the variance integrals are
-#: then not taken by residues at those poles, and the propagator is expm
-#: rather than the eigenbasis (the measurement behind it is in the
-#: partial fractions of :mod:`optocool.spectra`)
+#: then not taken by residues at those poles (the measurement behind it
+#: is in the partial fractions of :mod:`optocool.spectra`)
 POLE_SEPARATION_MIN = 1e-4
 
 
@@ -338,31 +337,29 @@ def pole_separation(poles) -> tuple:
 
 
 class DriftModes(NamedTuple):
-    """The eigen-decomposition A = S diag(lambda) S^-1 of the drift.
+    """The eigenvalues of the drift, and their separation.
 
     For a stack of points each field holds one row per point: arrays of
     shape (n, 4) for ``eigenvalues`` and ``gaps``, (n,) for ``separated``
-    and ``norm``, and no ``vectors``.
+    and ``norm``.
     """
 
     eigenvalues: list      # lambda_j (complex), polished by one Newton step
-    vectors: np.ndarray    # S, the eigenvectors as columns
     gaps: list             # min_k |lambda_j - lambda_k| (before the polish)
     separated: bool        # the eigenvalues pass :func:`pole_separation`
     norm: float            # ||A|| (Frobenius), the scale of the eigen-solve's round-off
 
 
 def drift_modes(params) -> DriftModes:
-    """The one eigen-solve of :func:`drift_matrix`, and its separation test.
+    """The one eigen-solve of :func:`drift_matrix` (eigenvalues alone), and its separation test.
 
     ``separated`` (read before the polish) picks residues or quadrature in
-    :mod:`optocool.spectra` and the eigenbasis or ``expm`` in :mod:`optocool.dynamics`.
-    An ||A|| past the float range (g or 1/b overflows, at points that
-    :func:`classify` can call stable) raises :class:`~optocool.errors.InvalidParams`.
+    :mod:`optocool.spectra`. An ||A|| past the float range (g or 1/b overflows,
+    at points that :func:`classify` can call stable) raises :class:`~optocool.errors.InvalidParams`.
 
-    A sequence of points is solved as one stack of their drifts, and its
-    eigenvectors are dropped. A row whose ||A|| is not finite is left
-    unsolved (nan eigenvalues, not separated) where one point would raise.
+    A sequence of points is solved as one stack of their drifts. A row
+    whose ||A|| is not finite is left unsolved (nan eigenvalues, not
+    separated) where one point would raise.
     """
     single = isinstance(params, NormalizedParams)
     if single:
@@ -378,17 +375,16 @@ def drift_modes(params) -> DriftModes:
             norm = np.sqrt(np.einsum("nij,nij->n", drift, drift))
         unsolved = ~np.isfinite(norm)
         drift[unsolved] = 0.0
-    lam, vectors = np.linalg.eig(drift)
+    lam = np.linalg.eigvals(drift)
     if single:
         lam = lam.tolist()
         gaps, separated = pole_separation(lam)
-        return DriftModes(_polish(lam, params, norm), vectors, gaps, separated, norm)
+        return DriftModes(_polish(lam, params, norm), gaps, separated, norm)
     lam = lam.astype(complex)
     lam[unsolved] = complex(math.nan, math.nan)
     gaps, separated = pole_separation(lam)
     polished = [_polish(row, p, n) for row, p, n in zip(lam.tolist(), points, norm.tolist())]
-    return DriftModes(np.array(polished, dtype=complex).reshape(-1, 4), None, gaps, separated,
-                      norm)
+    return DriftModes(np.array(polished, dtype=complex).reshape(-1, 4), gaps, separated, norm)
 
 
 def _polish(lam: list, params: NormalizedParams, norm: float) -> list:

@@ -18,6 +18,7 @@ from optocool import (
     approx_variance,
     classify,
     decompose,
+    drift_matrix,
     drift_modes,
     effective_rates,
     integrate_variances,
@@ -371,7 +372,7 @@ CLAIM_B = np.geomspace(0.25, 40.0, 17)
 def mechanical_damping(p):
     """2|Re lambda| of the drift mode with the larger mechanical weight (Omega_m units)."""
     modes = drift_modes(p)
-    power = np.abs(modes.vectors) ** 2
+    power = np.abs(np.linalg.eig(drift_matrix(p))[1]) ** 2
     j = int(np.argmax(power[:2].sum(axis=0) / power.sum(axis=0)))
     return 2.0 * abs(modes.eigenvalues[j].real)
 

@@ -886,7 +886,8 @@ def test_sweep_past_the_float_range_marks_rows_invalid(capsys):
     assert rows[1:] == [["9e+307", "", "", "", "", "false"], ["1e+308", "", "", "", "", "false"]]
 
 
-# phi = 0 and 1e-9: the modes are not separated and the propagator is expm
+# phi = 0 and 1e-9: the cavity pair is one cluster of two nodes, whose
+# coefficient tau e^{z tau} is 0 where e^{z tau} has decayed, not inf * 0
 @pytest.mark.parametrize("phi", ["10", "0", "1e-9"])
 def test_decayed_transient_is_the_steady_state(phi, capsys):
     # at these times t Q |Im lambda| overflows while e^{A t Q} has long
@@ -900,6 +901,21 @@ def test_decayed_transient_is_the_steady_state(phi, capsys):
     v_ss = lyapunov_steady_state(build_system(cfg.params)).v
     last = run(cfg).rows[-1]
     assert last[1:5] == pytest.approx(np.diag(v_ss), rel=1e-12)
+
+
+@pytest.mark.parametrize("b", ["1e-8", "1e-100"])
+def test_decoupled_mirror_keeps_its_thermal_state(b, capsys):
+    # phi_nl = 0 decouples the mirror, and a vacuum cavity with a thermal
+    # mirror is the steady state: diag(201, 201, 1, 1) at every sample. The
+    # drift's rates span 1/b to 0.18; once a Bartels-Stewart steady state
+    # missed its residual test (b = 1e-8) and expm gave nan (b = 1e-100)
+    point = {"b": b, "phi": "0", "phi_nl": "0", "q_factor": repr(math.e), "n_t_i": "100"}
+    rc = main(argv_for("dynamics", point))
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = csv_rows(out)
+    assert len(rows) == 401
+    assert all(row[1:] == ["201", "201", "1", "1", "0", "0", "true"] for row in rows)
 
 
 def test_default_window_settles_a_slow_high_q_transient(capsys):
@@ -1223,6 +1239,12 @@ EXTREME_POINTS = {
         "b": "15829.245451346016", "phi": "77.77649811531171", "phi_nl": "0.0",
         "q_factor": "100000000000000.0", "n_t_i": "8.988e+307", "sweep.start": "77.77649811531171",
         "sweep.stop": "77.77649811531171", "sweep.points": "2"}),
+    # a propagator basis's weights once divided by zero here, where the
+    # steady state misses its residual test (SolverFailure); test_any_input_
+    # exits_cleanly draws with st.data(), which takes no @example
+    "fig3_basis_weights_at_vanishing_b": ("fig3", {
+        "b": "1e-100", "phi": "0.9932620530009145", "phi_nl": "1.0", "q_factor": "1e14",
+        "n_t_i": "0.0"}),
     "adiabatic_decomposition_underflow": ("adiabatic", {
         "b": "4.31755093934738e-77", "phi": "5.017380291514038e-278", "phi_nl": "0.0",
         "q_factor": "1.0000000000009095", "n_t_i": "97.03118027279464",

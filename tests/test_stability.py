@@ -2,7 +2,6 @@
 
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -187,9 +186,9 @@ def test_spectrum_and_lyapunov_agree_at_stable_points(b, ratio, phi_nl, q_factor
 
 
 def test_lyapunov_holds_residue_accuracy_at_high_q():
-    # non-degenerate (the modes are separated): the Bartels-Stewart steady
+    # non-degenerate (the modes are separated): a Bartels-Stewart steady
     # state is 1.7e-9 off the residue sums here, which 40-digit mpmath sums
-    # confirm to 1e-15; the modal solve in the drift's eigenbasis is 2.2e-15 off
+    # confirm to 1e-15; the solve in the propagator basis is 2.2e-15 off
     p = HIGH_Q
     if not (classify(p).stable and drift_modes(p).separated):
         pytest.fail("the point must be stable with separated modes")
@@ -197,6 +196,20 @@ def test_lyapunov_holds_residue_accuracy_at_high_q():
     lyap = steady_variances(build_system(p))
     assert lyap.dq2 == pytest.approx(exact.dq2, rel=1e-10)
     assert lyap.dp2 == pytest.approx(exact.dp2, rel=1e-10)
+
+
+@pytest.mark.parametrize("q_factor, dq2, dp2", [
+    (1e6, "300001.1499999249889352641838860964011501", "300000.8500000749888602753236107727903773"),
+    (1e7, "3000001.149999992388978066986350750388534", "3000000.85000000738897732808861794152674"),
+])
+def test_lyapunov_holds_accuracy_on_resonance_at_high_q(q_factor, dq2, dp2):
+    # at phi = 0 the cavity poles coincide (a Jordan block, one cluster of
+    # the propagator basis); a Bartels-Stewart steady state was 1.4e-10
+    # (Q = 1e6) and 1.1e-9 (Q = 1e7) off these 60-digit Kronecker solves
+    p = NormalizedParams(b=1, phi=0, phi_nl=0.3, q_factor=q_factor, n_t_i=0)
+    v = lyapunov_steady_state(build_system(p)).v
+    assert v[0, 0] == pytest.approx(float(dq2), rel=1e-13)
+    assert v[1, 1] == pytest.approx(float(dp2), rel=1e-13)
 
 
 @settings(max_examples=60)
@@ -214,8 +227,7 @@ def test_lyapunov_holds_residue_accuracy_at_high_q():
 def test_modal_lyapunov_holds_residue_accuracy_up_to_q_1e7(b, ratio, phi_nl, q_factor, n_t_i):
     p = NormalizedParams(b=b, phi=b * ratio, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i)
     assume(classify(p).stable and drift_modes(p).separated)
-    with mock.patch("optocool.dynamics._bartels_stewart", side_effect=AssertionError("fallback")):
-        v = lyapunov_steady_state(build_system(p)).v
+    v = lyapunov_steady_state(build_system(p)).v
     # Bartels-Stewart itself loses digits as Q grows: up to 4.2e-9 of max|V|
     # near Q = 4e6 (the second example)
     oracle = solve_continuous_lyapunov(drift(p), -diffusion(p))

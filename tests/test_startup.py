@@ -3,10 +3,9 @@
 Every CLI run is a fresh interpreter, and scipy's subpackages take most
 of a second to import. Each is imported by the one function that calls
 it, so the closed-form modes, the flat-bath variances and the transient
-modes where the drift's modes are separated (the eigenbasis, not
-``expm`` or the Bartels-Stewart fallback) run without scipy at all.
-Both checks run in a fresh interpreter, since this test session has
-scipy loaded already.
+modes, at every stable point (on resonance and where the cavity poles
+nearly coincide too), run without scipy at all. Both checks run in a
+fresh interpreter, since this test session has scipy loaded already.
 """
 
 import json
@@ -36,6 +35,12 @@ NUMPY_ONLY_RUNS = [
     ["dynamics", *POINT],
     ["fig3"],
     ["homodyne", *POINT],
+    # phi = 0 and 1e-9: the cavity pair is one cluster of the propagator basis
+    ["dynamics", "--set", "b=1", "--set", "phi=0", "--set", "phi_nl=0.3", "--set", "q_factor=1e4",
+     "--set", "n_t_i=10"],
+    ["homodyne", "--set", "b=10", "--set", "phi=1e-9", "--set", "phi_nl=0.1", "--set",
+     "q_factor=1e4", "--set", "n_t_i=30", "--set", "homodyne.lo_rate=1",
+     "--set", "homodyne.demod_rate=3"],
 ]
 
 

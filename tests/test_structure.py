@@ -16,7 +16,9 @@
   it, so a placeholder leaves with its patch.
 * No module imports scipy at import time: every scipy import sits in a
   function, and each scipy name is imported at one site, so that
-  ``import optocool`` loads numpy alone.
+  ``import optocool`` loads numpy alone. ``dynamics`` imports no scipy
+  name at all, and reads no pole-separation verdict: one propagator
+  basis serves every stable point.
 """
 
 import ast
@@ -258,3 +260,9 @@ def test_scipy_import_finder_sees_every_spelling():
         (None, "scipy.special.psi"), (None, "scipy.optimize.brentq"),
         ("f", "scipy.linalg.expm"), ("f", "scipy.linalg.eig"), ("h", "scipy.integrate"),
     ]
+
+
+def test_dynamics_runs_on_numpy_alone_whatever_the_poles():
+    tree = parse(PACKAGE / "dynamics.py")
+    assert scipy_imports(tree) == []
+    assert name_reads(tree, "separated") == []
