@@ -14,12 +14,11 @@ by white noise with diffusion diag(0, 2(2 n_t_i + 1)/Q, 2/b, 2/b): a
 flat Markovian mirror bath, matching the flat thermal weight of the
 spectral route, plus vacuum input noise on the field.
 
-The transient is propagated exactly: V(t) = V_ss + e^{A tau} (V0 - V_ss)
-e^{A^T tau}, V_ss the Lyapunov steady state. Both read one basis at every
-stable point, Jordan blocks and exceptional points included (Moler & Van
-Loan, SIAM Rev. 45, 3, 2003): e^{A tau} = sum_m c_m(tau) B_m, B the Newton
-basis of each cluster of eigenvalues (:func:`_basis`) and c_m the divided
-difference of e^{z tau} over its nodes; no 4x4 matrix is formed per sample.
+The transient is propagated exactly: V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau}, V_ss
+the Lyapunov steady state. Both read one basis at every stable point, Jordan blocks and
+exceptional points included (Moler & Van Loan, SIAM Rev. 45, 3, 2003): e^{A tau} = sum_m
+c_m(tau) B_m, B the Newton basis of each cluster of eigenvalues (:func:`_basis`) and c_m the
+divided difference of e^{z tau} over its nodes; no 4x4 matrix is formed per sample.
 
 The output field is read by one route, :func:`homodyne_readout`: the
 matched filter over the two-time correlations of the reflected field on
@@ -97,8 +96,12 @@ for _a in (*_OUTER_RULE, *_INNER_RULE):
 _PAIRS = np.triu_indices(4)
 _PAIR_OF = np.empty((4, 4), dtype=int)
 _PAIR_OF[_PAIRS] = _PAIR_OF[_PAIRS[::-1]] = np.arange(10)
+#: 1/2 at the basis pairs m = n, where a pair's two terms are one, else 1
+_HALVED = np.where(_PAIRS[0] == _PAIRS[1], 0.5, 1.0)
 #: eigenvalues closer than this times ||A|| share a cluster of the propagator basis
 _CLUSTER_GAP = 1e-2
+#: the pairs i > j of eigenvalues that a pattern of the propagator basis compares
+_LOWER = [(i, j) for i in range(1, 4) for j in range(i)]
 
 
 @dataclass(frozen=True)
@@ -137,47 +140,55 @@ class LinearSystem:
 
 
 def _basis(a: np.ndarray, modes: DriftModes) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """The nodes, the (start, stop, twin) of each cluster among them, and the basis B.
+    """The nodes, the (start, stop, twin) of their clusters (:func:`_layout`), and the basis B:
 
-    Eigenvalues within ``_CLUSTER_GAP`` ||A|| share a cluster (single
-    linkage); a twin is the start of the earlier cluster of conjugate nodes.
-    B holds each cluster's P_C, (A - z_0) P_C, ...: P_C = X_C W_C, X_C the
-    null space of prod_C (A - z) / ||A||^k (one batched SVD; a twin's is the
-    conjugate) and W_C its rows of W = X^-1, so that the P_C sum to I.
+    each cluster's P_C, (A - z_0) P_C, ...; P_C = X_C W_C, X_C the null space of prod_C (A - z)
+    (one batched SVD) and W_C its rows of W = X^-1, so that the P_C sum to I.
     """
-    lam, norm = modes.eigenvalues, modes.norm
-    label = [0, 1, 2, 3]  # the first index of each eigenvalue's cluster
-    for i in range(1, 4):
-        for j in range(i):
-            if abs(lam[i] - lam[j]) <= _CLUSTER_GAP * norm:
-                label = [min(label[i], label[j]) if x in (label[i], label[j]) else x for x in label]
-    nodes = [complex(lam[i]) for i in sorted(range(4), key=label.__getitem__)]  # stable sort
-    clusters, starts, start = [], {}, 0  # starts: each cluster's first index, by its nodes
-    for size in map(label.count, sorted(set(label))):
-        group = tuple(nodes[start:start + size])
-        clusters.append((start, start + size, starts.get(tuple(map(complex.conjugate, group)))))
-        starts.setdefault(group, start)
-        start += size
-    own = [(s, e) for s, e, twin in clusters if twin is None]
-    nodes, x = np.array(nodes), np.empty((4, 4), dtype=complex)
-    factors = (a - np.multiply.outer(nodes, np.eye(4))) / norm  # (A - z) / ||A||
+    lam, gap = modes.eigenvalues, _CLUSTER_GAP * modes.norm
+    order, clusters, own, pick, mine = _layout(tuple(
+        [(abs(lam[i] - lam[j]) <= gap, lam[i] == lam[j].conjugate()) for i, j in _LOWER]))
+    nodes = np.array([lam[i] for i in order])
+    factors = (a - np.multiply.outer(nodes, np.eye(4))) / modes.norm  # (A - z) / ||A||
     with np.errstate(all="ignore"):
         try:
-            right = np.linalg.svd([functools.reduce(np.matmul, factors[s:e]) for s, e in own])[2]
-            for (s, e), vh in zip(own, right):  # X: each cluster's null space, in its columns
-                x[:, s:e] = vh[4 + s - e:].conj().T
-            for s, e, twin in clusters:
-                if twin is not None:
-                    x[:, s:e] = x[:, twin:twin + e - s].conj()
-            w = np.linalg.inv(x)  # its rows span the left null spaces
+            rows = np.linalg.svd([functools.reduce(np.matmul, factors[s:e])
+                                  for s, e in own])[2][pick]
+            np.conjugate(rows, out=rows, where=mine)  # X^T: each node's null vector
+            w = np.linalg.inv(rows.T)  # its rows span the left null spaces
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"no propagator basis: {exc}") from None
-        basis = np.empty((4, 4, 4), dtype=complex)
-        for s, e, _ in clusters:  # twins too, as W's rows are conjugates only to round-off
-            basis[s] = x[:, s:e] @ w[s:e]
+        basis = rows[:, :, None] * w[:, None, :]  # each node's x w^T
+        for s, e in ((s, e) for s, e, _ in clusters if e - s > 1):  # twins too, as W's
+            basis[s] = basis[s:e].sum(axis=0)  # rows are conjugates only to round-off
             for m in range(s + 1, e):
                 basis[m] = a @ basis[m - 1] - nodes[m - 1] * basis[m - 1]
-    return nodes, tuple(clusters), basis
+    return nodes, clusters, basis
+
+
+@functools.cache
+def _layout(pairs: tuple) -> tuple:
+    """The clusters of a pattern of eigenvalues, and where :func:`_basis` reads their null spaces.
+
+    ``pairs``: for each i > j (``_LOWER``), are the two within ``_CLUSTER_GAP`` ||A|| (single
+    linkage), and conjugates? A twin is the start of the earlier cluster of conjugate nodes.
+    """
+    label = [0, 1, 2, 3]  # the first index of each eigenvalue's cluster
+    for (i, j), (near, _) in zip(_LOWER, pairs):
+        if near:
+            label = [min(label[i], label[j]) if x in (label[i], label[j]) else x for x in label]
+    order = sorted(range(4), key=label.__getitem__)  # a stable sort
+    conjugate = {frozenset(ij) for ij, (_, conj) in zip(_LOWER, pairs) if conj}
+    clusters, own, stop = [], [], 0
+    for size in map(label.count, sorted(set(label))):
+        start, stop = stop, stop + size
+        twin = next((s for s, e in own if e - s == size and all(
+            {order[start + q], order[s + q]} in conjugate for q in range(size))), None)
+        clusters.append((start, stop, twin))
+        own += [(start, stop)] * (twin is None)
+    batch, row, mine = zip(*[([s for s, _ in own].index(s if t is None else t), 4 - e + m,
+                              [t is None]) for s, e, t in clusters for m in range(s, e)])
+    return order, tuple(clusters), own, (list(batch), list(row)), np.array(mine)
 
 
 @dataclass(frozen=True)
@@ -252,12 +263,9 @@ def physicality_defect(v: np.ndarray):
 def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
     """Steady covariance from A V + V A^T + D = 0, in the propagator basis (:func:`_steady`).
 
-    The residual is verified below 1e-12 (relative to ||V||) on V over the
-    power of two at or below max|V|, which keeps ||V||^2 and A V finite,
-    else :class:`~optocool.errors.SolverFailure`. Where ||A|| is large (small
-    b) V is accurate before its residual is small: twice at most, V gains
-    the solution for its residual. The solve runs on D over the power of
-    two at or below max|D|; V is symmetrized as V/2 + V^T/2.
+    The residual is verified below 1e-12 of ||V|| on V over the power of two at or below
+    max|V| (||V||^2 and A V stay finite), else :class:`~optocool.errors.SolverFailure`; where
+    ||A|| is large (small b), V gains the solution for its residual, twice at most.
     """
     a, d = sys.drift, sys.diffusion
     s = math.ldexp(0.5, math.frexp(max(d.diagonal().tolist()))[1])  # 2^1024 would overflow
@@ -279,15 +287,14 @@ def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
 def _steady(sys: LinearSystem, r: np.ndarray) -> np.ndarray:
     """X with A X + X A^T + r = 0: sum_mn I_mn B_m r B_n^T, I_mn the integral of c_m c_n.
 
-    I_mn is -1/(x + y) divided over the nodes of B_m and B_n; the Leibniz
-    rule makes it a recursion that divides by eigenvalue sums alone. -X is
-    its adjoint W_mn = (B_m r B_n^T - W_{m+1,n} - W_{m,n+1}) / (z_m + z_n)
-    summed over first nodes, a modal solve where each cluster is one node.
+    I_mn is -1/(x + y) divided over the nodes of B_m and B_n (the Leibniz rule). -X is its
+    adjoint W_mn = (B_m r B_n^T - W_{m+1,n} - W_{m,n+1}) / (z_m + z_n) summed over first
+    nodes: it divides by eigenvalue sums alone, a modal solve where each cluster is one node.
     """
     heads = np.bincount([start for start, _, _ in sys.clusters], minlength=4) * 1.0  # first nodes
-    sandwich = ((sys.basis @ r).reshape(16, 4) @ sys.basis.reshape(16, 4).T).reshape(
-        4, 4, 4, 4)  # [m, i, n, k]: (B_m r B_n^T)_ik
-    sums = np.add.outer(sys.nodes, sys.nodes)[:, None, :, None]
+    flat = sys.basis.reshape(16, 4)  # [m, i, n, k]: (B_m r B_n^T)_ik
+    sandwich = (flat @ r @ flat.T).reshape(4, 4, 4, 4)
+    sums = (sys.nodes[:, None] + sys.nodes).reshape(4, 1, 4, 1)
     w = sandwich / sums
     for _ in range(8 - 2 * len(sys.clusters)):  # a level each: >= 2 (largest size - 1)
         shift = np.diag(1.0 - heads[1:], k=1)  # m -> m + 1 within a cluster
@@ -413,11 +420,10 @@ def matched_filter_pairs(window: float):
 
 
 def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(A tau) for every tau, as coefficients c and the basis B.
+    """exp(A tau_n) = sum_m c[m, n] B[m] for every tau: the coefficients c and the basis B.
 
-    exp(A tau_n) = sum_m c[m, n] B[m], c[m] = e^{z tau} at a cluster's first
-    node; 0 wherever Re z tau < -800 at each node (e^z underflows near -745,
-    and times tau or a huge tau |Im z| gives nan). A twin's are conjugates.
+    c[m] = e^{z tau} at a cluster's first node (a twin's are conjugates), 0 wherever Re z tau
+    < -800 at each node (e^z underflows near -745, and tau * 0 or a huge tau |Im z| gives nan).
     """
     nodes, c = sys.nodes, np.empty((4, len(taus)), dtype=complex)
     first = [s for s, e, twin in sys.clusters if twin is None]
@@ -435,9 +441,9 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.nd
 def _divided_exp(nodes: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """The divided difference of z -> e^{z tau} over ``nodes`` at each tau.
 
-    Accurate at coincident nodes (McCurdy, Ng & Parlett, Math. Comp. 43, 501,
-    1984): expm1 for two nodes, and for more the Taylor series about their
-    mean where spread * tau <= 1, else the recursion over the farthest pair.
+    Accurate at coincident nodes (McCurdy, Ng & Parlett, Math. Comp. 43, 501, 1984): expm1 for
+    two; for more, the Taylor series about their mean where spread * tau <= 1, else the
+    recursion over the farthest pair.
     """
     k = len(nodes)
     if k == 2:
@@ -461,14 +467,12 @@ def _divided_exp(nodes: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def _physical(u: np.ndarray, tol: float, scale: float = 1.0) -> np.ndarray:
     """For each row of an (n, 10) table: every defect of ``scale * V`` exceeds -tol.
 
-    A row holds a symmetric V at its entries j <= k (``_PAIRS``). The
-    test is that V + (iJ + tol I)/scale is positive definite: every pivot
-    of its LDL^H factorization, unrolled over the rows, is > 0 (cheaper
-    than a batched Cholesky call, let alone the eigenvalues). Each entry
-    of the lower triangle is one complex column; no (n, 4, 4) stack is
-    formed. A row with a non-finite entry is not physical. With ``scale``
-    a power of two the verdict is the one on ``scale * V`` itself, as
-    every pivot scales exactly.
+    A row holds a symmetric V at its entries j <= k (``_PAIRS``). The test is that
+    V + (iJ + tol I)/scale is positive definite: every pivot of its LDL^H factorization,
+    unrolled over the rows, is > 0 (cheaper than a batched Cholesky call, let alone the
+    eigenvalues). Each entry of the lower triangle is one complex column; no (n, 4, 4) stack
+    is formed. A row with a non-finite entry is not physical. With ``scale`` a power of two
+    the verdict is the one on ``scale * V`` itself, as every pivot scales exactly.
     """
     shift = (1j * SYMPLECTIC_FORM + tol * np.eye(4)) / scale
     low = [[u[:, _PAIR_OF[i, j]] + shift[i, j] for j in range(i + 1)]
@@ -491,11 +495,10 @@ def _transient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V(t) = V_ss + e^{A tau} (V0 - V_ss) e^{A^T tau} at each t (1/Gamma units).
 
-    Returns the (n, 10) table of V's entries j <= k (``_PAIRS``) and the
-    propagators c, B there; ``v0`` None is the thermal state, V(0) is v0, and
-    V - V_ss = sum_{m<=n} c_m c_n (B_m dV B_n^T + B_n dV B_m^T), dV = V0 - V_ss
-    (halved on m = n), in units of the power of two at max(|V0|, |V_ss|). The
-    first sample :func:`_physical` finds off the physical set raises.
+    Returns the (n, 10) table of V's entries j <= k (``_PAIRS``) and the propagators c, B
+    there; ``v0`` None is the thermal state, V(0) is v0, and V - V_ss = sum_{m<=n} c_m c_n
+    (B_m dV B_n^T + B_n dV B_m^T), dV = V0 - V_ss (halved on m = n), in units of the power of
+    two at max(|V0|, |V_ss|). The first sample :func:`_physical` finds unphysical raises.
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
@@ -508,11 +511,14 @@ def _transient(
     with np.errstate(all="ignore"):  # the finiteness test below
         c, basis = _propagators(sys, times * sys.params.q_factor)
         (m, n), (j, k) = _PAIRS, _PAIRS  # the basis pairs m <= n, the entries j <= k
-        terms = basis[:, None] @ (u0 - u_ss) @ basis.transpose(0, 2, 1)  # [m, n]: B_m dV B_n^T
-        coef = np.where((m < n)[:, None, None], terms[m, n] + terms[n, m], terms[m, n])
-        # (samples, 10): a row per sample, as BLAS then gives each sample
-        # the same bits whatever the stack it is part of
-        u = u_ss[j, k] + ((c[m] * c[n]).T @ coef[:, j, k]).real
+        flat = basis.reshape(16, 4)  # [m, i, n, k]: (B_m dV B_n^T)_ik
+        terms = (flat @ (u0 - u_ss) @ flat.T).reshape(4, 4, 4, 4)
+        # [entry, pair]: B_m dV B_n^T + B_n dV B_m^T at entry (j, k), halved on m = n
+        coef = (terms + terms.transpose(2, 1, 0, 3))[m, j[:, None], n, k[:, None]] * _HALVED
+        # (samples, 10): a row per sample, as BLAS then gives each sample the
+        # same bits whatever the stack it is part of; the real part alone, as
+        # Re c . Re coef - Im c . Im coef, the float views of c and conj(coef)
+        u = u_ss[j, k] + (c[m] * c[n]).T.copy().view(float) @ coef.conj().view(float).T
         u[times == 0.0] = u0[j, k]  # where V_ss + (V0 - V_ss) would round
         v = u * s
     scale = max(1.0, float(np.max(np.abs(v0.v))))
@@ -547,7 +553,8 @@ def _field_correlations(v_t, ce, cl, c_lag, basis):
     """
     r = ce[:, :1] * v_t[:, _PAIR_OF[2]] + ce[:, 1:] * v_t[:, _PAIR_OF[3]]  # (n, 4)
     r[:, 2:] -= ce
-    q = ((c_lag[:, None] * cl.T).reshape(2 * len(basis), -1).T @ basis[:, 2:].reshape(-1, 4)).real
+    field = basis[:, 2:].reshape(-1, 4).conj().T.copy()  # q is real: Re c . Re B - Im c . Im B
+    q = (c_lag[:, None] * cl.T).reshape(len(field.T), -1).T.copy().view(float) @ field.view(float).T
     return 2.0 * np.einsum("nk,nk->n", r, q)
 
 
@@ -577,13 +584,12 @@ def homodyne_readout(
     frame). ``demod_rate`` None is the cavity detuning phi Q / b (an
     oscillator at the cavity line), and the result reports the rate used.
 
-    The integral is twice the triangle t' <= t of ``matched_filter_pairs(12
-    / lo_rate)``: a window of 12 filter lifetimes, 64 outer nodes and 32
-    inner ones. It takes one propagator table, at the early times
-    t'_ij = t_i (1 + x_j) / 2, each > 0. The Gauss-Legendre nodes are
-    antisymmetric, x_{n-1-j} = -x_j, so the lag t_i - t'_ij is the early
-    time t'_{i,n-1-j}, and the lag coefficients are that table with each
-    outer row's inner columns reversed.
+    The integral is twice the triangle t' <= t of ``matched_filter_pairs(12 / lo_rate)``: a
+    window of 12 filter lifetimes, 64 outer nodes and 32 inner ones. It takes one propagator
+    table, at the early times t'_ij = t_i (1 + x_j) / 2, each > 0. The Gauss-Legendre nodes
+    are antisymmetric, x_{n-1-j} = -x_j, so the lag t_i - t'_ij is the early time
+    t'_{i,n-1-j}, and the lag coefficients are that table with each outer row's inner
+    columns reversed.
 
     Raises
     ------
