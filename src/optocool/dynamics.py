@@ -80,6 +80,7 @@ SYMPLECTIC_FORM = np.array(
     ]
 )
 SYMPLECTIC_FORM.setflags(write=False)
+_EYE = np.eye(4)
 
 #: phase of the measured quadrature at t = 0 (``y_out`` lags ``x_out`` by pi/2)
 _QUAD_PHASE = {"x_out": 0.0, "y_out": 0.5 * math.pi}
@@ -149,7 +150,7 @@ def _basis(a: np.ndarray, modes: DriftModes) -> tuple[np.ndarray, tuple, np.ndar
     order, clusters, own, pick, mine = _layout(tuple(
         [(abs(lam[i] - lam[j]) <= gap, lam[i] == lam[j].conjugate()) for i, j in _LOWER]))
     nodes = np.array([lam[i] for i in order])
-    factors = (a - np.multiply.outer(nodes, np.eye(4))) / modes.norm  # (A - z) / ||A||
+    factors = (a - np.multiply.outer(nodes, _EYE)) / modes.norm  # (A - z) / ||A||
     with np.errstate(all="ignore"):
         try:
             rows = np.linalg.svd([functools.reduce(np.matmul, factors[s:e])
@@ -273,11 +274,11 @@ def lyapunov_steady_state(sys: LinearSystem) -> CovarianceState:
         v = _steady(sys, d / s) * s
         for refined in range(3):
             v = 0.5 * v + 0.5 * v.T
-            scale = math.ldexp(0.5, math.frexp(float(np.max(np.abs(v))))[1])  # U = V exactly
+            scale = math.ldexp(0.5, math.frexp(float(np.abs(v).max()))[1])  # U = V exactly
             u = v / scale
             r = a @ u + u @ a.T + d / scale
-            resid = np.linalg.norm(r)
-            if resid <= 1e-12 * max(1.0 / scale, np.linalg.norm(u)):
+            resid = math.sqrt(r.ravel().dot(r.ravel()))  # the Frobenius norms, as numpy's
+            if resid <= 1e-12 * max(1.0 / scale, math.sqrt(u.ravel().dot(u.ravel()))):
                 return CovarianceState(t=math.inf, v=v)
             if refined < 2:
                 v = v + _steady(sys, r) * scale
@@ -390,7 +391,7 @@ def output_variance_track(trajectory: Trajectory) -> np.ndarray:
     """
     with np.errstate(over="ignore"):  # the finiteness test follows
         track = 2.0 * (trajectory.v[:, [2, 3], [2, 3]] - 1.0)
-    if not np.all(np.isfinite(track)):
+    if not np.isfinite(track).all():
         raise InvalidParams("output correlation 2 (V_aa - 1) overflows")
     return track
 
@@ -414,7 +415,7 @@ def matched_filter_pairs(window: float):
     times = np.column_stack([np.repeat(t_out, n_inner), inner_t.ravel()])
     with np.errstate(over="ignore"):  # the finiteness test follows
         weights = (w_out[:, None] * inner_w).ravel()
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise InvalidParams(f"window {window} too long: its quadrature weights overflow")
     return times, weights
 
@@ -428,7 +429,7 @@ def _propagators(sys: LinearSystem, taus: np.ndarray) -> tuple[np.ndarray, np.nd
     nodes, c = sys.nodes, np.empty((4, len(taus)), dtype=complex)
     first = [s for s, e, twin in sys.clusters if twin is None]
     z = np.multiply.outer(nodes[first], taus)
-    c[first] = np.exp(z, out=np.zeros_like(z), where=z.real > -800.0)
+    c[first] = np.exp(z, out=np.zeros(z.shape, dtype=complex), where=z.real > -800.0)
     for s, e, twin in sys.clusters:
         for m in range(s + 1, e if twin is None else s):
             live = max(nodes[s:m + 1].real) * taus > -800.0
@@ -474,7 +475,7 @@ def _physical(u: np.ndarray, tol: float, scale: float = 1.0) -> np.ndarray:
     is formed. A row with a non-finite entry is not physical. With ``scale`` a power of two
     the verdict is the one on ``scale * V`` itself, as every pivot scales exactly.
     """
-    shift = (1j * SYMPLECTIC_FORM + tol * np.eye(4)) / scale
+    shift = (1j * SYMPLECTIC_FORM + tol * _EYE) / scale
     low = [[u[:, _PAIR_OF[i, j]] + shift[i, j] for j in range(i + 1)]
            for i in range(4)]  # lower triangle, one column per entry
     ok = np.isfinite(u).all(axis=1)
@@ -502,10 +503,10 @@ def _transient(
     """
     if v0 is None:
         v0 = thermal_covariance(sys.params)
-    if not np.all(np.isfinite(v0.v)):
+    if not np.isfinite(v0.v).all():
         raise InvalidParams("initial covariance v0 must be finite")
     v_ss = lyapunov_steady_state(sys).v
-    s = math.ldexp(1.0, math.frexp(max(np.max(np.abs(v0.v)), np.max(np.abs(v_ss))))[1] - 1)
+    s = math.ldexp(1.0, math.frexp(max(np.abs(v0.v).max(), np.abs(v_ss).max()))[1] - 1)
     u0 = 0.5 * (v0.v / s + v0.v.T / s)
     u_ss = v_ss / s
     with np.errstate(all="ignore"):  # the finiteness test below
@@ -521,8 +522,8 @@ def _transient(
         u = u_ss[j, k] + (c[m] * c[n]).T.copy().view(float) @ coef.conj().view(float).T
         u[times == 0.0] = u0[j, k]  # where V_ss + (V0 - V_ss) would round
         v = u * s
-    scale = max(1.0, float(np.max(np.abs(v0.v))))
-    if not np.all(np.isfinite(v)):
+    scale = max(1.0, float(np.abs(v0.v).max()))
+    if not np.isfinite(v).all():
         raise InvalidParams(f"covariance overflows in propagation (v0 scale {scale:.3g})")
     ok = _physical(u, 1e-9 * scale, s)
     if not ok.all():
@@ -638,13 +639,13 @@ def _filter_sum(times, weights, values, params, lo_rate, demod_rate) -> Homodyne
         env = 2.0 * lo_rate * np.exp(-lo_rate * times.sum(axis=1))
         # kappa/Gamma takes the kernel back to 1/Gamma-time rate units; it
         # scales the weights, not the kernel, which alone may overflow
-        integral = 2.0 * float(np.sum(weights * env * kappa_over_gamma * values))
+        integral = 2.0 * float((weights * env * kappa_over_gamma * values).sum())
     if not math.isfinite(integral):
         raise InvalidParams(f"matched-filter integral is not finite at lo_rate={lo_rate}")
 
     x = math.exp(-lo_rate * window)
     # max|values| * kappa/Gamma may overflow where the bound does not
-    tail = float(np.max(np.abs(values))) * (
+    tail = float(np.abs(values).max()) * (
         kappa_over_gamma * ((2.0 / lo_rate) * (2.0 * x - x * x)))
     if tail > 0.01 * abs(integral):
         raise WindowTooShort(

@@ -365,7 +365,7 @@ def drift_modes(params) -> DriftModes:
     if single:
         drift = drift_matrix(params)
         with np.errstate(over="ignore"):  # finite entries past 1e154 overflow the norm
-            norm = float(np.linalg.norm(drift))
+            norm = math.sqrt(drift.ravel().dot(drift.ravel()))  # ||A||, as np.linalg.norm
         if not math.isfinite(norm):
             raise InvalidParams(f"drift matrix overflows (||A|| = {norm})")
     else:
