@@ -15,7 +15,9 @@ This module provides the effective rates, the closed-form variance and
 its decomposition, the optimal detuning, regime-validity flags, and an
 optimizer (a coarse grid refined by Brent's bounded search) whose
 objective is the *exact* spectrum integral (the closed form only seeds
-the search).
+the search). The searches of the scanned bandwidths run in lockstep,
+one stacked spectrum call per round, and Brent's search is written here,
+so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -233,6 +235,124 @@ _GRID_RATIO = 2.0 ** 0.25
 _EDGE_STEPS = 16
 #: the errors of a probe that the optimizer scores inf
 _SCORED_INF = (Unstable, QuadratureFailure, InvalidParams)
+#: Brent's constants and probe limit, as scipy's ``fminbound`` has them
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAXFUN = 500
+
+
+def _bounded_brent(lo, hi, xatol):
+    """Brent's bounded minimization of a function on [lo, hi], as a search.
+
+    A search is a generator: it yields a list of abscissae to score,
+    receives their scores as a list, and returns (x, f(x)) of its best
+    point. This one yields one abscissa at a time. It is Brent's
+    ``localmin`` (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5) as scipy's ``minimize_scalar(method="bounded")`` transcribes
+    it: the same constants, tolerance test and parabolic/golden step rule,
+    so it probes the same abscissae and returns the same point, bit for
+    bit. It runs on Python floats: an inf score makes the parabolic step
+    inf or inf - inf = nan, which fails the acceptability test and falls
+    back to a golden-section step, with no floating-point warning.
+    """
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    (fx,) = yield [xf]
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_MEAN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        (fu,) = yield [x]
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, fx
+
+
+def _detuning_search(b):
+    """The optimizer's search over the detuning at one b (see :func:`_bounded_brent`).
+
+    The 9-point grid, then the edge steps one at a time, then Brent's
+    probes; returns (phi, n_t_f) of the best probe, or (None, inf) where
+    every grid point scores inf.
+    """
+    phi_star = optimal_detuning(b)
+    grid = (phi_star * np.geomspace(0.5, 2.0, 9)).tolist()
+    probes = dict(zip(grid, (yield grid)))
+    coarse = list(probes)
+    i = int(np.argmin(list(probes.values())))
+    if math.isinf(probes[coarse[i]]):
+        return None, math.inf
+    if i in (0, len(coarse) - 1):
+        # the minimum may lie beyond the grid: keep stepping outward at the
+        # grid's own ratio while the value falls
+        edge, ratio = coarse[i], _GRID_RATIO if i else 1.0 / _GRID_RATIO
+        for _ in range(_EDGE_STEPS):
+            phi = edge * ratio
+            (probes[phi],) = yield [phi]
+            if not probes[phi] < probes[edge]:
+                break
+            edge = phi
+    coarse = sorted(probes)
+    vals = [probes[phi] for phi in coarse]
+    i = int(np.argmin(vals))
+    lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, len(coarse) - 1)]
+    phi_best, val = yield from _bounded_brent(lo, hi, 1e-3 * phi_star)
+    if vals[i] < val:
+        return coarse[i], vals[i]
+    return phi_best, val
+
+
+def _locked_search(b):
+    """The search with the detuning pinned to phi = b: one probe."""
+    (val,) = yield [b]
+    return b, val
 
 
 def optimize_operating_point(
@@ -256,13 +376,15 @@ def optimize_operating_point(
     always ``integrate_variances`` (the exact spectrum), never the closed form;
     a point that is unstable or fails to integrate scores inf. With
     ``lock_phi_to_b`` the detuning is pinned to phi = b and only b is
-    scanned. Every probe goes through one scorer, which calls
-    ``integrate_variances`` on a sequence of points and decides which
-    errors score inf. Each 9-point detuning grid, and with
-    ``lock_phi_to_b`` the whole list of b, is one such call (one stacked
-    computation); the edge steps and Brent's probes each depend on the
-    last, and are calls of one point, which ``integrate_variances`` takes
-    as a single call.
+    scanned.
+
+    The searches of different b do not depend on each other, so they run
+    in lockstep: each round, the probes that every unfinished search asks
+    for next are scored by one ``integrate_variances`` call on a sequence
+    (one stacked computation from three stable rows on). The first round
+    holds every detuning grid (with ``lock_phi_to_b``, the whole list of
+    b); every later round holds one edge step or Brent probe per search
+    still running. Each search probes the same points as it would alone.
     ``b_range`` is the sequence of bandwidths b to scan, in order (the
     CLI passes its ``sweep`` values of b, or b alone).
     Deterministic for a fixed grid; ties go to the earlier b of
@@ -271,85 +393,55 @@ def optimize_operating_point(
     Raises
     ------
     InvalidParams
-        If ``b_range`` is empty, or from ``integrate_variances`` if
-        ``omega_max`` is not finite and > 2.
+        If ``b_range`` is empty, if a b is not > 0 (with phi free), or
+        from ``integrate_variances`` if ``omega_max`` is not finite and > 2.
     OptimizationFailure
-        If every probed point is unstable or fails to integrate (the last failure named).
+        If every probed point is unstable or fails to integrate (the
+        last failure of the last b that had one named).
     """
     b_grid = [float(b) for b in b_range]
     if not b_grid:
         raise InvalidParams("empty b_range")
+    search = _locked_search if lock_phi_to_b else _detuning_search
+    searches = [search(b) for b in b_grid]
+    failures = [None] * len(b_grid)  # per b, the last error other than Unstable scored inf
 
-    def point(b, phi):
-        return NormalizedParams(b=b, phi=phi, phi_nl=phi_nl, q_factor=q_factor, n_t_i=n_t_i)
-
-    failure = None  # the last error other than Unstable that scored inf
-
-    def objectives(pairs):
-        """The objective at each (b, phi) of ``pairs``, from one ``integrate_variances`` call."""
-        nonlocal failure
-        scores, points = [math.inf] * len(pairs), {}
-        for i, (b, phi) in enumerate(pairs):
+    def objectives(rows):
+        """The objective at each (j, phi) of ``rows``, from one ``integrate_variances`` call."""
+        scores, points = [math.inf] * len(rows), {}
+        for i, (j, phi) in enumerate(rows):
             try:
-                points[i] = point(b, phi)
+                points[i] = NormalizedParams(b=b_grid[j], phi=phi, phi_nl=phi_nl,
+                                             q_factor=q_factor, n_t_i=n_t_i)
             except InvalidParams as exc:
-                failure = exc
+                failures[j] = exc
         results = integrate_variances(list(points.values()), noise_model=noise_model,
                                       omega_max=omega_max)
         for i, res in zip(points, results):
             if isinstance(res, VarianceResult):
-                scores[i] = res.n_t_f
+                scores[i] = float(res.n_t_f)
             elif not isinstance(res, _SCORED_INF):
                 raise res
             elif not isinstance(res, Unstable):
-                failure = res
+                failures[rows[i][0]] = res
         return scores
 
+    found = [None] * len(b_grid)  # per b, its search's (phi, n_t_f)
+    pending = {j: next(s) for j, s in enumerate(searches)}
+    while pending:
+        scores = iter(objectives([(j, phi) for j, phis in pending.items() for phi in phis]))
+        asked, pending = pending, {}
+        for j, phis in asked.items():
+            try:
+                pending[j] = searches[j].send([next(scores) for _ in phis])
+            except StopIteration as done:
+                found[j] = done.value
+
     best = (math.inf, math.inf, math.inf)  # (n_t_f, b, phi)
-    locked = objectives([(b, b) for b in b_grid]) if lock_phi_to_b else None
-    for j, b in enumerate(b_grid):
-        if lock_phi_to_b:
-            phi_best, val = b, locked[j]
-        else:
-            phi_star = optimal_detuning(b)
-            grid = phi_star * np.geomspace(0.5, 2.0, 9)
-            probes = dict(zip(grid, objectives([(b, phi) for phi in grid])))
-            coarse = list(probes)
-            i = int(np.argmin(list(probes.values())))
-            if math.isinf(probes[coarse[i]]):
-                continue
-            if i in (0, len(coarse) - 1):
-                # the minimum may lie beyond the grid: keep stepping outward
-                # at the grid's own ratio while the value falls
-                edge, ratio = coarse[i], _GRID_RATIO if i else 1.0 / _GRID_RATIO
-                for _ in range(_EDGE_STEPS):
-                    phi = edge * ratio
-                    probes[phi] = objectives([(b, phi)])[0]
-                    if not probes[phi] < probes[edge]:
-                        break
-                    edge = phi
-                coarse = sorted(probes)
-            vals = [probes[phi] for phi in coarse]
-            i = int(np.argmin(vals))
-            lo_i, hi_i = max(i - 1, 0), min(i + 1, len(coarse) - 1)
-            from scipy.optimize import minimize_scalar
-
-            # an unstable probe scores inf, and scores near the float range
-            # overflow, so Brent's parabolic step can be inf or inf - inf =
-            # nan; it then falls back to a golden-section step
-            with np.errstate(invalid="ignore", over="ignore"):
-                res = minimize_scalar(
-                    lambda phi: objectives([(b, phi)])[0],
-                    bounds=(coarse[lo_i], coarse[hi_i]),
-                    method="bounded",
-                    options={"xatol": 1e-3 * phi_star},
-                )
-            phi_best, val = float(res.x), float(res.fun)
-            if vals[i] < val:
-                phi_best, val = coarse[i], vals[i]
+    for b, (phi, val) in zip(b_grid, found):
         if val < best[0]:
-            best = (val, b, phi_best)
-
+            best = (val, b, phi)
+    failure = next((exc for exc in reversed(failures) if exc is not None), None)
     if math.isinf(best[0]) and failure is not None:
         raise OptimizationFailure("no probe in the search range could be scored (last error "
                                   f"{type(failure).__name__}: {failure})") from failure

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optocool import (
     ImaginaryFrequency,
@@ -27,7 +29,7 @@ from optocool import (
     regime_validity,
 )
 from optocool import adiabatic
-from optocool.spectra import Method
+from optocool.spectra import Method, VarianceResult
 
 FIG2 = NormalizedParams(b=10, phi=10, phi_nl=0.1, q_factor=1e4, n_t_i=100)
 DEEP = NormalizedParams(b=10, phi=10, phi_nl=0.01, q_factor=1e5, n_t_i=100)
@@ -197,6 +199,18 @@ class TestRegimeValidity:
         assert regime_validity(DEEP).adiabatic_ok
 
 
+#: the benchmark's two kinds of run (a 3-point b grid with phi free, a
+#: locked 15-point list), points where only a grid edge is stable, and a b
+#: that is not a valid point (an error, or with the lock a probe that
+#: scores inf)
+OPTIMIZER_CASES = [
+    ([2.0, 3.0, 4.0], 0.05, 3e4, 80.0),
+    (list(np.linspace(1.2, 14.3, 15)), 0.02, 1e4, 50.0),
+    ([0.5, 1.0], 1.5, 100, 20.0),
+    ([-1.0, 2.0], 0.05, 30, 0.0),
+]
+
+
 class TestOptimizer:
     def test_no_coupling_returns_initial_occupancy(self):
         opt = optimize_operating_point(
@@ -312,33 +326,16 @@ class TestOptimizer:
         with pytest.raises(InvalidParams, match="omega_max"):
             optimize_operating_point([10.0], 0.1, 1e4, 100.0, omega_max=math.inf)
 
-    # the benchmark's two kinds of run (a 3-point b grid with phi free, a
-    # locked 15-point list), points where only a grid edge is stable, and
-    # a b that is not a valid point (an error, or with the lock a probe
-    # that scores inf)
     @pytest.mark.parametrize("lock", [False, True])
     @pytest.mark.parametrize("noise_model", list(ThermalNoiseModel))
-    @pytest.mark.parametrize("b_range, phi_nl, q_factor, n_t_i", [
-        ([2.0, 3.0, 4.0], 0.05, 3e4, 80.0),
-        (list(np.linspace(1.2, 14.3, 15)), 0.02, 1e4, 50.0),
-        ([0.5, 1.0], 1.5, 100, 20.0),
-        ([-1.0, 2.0], 0.05, 30, 0.0),
-    ])
+    @pytest.mark.parametrize("b_range, phi_nl, q_factor, n_t_i", OPTIMIZER_CASES)
     def test_stacked_grids_equal_single_probes(self, monkeypatch, lock, noise_model,
                                                b_range, phi_nl, q_factor, n_t_i):
-        # each detuning grid (and the locked list) is one stacked call; a
-        # loop of single calls in its place gives the same operating point
-        def single_probes(params, *args, **kwargs):
-            if isinstance(params, NormalizedParams):
-                return integrate_variances(params, *args, **kwargs)
-            out = []
-            for p in params:
-                try:
-                    out.append(integrate_variances(p, *args, **kwargs))
-                except OptocoolError as exc:
-                    out.append(exc)
-            return out
-
+        # each round of the searches (every detuning grid, or the locked
+        # list, then one probe per b) is one stacked call; a loop of single
+        # calls in its place gives the same operating point. A stacked
+        # probe rounds differently from a single one, which can move a
+        # Brent iterate, so phi_opt is held to Brent's termination band
         def run():
             try:
                 return optimize_operating_point(b_range, phi_nl, q_factor, n_t_i,
@@ -352,8 +349,220 @@ class TestOptimizer:
         if not isinstance(single, adiabatic.OperatingPoint):
             assert stacked == single
             return
-        assert (stacked.b_opt, stacked.phi_opt) == (single.b_opt, single.phi_opt)
+        assert stacked.b_opt == single.b_opt
+        assert type(stacked.phi_opt) is float
+        xatol = 1e-3 * optimal_detuning(single.b_opt)
+        band = 2.0 * (math.sqrt(2.2e-16) * abs(single.phi_opt) + xatol / 3.0)
+        assert abs(stacked.phi_opt - single.phi_opt) <= band
         assert stacked.n_t_f_min == pytest.approx(single.n_t_f_min, rel=1e-13)
+
+    @pytest.mark.parametrize("lock", [False, True])
+    @pytest.mark.parametrize("noise_model", list(ThermalNoiseModel))
+    @pytest.mark.parametrize("b_range, phi_nl, q_factor, n_t_i", OPTIMIZER_CASES)
+    def test_lockstep_equals_the_per_b_oracle(self, monkeypatch, lock, noise_model,
+                                              b_range, phi_nl, q_factor, n_t_i):
+        # with every row a single call, a point scores the same in any
+        # round, so the lockstep searches probe what the per-b loop probes
+        monkeypatch.setattr(adiabatic, "integrate_variances", single_probes)
+        args = (b_range, phi_nl, q_factor, n_t_i, noise_model)
+        mine = outcome(optimize_operating_point, *args, lock_phi_to_b=lock)
+        assert mine == outcome(per_b_optimizer, *args, lock_phi_to_b=lock)
+        if isinstance(mine, adiabatic.OperatingPoint):
+            assert all(type(v) is float for v in mine)
+
+    @pytest.mark.parametrize("lock", [False, True])
+    def test_lockstep_names_the_oracles_last_failure(self, monkeypatch, lock):
+        # at n_t_i = 1e307 every stable probe's coth Bose tail fails, and
+        # with phi_nl = 2 every probe at b = 0.5 is unstable, so the
+        # failure named is the last of b = 10; each failure names its point
+        def failing_probes(params, *args, **kwargs):
+            return [QuadratureFailure(f"{res} at b={p.b!r}, phi={p.phi!r}")
+                    if isinstance(res, QuadratureFailure) else res
+                    for p, res in zip(params, single_probes(params, *args, **kwargs))]
+
+        monkeypatch.setattr(adiabatic, "integrate_variances", failing_probes)
+        args = ([3.0, 10.0, 0.5], 2.0, 1e4, 1e307, ThermalNoiseModel.QUANTUM_COTH)
+        mine = outcome(optimize_operating_point, *args, lock_phi_to_b=lock)
+        assert mine == outcome(per_b_optimizer, *args, lock_phi_to_b=lock)
+        assert mine[0] is OptimizationFailure and "at b=10.0, phi=" in mine[1]
+
+    @pytest.mark.parametrize("lock", [False, True])
+    def test_ties_go_to_the_earlier_b(self, monkeypatch, lock):
+        # every probe scores n_t_f = 1: the first b wins, and at each b
+        # Brent's point is kept, since no grid point beats it
+        def equal_scores(params, noise_model, omega_max):
+            return [VarianceResult.from_variances(3.0, 3.0, Method.EXACT_SPECTRUM, noise_model)
+                    for _ in params]
+
+        monkeypatch.setattr(adiabatic, "integrate_variances", equal_scores)
+        args = ([3.0, 2.0, 4.0], 0.05, 1e4, 10.0, ThermalNoiseModel.MARKOV_FLAT)
+        opt = optimize_operating_point(*args, lock_phi_to_b=lock)
+        assert opt == per_b_optimizer(*args, lock_phi_to_b=lock)
+        assert (opt.b_opt, opt.n_t_f_min) == (3.0, 1.0)
+
+    def test_detuning_is_a_float_where_a_grid_point_wins(self):
+        # the best grid probe beats Brent's result here; the grid comes
+        # from np.geomspace, and phi_opt must still be a Python float
+        opt = optimize_operating_point(
+            [6.963425775712992], phi_nl=0.0016753672969602076, q_factor=61823.16452896886,
+            n_t_i=59.33333349792239, noise_model=ThermalNoiseModel.MARKOV_FLAT,
+        )
+        assert type(opt.phi_opt) is float and type(opt.n_t_f_min) is float
+        assert opt.phi_opt == 6.963792163079379
+
+
+def single_probes(params, *args, **kwargs):
+    """``integrate_variances`` with a sequence taken as a loop of single calls."""
+    if isinstance(params, NormalizedParams):
+        return integrate_variances(params, *args, **kwargs)
+    out = []
+    for p in params:
+        try:
+            out.append(integrate_variances(p, *args, **kwargs))
+        except OptocoolError as exc:
+            out.append(exc)
+    return out
+
+
+def outcome(optimizer, *args, **kwargs):
+    """The optimizer's OperatingPoint, or the (type, text) of the error it raises."""
+    try:
+        return optimizer(*args, **kwargs)
+    except OptocoolError as exc:
+        return type(exc), str(exc)
+
+
+def per_b_optimizer(b_range, phi_nl, q_factor, n_t_i,
+                    noise_model=ThermalNoiseModel.QUANTUM_COTH, omega_max=100.0,
+                    lock_phi_to_b=False):
+    """The optimizer as a loop over b: each b's grid, edge steps and Brent
+    probes (scipy's ``minimize_scalar``) run to their end before the next
+    b starts, with one ``adiabatic.integrate_variances`` call per probe
+    after the grid."""
+    from scipy.optimize import minimize_scalar
+
+    b_grid = [float(b) for b in b_range]
+    if not b_grid:
+        raise InvalidParams("empty b_range")
+    failure = None
+
+    def objectives(pairs):
+        nonlocal failure
+        scores, points = [math.inf] * len(pairs), {}
+        for i, (b, phi) in enumerate(pairs):
+            try:
+                points[i] = NormalizedParams(b=b, phi=phi, phi_nl=phi_nl, q_factor=q_factor,
+                                             n_t_i=n_t_i)
+            except InvalidParams as exc:
+                failure = exc
+        results = adiabatic.integrate_variances(list(points.values()),
+                                                noise_model=noise_model, omega_max=omega_max)
+        for i, res in zip(points, results):
+            if not isinstance(res, OptocoolError):
+                scores[i] = res.n_t_f
+            elif not isinstance(res, (Unstable, QuadratureFailure, InvalidParams)):
+                raise res
+            elif not isinstance(res, Unstable):
+                failure = res
+        return scores
+
+    best = (math.inf, math.inf, math.inf)
+    locked = objectives([(b, b) for b in b_grid]) if lock_phi_to_b else None
+    for j, b in enumerate(b_grid):
+        if lock_phi_to_b:
+            phi_best, val = b, locked[j]
+        else:
+            phi_star = optimal_detuning(b)
+            grid = phi_star * np.geomspace(0.5, 2.0, 9)
+            probes = dict(zip(grid, objectives([(b, phi) for phi in grid])))
+            coarse = list(probes)
+            i = int(np.argmin(list(probes.values())))
+            if math.isinf(probes[coarse[i]]):
+                continue
+            if i in (0, len(coarse) - 1):
+                edge, ratio = coarse[i], 2.0 ** 0.25 if i else 1.0 / 2.0 ** 0.25
+                for _ in range(16):
+                    phi = edge * ratio
+                    probes[phi] = objectives([(b, phi)])[0]
+                    if not probes[phi] < probes[edge]:
+                        break
+                    edge = phi
+                coarse = sorted(probes)
+            vals = [probes[phi] for phi in coarse]
+            i = int(np.argmin(vals))
+            lo_i, hi_i = max(i - 1, 0), min(i + 1, len(coarse) - 1)
+            with np.errstate(invalid="ignore", over="ignore"):
+                res = minimize_scalar(lambda phi: objectives([(b, phi)])[0],
+                                      bounds=(coarse[lo_i], coarse[hi_i]), method="bounded",
+                                      options={"xatol": 1e-3 * phi_star})
+            phi_best, val = float(res.x), float(res.fun)
+            if vals[i] < val:
+                phi_best, val = coarse[i], vals[i]
+        if val < best[0]:
+            best = (val, b, phi_best)
+    if math.isinf(best[0]) and failure is not None:
+        raise OptimizationFailure("no probe in the search range could be scored (last error "
+                                  f"{type(failure).__name__}: {failure})") from failure
+    if math.isinf(best[0]):
+        raise OptimizationFailure("no stable operating point in the search range")
+    return adiabatic.OperatingPoint(b_opt=best[1], phi_opt=best[2], n_t_f_min=best[0])
+
+
+def run_search(search, score):
+    """Drive a search to its end, scoring each probe: (its probes in order, its result)."""
+    probes, asked = [], next(search)
+    while True:
+        probes.extend(asked)
+        try:
+            asked = search.send([score(x) for x in asked])
+        except StopIteration as done:
+            return probes, done.value
+
+
+@st.composite
+def brent_problems(draw):
+    """A bracket, a tolerance and an objective: |x - x0|^power (plus a
+    ripple), scaled and offset up to the float range, inf over a window."""
+    lo = draw(st.floats(1e-3, 1e3))
+    hi = lo + draw(st.floats(0.0, 1e3)) * lo
+    xatol = draw(st.floats(1e-12, 1e-1)) * hi
+    x0 = draw(st.floats(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo)))
+    power = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]) | st.floats(1e-3, 1.7e308))
+    offset = draw(st.sampled_from([0.0, 1.0, 1.7e308]) | st.floats(0.0, 1.7e308))
+    ripple = draw(st.sampled_from([0.0, 0.1]))
+    cut = sorted(draw(st.tuples(st.floats(lo, hi), st.floats(lo, hi))))
+    window = draw(st.sampled_from([None, (-math.inf, cut[0]), (cut[1], math.inf), tuple(cut)]))
+
+    def score(x):
+        x = float(x)
+        if window is not None and window[0] < x < window[1]:
+            return math.inf
+        return scale * (abs(x - x0) ** power + ripple * math.sin(40.0 * x / hi)) + offset
+
+    return lo, hi, xatol, score
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400)
+@given(brent_problems())
+def test_bounded_brent_probes_what_scipy_probes(problem):
+    from scipy.optimize import minimize_scalar
+
+    lo, hi, xatol, score = problem
+    probes, (x, fun) = run_search(adiabatic._bounded_brent(lo, hi, xatol), score)
+    seen = []
+
+    def traced(x):
+        seen.append(float(x))
+        return score(x)
+
+    with np.errstate(all="ignore"):  # scipy's iterates are numpy floats
+        res = minimize_scalar(traced, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+    assert [v.hex() for v in probes] == [v.hex() for v in seen]
+    assert (x.hex(), fun.hex()) == (float(res.x).hex(), float(res.fun).hex())
+    assert type(x) is float and type(fun) is float
 
 
 # The paper's central claim: optimal self-cooling lies in the good-cavity

@@ -2,9 +2,9 @@
 
 Every CLI run is a fresh interpreter, and scipy's subpackages take most
 of a second to import. Each is imported by the one function that calls
-it, so the closed-form modes, the flat-bath variances and the transient
-modes, at every stable point (on resonance and where the cavity poles
-nearly coincide too), run without scipy at all. Both checks run in a
+it, so the closed-form modes, the flat-bath variances and optimizer and the
+transient modes, at every stable point (on resonance and where the
+cavity poles nearly coincide too), run without scipy at all. Both checks run in a
 fresh interpreter, since this test session has scipy loaded already.
 """
 
@@ -31,6 +31,8 @@ NUMPY_ONLY_RUNS = [
     ["adiabatic", *PHYSICAL],
     ["spectrum", *POINT, "--set", "spectrum.omega_points=9"],
     ["variances", *POINT, "--set", "noise_model=markov_flat", "--set", "sweep.variable=phi",
+     *SWEEP],
+    ["optimize", *POINT, "--set", "noise_model=markov_flat", "--set", "sweep.variable=b",
      *SWEEP],
     ["dynamics", *POINT],
     ["fig3"],
