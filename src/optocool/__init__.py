@@ -9,11 +9,13 @@ homodyne readout, all in a shared dimensionless parametrization.
 __version__ = "0.1.0"
 
 from .adiabatic import (
+    ClosedForm,
     CoolingDecomposition,
     EffectiveOscillator,
     OperatingPoint,
     RegimeReport,
     approx_variance,
+    closed_form,
     decompose,
     effective_rates,
     optimal_detuning,

@@ -12,12 +12,13 @@ with coupling shape factor f = 4 phi b / ((1 - b^2 + phi^2)^2 + 4 b^2).
 Maximizing f over the detuning gives the closed-form optimum phi*.
 
 This module provides the effective rates, the closed-form variance and
-its decomposition, the optimal detuning, regime-validity flags, and an
-optimizer (a coarse grid refined by Brent's bounded search) whose
-objective is the *exact* spectrum integral (the closed form only seeds
-the search). The searches of the scanned bandwidths run in lockstep,
-one stacked spectrum call per round, and Brent's search is written here,
-so the module needs numpy alone.
+its decomposition, regime-validity flags (these four from one pass at a
+point, :func:`closed_form`), the optimal detuning, and an optimizer (a
+coarse grid refined by Brent's bounded search) whose objective is the
+*exact* spectrum integral (the closed form only seeds the search). The
+searches of the scanned bandwidths run in lockstep, one stacked spectrum
+call per round, and Brent's search is written here, so the module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     InvalidParams,
     InvalidRegime,
     OptimizationFailure,
+    OptocoolError,
     QuadratureFailure,
     Unstable,
 )
@@ -44,6 +46,8 @@ __all__ = [
     "CoolingDecomposition",
     "RegimeReport",
     "OperatingPoint",
+    "ClosedForm",
+    "closed_form",
     "effective_rates",
     "approx_variance",
     "decompose",
@@ -86,15 +90,94 @@ class OperatingPoint(NamedTuple):
     n_t_f_min: float
 
 
-def _closed_form(params: NormalizedParams) -> tuple[float, float, float]:
-    """(Omega_eff/Omega_m)^2, Gamma_eff/Gamma (:func:`effective_rates`) and |D(1)|^2."""
-    b, phi = params.b, params.phi
-    cross = 2.0 * phi * params.phi_nl
+class ClosedForm(NamedTuple):
+    """Every closed-form quantity at one point, from one pass (:func:`closed_form`).
+
+    Each of the last four fields is what its function returns at the
+    point, or the :class:`~optocool.errors.OptocoolError` it raises there.
+    """
+
+    stable: bool                                         # classify's verdict
+    rates: EffectiveOscillator | OptocoolError           # effective_rates
+    variance: VarianceResult | OptocoolError             # approx_variance
+    decomposition: CoolingDecomposition | OptocoolError  # decompose
+    regime: RegimeReport                                 # regime_validity
+
+
+def closed_form(params: NormalizedParams) -> ClosedForm:
+    """The closed form at one point: one stability test, one D(1), and each quantity from them.
+
+    The one evaluation behind :func:`effective_rates`,
+    :func:`approx_variance`, :func:`decompose` and :func:`regime_validity`
+    (whose docstrings state the formulas), each of which returns its field
+    or raises its error. D(1) = (1 - i b)^2 + phi^2 is the cavity response
+    at the mechanical resonance. A caller that needs several quantities at
+    a point reads them from one call.
+    """
+    report = classify(params)
+    b, phi, phi_nl, q = params.b, params.phi, params.phi_nl, params.q_factor
+    cross = 2.0 * phi * phi_nl
     re = 1.0 - b * b + phi * phi  # Re D(1); not ** 2, which raises where the square overflows
     inv = 1.0 / complex(re, -2.0 * b)
-    omega_eff2 = 1.0 - cross * inv.real
-    gamma_ratio = 1.0 + cross * params.q_factor * inv.imag
-    return omega_eff2, gamma_ratio, re * re + 4.0 * b * b
+    w2 = 1.0 - cross * inv.real  # (Omega_eff/Omega_m)^2
+    gamma_ratio = 1.0 + cross * q * inv.imag  # Gamma_eff/Gamma
+    d1 = re * re + 4.0 * b * b  # |D(1)|^2
+
+    if not (math.isfinite(w2) and math.isfinite(gamma_ratio)):
+        rates = InvalidParams(f"closed-form effective rates are not finite ({w2}, {gamma_ratio})")
+    elif w2 <= 0:
+        rates = ImaginaryFrequency(
+            f"effective spring softened away (1 - 2 phi phi_nl Re[1/D] = {w2:.3g})"
+        )
+    else:
+        omega_ratio = math.sqrt(w2)
+        q_eff = q * omega_ratio / gamma_ratio if gamma_ratio != 0 else math.inf
+        rates = EffectiveOscillator(omega_ratio, gamma_ratio, q_eff)
+
+    if not report.stable:
+        variance = Unstable(report.reason)
+    elif isinstance(rates, OptocoolError):
+        variance = rates
+    elif gamma_ratio <= 0:
+        variance = InvalidRegime(f"effective damping ratio {gamma_ratio:.3g} <= 0")
+    else:
+        radiation = 2.0 * phi_nl * q * (1.0 + b * b + phi * phi)
+        dq2 = (2.0 * params.n_t_i + 1.0 + radiation / d1) / gamma_ratio
+        if math.isfinite(dq2):
+            variance = VarianceResult.from_variances(
+                dq2, dq2,
+                method=Method.ADIABATIC,
+                noise_model=ThermalNoiseModel.MARKOV_FLAT,  # resonance weight, same for both
+            )
+        else:
+            variance = InvalidParams(f"closed-form variance is not finite ({dq2})")
+
+    if phi <= 0:
+        decomposition = InvalidRegime(f"decomposition requires phi > 0, got {phi}")
+    else:
+        f = 4.0 * phi * b / d1
+        strength = f * phi_nl * q
+        eta = strength / (1.0 + strength)
+        dq2_thermal = 1.0 + 2.0 * params.n_t_i
+        dq2_radiation = (1.0 + b * b + phi * phi) / (2.0 * phi * b) if phi * b > 0.0 else math.inf
+        dq2 = (1.0 - eta) * dq2_thermal + eta * dq2_radiation
+        if math.isfinite(dq2):
+            decomposition = CoolingDecomposition(f, eta, dq2_thermal, dq2_radiation, dq2)
+        else:
+            decomposition = InvalidParams(f"closed-form decomposition is not finite ({dq2})")
+
+    gamma_over_kappa = gamma_ratio * b / q
+    breakdown = phi_nl * b / 2.0
+    regime = RegimeReport(gamma_ratio > 10.0 and gamma_over_kappa < 0.5 and breakdown < 1.0,
+                          gamma_ratio, gamma_over_kappa, breakdown)
+    return ClosedForm(report.stable, rates, variance, decomposition, regime)
+
+
+def _value(field):
+    """A field of :class:`ClosedForm`, or the error it holds, raised."""
+    if isinstance(field, OptocoolError):
+        raise field
+    return field
 
 
 def effective_rates(params: NormalizedParams) -> EffectiveOscillator:
@@ -106,21 +189,9 @@ def effective_rates(params: NormalizedParams) -> EffectiveOscillator:
     damping ratio is returned as-is (blue-detuned heating); a non-real
     frequency raises ImaginaryFrequency, an overflow InvalidParams. These
     are a resonance approximation: stability is :func:`~optocool.model.classify`'s.
+    A field of :func:`closed_form`.
     """
-    w2, gamma_ratio, _ = _closed_form(params)
-    if not (math.isfinite(w2) and math.isfinite(gamma_ratio)):
-        raise InvalidParams(f"closed-form effective rates are not finite ({w2}, {gamma_ratio})")
-    if w2 <= 0:
-        raise ImaginaryFrequency(
-            f"effective spring softened away (1 - 2 phi phi_nl Re[1/D] = {w2:.3g})"
-        )
-    omega_ratio = math.sqrt(w2)
-    q_eff = params.q_factor * omega_ratio / gamma_ratio if gamma_ratio != 0 else math.inf
-    return EffectiveOscillator(
-        omega_eff_ratio=omega_ratio,
-        gamma_eff_ratio=gamma_ratio,
-        q_eff=q_eff,
-    )
+    return _value(closed_form(params).rates)
 
 
 def approx_variance(params: NormalizedParams) -> VarianceResult:
@@ -132,7 +203,7 @@ def approx_variance(params: NormalizedParams) -> VarianceResult:
     The momentum variance is set equal to dq^2: the more general
     two-variance forms reduce to this one when the mechanical frequency
     dominates the effective damping, and the exact spectrum remains the
-    authority whenever they differ.
+    authority whenever they differ. A field of :func:`closed_form`.
 
     Raises
     ------
@@ -146,22 +217,7 @@ def approx_variance(params: NormalizedParams) -> VarianceResult:
     InvalidParams
         If the closed form overflows.
     """
-    classify(params).require_stable()
-    rates = effective_rates(params)
-    if rates.gamma_eff_ratio <= 0:
-        raise InvalidRegime(
-            f"effective damping ratio {rates.gamma_eff_ratio:.3g} <= 0"
-        )
-    b, phi = params.b, params.phi
-    radiation = 2.0 * params.phi_nl * params.q_factor * (1.0 + b * b + phi * phi)
-    dq2 = (2.0 * params.n_t_i + 1.0 + radiation / _closed_form(params)[2]) / rates.gamma_eff_ratio
-    if not math.isfinite(dq2):
-        raise InvalidParams(f"closed-form variance is not finite ({dq2})")
-    return VarianceResult.from_variances(
-        dq2, dq2,
-        method=Method.ADIABATIC,
-        noise_model=ThermalNoiseModel.MARKOV_FLAT,  # resonance weight, same for both
-    )
+    return _value(closed_form(params).variance)
 
 
 def decompose(params: NormalizedParams) -> CoolingDecomposition:
@@ -171,26 +227,9 @@ def decompose(params: NormalizedParams) -> CoolingDecomposition:
     term (1 + b^2 + phi^2)/(2 phi b) is a positive variance bounded
     below by 1: else :class:`~optocool.errors.InvalidRegime`. Where the
     split is not finite (phi b underflows), it raises
-    :class:`~optocool.errors.InvalidParams`.
+    :class:`~optocool.errors.InvalidParams`. A field of :func:`closed_form`.
     """
-    if params.phi <= 0:
-        raise InvalidRegime(f"decomposition requires phi > 0, got {params.phi}")
-    b, phi = params.b, params.phi
-    f = 4.0 * phi * b / _closed_form(params)[2]
-    strength = f * params.phi_nl * params.q_factor
-    eta = strength / (1.0 + strength)
-    dq2_thermal = 1.0 + 2.0 * params.n_t_i
-    dq2_radiation = (1.0 + b * b + phi * phi) / (2.0 * phi * b) if phi * b > 0.0 else math.inf
-    dq2 = (1.0 - eta) * dq2_thermal + eta * dq2_radiation
-    if not math.isfinite(dq2):
-        raise InvalidParams(f"closed-form decomposition is not finite ({dq2})")
-    return CoolingDecomposition(
-        f=f,
-        eta=eta,
-        dq2_thermal=dq2_thermal,
-        dq2_radiation=dq2_radiation,
-        dq2=dq2,
-    )
+    return _value(closed_form(params).decomposition)
 
 
 def optimal_detuning(b: float) -> float:
@@ -214,18 +253,9 @@ def regime_validity(params: NormalizedParams) -> RegimeReport:
     cavity bandwidth (Gamma << Gamma_eff << kappa) and a coupling weak
     enough that the cavity follows the mirror (phi_nl Omega_m < 2
     kappa). Thresholds: Gamma_eff/Gamma > 10, Gamma_eff/kappa < 0.5,
-    phi_nl b / 2 < 1.
+    phi_nl b / 2 < 1. A field of :func:`closed_form`.
     """
-    gamma_ratio = _closed_form(params)[1]
-    gamma_over_kappa = gamma_ratio * params.b / params.q_factor
-    breakdown = params.phi_nl * params.b / 2.0
-    ok = gamma_ratio > 10.0 and gamma_over_kappa < 0.5 and breakdown < 1.0
-    return RegimeReport(
-        adiabatic_ok=ok,
-        gamma_eff_over_gamma=gamma_ratio,
-        gamma_eff_over_kappa=gamma_over_kappa,
-        phi_nl_omega_over_2kappa=breakdown,
-    )
+    return closed_form(params).regime
 
 
 #: ratio of neighbouring detunings on the optimizer's coarse grid

@@ -37,12 +37,11 @@ import numpy as np
 
 from . import __version__
 from .adiabatic import (
-    approx_variance,
-    decompose,
+    ClosedForm,
+    closed_form,
     effective_rates,
     optimal_detuning,
     optimize_operating_point,
-    regime_validity,
 )
 from .dynamics import (
     build_system,
@@ -64,7 +63,6 @@ from .errors import (
 from .model import (
     NormalizedParams,
     PhysicalParams,
-    classify,
     normalize,
     solve_steady_state,
 )
@@ -77,6 +75,7 @@ from .spectra import (
 
 # unused; perfbench/tracer.py wraps these names in this module
 _effective_peak = _static_margins = _spectrum_values = None
+approx_variance = decompose = regime_validity = None
 homodyne_variance = matched_filter_pairs = two_time_correlations = None
 
 SWEEPABLE = ("b", "phi", "phi_nl", "q_factor", "n_t_i")
@@ -382,14 +381,6 @@ def _exact_rows(points: list, results: list, fields) -> list:
             for params, res in zip(points, results)]
 
 
-def _closed_form(fn, params: NormalizedParams):
-    """``fn(params)``, or None where the closed form is undefined at the point."""
-    try:
-        return fn(params)
-    except (Unstable, ImaginaryFrequency, InvalidRegime, InvalidParams):
-        return None
-
-
 def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
     """The variances of the whole sweep in one stack."""
     results = integrate_variances(points, cfg.noise_model, omega_max=cfg.omega_max)
@@ -400,28 +391,31 @@ def _variances_rows(cfg: RunConfig, points: list, width: int = 4) -> list:
 def _fig2_rows(cfg: RunConfig, points: list) -> list:
     """The exact dq2 of the sweep in one stack, and the closed-form dq2 where it is defined."""
     def fields(params, res):
-        var = _closed_form(approx_variance, params)
-        return res[0], None if var is None else var.dq2
+        var = closed_form(params).variance
+        return res[0], None if isinstance(var, OptocoolError) else var.dq2
 
     return _exact_rows(points, position_variance(points, cfg.noise_model), fields)
 
 
 def _adiabatic_rows(cfg: RunConfig, points: list) -> list:
-    """Each point on its own, by :func:`_adiabatic_row`; empty where the closed form is undefined."""
-    return [(_closed_form(_adiabatic_row, params) or (), classify(params).stable)
-            for params in points]
+    """Each point on its own, from one :func:`~optocool.adiabatic.closed_form` pass."""
+    return [_adiabatic_row(closed_form(params)) for params in points]
 
 
-def _adiabatic_row(params: NormalizedParams) -> tuple:
-    """Effective rates, then the closed-form variance where the regime allows it."""
-    rates = effective_rates(params)
+def _adiabatic_row(form: ClosedForm) -> tuple:
+    """The effective rates, then the closed-form variance where the regime allows it.
+
+    The row is empty where the rates are undefined; the decomposition's
+    cells are empty where it alone is.
+    """
+    rates, var, dec = form.rates, form.variance, form.decomposition
+    if isinstance(rates, OptocoolError):
+        return (), form.stable
     head = (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
-    var = _closed_form(approx_variance, params)
-    if var is None:
-        return head
-    dec = _closed_form(decompose, params)
-    f_eta = (None, None) if dec is None else (dec.f, dec.eta)
-    return head + f_eta + (var.dq2, var.n_t_f, regime_validity(params).adiabatic_ok)
+    if isinstance(var, OptocoolError):
+        return head, form.stable
+    f_eta = (None, None) if isinstance(dec, OptocoolError) else (dec.f, dec.eta)
+    return head + f_eta + (var.dq2, var.n_t_f, form.regime.adiabatic_ok), form.stable
 
 
 def _steady_table(cfg: RunConfig):

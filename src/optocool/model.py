@@ -21,6 +21,7 @@ Quadratures are normalized so the vacuum variance is 1 ([q, p] = 2i).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -88,6 +89,37 @@ _NORMALIZED_DOMAIN = (
     ("b", ">", 0), ("phi", None, None), ("phi_nl", ">=", 0),
     ("q_factor", ">", 1), ("n_t_i", ">=", 0),
 )
+#: the same lower bounds, each as a strict one on floats (x >= c is x > the
+#: float below c; a finite-only field has -inf): the fast path of
+#: :class:`NormalizedParams` reads them in one comparison chain
+_NORMALIZED_FLOOR = tuple(-math.inf if op is None else bound if op == ">"
+                          else math.nextafter(bound, -math.inf)
+                          for _, op, bound in _NORMALIZED_DOMAIN)
+#: n_t_i lies below this bound exactly where 2 n_t_i + 1 is finite
+_N_T_I_CAP = 2.0 ** 1023
+
+
+def _check_normalized(params) -> None:
+    """The per-rule path of :class:`NormalizedParams`: store each field as a float, or raise.
+
+    Every field is converted with ``float()`` and tested against its rule
+    of _NORMALIZED_DOMAIN, then n_t_i against _N_T_I_CAP, and
+    :class:`~optocool.errors.InvalidParams` names each field that fails.
+    """
+    bad, rules = [], []
+    for rule in _NORMALIZED_DOMAIN:
+        value = getattr(params, rule[0])
+        try:
+            object.__setattr__(params, rule[0], float(value))
+        except (TypeError, ValueError, OverflowError):
+            bad.append(f"{rule[0]} must be a real number, got {value!r}")
+        else:
+            rules.append(rule)
+    bad += _domain_problems(params, rules)
+    if not bad and not params.n_t_i < _N_T_I_CAP:
+        bad.append(f"n_t_i must keep 2 n_t_i + 1 finite (n_t_i < 2**1023), got {params.n_t_i}")
+    if bad:
+        raise InvalidParams(*bad)
 
 
 def thermal_occupancy(temperature: float, omega_m: float) -> float:
@@ -188,20 +220,15 @@ class NormalizedParams:
     n_t_i: float
 
     def __post_init__(self):
-        bad, rules = [], []
-        for rule in _NORMALIZED_DOMAIN:
-            value = getattr(self, rule[0])
-            try:
-                object.__setattr__(self, rule[0], float(value))
-            except (TypeError, ValueError, OverflowError):
-                bad.append(f"{rule[0]} must be a real number, got {value!r}")
-            else:
-                rules.append(rule)
-        bad += _domain_problems(self, rules)
-        if not bad and 2.0 * self.n_t_i + 1.0 == math.inf:
-            bad.append(f"n_t_i must keep 2 n_t_i + 1 finite (n_t_i < 2**1023), got {self.n_t_i}")
-        if bad:
-            raise InvalidParams(*bad)
+        b, phi, phi_nl, q, n = self.b, self.phi, self.phi_nl, self.q_factor, self.n_t_i
+        lo = _NORMALIZED_FLOOR
+        # every field a float inside the domain: nothing to convert or report
+        if (type(b) is float and type(phi) is float and type(phi_nl) is float
+                and type(q) is float and type(n) is float
+                and lo[0] < b < math.inf and lo[1] < phi < math.inf
+                and lo[2] < phi_nl < math.inf and lo[3] < q < math.inf and lo[4] < n < _N_T_I_CAP):
+            return
+        _check_normalized(self)
 
     def replace(self, **kwargs) -> "NormalizedParams":
         return NormalizedParams(**{**vars(self), **kwargs})
@@ -305,16 +332,25 @@ def drift_matrix(params: NormalizedParams) -> np.ndarray:
     domain (:mod:`optocool.dynamics`) and the residue sums
     (:mod:`optocool.spectra`) both read this one definition.
     """
+    return np.array(_drift_entries(params)).reshape(4, 4)
+
+
+def _drift_entries(params: NormalizedParams) -> tuple:
+    """The 16 entries of :func:`drift_matrix`, row by row: the one definition, stacks included."""
     phi, b, q = params.phi, params.b, params.q_factor
     g = math.sqrt(2.0 * params.phi_nl / b)
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-1.0, -1.0 / q, g, 0.0],
-            [0.0, 0.0, -1.0 / b, phi / b],
-            [g, 0.0, -phi / b, -1.0 / b],
-        ]
-    )
+    return (0.0, 1.0, 0.0, 0.0,
+            -1.0, -1.0 / q, g, 0.0,
+            0.0, 0.0, -1.0 / b, phi / b,
+            g, 0.0, -phi / b, -1.0 / b)
+
+
+@functools.cache
+def _inf_diagonal(m: int) -> np.ndarray:
+    """The (m, m) array with inf on its diagonal and 0 elsewhere: a pole's distance to itself."""
+    out = np.diag(np.full(m, np.inf))
+    out.setflags(write=False)
+    return out
 
 
 def pole_separation(poles) -> tuple:
@@ -326,11 +362,9 @@ def pole_separation(poles) -> tuple:
     one verdict per row).
     """
     if isinstance(poles, np.ndarray):
-        m = poles.shape[1]
-        dist = np.abs(poles[:, :, None] - poles[:, None, :])
-        dist[:, range(m), range(m)] = np.inf
-        gaps = dist.min(axis=2)
-        return gaps, np.all(gaps > POLE_SEPARATION_MIN * np.abs(poles), axis=1)
+        dist = np.abs(poles[:, :, None] - poles[:, None, :]) + _inf_diagonal(poles.shape[1])
+        gaps = np.minimum.reduce(dist, axis=2)
+        return gaps, np.logical_and.reduce(gaps > POLE_SEPARATION_MIN * np.abs(poles), axis=1)
     gaps = [min([abs(z - poles[m]) for m in range(len(poles)) if m != j])
             for j, z in enumerate(poles)]
     return gaps, all(gap > POLE_SEPARATION_MIN * abs(z) for z, gap in zip(poles, gaps))
@@ -370,7 +404,7 @@ def drift_modes(params) -> DriftModes:
             raise InvalidParams(f"drift matrix overflows (||A|| = {norm})")
     else:
         points = list(params)
-        drift = np.array([drift_matrix(p) for p in points]).reshape(-1, 4, 4)
+        drift = np.array([_drift_entries(p) for p in points], dtype=float).reshape(-1, 4, 4)
         with np.errstate(over="ignore"):  # as for one point
             norm = np.sqrt(np.einsum("nij,nij->n", drift, drift))
         unsolved = ~np.isfinite(norm)

@@ -428,11 +428,13 @@ def _fractions(params: NormalizedParams, modes: DriftModes) -> _Fractions | None
     eps_phi: over 300 random points at phi = 0 (flat bath, Q from 1 to
     1e7) no error against 40-digit sums passed 0.18 of it.
 
-    This is the table of one point, and the only one with the decoupled
-    set. Its arithmetic is plain Python complex: numpy's fixed cost per
-    call is larger than the work on four poles. A sweep pays that cost
-    once for all its points, and :func:`_stack_fractions` builds the
-    drift-pole tables of its regular rows as (n, 4) arrays.
+    This is the table of one point, and the only builder of the decoupled
+    set, for a single call and for a stack's rows at phi ~ 0 alike
+    (:func:`_stack_moments`). Its arithmetic is plain Python complex:
+    numpy's fixed cost per call is larger than the work on four poles. A
+    sweep pays that cost once for all its points, and
+    :func:`_stack_fractions` builds the drift-pole tables of its rows with
+    separated poles as (n, 4) arrays.
     """
     k = 1.0 / params.b
     back = 4.0 * params.phi_nl * k * k
@@ -490,8 +492,8 @@ def _stack_fractions(stack: _Stack, modes: DriftModes) -> tuple[_Fractions, np.n
     all rows at once from the stacked ``modes``. A row is not ``ok`` where
     its drift poles are not ``separated`` (an unsolved drift, nearly
     coincident poles, or the decoupled cavity at phi ~ 0, whose three-pole
-    table the single call builds), or where a real part or a denominator
-    is zero.
+    table :func:`_stack_moments` takes from :func:`_fractions`), or where
+    a real part or a denominator is zero.
     """
     with np.errstate(all="ignore"):  # a row that is not ok goes back to the single call
         k = 1.0 / stack.b
@@ -769,14 +771,20 @@ def _stack_moments(points, noise_model, omega_max, powers):
     """The moments ``powers`` of each point (see :func:`_moment`), its stack where it has one.
 
     Every point is classified first, once. With at least _STACK_MIN stable
-    points, their regular rows are one stack: one stacked eigen-solve,
-    then the pole tables, the Bose bracket, the sums and the Bose tails as
-    array expressions. Each entry is a list of (value, err), one per
-    power; the :class:`~optocool.errors.Unstable` of an unstable point; or
-    None at a stable point that the single call (:func:`_moments`) takes:
-    every one with fewer than _STACK_MIN stable points, and otherwise each
-    row that is not regular (drift poles not separated, as at phi ~ 0; a
-    pole at or beyond W/2; a sum or Bose tail that is not finite).
+    points, their rows are one stack: one stacked eigen-solve, then the
+    pole tables, the Bose bracket, the sums and the Bose tails as array
+    expressions. A row whose drift poles are separated takes its table
+    from :func:`_stack_fractions`; any other solved row takes the one
+    :func:`_fractions` builds for it alone, the decoupled cavity's three
+    poles at phi ~ 0, padded with a fourth pole of no weight (a = 1, with
+    alpha, f and round-off 0, so that it adds nothing to a sum). Each entry
+    is a tuple of (value, err), one per power; the
+    :class:`~optocool.errors.Unstable` of an unstable point; or None at a
+    stable point that the single call (:func:`_moments`) takes: every one
+    with fewer than _STACK_MIN stable points, and otherwise each row
+    without a table (nearly coincident poles of a coupled cavity, an
+    unsolved drift), with a pole at or beyond W/2, or with a sum or Bose
+    tail that is not finite.
     """
     out, live = [], []
     for i, p in enumerate(points):
@@ -791,7 +799,17 @@ def _stack_moments(points, noise_model, omega_max, powers):
         return out
     rows = [points[i] for i in live]
     stack = _Stack.of(rows)
-    fr, ok = _stack_fractions(stack, drift_modes(rows))
+    modes = drift_modes(rows)
+    fr, ok = _stack_fractions(stack, modes)
+    for j, (separated, norm) in enumerate(zip(modes.separated.tolist(), modes.norm.tolist())):
+        if separated or not math.isfinite(norm):  # an unsolved drift is the single call's error
+            continue
+        own = _fractions(rows[j], DriftModes(modes.eigenvalues[j].tolist(),
+                                             modes.gaps[j].tolist(), False, norm))
+        if own is not None:
+            fr.a[j], fr.alpha[j] = own.a + [1.0], own.alpha + [0.0]
+            fr.f[j], fr.roundoff[j] = own.f + [0.0], own.roundoff + [0.0]
+            ok[j] = True
     x = [coth_scale(p.n_t_i) for p in rows]
     bracket = _bose_bracket(fr.a, x) if noise_model is ThermalNoiseModel.QUANTUM_COTH else None
     moments = []
@@ -799,10 +817,10 @@ def _stack_moments(points, noise_model, omega_max, powers):
         value, err, fine = _stack_moment(rows, stack, noise_model, fr, bracket, x, power,
                                          omega_max)
         ok &= fine
-        moments.append((value.tolist(), err.tolist()))
-    for j, i in enumerate(live):
-        if ok[j]:
-            out[i] = [(value[j], err[j]) for value, err in moments]
+        moments.append(zip(value.tolist(), err.tolist()))
+    for i, good, row in zip(live, ok.tolist(), zip(*moments)):
+        if good:
+            out[i] = row
     return out
 
 
@@ -883,14 +901,16 @@ def integrate_variances(
     returns a list with one entry per point: its VarianceResult, or the
     :class:`~optocool.errors.OptocoolError` that the point alone would
     raise. Each point is classified once. Where three or more of them are
-    stable (_STACK_MIN), their regular rows are one stack: one
-    eigen-solve of the stack of their drifts, and the pole tables, sums
-    and Bose tails of all of them as array expressions. Every other
-    stable point is a single call, which owns the phi ~ 0 three-pole
-    table, the quadrature and the typed errors: a point with drift poles
-    that are not separated, a pole at or beyond W/2, or a sum or tail
-    that is not finite, and every point where fewer than three are stable
-    (one or two points cost less as single calls).
+    stable (_STACK_MIN), their rows are one stack: one eigen-solve of the
+    stack of their drifts, and the pole tables, sums and Bose tails of all
+    of them as array expressions; a row of a decoupled cavity (phi ~ 0)
+    takes the same three-pole table as the single call. Every other
+    stable point is a single call, which owns the quadrature and the typed
+    errors: a point without a pole table (nearly coincident drift poles
+    of a coupled cavity, an overflowing drift), with a pole at or beyond
+    W/2, or with a sum or tail that is not finite, and every point where
+    fewer than three are stable (one or two points cost less as single
+    calls).
 
     Raises
     ------

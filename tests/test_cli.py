@@ -9,22 +9,30 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from optocool import (
+    ImaginaryFrequency,
+    InvalidParams,
+    InvalidRegime,
     NonPhysical,
     NormalizedParams,
     ParseError,
+    Unstable,
     ValidationError,
+    approx_variance,
     build_system,
     classify,
+    decompose,
+    effective_rates,
     evolve_covariance,
     lyapunov_steady_state,
     matched_filter_pairs,
     optimal_detuning,
+    regime_validity,
 )
-from optocool import cli, dynamics, model, spectra
+from optocool import adiabatic, cli, dynamics, model, spectra
 from optocool.cli import (
     KEYS,
     MODES,
@@ -194,15 +202,14 @@ class TestRun:
     @pytest.mark.parametrize("mode", ["variances", "fig1", "fig2", "adiabatic"])
     def test_each_row_is_classified_once(self, monkeypatch, mode):
         # the integrating modes read each row's verdict from the stack's
-        # results; the adiabatic mode keeps its own classify call
+        # results, the adiabatic mode from its one closed-form pass
         calls = []
 
         def counted(params):
             calls.append(params)
             return model.classify(params)
 
-        for module in (cli, spectra):
-            monkeypatch.setattr(module, "classify", counted)
+        monkeypatch.setattr(adiabatic if mode == "adiabatic" else spectra, "classify", counted)
         doc = "sweep.variable = phi\nsweep.start = -12\nsweep.stop = 12\nsweep.points = 7\n"
         text = doc if mode.startswith("fig") else MINIMAL + doc
         table = run(parse_config(text, mode=mode))
@@ -1289,3 +1296,58 @@ def test_count_past_the_memory_is_typed(mode, key, monkeypatch, capsys):
     assert rc == 3 and out == ""
     record = assert_one_json_record(err)
     assert record["type"] == "InvalidParams" and "Unable to allocate" in record["message"]
+
+
+def closed_form_or_none(fn, params):
+    """``fn(params)``, or None where the closed form is undefined at the point."""
+    try:
+        return fn(params)
+    except (Unstable, ImaginaryFrequency, InvalidRegime, InvalidParams):
+        return None
+
+
+def oracle_adiabatic_row(params):
+    """The adiabatic mode's row as each closed-form function gives it on its own: the oracle."""
+    rates = effective_rates(params)
+    head = (rates.omega_eff_ratio, rates.gamma_eff_ratio, rates.q_eff)
+    var = closed_form_or_none(approx_variance, params)
+    if var is None:
+        return head
+    dec = closed_form_or_none(decompose, params)
+    f_eta = (None, None) if dec is None else (dec.f, dec.eta)
+    return head + f_eta + (var.dq2, var.n_t_f, regime_validity(params).adiabatic_ok)
+
+
+@st.composite
+def closed_form_points(draw):
+    """Points on both sides of resonance, at phi = 0, and at the float range's ends."""
+    b = draw(st.one_of(B_STRATA, log_uniform(1e150, 1e300)))
+    phi = draw(st.one_of(st.sampled_from([0.0, -0.0]), signed(log_uniform(1e-300, 1e-3)),
+                         st.floats(-3.0, 3.0).map(lambda r: r * b),
+                         signed(log_uniform(1e150, 1e300))))
+    phi_nl = draw(st.one_of(st.just(0.0), log_uniform(1e-6, 10.0), log_uniform(1e150, 1e300)))
+    return NormalizedParams(b=b, phi=phi, phi_nl=phi_nl, q_factor=draw(Q_STRATA),
+                            n_t_i=draw(N_STRATA))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=closed_form_points())
+@example(p=NormalizedParams(b=3, phi=3, phi_nl=0.05, q_factor=1e4, n_t_i=100))  # every cell
+@example(p=NormalizedParams(b=3, phi=-1, phi_nl=1e-4, q_factor=1e4, n_t_i=100))  # heating side
+@example(p=NormalizedParams(b=3, phi=0, phi_nl=0.05, q_factor=1e4, n_t_i=100))  # phi = 0
+# stable with Gamma_eff < 0: InvalidRegime
+@example(p=NormalizedParams(b=0.5247, phi=-0.8, phi_nl=0.5175, q_factor=3.459, n_t_i=100))
+# ImaginaryFrequency, at a stable point and at an unstable one
+@example(p=NormalizedParams(b=1.8564870210086335, phi=5.533864733663576,
+                            phi_nl=2.6327937689496212, q_factor=28384.078539377977, n_t_i=1))
+@example(p=NormalizedParams(b=0.1, phi=1, phi_nl=2, q_factor=1e4, n_t_i=1))
+@example(p=NormalizedParams(b=3, phi=1, phi_nl=3, q_factor=1e4, n_t_i=1))  # unstable
+@example(p=NormalizedParams(b=1e200, phi=1e200, phi_nl=0.1, q_factor=1e4, n_t_i=1))  # rates nan
+# the variance, and the decomposition alone, overflow
+@example(p=NormalizedParams(b=3, phi=-1, phi_nl=1e-4, q_factor=1e4, n_t_i=8e307))
+@example(p=NormalizedParams(b=1e-200, phi=1e-200, phi_nl=0.1, q_factor=1e4, n_t_i=1))
+def test_adiabatic_rows_equal_the_functions_one_by_one(p):
+    # one closed-form pass gives each cell, and each empty cell, that the
+    # four functions and classify give when each is called on its own
+    want = (closed_form_or_none(oracle_adiabatic_row, p) or (), classify(p).stable)
+    assert repr(cli._adiabatic_rows(None, [p])) == repr([want])

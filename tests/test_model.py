@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import constants
 
@@ -20,6 +20,7 @@ from optocool import (
     solve_steady_state,
     thermal_occupancy,
 )
+from optocool import model
 from optocool.model import C_LIGHT, HBAR, K_B, POLE_SEPARATION_MIN, pole_separation
 
 
@@ -75,6 +76,19 @@ class TestThermalOccupancy:
             thermal_occupancy(-1.0, 1e7)
         with pytest.raises(InvalidParams):
             thermal_occupancy(1.0, 0.0)
+
+
+# values at and around each bound of the normalized domain, and of every kind a caller may pass
+DOMAIN_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), -1.0, 2.0**1023,
+                math.nextafter(2.0**1023, 0.0), math.nextafter(2.0**1023, math.inf),
+                1.7976931348623157e308, math.inf, -math.inf, math.nan]
+edge_floats = st.one_of(st.sampled_from(DOMAIN_EDGES), st.floats())
+field_values = st.one_of(
+    edge_floats, edge_floats.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2, 3), st.sampled_from([2**1023, 2**1024]), st.booleans(),
+    st.sampled_from(["1", "2.5", "-0", "nan", "inf", "ten", ""]), st.none(),
+)
 
 
 class TestParamTypes:
@@ -139,6 +153,34 @@ class TestParamTypes:
         with pytest.raises(InvalidParams) as err:
             NormalizedParams(b=-1, phi=math.nan, phi_nl=-2, q_factor=0.1, n_t_i=5)
         assert [p.split()[0] for p in err.value.problems] == ["b", "phi", "phi_nl", "q_factor"]
+
+    @settings(max_examples=600, deadline=None)
+    @given(values=st.tuples(*[field_values] * 5))
+    @example(values=(5e-324, -0.0, -0.0, math.nextafter(1.0, 2.0), math.nextafter(2.0**1023, 0.0)))
+    @example(values=(1.0, 1.7976931348623157e308, 0.0, 2.0, 2.0**1023))
+    @example(values=(1.0, 0.0, 0.0, 1.0, 0.0))
+    @example(values=(1.0, 0.0, -5e-324, 2.0, 0.0))
+    @example(values=(0.0, -math.inf, -5e-324, 1.0, math.nan))
+    @example(values=(np.float64(2.0), True, np.float32(0.5), 2, "80"))
+    def test_fast_path_accepts_what_the_per_rule_path_accepts(self, values):
+        # the fast path returns for floats inside the domain; the per-rule
+        # path must accept the same points, store the same floats (-0.0
+        # too) and name the same problems
+        fields = dict(zip(("b", "phi", "phi_nl", "q_factor", "n_t_i"), values))
+        reference = object.__new__(NormalizedParams)
+        for name, value in fields.items():
+            object.__setattr__(reference, name, value)
+        try:
+            model._check_normalized(reference)
+        except InvalidParams as exc:
+            with pytest.raises(InvalidParams) as err:
+                NormalizedParams(**fields)
+            assert err.value.args == exc.args
+        else:
+            stored = vars(NormalizedParams(**fields))
+            assert all(type(v) is float for v in stored.values())
+            assert [(v, math.copysign(1.0, v)) for v in stored.values()] == [
+                (v, math.copysign(1.0, v)) for v in vars(reference).values()]
 
     def test_coupling_constant_scaling(self):
         p = si_params()

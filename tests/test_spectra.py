@@ -54,6 +54,8 @@ HUGE_OCCUPANCY = NormalizedParams(b=18.018148102696706, phi=-9.00908471927914,
 OVERFLOWING_DRIFT = NormalizedParams(b=6.347468412528946e-64, phi=0,
                                      phi_nl=3.2474854227788175e250,
                                      q_factor=2.718398599618707e22, n_t_i=1)
+# 2/b^2 overflows ||A||^2, while the decoupled cavity's three-pole table is finite
+UNSOLVED_DECOUPLED = NormalizedParams(b=9e-155, phi=0.0, phi_nl=0.1, q_factor=1e4, n_t_i=1)
 
 
 def bare(q_factor, n_t_i):
@@ -907,6 +909,50 @@ class TestStackedRoute:
             assert isinstance(got[2], Unstable) and isinstance(got[4], InvalidParams)
 
     @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_a_sweep_through_phi_zero_is_one_stack(self, monkeypatch, model):
+        # the decoupled rows (phi = 0, +-1e-16 and 1e-10, where the coupling
+        # 4 |phi| phi_nl Q stays below 1e-9) take the single call's
+        # three-pole table inside the stack
+        base = NormalizedParams(b=3, phi=1, phi_nl=1e-4, q_factor=1e4, n_t_i=100)
+        phis = [*np.linspace(-1.0, 3.0, 5), 0.0, 1e-16, -1e-16, 1e-10]
+        points = [base.replace(phi=float(phi)) for phi in phis]
+        assert all(not drift_modes(p).separated for p in points[5:])
+        want = scalar_rows(points, model)
+        want_q = [position_variance(p, model) for p in points]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single call inside a sweep through phi = 0")
+
+        monkeypatch.setattr(spectra, "_moments", refuse)
+        for g, w in zip(integrate_variances(points, model), want):
+            same_row(g, w)
+        for g, w in zip(position_variance(points, model), want_q):
+            assert rel(g[0], w[0]) <= 1e-13 and abs(g[1] - w[1]) <= 1e-12 * w[1]
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
+    def test_rows_without_a_stacked_table_take_the_single_call(self, monkeypatch, model):
+        # a decoupled cavity pole k = 1/b = 100 at W/2 of the coth dp^2's
+        # cutoff, and nearly coincident poles of a coupled cavity (no table)
+        far = NormalizedParams(b=0.01, phi=0.0, phi_nl=0.1, q_factor=1e4, n_t_i=100)
+        points = [FIG2, FIG2.replace(phi=0.0), far, CUTOFF_COINCIDENT, DEEP]
+        assert _fractions(CUTOFF_COINCIDENT, drift_modes(CUTOFF_COINCIDENT)) is None
+        assert _fractions(far, drift_modes(far)) is not None
+        calls = []
+        moments = spectra._moments
+
+        def counted(*args):
+            calls.append(args[0])
+            return moments(*args)
+
+        want = scalar_rows(points, model)
+        monkeypatch.setattr(spectra, "_moments", counted)
+        got = integrate_variances(points, model)
+        cut = model is ThermalNoiseModel.QUANTUM_COTH
+        assert calls == ([far] if cut else []) + [CUTOFF_COINCIDENT]
+        for g, w in zip(got, want):
+            same_row(g, w)
+
+    @pytest.mark.parametrize("model", list(ThermalNoiseModel))
     def test_a_decoupled_row_of_a_stack_is_the_single_call(self, model):
         points = [NormalizedParams(b=3, phi=float(phi), phi_nl=0.05, q_factor=1e4, n_t_i=100)
                   for phi in np.linspace(-1.0, 3.0, 5)]
@@ -941,8 +987,9 @@ class TestStackedRoute:
             same_row(got[i], integrate_variances(points[i], ThermalNoiseModel.QUANTUM_COTH))
 
     @pytest.mark.parametrize("model", list(ThermalNoiseModel))
-    def test_overflowing_drift_is_the_single_calls_error(self, model):
-        huge = OVERFLOWING_DRIFT
+    @pytest.mark.parametrize("huge", [OVERFLOWING_DRIFT, UNSOLVED_DECOUPLED],
+                             ids=["overflowing", "decoupled"])
+    def test_overflowing_drift_is_the_single_calls_error(self, model, huge):
         got = integrate_variances([FIG2, huge, DEEP], model)
         with pytest.raises(InvalidParams) as single:
             integrate_variances(huge, model)
